@@ -13,8 +13,6 @@ Examples::
     python -m repro mix --workload lbm_like --cores 4 --prefetcher ipcp
     python -m repro trace --workload bwaves_like --out events.jsonl
     python -m repro profile --workload mcf_i_like --top 15
-    python -m repro serve --port 8642 --workers 2 --queue-bound 64
-    python -m repro submit --workload lbm_like --prefetcher ipcp --wait
 
 Simulation commands accept ``--jobs N`` to fan cells out across worker
 processes and keep a persistent result cache (``--cache-dir``, default
@@ -41,7 +39,6 @@ from repro.analysis.tracestats import analyze_trace
 from repro.analysis.validate import check_prefetcher
 from repro.errors import (
     ConfigurationError,
-    JobError,
     ReproError,
     exit_code_for,
 )
@@ -52,10 +49,6 @@ from repro.resilience import (
     flush_active_journals,
 )
 from repro.runner import ResultCache, SimulationRunner
-from repro.runner.job import levels_job
-from repro.service import JobService, ServiceClient
-from repro.service.server import serve as serve_service
-from repro.service.wire import spec_to_wire
 from repro.sim.batched import ENGINES
 from repro.sim.multicore import simulate_mix
 from repro.sim.trace import load_trace, save_trace
@@ -1090,7 +1083,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_paper(args) -> int:
-    """Evaluate the paper-claim registry; regenerate doc + BENCH."""
+    """Evaluate the paper-claim registry; --write regenerates doc + BENCH."""
     import contextlib
     import pathlib
     import time
@@ -1135,6 +1128,9 @@ def cmd_paper(args) -> int:
         if args.write:
             doc_path.write_text(rendered, encoding="utf-8")
             print(f"wrote {doc_path}")
+            bench_path = root / "BENCH_10.json"
+            paperclaims.write_bench(report, wall, str(bench_path))
+            print(f"wrote {bench_path}")
         else:
             committed = (doc_path.read_text(encoding="utf-8")
                          if doc_path.exists() else "")
@@ -1143,114 +1139,9 @@ def cmd_paper(args) -> int:
                   + ("is OUT OF DATE vs live results — run "
                      "`repro paper --write`" if drift
                      else "matches live results byte for byte"))
-        bench_path = root / "BENCH_10.json"
-        paperclaims.write_bench(report, wall, str(bench_path))
-        print(f"wrote {bench_path}")
 
     if args.check:
         return 1 if (not report.ok or drift) else 0
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Run the simulation job service until drained (docs/service.md)."""
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    service = JobService(
-        workers=args.workers,
-        queue_bound=args.queue_bound,
-        quota=args.quota,
-        shards=args.shards,
-        cache=cache,
-        journal=args.journal,
-        retry=RetryPolicy(max_attempts=args.retries),
-        timeout=args.timeout,
-        jobs=args.jobs,
-    )
-
-    def on_ready(server) -> None:
-        print(json.dumps({"event": "serving", "host": server.host,
-                          "port": server.port}), flush=True)
-
-    serve_service(service, args.host, args.port,
-                  drain_after=args.drain_after, on_ready=on_ready)
-    jobs = service.metrics_snapshot()["jobs"]
-    print(json.dumps({"event": "drained",
-                      "completed": jobs["completed"],
-                      "failed": jobs["failed"],
-                      "queued": jobs["queued"],
-                      "resumed": jobs["resumed"]}), flush=True)
-    return 0
-
-
-def _load_wire_spec(args) -> dict:
-    """The wire spec for ``repro submit``: a JSON file or a workload."""
-    if args.spec is not None:
-        if args.spec == "-":
-            raw = sys.stdin.read()
-        else:
-            try:
-                with open(args.spec, encoding="utf-8") as fh:
-                    raw = fh.read()
-            except OSError as error:
-                raise ConfigurationError(
-                    f"cannot read job spec {args.spec!r}: {error}"
-                ) from error
-        try:
-            wire = json.loads(raw)
-        except ValueError as error:
-            raise ConfigurationError(
-                f"malformed job spec: not valid JSON: {error}"
-            ) from error
-        if not isinstance(wire, dict):
-            raise ConfigurationError(
-                "malformed job spec: expected a JSON object")
-        # Validate before connecting: a bad spec fails fast with the
-        # configuration exit code whether or not a server is up.
-        from repro.service.wire import spec_from_wire
-
-        spec_from_wire(wire)
-        return wire
-    if args.trace_ref is not None:
-        # Resolution and checksum verification happen where the spec is
-        # rebuilt — on the server — so no records cross the wire and a
-        # tampered registered file is refused there with exit code 16.
-        return {
-            "kind": "levels",
-            "trace_ref": args.trace_ref,
-            "registry": args.registry,
-            "config_name": args.prefetcher,
-            "engine": args.engine,
-        }
-    if args.workload is None:
-        raise ConfigurationError(
-            "repro submit needs --spec FILE, --workload NAME or "
-            "--trace-ref NAME")
-    trace = build_trace(args.workload, args.scale)
-    return spec_to_wire(levels_job(trace, args.prefetcher,
-                                   engine=args.engine))
-
-
-def cmd_submit(args) -> int:
-    """Submit one job to a running service; print its document."""
-    wire = _load_wire_spec(args)
-    client = ServiceClient(args.host, args.port, tenant=args.tenant)
-    info = client.submit(wire)
-    if args.wait:
-        info = client.wait(info["key"], timeout=args.timeout)
-    print(json.dumps(info, indent=2, sort_keys=True))
-    if args.wait and info["state"] == "failed":
-        raise JobError(info.get("error") or "job failed")
-    return 0
-
-
-def cmd_poll(args) -> int:
-    """Print the current (or, with --wait, terminal) job document."""
-    client = ServiceClient(args.host, args.port)
-    if args.wait:
-        info = client.wait(args.key, timeout=args.timeout)
-    else:
-        info = client.poll(args.key)
-    print(json.dumps(info, indent=2, sort_keys=True))
     return 0
 
 
@@ -1547,14 +1438,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     paper = sub.add_parser(
         "paper",
-        help="evaluate the paper-claim registry; regenerate "
+        help="evaluate the paper-claim registry; --write regenerates "
              "EXPERIMENTS.md and BENCH_10.json",
     )
     paper.add_argument("--check", action="store_true",
                        help="exit nonzero if any claim flips or "
                             "EXPERIMENTS.md drifts from live results")
     paper.add_argument("--write", action="store_true",
-                       help="rewrite EXPERIMENTS.md from live results")
+                       help="rewrite EXPERIMENTS.md and BENCH_10.json "
+                            "from live results")
     paper.add_argument("--only", nargs="+", default=None, metavar="ID",
                        help="evaluate only these claim ids "
                             "(skips doc/BENCH handling)")
@@ -1605,95 +1497,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "--engine batched")
     add_runner_options(mix)
     mix.set_defaults(func=cmd_mix)
-
-    serve_cmd = sub.add_parser(
-        "serve",
-        help="run the simulation job service (docs/service.md)",
-    )
-    serve_cmd.add_argument("--host", default="127.0.0.1",
-                           help="bind address (default 127.0.0.1)")
-    serve_cmd.add_argument("--port", type=int, default=8642,
-                           help="bind port; 0 picks an ephemeral port "
-                                "(printed in the 'serving' line)")
-    serve_cmd.add_argument("--workers", type=int, default=2, metavar="N",
-                           help="executor threads draining the job queue")
-    serve_cmd.add_argument("--queue-bound", type=int, default=64,
-                           metavar="N",
-                           help="max queued jobs before submissions are "
-                                "rejected with 429 + Retry-After")
-    serve_cmd.add_argument("--quota", type=int, default=None, metavar="N",
-                           help="max in-flight jobs per tenant "
-                                "(default: unlimited)")
-    serve_cmd.add_argument("--shards", type=int, default=4, metavar="N",
-                           help="queue shards (keys hash-distributed)")
-    serve_cmd.add_argument("--drain-after", type=float, default=None,
-                           metavar="SEC",
-                           help="drain and exit after this many seconds "
-                                "(CI/testing; default: serve until "
-                                "SIGTERM)")
-    serve_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                           help="shared result cache location (default: "
-                                "$REPRO_CACHE_DIR or ~/.cache/repro-sim)")
-    serve_cmd.add_argument("--no-cache", action="store_true",
-                           help="disable the shared result cache")
-    serve_cmd.add_argument("--journal", default=None, metavar="PATH",
-                           help="service journal: checkpoint accepted "
-                                "jobs so a drained service resumes them "
-                                "on restart")
-    serve_cmd.add_argument("--retries", type=int, default=3, metavar="N",
-                           help="attempt budget per job for transient "
-                                "failures")
-    serve_cmd.add_argument("--timeout", type=float, default=None,
-                           metavar="SEC",
-                           help="per-job wall-clock timeout (needs "
-                                "--jobs >= 2)")
-    serve_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes per executor thread")
-    serve_cmd.set_defaults(func=cmd_serve)
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a job to a running service",
-    )
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8642)
-    submit.add_argument("--tenant", default="default",
-                        help="tenant name for quota accounting")
-    submit.add_argument("--spec", default=None, metavar="FILE",
-                        help="wire-format job spec as JSON ('-' reads "
-                             "stdin); see docs/service.md")
-    submit.add_argument("--workload", default=None,
-                        help="build a levels job for this workload "
-                             "instead of reading --spec")
-    submit.add_argument("--trace-ref", default=None, metavar="NAME",
-                        help="submit a levels job for a registered trace "
-                             "(resolved and checksum-verified server-side "
-                             "against --registry)")
-    submit.add_argument("--registry", default="traces.json", metavar="PATH",
-                        help="trace registry for --trace-ref (a path on "
-                             "the server's filesystem)")
-    submit.add_argument("--prefetcher", default="ipcp")
-    submit.add_argument("--scale", type=float, default=0.25)
-    submit.add_argument("--engine", choices=ENGINES, default="scalar",
-                        help="simulation engine for --workload jobs")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job is terminal")
-    submit.add_argument("--timeout", type=float, default=None,
-                        metavar="SEC", help="--wait deadline")
-    submit.set_defaults(func=cmd_submit)
-
-    poll = sub.add_parser(
-        "poll",
-        help="poll a submitted job by key",
-    )
-    poll.add_argument("key", help="job key returned by submit")
-    poll.add_argument("--host", default="127.0.0.1")
-    poll.add_argument("--port", type=int, default=8642)
-    poll.add_argument("--wait", action="store_true",
-                      help="block until the job is terminal")
-    poll.add_argument("--timeout", type=float, default=None,
-                      metavar="SEC", help="--wait deadline")
-    poll.set_defaults(func=cmd_poll)
 
     return parser
 

@@ -138,47 +138,6 @@ class CheckpointError(ReproError):
     exit_code = 10
 
 
-class ServiceError(ReproError):
-    """The simulation service cannot satisfy a request.
-
-    Covers the service-side unhappy paths that are neither a bad job
-    (``ConfigurationError``) nor an execution failure (``JobError``):
-    the server is draining, unreachable, or returned a malformed or
-    unexpected response.
-    """
-
-    exit_code = 11
-
-
-class QueueFullError(ServiceError):
-    """The service's bounded job queue rejected a submission.
-
-    Backpressure, not failure: ``retry_after`` tells the client how
-    long to wait before resubmitting (the HTTP layer carries it as a
-    429 response with a ``Retry-After`` header).
-    """
-
-    exit_code = 12
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class QuotaExceededError(ServiceError):
-    """A tenant exceeded its in-flight job quota.
-
-    Like :class:`QueueFullError` this is retryable once the tenant's
-    in-flight jobs resolve; ``retry_after`` is the suggested wait.
-    """
-
-    exit_code = 13
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 def exit_code_for(error: BaseException) -> int:
     """Process exit code for an error (2 for non-repro exceptions)."""
     return getattr(error, "exit_code", 2)

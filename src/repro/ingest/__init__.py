@@ -58,7 +58,6 @@ from repro.ingest.policies import (
 from repro.ingest.registry import (
     TraceRegistry,
     file_signature,
-    load_registered_trace,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "ingest_k6",
     "iter_binary_wire",
     "iter_k6_wire",
-    "load_registered_trace",
     "read_quarantine",
     "stream_binary_columns",
     "stream_k6_columns",

@@ -8,7 +8,7 @@ re-hashes the file and refuses — :class:`~repro.errors.
 TraceChecksumError`, its own exit code — if a single bit changed
 underneath the name.
 
-The payoff is cache honesty.  ``load_registered_trace`` stamps the
+The payoff is cache honesty.  :meth:`TraceRegistry.load_trace` stamps the
 verified file signature onto the loaded trace as its memoized
 ``trace_signature`` (the value :meth:`repro.runner.job.JobSpec.
 cache_key` folds in), so a cached simulation result is keyed by the
@@ -196,10 +196,3 @@ class TraceRegistry:
         trace.__dict__["_signature"] = f"reg:{entry['signature']}"
         return trace, report
 
-
-def load_registered_trace(registry_path: str, name: str, *,
-                          max_records: int | None = None,
-                          ) -> tuple[Trace, IngestReport]:
-    """Convenience: open a registry and :meth:`TraceRegistry.load_trace`."""
-    registry = TraceRegistry(registry_path)
-    return registry.load_trace(name, max_records=max_records)

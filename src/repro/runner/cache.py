@@ -102,10 +102,10 @@ class ResultCache:
     def _evict(self, entry: str, read_stat: os.stat_result | None) -> None:
         """Remove a corrupt entry — unless a writer already replaced it.
 
-        Under concurrent writers (the service's worker pool racing on
-        one key) the corrupt blob this reader saw may have been
-        superseded by a complete entry published via :func:`os.replace`
-        between our read and this eviction.  Removing blindly would
+        Under concurrent writers (any two processes sharing one cache
+        directory and racing on one key) the corrupt blob this reader
+        saw may have been superseded by a complete entry published via
+        :func:`os.replace` between our read and this eviction.  Removing blindly would
         throw away that valid last-writer-wins entry and force a
         spurious recompute, so the entry is only removed while it is
         still byte-for-byte the file we read (same inode, size and

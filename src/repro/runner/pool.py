@@ -112,8 +112,8 @@ class SimulationRunner:
         """Corrupt cache entries this runner's cache evicted from disk.
 
         Lives on the cache (eviction happens inside ``cache.get``) but
-        is surfaced here so run summaries and the service ``/metrics``
-        aggregation read every observability counter off the runner.
+        is surfaced here so run summaries read every observability
+        counter off the runner.
         """
         return self.cache.corrupt_evictions if self.cache is not None else 0
 

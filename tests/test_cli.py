@@ -2,9 +2,6 @@
 
 import json
 import os
-import signal
-import subprocess
-import sys
 
 import pytest
 
@@ -13,7 +10,6 @@ from repro.errors import (
     ConfigurationError,
     JobTimeout,
     ReproError,
-    ServiceError,
 )
 
 
@@ -398,129 +394,3 @@ class TestChaosCommand:
                      "--transient-rate", "0.9", "--scale", "0.05"])
         assert code == ConfigurationError.exit_code
         assert "sum" in capsys.readouterr().err
-
-
-class TestServiceCommands:
-    """`repro serve` / `repro submit` / `repro poll` (docs/service.md)."""
-
-    @staticmethod
-    def start_server(tmp_path, *extra):
-        """Launch `repro serve --port 0` as a subprocess; return
-        (process, port) once the 'serving' line appears."""
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
-             "--journal", str(tmp_path / "svc.jsonl"), *extra],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=env, cwd=str(tmp_path),
-        )
-        line = process.stdout.readline()
-        event = json.loads(line)
-        assert event["event"] == "serving"
-        return process, event["port"]
-
-    def test_serve_lifecycle_submit_poll_and_sigterm_drain(
-            self, tmp_path, capsys):
-        process, port = self.start_server(tmp_path)
-        try:
-            code = main(["submit", "--port", str(port),
-                         "--workload", "bwaves_like", "--scale", "0.05",
-                         "--wait", "--timeout", "60"])
-            assert code == 0
-            submitted = json.loads(capsys.readouterr().out)
-            assert submitted["state"] == "done"
-            assert submitted["result"]["ipc"] > 0
-
-            assert main(["poll", submitted["key"],
-                         "--port", str(port)]) == 0
-            polled = json.loads(capsys.readouterr().out)
-            assert polled["state"] == "done"
-            assert polled["result"]["digest"] == \
-                submitted["result"]["digest"]
-        finally:
-            process.send_signal(signal.SIGTERM)
-            out, err = process.communicate(timeout=60)
-        assert process.returncode == 0, err
-        drained = json.loads(out.strip().splitlines()[-1])
-        assert drained["event"] == "drained"
-        assert drained["completed"] >= 1
-
-    def test_serve_drain_after_exits_cleanly(self, tmp_path, capsys):
-        code = main(["serve", "--port", "0", "--workers", "1",
-                     "--no-cache", "--drain-after", "0.2"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        events = [json.loads(line) for line in lines]
-        assert events[0]["event"] == "serving"
-        assert events[0]["port"] > 0
-        assert events[-1]["event"] == "drained"
-
-    def test_submit_spec_file_and_dedup_counters(self, tmp_path, capsys):
-        from repro.cli import build_trace as resolve
-        from repro.runner.job import levels_job
-        from repro.service import ServiceClient, spec_to_wire
-
-        wire = spec_to_wire(levels_job(resolve("bwaves_like", 0.05),
-                                       "ipcp"))
-        spec_path = tmp_path / "job.json"
-        spec_path.write_text(json.dumps(wire))
-        process, port = self.start_server(tmp_path)
-        try:
-            for _ in range(3):
-                assert main(["submit", "--port", str(port),
-                             "--spec", str(spec_path)]) == 0
-            assert capsys.readouterr().out.count('"key"') == 3
-            metrics = ServiceClient("127.0.0.1", port).metrics()
-            assert metrics["jobs"]["submitted"] == 3
-            # Never more than one execution for three identical submits.
-            assert (metrics["jobs"]["deduped"]
-                    + metrics["cache"]["hits"]) == 2
-        finally:
-            process.send_signal(signal.SIGTERM)
-            process.communicate(timeout=60)
-
-    def test_submit_malformed_spec_exits_3_without_traceback(
-            self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["submit", "--spec", str(bad), "--port", "1"])
-        err = capsys.readouterr().err
-        assert code == ConfigurationError.exit_code
-        assert err.startswith("error: malformed job spec")
-        assert "Traceback" not in err
-
-    def test_submit_invalid_kind_exits_3(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": "bogus"}))
-        code = main(["submit", "--spec", str(bad), "--port", "1"])
-        assert code == ConfigurationError.exit_code
-        assert "unknown kind" in capsys.readouterr().err
-
-    def test_submit_without_spec_or_workload_exits_3(self, capsys):
-        code = main(["submit", "--port", "1"])
-        assert code == ConfigurationError.exit_code
-        assert "--spec FILE, --workload NAME or --trace-ref" in (
-            capsys.readouterr().err)
-
-    def test_submit_unreachable_service_exits_11(self, capsys):
-        # Nothing listens on this port: the client surfaces a
-        # ServiceError (exit 11), not a traceback.
-        code = main(["submit", "--workload", "bwaves_like",
-                     "--scale", "0.05", "--host", "127.0.0.1",
-                     "--port", "1"])
-        err = capsys.readouterr().err
-        assert code == ServiceError.exit_code
-        assert err.startswith("error: cannot reach service")
-
-    def test_serve_flags_parse(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--queue-bound", "8", "--quota", "2",
-             "--shards", "2", "--workers", "3", "--drain-after", "1.5"])
-        assert args.queue_bound == 8
-        assert args.quota == 2
-        assert args.func.__name__ == "cmd_serve"

@@ -521,61 +521,6 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# wire: trace_ref job specs
-# ---------------------------------------------------------------------------
-
-class TestWireTraceRef:
-    def _registered(self, tmp_path):
-        source = str(tmp_path / "t.k6")
-        write_k6(small_records(), source)
-        registry_path = str(tmp_path / "traces.json")
-        TraceRegistry(registry_path).register("mem", source)
-        return registry_path, source
-
-    def test_trace_ref_spec_builds_and_is_content_addressed(self, tmp_path):
-        from repro.service.wire import spec_from_wire
-
-        registry_path, source = self._registered(tmp_path)
-        spec = spec_from_wire({"kind": "levels", "trace_ref": "mem",
-                               "registry": registry_path,
-                               "config_name": "none"})
-        assert spec.trace_name == "mem"
-        key_before = spec.cache_key()
-        # Same content, same key — independent of which load built it.
-        again = spec_from_wire({"kind": "levels", "trace_ref": "mem",
-                                "registry": registry_path,
-                                "config_name": "none"})
-        assert again.cache_key() == key_before
-
-    def test_trace_ref_requires_registry(self, tmp_path):
-        from repro.service.wire import spec_from_wire
-
-        with pytest.raises(ConfigurationError, match="registry"):
-            spec_from_wire({"kind": "levels", "trace_ref": "mem"})
-
-    def test_trace_ref_and_records_are_exclusive(self, tmp_path):
-        from repro.service.wire import spec_from_wire
-
-        registry_path, _ = self._registered(tmp_path)
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            spec_from_wire({"kind": "levels", "trace_ref": "mem",
-                            "registry": registry_path,
-                            "records": [[1, 1, 64, 0]]})
-
-    def test_tampered_trace_ref_surfaces_checksum_error(self, tmp_path):
-        # Never swallowed into the generic bad-spec ConfigurationError:
-        # the client must see exit code 16, not 3.
-        from repro.service.wire import spec_from_wire
-
-        registry_path, source = self._registered(tmp_path)
-        with open(source, "ab") as fh:
-            fh.write(b"# tampered\n")
-        with pytest.raises(TraceChecksumError):
-            spec_from_wire({"kind": "levels", "trace_ref": "mem",
-                            "registry": registry_path})
-
-
-# ---------------------------------------------------------------------------
 # chaos input faults: the lenient-mode contract
 # ---------------------------------------------------------------------------
 

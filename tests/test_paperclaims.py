@@ -336,3 +336,25 @@ def test_bench_payload_is_json_serialisable(tmp_path):
     loaded = json.loads(target.read_text())
     assert loaded["claims"]["flipped"] == 0
     assert target.read_text().endswith("\n")
+
+
+def test_paper_writes_bench_only_under_write(tmp_path, monkeypatch):
+    import json
+
+    from repro import cli, paperclaims
+
+    report = _fake_report()
+    monkeypatch.setattr(ClaimEngine, "run", lambda self, **_: report)
+    monkeypatch.setattr(paperclaims, "render_experiments",
+                        lambda _report: "rendered\n")
+    # cmd_paper resolves the repo root from the module path; point it
+    # at a scratch tree so neither mode touches the committed files.
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "src/repro/cli.py"))
+    bench = tmp_path / "BENCH_10.json"
+    bench.write_text("committed\n")
+
+    cli.main(["paper", "--check", "--no-cache"])
+    assert bench.read_text() == "committed\n"
+
+    assert cli.main(["paper", "--write", "--no-cache"]) == 0
+    assert json.loads(bench.read_text())["schema"] == "repro-bench/v1"
