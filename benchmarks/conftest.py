@@ -1,19 +1,7 @@
-"""Shared fixtures for the figure/table reproduction benchmarks.
+"""Shared fixture for the throughput guards.
 
-Every benchmark regenerates one table or figure of the paper: it runs
-the experiment through a session-scoped runner backed by a persistent
-content-addressed result cache (so a full ``pytest benchmarks/``
-session simulates each (trace, config) cell only once — and a repeated
-session simulates nothing at all), prints the same rows/series the
-paper reports — with the paper's reported value alongside ours — and
-writes the rendered table to ``benchmarks/out/``.
-
-Environment knobs:
-
-* ``REPRO_BENCH_JOBS`` — worker processes for simulation cells
-  (default 1);
-* ``REPRO_BENCH_CACHE`` — cache directory (default
-  ``benchmarks/.simcache``; set to ``off`` to disable persistence).
+``emit`` prints a guard's rendered rates and keeps a copy under
+``benchmarks/out/`` (untracked: the rates are machine-local).
 """
 
 from __future__ import annotations
@@ -22,55 +10,7 @@ import os
 
 import pytest
 
-from repro.analysis import ExperimentRunner
-from repro.runner import ResultCache, SimulationRunner
-from repro.workloads import memory_intensive_suite, full_suite
-
-SCALE = 0.5  # trace-length scale used across the benchmark session
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-CACHE_DIR = os.environ.get(
-    "REPRO_BENCH_CACHE",
-    os.path.join(os.path.dirname(__file__), ".simcache"),
-)
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-
-@pytest.fixture(scope="session")
-def sim_cache():
-    """The persistent result cache shared by every benchmark script."""
-    if CACHE_DIR == "off":
-        return None
-    return ResultCache(CACHE_DIR)
-
-
-@pytest.fixture(scope="session")
-def sim_backend(sim_cache):
-    """One SimulationRunner (pool + cache) for the whole session."""
-    return SimulationRunner(jobs=JOBS, cache=sim_cache)
-
-
-@pytest.fixture(scope="session")
-def mem_suite():
-    """The memory-intensive suite (analogue of the paper's 46 traces)."""
-    return memory_intensive_suite(scale=SCALE)
-
-
-@pytest.fixture(scope="session")
-def whole_suite():
-    """The full suite (analogue of the whole SPEC CPU 2017 collection)."""
-    return full_suite(scale=SCALE)
-
-
-@pytest.fixture(scope="session")
-def runner(mem_suite, sim_backend):
-    """Memoizing runner over the memory-intensive suite."""
-    return ExperimentRunner(mem_suite, runner=sim_backend)
-
-
-@pytest.fixture(scope="session")
-def full_runner(whole_suite, sim_backend):
-    """Memoizing runner over the full suite."""
-    return ExperimentRunner(whole_suite, runner=sim_backend)
 
 
 @pytest.fixture(scope="session")
@@ -85,8 +25,3 @@ def emit():
             fh.write(text + "\n")
 
     return _emit
-
-
-def once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -16,9 +16,6 @@ from repro.sim.batched import simulate_batched
 from repro.sim.engine import simulate
 from repro.workloads import spec_trace
 
-#: Claim registry rows this benchmark backs (see docs/paperclaims.md).
-CLAIM_IDS = ("bench-throughput",)
-
 CHUNK_SIZES = (1_024, 8_192, 65_536)
 
 

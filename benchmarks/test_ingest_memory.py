@@ -26,9 +26,6 @@ import os
 import subprocess
 import sys
 
-#: Claim registry rows this benchmark backs (see docs/paperclaims.md).
-CLAIM_IDS = ()
-
 #: Fixed peak-RSS budget for the child process, in MiB.  Python +
 #: numpy import baseline is ~100 MiB; one 65536-record chunk is ~1.5
 #: MiB; the rest is headroom that must NOT grow with the trace.

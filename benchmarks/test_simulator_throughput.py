@@ -1,7 +1,7 @@
 """Simulator throughput guard.
 
 Not a paper artifact — a regression guard for the repository itself:
-the whole benchmark suite only stays runnable if the simulator keeps
+the claim harness only stays runnable if the simulator keeps
 processing on the order of 10^5 instructions per second in pure
 Python.  This bench measures records/second several ways — raw scalar
 baseline, scalar with IPCP, the batched columnar engine on the same
@@ -28,10 +28,6 @@ from repro.runner import ResultCache, SimulationRunner, levels_job
 from repro.sim.batched import simulate_batched
 from repro.sim.engine import simulate
 from repro.workloads import compute_dense_trace, spec_trace
-
-#: Claim registry rows this benchmark backs (see docs/paperclaims.md).
-CLAIM_IDS = ("bench-throughput",)
-
 
 
 def measure(trace, reps=1, engine=simulate, levels=None, **kwargs):

@@ -1,4 +1,4 @@
-"""Experiment drivers shared by the benchmark suite and examples."""
+"""Experiment drivers shared by the claim registry, the CLI and examples."""
 
 from repro.analysis.experiments import (
     ExperimentRunner,

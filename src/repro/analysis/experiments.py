@@ -1,12 +1,12 @@
-"""High-level experiment runner used by every figure/table benchmark.
+"""High-level experiment runner behind the claim cells and the CLI.
 
 :class:`ExperimentRunner` runs (trace x named-configuration) cells on
 top of :class:`repro.runner.SimulationRunner`: cells fan out across
 worker processes (``jobs=N``), land in a persistent content-addressed
 cache (``cache_dir=...``) and are additionally memoized in-process, so
-a benchmark session that regenerates several figures over the same
-suite simulates each cell at most once — and a *second* session over
-the same suite simulates nothing at all.  Named configurations come
+a claim run that measures several figures over the same suite
+simulates each cell at most once — and a *second* run over the same
+suite simulates nothing at all.  Named configurations come
 from the prefetcher registry
 (:func:`repro.prefetchers.make_prefetcher`).
 """
@@ -60,8 +60,8 @@ class ExperimentRunner:
 
     ``jobs`` and ``cache_dir`` configure a private
     :class:`SimulationRunner`; alternatively a shared ``runner`` may be
-    injected (the benchmark session does this so every figure script
-    draws from one pool and one cache).  ``engine`` selects the
+    injected (the claim harness does this so every claim cell draws
+    from one pool and one cache).  ``engine`` selects the
     simulation engine for every cell this runner produces (see
     :mod:`repro.sim.batched`); results are engine-independent, but
     cache keys are engine-salted.

@@ -2,7 +2,7 @@
 
 Each helper builds a :class:`~repro.params.SystemParams` variant —
 different DRAM bandwidth, cache sizes, PQ/MSHR budgets or replacement
-policy — so the sensitivity benchmarks can rerun the same suite across
+policy — so the sensitivity claims can rerun the same suite across
 the swept axis.  :func:`run_sweep` executes such a swept grid through
 the parallel simulation runner in a single fan-out.
 """

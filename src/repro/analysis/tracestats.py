@@ -13,8 +13,8 @@ exactly that on any trace, independent of the simulator:
 * 2 KB-region density (how much of the trace is global-stream
   coverable).
 
-The motivation benchmark uses it to show the synthetic suite has the
-same pattern mix the paper attributes to SPEC CPU 2017.
+The ``abl-motivation`` claim uses it to show the synthetic suite has
+the same pattern mix the paper attributes to SPEC CPU 2017.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ seeded fault-injection proof.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.analysis import ExperimentRunner, run_levels, run_sweep
@@ -317,30 +316,6 @@ def cmd_validate(args) -> int:
     return exit_code
 
 
-def cmd_report(args) -> int:
-    """Render a multi-metric report for one workload grid."""
-    import os
-
-    from repro.analysis.figures import ALL_FIGURES
-    from repro.workloads import memory_intensive_suite
-
-    from repro.stats.export import write_csv
-
-    os.makedirs(args.out, exist_ok=True)
-    runner = ExperimentRunner(
-        memory_intensive_suite(scale=args.scale), runner=make_backend(args)
-    )
-    for name, figure in ALL_FIGURES.items():
-        title, headers, rows = figure(runner)
-        text = format_table(headers, rows, title=title)
-        path = os.path.join(args.out, f"{name}.txt")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        write_csv(os.path.join(args.out, f"{name}.csv"), headers, rows)
-        print(f"wrote {path} (+ .csv)")
-    return 0
-
-
 def cmd_verify(args) -> int:
     """Run the differential verification suite (docs/verification.md)."""
     from repro.verify.golden import (
@@ -471,23 +446,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    """Homogeneous mixes, or the graded-suite artifact pipeline.
-
-    Without an action this simulates a homogeneous multicore mix and
-    prints its weighted speedup.  With ``run``/``summarize``/``plot``
-    it drives the Kill-Llama-style experiment-artifact pipeline over
-    the graded ``mix1``-``mix7`` suite, regenerating
-    ``benchmarks/out/mix/<mix>/{results.jsonl,summary.json,plot.txt}``
-    deterministically (bit-identical on a warm cached rerun).
-    """
-    if args.action is not None:
-        return _mix_pipeline(args)
-    if args.workload is None:
-        raise ConfigurationError(
-            "mix needs --workload (homogeneous mode) or an action: "
-            "run / summarize / plot")
-    if args.scale is None:
-        args.scale = 0.25
+    """Simulate a homogeneous multicore mix; print its weighted speedup."""
     traces = homogeneous_mix(args.workload, args.cores, scale=args.scale)
     levels = make_prefetcher(args.prefetcher)
     backend = make_backend(args)
@@ -518,135 +477,6 @@ def cmd_mix(args) -> int:
     if result.degenerate_cores:
         print(f"warning: degenerate core(s) {result.degenerate_cores} "
               f"contributed 0.0 to the weighted speedup")
-    return 0
-
-
-def _mix_selection(selector: str | None) -> list[str]:
-    """Resolve ``--mix`` to graded-mix names (default: the whole suite)."""
-    from repro.workloads.mixes import GRADED_MIXES
-
-    if selector is None or selector == "all":
-        return list(GRADED_MIXES)
-    if selector in GRADED_MIXES:
-        return [selector]
-    raise ConfigurationError(
-        f"unknown graded mix {selector!r}; "
-        f"known: {', '.join(GRADED_MIXES)} (or 'all')")
-
-
-def _mix_pipeline(args) -> int:
-    """The graded-suite ``run`` / ``summarize`` / ``plot`` actions."""
-    import pathlib
-
-    from repro.runner import levels_job, mix_job
-    from repro.workloads.mixes import GRADED_MIXES, graded_mix
-
-    mixes = _mix_selection(args.mix)
-    configs = [c.strip() for c in args.configs.split(",")
-               if c.strip() and c.strip() != "none"]
-    out_root = pathlib.Path(args.out)
-    if args.scale is None:
-        args.scale = 0.2
-
-    if args.action == "run":
-        backend = make_backend(args)
-        for mix in mixes:
-            traces = graded_mix(mix, args.scale)
-            mpki_results = backend.run(
-                [levels_job(trace, "none") for trace in traces])
-            per_core_mpki = [result.mpki("l1") for result in mpki_results]
-            specs = [mix_job(traces, config, warmup=args.warmup,
-                             roi=args.roi, engine=args.engine)
-                     for config in ["none", *configs]]
-            base, *results = backend.run(specs)
-            lines = [{
-                "kind": "baseline_mpki",
-                "mix": mix,
-                "benchmarks": list(GRADED_MIXES[mix]),
-                "per_core_l1_mpki": per_core_mpki,
-                "mean_l1_mpki": sum(per_core_mpki) / len(per_core_mpki),
-            }]
-            for config, result in zip(["none", *configs], [base, *results]):
-                lines.append({
-                    "kind": "config",
-                    "mix": mix,
-                    "config": config,
-                    "weighted_speedup": result.weighted_speedup,
-                    "nws": normalized_weighted_speedup(result, base),
-                    "ipc_together": result.ipc_together,
-                    "ipc_alone": result.ipc_alone,
-                    "dram_reads": result.dram_reads,
-                    "dram_writes": result.dram_writes,
-                    "engine": result.engine,
-                    "engine_reason": result.engine_reason,
-                    "degenerate_cores": list(result.degenerate_cores),
-                })
-            out_dir = out_root / mix
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "results.jsonl"
-            path.write_text(
-                "".join(json.dumps(line, sort_keys=True) + "\n"
-                        for line in lines),
-                encoding="utf-8")
-            print(f"wrote {path}")
-            if base.engine_reason:
-                print(f"engine: requested {args.engine!r}, ran "
-                      f"{base.engine!r} — {base.engine_reason}")
-        return 0
-
-    if args.action == "summarize":
-        for mix in mixes:
-            results_path = out_root / mix / "results.jsonl"
-            if not results_path.exists():
-                raise ConfigurationError(
-                    f"{results_path} is missing; run "
-                    f"`repro mix run --mix {mix}` first")
-            records = [json.loads(line)
-                       for line in results_path.read_text(
-                           encoding="utf-8").splitlines() if line]
-            baseline = next(r for r in records
-                            if r["kind"] == "baseline_mpki")
-            nws = {r["config"]: r["nws"] for r in records
-                   if r["kind"] == "config" and r["config"] != "none"}
-            leader = max(sorted(nws), key=lambda config: nws[config])
-            summary = {
-                "mix": baseline["mix"],
-                "benchmarks": baseline["benchmarks"],
-                "mean_l1_mpki": baseline["mean_l1_mpki"],
-                "per_core_l1_mpki": baseline["per_core_l1_mpki"],
-                "nws": nws,
-                "leader": leader,
-            }
-            path = out_root / mix / "summary.json"
-            path.write_text(
-                json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8")
-            print(f"wrote {path}")
-        return 0
-
-    # plot: ASCII bars of normalized weighted speedup per config.
-    for mix in mixes:
-        summary_path = out_root / mix / "summary.json"
-        if not summary_path.exists():
-            raise ConfigurationError(
-                f"{summary_path} is missing; run "
-                f"`repro mix summarize --mix {mix}` first")
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        width = 48
-        lines = [
-            f"{summary['mix']}: {'+'.join(summary['benchmarks'])}",
-            f"baseline L1 MPKI (single-core mean): "
-            f"{summary['mean_l1_mpki']:.2f}",
-            "",
-        ]
-        for config in sorted(summary["nws"]):
-            value = summary["nws"][config]
-            bar = "#" * max(0, min(width, round(value * 32)))
-            marker = " <- leader" if config == summary["leader"] else ""
-            lines.append(f"{config:18s} |{bar} {value:.4f}{marker}")
-        path = out_root / mix / "plot.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
     return 0
 
 
@@ -1259,13 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--allow-cross-page", action="store_true")
     validate.set_defaults(func=cmd_validate)
 
-    report = sub.add_parser(
-        "report", help="regenerate the core paper artifacts")
-    report.add_argument("--out", default="report")
-    report.add_argument("--scale", type=float, default=0.4)
-    add_runner_options(report)
-    report.set_defaults(func=cmd_report)
-
     verify = sub.add_parser(
         "verify",
         help="differential verification: oracle diff, invariants, "
@@ -1459,38 +1282,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_options(paper)
     paper.set_defaults(func=cmd_paper)
 
-    mix = sub.add_parser(
-        "mix",
-        help="homogeneous multicore mix, or the graded mix1-mix7 "
-             "artifact pipeline (run/summarize/plot)")
-    mix.add_argument("action", nargs="?", default=None,
-                     choices=("run", "summarize", "plot"),
-                     help="graded-suite pipeline stage: run simulates "
-                          "into results.jsonl, summarize reduces to "
-                          "summary.json, plot renders plot.txt; omit "
-                          "for a homogeneous --workload mix")
-    mix.add_argument("--workload", default=None,
-                     help="homogeneous mode: benchmark to replicate on "
-                          "every core")
+    mix = sub.add_parser("mix", help="homogeneous multicore mix")
+    mix.add_argument("--workload", required=True,
+                     help="benchmark to replicate on every core")
     mix.add_argument("--cores", type=int, default=4)
     mix.add_argument("--prefetcher", default="ipcp")
-    mix.add_argument("--scale", type=float, default=None,
-                     help="trace scale (default 0.25 homogeneous, "
-                          "0.2 for the graded pipeline)")
-    mix.add_argument("--mix", default=None, metavar="NAME",
-                     help="graded mix to process (mix1..mix7; "
-                          "default: all)")
-    mix.add_argument("--configs", default="ipcp,mlop,bingo",
-                     metavar="LIST",
-                     help="comma-separated prefetcher configs for the "
-                          "pipeline grid (the 'none' baseline always "
-                          "runs)")
-    mix.add_argument("--out", default="benchmarks/out/mix", metavar="DIR",
-                     help="artifact root (one subdirectory per mix)")
-    mix.add_argument("--warmup", type=int, default=1_500, metavar="N",
-                     help="pipeline warm-up instructions per core")
-    mix.add_argument("--roi", type=int, default=6_000, metavar="N",
-                     help="pipeline ROI instructions per core")
+    mix.add_argument("--scale", type=float, default=0.25)
     mix.add_argument("--engine", choices=ENGINES, default="scalar",
                      help="requested engine; mixes report the scalar "
                           "fallback reason instead of silently ignoring "

@@ -35,7 +35,7 @@ from repro.paperclaims.claims import Claim, ClaimVerdict
 
 #: Fixed workload scales — constants, not knobs: the regenerated
 #: EXPERIMENTS.md must be byte-identical across runs and machines, so
-#: the claim harness always measures the same grid the benchmarks use.
+#: the claim harness always measures the same grid.
 SUITE_SCALE = 0.5
 SWEEP_SCALE = 0.4
 MIX_SCALE = 0.25
@@ -73,7 +73,7 @@ class CellContext:
 
     @property
     def mem_runner(self) -> ExperimentRunner:
-        """Memory-intensive suite at the benchmark session scale."""
+        """Memory-intensive suite at the claim-harness suite scale."""
         from repro.workloads import memory_intensive_suite
 
         return self._cached("mem_runner", lambda: ExperimentRunner(
@@ -81,7 +81,7 @@ class CellContext:
 
     @property
     def full_runner(self) -> ExperimentRunner:
-        """Full synthetic-SPEC suite at the session scale."""
+        """Full synthetic-SPEC suite at the claim-harness suite scale."""
         from repro.workloads import full_suite
 
         return self._cached("full_runner", lambda: ExperimentRunner(

@@ -295,15 +295,13 @@ class Claim:
 
     ``cells`` names the :class:`repro.paperclaims.cells.Cell` ids whose
     values the predicates read; the engine schedules exactly those.
-    ``paper`` quotes the paper-side statement the predicates encode;
-    ``bench`` points at the benchmark file that renders the same data.
+    ``paper`` quotes the paper-side statement the predicates encode.
     """
 
     id: str
     section: str
     title: str
     paper: str
-    bench: str
     cells: tuple[str, ...]
     predicates: tuple[Predicate, ...] = field(default_factory=tuple)
 

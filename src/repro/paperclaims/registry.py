@@ -1,10 +1,9 @@
 """The claim registry: every EXPERIMENTS.md row as cells + predicates.
 
-Cells mirror the benchmark suite cell-for-cell (same traces, scales,
-configurations and thresholds as ``benchmarks/``), but run through the
-shared cached backend so a warm re-check is free.  Benchmark files
-declare the claim ids they correspond to in a ``CLAIM_IDS`` tuple;
-``tests/test_paperclaims.py`` keeps the two in sync.
+This is the only place a paper number is measured and checked.  Cells
+fix the traces, scales and configurations of each experiment and run
+them through the shared cached backend, so a warm re-check is free;
+claims hold the thresholds those measurements must meet.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.paperclaims.claims import (
 )
 
 # --------------------------------------------------------------------- #
-# Shared configuration lists (mirroring benchmarks/).
+# Shared configuration lists.
 # --------------------------------------------------------------------- #
 
 FIG7_CONFIGS = [
@@ -242,15 +241,20 @@ def _cell_fig11(ctx: CellContext) -> dict[str, float]:
     runner = ctx.mem_runner
     runner.ensure((name, "ipcp") for name in runner.traces)
     values = {}
-    for name in ("fotonik_like", "omnetpp_like"):
+    covered_all = []
+    for name in runner.traces:
         stats = runner.result(name, "ipcp").l1
         would_be = stats.pf_useful + stats.uncovered_misses
         covered = stats.pf_useful / would_be if would_be else 0.0
-        over = stats.pf_unused_evicted / would_be if would_be else 0.0
-        short = name.removesuffix("_like")
-        values[f"fig11.{short}.covered"] = covered
-        values[f"fig11.{short}.uncovered"] = 1.0 - covered
-        values[f"fig11.{short}.over"] = over
+        covered_all.append(covered)
+        if name in ("fotonik_like", "omnetpp_like"):
+            over = stats.pf_unused_evicted / would_be if would_be else 0.0
+            short = name.removesuffix("_like")
+            values[f"fig11.{short}.covered"] = covered
+            values[f"fig11.{short}.uncovered"] = 1.0 - covered
+            values[f"fig11.{short}.over"] = over
+    values["fig11.min.covered"] = min(covered_all)
+    values["fig11.max.covered"] = max(covered_all)
     return values
 
 
@@ -273,6 +277,8 @@ def _cell_fig12(ctx: CellContext) -> dict[str, float]:
         values[f"fig12.mean.{cls}"] = (
             sum(shares[cls] for shares in per_trace.values())
             / len(per_trace))
+    values["fig12.max.total"] = max(
+        sum(shares.values()) for shares in per_trace.values())
     return values
 
 
@@ -507,13 +513,15 @@ def _cell_abl_traffic(ctx: CellContext) -> dict[str, float]:
 def _cell_abl_motivation(ctx: CellContext) -> dict[str, float]:
     from repro.analysis.tracestats import analyze_trace
 
-    suite = {trace.name: trace for trace in ctx.mem_runner.traces.values()}
-    profiles = {
-        name: analyze_trace(trace) for name, trace in suite.items()
-        if name in ("bwaves_like", "wrf_like", "omnetpp_like",
-                    "gcc_like", "cactu_like")
-    }
+    classes = ("constant_stride", "complex_stride", "irregular", "singleton")
+    profiles = {name: analyze_trace(trace)
+                for name, trace in ctx.mem_runner.traces.items()}
+    # Each trace's class shares must form a distribution.
+    share_error = max(
+        abs(sum(profile.class_shares().get(c, 0.0) for c in classes) - 1.0)
+        for profile in profiles.values())
     return {
+        "abl.motiv.share_error": share_error,
         "abl.motiv.bwaves.const":
             profiles["bwaves_like"].class_shares()["constant_stride"],
         "abl.motiv.wrf.complex":
@@ -590,18 +598,23 @@ def _cell_abl_opportunity(ctx: CellContext) -> dict[str, float]:
     from repro.sim.engine import simulate_ideal
 
     runner = ctx.mem_runner
-    names = ("fotonik_like", "bwaves_like", "omnetpp_like")
-    runner.ensure((name, config) for name in names
+    runner.ensure((name, config) for name in runner.traces
                   for config in ("ipcp", "none"))
     values = {}
-    for name in names:
+    base_vs_ideal, ipcp_vs_ideal = [], []
+    for name, trace in runner.traces.items():
         base = runner.result(name, "none")
         ipcp = runner.result(name, "ipcp")
-        ideal_ipc = simulate_ideal(runner.traces[name])
-        headroom = ideal_ipc - base.ipc
-        captured = ((ipcp.ipc - base.ipc) / headroom
-                    if headroom > 1e-6 else 1.0)
-        values[f"abl.opp.{name.removesuffix('_like')}"] = captured
+        ideal_ipc = simulate_ideal(trace)
+        base_vs_ideal.append(base.ipc / ideal_ipc)
+        ipcp_vs_ideal.append(ipcp.ipc / ideal_ipc)
+        if name in ("fotonik_like", "bwaves_like", "omnetpp_like"):
+            headroom = ideal_ipc - base.ipc
+            captured = ((ipcp.ipc - base.ipc) / headroom
+                        if headroom > 1e-6 else 1.0)
+            values[f"abl.opp.{name.removesuffix('_like')}"] = captured
+    values["abl.opp.max.base_vs_ideal"] = max(base_vs_ideal)
+    values["abl.opp.max.ipcp_vs_ideal"] = max(ipcp_vs_ideal)
     return values
 
 
@@ -801,7 +814,7 @@ CELLS = [
 
 
 # --------------------------------------------------------------------- #
-# Claims.  Thresholds mirror the benchmark assertions row for row.
+# Claims: one per EXPERIMENTS.md row, predicates over the cell values.
 # --------------------------------------------------------------------- #
 
 def _fig7_rivals() -> tuple[str, ...]:
@@ -814,7 +827,6 @@ CLAIMS = [
         id="table1-storage", section="tables",
         title="Table I: IPCP storage overhead",
         paper="740 B (L1) + 155 B (L2) = 895 B, bit-exact",
-        bench="test_table1_storage.py",
         cells=("table1",),
         predicates=(
             Exact("table1.l1_table_bits", 5800),
@@ -829,7 +841,6 @@ CLAIMS = [
         title="Table II: system configuration",
         paper="4 GHz 4-wide 256-ROB; 48 KB/512 KB/2 MB caches; "
               "DTLB 64 / STLB 1536; 12.8 GB/s DRAM",
-        bench="tests/test_params.py",
         cells=("table2",),
         predicates=(
             Exact("table2.width", 4),
@@ -850,7 +861,6 @@ CLAIMS = [
         title="Table III: 30-50x storage gap",
         paper="IPCP 895 B vs Bingo ~48 KB / T-SKID ~58 KB (>30x); "
               "SPP stack and MLOP in between",
-        bench="test_table3_combinations.py",
         cells=("table3",),
         predicates=(
             Band("table3.ipcp.kb", hi=895 / 1024),
@@ -866,7 +876,6 @@ CLAIMS = [
         title="Table IV: coverage and accuracy",
         paper="IPCP: 0.60/0.79/0.83 coverage at L1/L2/LLC, 0.80 L1 "
               "accuracy; near the top of the pack at the L1",
-        bench="test_table4_coverage_accuracy.py",
         cells=("table4",),
         predicates=(
             Band("table4.ipcp.acc", lo=0.6),
@@ -875,6 +884,10 @@ CLAIMS = [
                    tuple(f"table4.{c}.l1cov" for c in TABLE4_CONFIGS
                          if c != "ipcp"),
                    margin=0.10),
+        ) + tuple(
+            Band(f"table4.{config}.{metric}", lo=0.0, hi=1.0)
+            for config in TABLE4_CONFIGS
+            for metric in ("l1cov", "l2cov", "llccov", "acc")
         ),
     ),
     Claim(
@@ -883,7 +896,6 @@ CLAIMS = [
         paper="L1 placement is worth +6-13% on average (weakened on our "
               "substrate: within noise everywhere, a real win somewhere "
               "- deviation D1)",
-        bench="test_fig1_l1_utility.py",
         cells=("fig1",),
         predicates=(
             Band("fig1.ip_stride", lo=0.96),
@@ -897,19 +909,21 @@ CLAIMS = [
         title="Fig. 7: L1-only comparison",
         paper="IPCP beats every same-budget L1 rival (Bingo-119KB "
               "exempt); gains are material",
-        bench="test_fig7_l1_prefetchers.py",
         cells=("fig7",),
         predicates=(
             Leader("fig7.ipcp_l1", _fig7_rivals(), margin=0.02),
             Band("fig7.ipcp_l1", lo=1.15),
             Ordering(("fig7.ipcp_l1", "fig7.next_line")),
+        ) + tuple(
+            # Nothing behaves absurdly.
+            Band(f"fig7.{config}", lo=0.5, hi=3.0)
+            for config in FIG7_CONFIGS
         ),
     ),
     Claim(
         id="fig8-multilevel", section="figures",
         title="Fig. 8: multi-level speedups (memory-intensive)",
         paper="IPCP 1.451 leads all rivals; DOL trails (Section V-A)",
-        bench="test_fig8_multilevel_speedup.py",
         cells=("fig8mem",),
         predicates=(
             Leader("fig8.mem.ipcp",
@@ -923,7 +937,6 @@ CLAIMS = [
         id="fig8-full-suite", section="figures",
         title="Fig. 8 companion: full-suite averages",
         paper="IPCP 1.22 vs rivals 1.182-1.188 on the full suite",
-        bench="test_fig8_multilevel_speedup.py",
         cells=("fig8full",),
         predicates=(
             Leader("fig8.full.ipcp",
@@ -936,7 +949,6 @@ CLAIMS = [
         title="Fig. 9: demand-MPKI reduction",
         paper="every combination cuts aggregate L1 demand MPKI; IPCP "
               "among the strongest",
-        bench="test_fig9_mpki_reduction.py",
         cells=("fig9",),
         predicates=tuple(
             Band(f"fig9.{config}", lo=0.0) for config in TABLE4_CONFIGS
@@ -953,7 +965,6 @@ CLAIMS = [
         title="Fig. 10: IPCP coverage per level",
         paper="60/79.5/83% coverage at L1/L2/LLC; ~zero on "
               "mcf/omnetpp/cactusBSSN-style traces",
-        bench="test_fig10_ipcp_coverage.py",
         cells=("fig10",),
         predicates=(
             Band("fig10.bwaves.l1", lo=0.5),
@@ -970,12 +981,13 @@ CLAIMS = [
         title="Fig. 11: covered / uncovered / over-predicted",
         paper="streaming traces mostly covered with modest "
               "over-prediction; irregular traces mostly uncovered",
-        bench="test_fig11_overprediction.py",
         cells=("fig11",),
         predicates=(
             Band("fig11.fotonik.covered", lo=0.7),
             Band("fig11.fotonik.over", hi=0.3),
             Band("fig11.omnetpp.uncovered", lo=0.8),
+            Band("fig11.min.covered", lo=0.0),
+            Band("fig11.max.covered", hi=1.0),
         ),
     ),
     Claim(
@@ -983,7 +995,6 @@ CLAIMS = [
         title="Fig. 12: per-class contribution",
         paper="CS 46.7% and GS 30% of covered misses on average; "
               "per-trace attribution follows the access pattern",
-        bench="test_fig12_class_contribution.py",
         cells=("fig12",),
         predicates=(
             Band("fig12.bwaves.cs", lo=0.5),
@@ -992,6 +1003,7 @@ CLAIMS = [
             Band("fig12.gcc.gs", lo=0.5),
             Band("fig12.mean.cs", lo=0.15),
             Band("fig12.mean.gs", lo=0.15),
+            Band("fig12.max.total", hi=1.0 + 1e-9),
         ),
     ),
     Claim(
@@ -999,7 +1011,6 @@ CLAIMS = [
         title="Fig. 13a: class utility",
         paper="classes are positive alone; adding classes never hurts; "
               "the full L1+L2 bouquet is the best variant",
-        bench="test_fig13a_class_utility.py",
         cells=("fig13a",),
         predicates=(
             Band("fig13a.cs_only", lo=1.05),
@@ -1017,7 +1028,6 @@ CLAIMS = [
         id="fig13a-metadata", section="figures",
         title="Fig. 13a: the metadata channel pays",
         paper="removing the L1->L2 metadata channel costs ~3.1%",
-        bench="test_fig13a_class_utility.py",
         cells=("fig13a",),
         predicates=(
             DeltaBand("fig13a.bouquet_l1_l2", "fig13a.no_meta",
@@ -1029,7 +1039,6 @@ CLAIMS = [
         title="Fig. 13b: class priority order",
         paper="GS-first (the paper's order) is best or tied-best; "
               "demoting the spatial classes costs up to ~9%",
-        bench="test_fig13b_priority.py",
         cells=("fig13b",),
         predicates=(
             Leader("fig13b.gs_first",
@@ -1044,7 +1053,6 @@ CLAIMS = [
         title="Fig. 14a: CloudSuite 4-core mixes",
         paper="spatial prefetchers are ~flat on server workloads; "
               "IPCP's throttling keeps it pinned near 1.0",
-        bench="test_fig14_cloudsuite_nn.py",
         cells=("fig14a",),
         predicates=(
             Band("fig14a.ipcp", lo=0.9, hi=1.15),
@@ -1058,7 +1066,6 @@ CLAIMS = [
         title="Fig. 14b: CNN/RNN kernels",
         paper="streaming NN kernels favour IPCP, single-core and in "
               "4-core mixes",
-        bench="test_fig14_cloudsuite_nn.py",
         cells=("fig14b_sc", "fig14b_mc"),
         predicates=(
             Leader("fig14b.sc.ipcp",
@@ -1076,7 +1083,6 @@ CLAIMS = [
         title="Fig. 15: multicore summary",
         paper="IPCP 1.234 leads Bingo 1.209 / MLOP 1.200; its worst "
               "mix degrades least (coordinated throttling)",
-        bench="test_fig15_multicore.py",
         cells=("fig15",),
         predicates=(
             Leader("fig15.ipcp", ("fig15.mlop", "fig15.bingo"),
@@ -1091,25 +1097,30 @@ CLAIMS = [
         id="sens-replacement", section="sensitivity",
         title="Sensitivity: LLC replacement policy",
         paper="<1% swing across LRU/SRRIP/DRRIP/SHiP",
-        bench="test_sensitivity.py::test_sensitivity_replacement_policy",
         cells=("sens_repl",),
         predicates=(
             Spread(("sens.repl.lru", "sens.repl.srrip",
                     "sens.repl.drrip", "sens.repl.ship"), hi=0.08),
             Band("sens.repl.lru", lo=1.1),
+            Band("sens.repl.srrip", lo=1.1),
+            Band("sens.repl.drrip", lo=1.1),
+            Band("sens.repl.ship", lo=1.1),
         ),
     ),
     Claim(
         id="sens-cache-sizes", section="sensitivity",
         title="Sensitivity: cache sizes",
         paper="<=1.05% difference across size combinations",
-        bench="test_sensitivity.py::test_sensitivity_cache_sizes",
         cells=("sens_cache",),
         predicates=(
             Spread(("sens.cache.paper", "sens.cache.l1_32k",
                     "sens.cache.l2_1m", "sens.cache.llc_4m",
                     "sens.cache.llc_512k"), hi=0.15),
             Band("sens.cache.paper", lo=1.1),
+            Band("sens.cache.l1_32k", lo=1.1),
+            Band("sens.cache.l2_1m", lo=1.1),
+            Band("sens.cache.llc_4m", lo=1.1),
+            Band("sens.cache.llc_512k", lo=1.1),
         ),
     ),
     Claim(
@@ -1117,7 +1128,6 @@ CLAIMS = [
         title="Sensitivity: DRAM bandwidth",
         paper="prefetchers degrade at 3.2 GB/s and improve at 25 GB/s "
               "(monotone in bandwidth)",
-        bench="test_sensitivity.py::test_sensitivity_dram_bandwidth",
         cells=("sens_dram",),
         predicates=(
             Monotonic(("sens.dram.3_2", "sens.dram.12_8",
@@ -1130,7 +1140,6 @@ CLAIMS = [
         title="Sensitivity: L1 PQ/MSHR budgets",
         paper="(2,4) costs 2.7% vs the (8,16) pair; more resources "
               "change little",
-        bench="test_sensitivity.py::test_sensitivity_pq_mshr",
         cells=("sens_pq",),
         predicates=(
             Band("sens.pq.2_4", hi=1.02),
@@ -1142,7 +1151,6 @@ CLAIMS = [
         title="Sensitivity: IPCP table sizes",
         paper="2-100x bigger tables buy ~0.7% on average but do help "
               "cactusBSSN-style IP-table thrash",
-        bench="test_sensitivity.py::test_sensitivity_table_sizes",
         cells=("sens_tables",),
         predicates=(
             DeltaBand("sens.tables.x8", "sens.tables.paper",
@@ -1156,7 +1164,6 @@ CLAIMS = [
         title="Ablation: coordinated throttling",
         paper="throttling must not cost speedup while containing "
               "traffic",
-        bench="test_ablations.py::test_ablation_throttling",
         cells=("abl_throttle",),
         predicates=(
             DeltaBand("abl.throttle.on", "abl.throttle.off", lo=-0.03),
@@ -1168,7 +1175,6 @@ CLAIMS = [
         id="abl-rr-filter", section="ablations",
         title="Ablation: RR filter size",
         paper="the 32-entry design point is within noise of the best",
-        bench="test_ablations.py::test_ablation_rr_filter_size",
         cells=("abl_rr",),
         predicates=(
             Leader("abl.rr.r32", ("abl.rr.r8", "abl.rr.r128"),
@@ -1180,7 +1186,6 @@ CLAIMS = [
         title="Ablation: tentative-NL MPKI gate",
         paper="always-on NL floods DRAM; the MPKI gate contains the "
               "traffic at negligible speedup cost",
-        bench="test_ablations.py::test_ablation_nl_threshold",
         cells=("abl_nl",),
         predicates=(
             DeltaBand("abl.nl.gated_traffic", "abl.nl.always_traffic",
@@ -1196,7 +1201,6 @@ CLAIMS = [
         title="Ablation: CPLX degree",
         paper="degree 3 is the coverage/accuracy sweet-spot; deeper "
               "CPLX hurts high-MPKI traces",
-        bench="test_ablation_cplx_degree.py",
         cells=("abl_cplx",),
         predicates=(
             Leader("abl.cplx.mean.d3",
@@ -1212,7 +1216,6 @@ CLAIMS = [
         title="Ablation: GS degree",
         paper="degree 6 (the default) beats timid degree 2 on streams "
               "and sits at or near the sweep's best",
-        bench="test_ablations.py::test_ablation_gs_degree",
         cells=("abl_gs",),
         predicates=(
             DeltaBand("abl.gs.d6", "abl.gs.d2", lo=1e-9),
@@ -1225,7 +1228,6 @@ CLAIMS = [
         title="DRAM traffic cost of prefetching",
         paper="IPCP buys its speedup with the least traffic per unit "
               "of gain (paper: +16.1% vs 28-38% for rivals)",
-        bench="test_dram_traffic.py",
         cells=("abl_traffic", "fig8mem"),
         predicates=(
             Band("abl.traffic.ipcp.overhead", hi=0.35),
@@ -1243,7 +1245,6 @@ CLAIMS = [
         paper="bwaves strides constantly, wrf strides complexly, "
               "omnetpp chases pointers, gcc streams densely, "
               "cactusBSSN defeats a 64-entry IP table",
-        bench="test_motivation_section3.py",
         cells=("abl_motiv",),
         predicates=(
             Band("abl.motiv.bwaves.const", lo=0.6),
@@ -1251,6 +1252,7 @@ CLAIMS = [
             Band("abl.motiv.omnetpp.irregular", lo=0.4),
             Band("abl.motiv.gcc.dense", lo=0.7),
             Band("abl.motiv.cactu.ips", lo=257),
+            Band("abl.motiv.share_error", hi=1e-6),
         ),
     ),
     Claim(
@@ -1258,7 +1260,6 @@ CLAIMS = [
         title="Section VI-B1: L2 prefetchers under a strong L1",
         paper="generic L2 prefetchers add <1.7% on top of IPCP-L1; the "
               "metadata-driven IPCP-L2 is the best companion",
-        bench="test_l2_complement.py",
         cells=("abl_l2c",),
         predicates=tuple(
             DeltaBand(f"abl.l2c.{label}", "abl.l2c.none",
@@ -1278,7 +1279,6 @@ CLAIMS = [
         paper="plain IPCP is blind to a recurring irregular loop; "
               "IPCP+TS covers it in the dedicated-prefetcher league "
               "without regressing streams",
-        bench="test_extension_temporal.py",
         cells=("abl_temporal",),
         predicates=(
             Band("abl.temporal.ipcp.loop", hi=1.1),
@@ -1294,7 +1294,6 @@ CLAIMS = [
         id="abl-llc", section="ablations",
         title="Section V: IPCP at the LLC",
         paper='"no considerable benefit" from a third IPCP level',
-        bench="test_llc_ipcp.py",
         cells=("abl_llc",),
         predicates=(
             DeltaBand("abl.llc.three", "abl.llc.two",
@@ -1306,7 +1305,6 @@ CLAIMS = [
         title="Abstract: performance density",
         paper="best speedup at the least storage; gain-per-KB an order "
               "of magnitude beyond every rival",
-        bench="test_performance_density.py",
         cells=("abl_density", "fig8mem"),
         predicates=(
             Leader("fig8.mem.ipcp",
@@ -1318,8 +1316,9 @@ CLAIMS = [
                       lo=30),
             RatioBand("abl.density.spp_ppf_dspatch.kb",
                       "abl.density.ipcp.kb", lo=8),
+            RatioBand("abl.density.mlop.kb", "abl.density.ipcp.kb", lo=1),
             # Sign-safe vs rivals whose gain-per-KB can go negative:
-            # the benchmark asserts ipcp > 10 x the BEST rival density.
+            # ipcp must exceed 10 x the BEST rival density.
             ScaledLeader("abl.density.ipcp.eff",
                          tuple(f"abl.density.{c}.eff"
                                for c in TABLE4_CONFIGS if c != "ipcp"),
@@ -1331,12 +1330,14 @@ CLAIMS = [
         title="Section I: the ideal-L1 opportunity",
         paper="IPCP captures a meaningful share of the perfect-L1 "
               "headroom on streams, ~none on pointer chasing",
-        bench="test_opportunity.py",
         cells=("abl_opp",),
         predicates=(
             Band("abl.opp.fotonik", lo=0.25),
             Band("abl.opp.bwaves", lo=0.25),
             Band("abl.opp.omnetpp", hi=0.1),
+            # The bound is a bound: no trace beats its ideal-L1 IPC.
+            Band("abl.opp.max.base_vs_ideal", hi=1.02),
+            Band("abl.opp.max.ipcp_vs_ideal", hi=1.02),
         ),
     ),
     Claim(
@@ -1344,7 +1345,6 @@ CLAIMS = [
         title="Section VI-D: the all-mcf mix",
         paper="rivals lose 50-70% on the all-mcf mix; IPCP degrades "
               "only ~9% thanks to coordinated throttling",
-        bench="test_pathological_mix.py",
         cells=("abl_path",),
         predicates=(
             Band("abl.path.ipcp", lo=0.9),
@@ -1357,7 +1357,6 @@ CLAIMS = [
         title="Section VI-D: heterogeneous-mix distribution",
         paper="across seeded 4-core mixes IPCP's mean gain leads, its "
               "worst mix is bounded, and it wins most mixes",
-        bench="test_mix_distribution.py",
         cells=("abl_mixdist",),
         predicates=(
             DeltaBand("abl.mixdist.ipcp.geomean",
@@ -1377,7 +1376,6 @@ CLAIMS = [
               "scalar oracle — modestly on suite mixes (Amdahl: ~15% "
               "memory events), by a wide margin on the compute-dense "
               "mix (the hard >=10x gate lives in the benchmark)",
-        bench="test_simulator_throughput.py",
         cells=("throughput",),
         predicates=(
             Band("thr.baseline", lo=10_000),
@@ -1396,7 +1394,6 @@ CLAIMS = [
               "cache-resident codes to pointer-chasing graph "
               "traversals; baseline single-core L1 MPKI must rise "
               "monotonically mix1 -> mix7",
-        bench="tests/test_mix_suite.py",
         cells=("mix_suite",),
         predicates=(
             Monotonic(tuple(f"mix.mpki.mix{i}" for i in range(1, 8))),
@@ -1412,7 +1409,6 @@ CLAIMS = [
               "rival on geomean normalized weighted speedup across the "
               "gradient, and its worst mix degrades least (the "
               "Section VI-D throttling mechanism)",
-        bench="tests/test_mix_suite.py",
         cells=("mix_suite",),
         predicates=(
             Leader("mix.geo.ipcp",
@@ -1432,7 +1428,6 @@ CLAIMS = [
               "and least at the ends: cache-resident mix1 offers "
               "little to cover, irregular mix7 defeats the spatial "
               "classes — yet IPCP still degrades least there",
-        bench="tests/test_mix_suite.py",
         cells=("mix_suite",),
         predicates=(
             Ordering(("mix.nws.mix4.ipcp", "mix.nws.mix1.ipcp")),
@@ -1451,7 +1446,6 @@ CLAIMS = [
               "bytecode dispatch, cold start) stay frontend-bound — "
               "baseline L1-I MPKI in the double digits, the regime "
               "MANA targets",
-        bench="tests/test_frontend.py",
         cells=("frontend",),
         predicates=(
             Band("fe.mpki.geo", lo=15.0, hi=60.0),
@@ -1467,7 +1461,6 @@ CLAIMS = [
               "at fetch blocks (GS-I/CS-I/CPLX-I/NL-I) beats both "
               "next-line and bounded record-and-replay on geomean "
               "fetch speedup, with majority miss coverage",
-        bench="tests/test_frontend.py",
         cells=("frontend",),
         predicates=(
             Leader("fe.geo.ipcp_i",
@@ -1485,7 +1478,6 @@ CLAIMS = [
               "prefetch-triggered ITLB fills) beats the page-contained "
               "blind variant on every trace, and moves translation "
               "work off the demand path — blind demand-walks more",
-        bench="tests/test_frontend.py",
         cells=("frontend",),
         predicates=(
             DeltaBand("fe.geo.ipcp_i", "fe.geo.ipcp_i_tlb_blind",
@@ -1502,7 +1494,6 @@ CLAIMS = [
               "part of the repeating-dispatch traces but cannot touch "
               "cold code — its geomean stays close to 1.0 while the "
               "bouquet streams ahead",
-        bench="tests/test_frontend.py",
         cells=("frontend",),
         predicates=(
             Band("fe.geo.mana_lite", lo=1.00, hi=1.20),

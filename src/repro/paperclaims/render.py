@@ -26,9 +26,7 @@ wins, by roughly what factor, where the crossovers are — survives.
 the machine-checked claim registry (`repro.paperclaims`): run
 `repro paper --write` to regenerate it, `repro paper --check` to
 verify that no claim has flipped and the committed doc matches the
-live results byte for byte.  The benchmark suite (`pytest benchmarks/
---benchmark-only`) renders the same data as human-readable reports in
-`benchmarks/out/`.
+live results byte for byte.
 
 Suite sizes differ: the paper runs 46 memory-intensive / 98 total SPEC
 CPU 2017 sim-point traces of 200 M instructions; we run {mem_traces}
@@ -87,7 +85,6 @@ repro paper --check --jobs 4   # same, fanned out over 4 workers
 repro paper --write            # regenerate this file + BENCH_10.json
 repro paper --list             # claim ids for --only
 repro paper --only fig8-multilevel fig7-l1-comparison
-pytest benchmarks/ --benchmark-only   # human-readable reports in benchmarks/out/
 ```
 
 A warm re-check replays the content-addressed result cache
@@ -530,8 +527,8 @@ _SECTION_HEADINGS = {
 
 def _rows_for(report: EngineReport, section: str) -> list[str]:
     lines = [
-        "| Claim | Paper | Measured | Verdict | Bench |",
-        "|-------|-------|----------|---------|-------|",
+        "| Claim | Paper | Measured | Verdict |",
+        "|-------|-------|----------|---------|",
     ]
     for claim, verdict in zip(report.claims, report.verdicts):
         if claim.section != section:
@@ -540,7 +537,7 @@ def _rows_for(report: EngineReport, section: str) -> list[str]:
         status = "holds" if verdict.passed else "**FLIPPED**"
         lines.append(
             f"| **{claim.title}** (`{claim.id}`) | {claim.paper} "
-            f"| {measured} | {status} | `{claim.bench}` |")
+            f"| {measured} | {status} |")
     return lines
 
 

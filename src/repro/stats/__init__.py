@@ -1,4 +1,4 @@
-"""Metrics and reporting helpers shared by benchmarks and examples."""
+"""Metrics and reporting helpers for the claim registry, CLI and examples."""
 
 from repro.stats.metrics import (
     class_contributions,

@@ -1,6 +1,6 @@
 """CSV and JSONL export for experiment tables and event streams.
 
-The benchmarks emit aligned ASCII for eyeballing; downstream plotting
+The CLI prints aligned ASCII for eyeballing; downstream plotting
 wants machine-readable rows.  :func:`write_csv` mirrors
 :func:`repro.stats.report.format_table`'s inputs so any emitted table
 can also be exported.  :func:`write_jsonl`/:func:`read_jsonl` are the

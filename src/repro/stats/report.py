@@ -1,8 +1,8 @@
-"""Plain-text table formatting for benchmark output.
+"""Plain-text table formatting for CLI output.
 
-Benchmarks print the same rows/series the paper's tables and figures
-report; this module renders them as aligned ASCII so the regenerated
-artifacts are easy to eyeball against the paper.
+The CLI prints per-trace speedup, sweep and mix tables; this module
+renders them as aligned ASCII so they are easy to eyeball against the
+paper.
 """
 
 from __future__ import annotations

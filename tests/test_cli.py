@@ -70,6 +70,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "weighted speedup" in out
 
+    @pytest.mark.parametrize("argv", [["mix"], ["mix", "run"]])
+    def test_mix_needs_a_workload_and_takes_no_action(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_unknown_workload_exits_nonzero(self, capsys):
         code = main(["run", "--workload", "bogus", "--scale", "0.1"])
         assert code == 2

@@ -37,14 +37,6 @@ from repro.verify.invariants import (
 )
 from repro.workloads import FRONTEND_BENCHMARKS, frontend_trace
 
-#: Claim registry rows this benchmark backs (see docs/paperclaims.md).
-CLAIM_IDS = (
-    "fe-frontend-bound-suite",
-    "fe-ipcp-i-leader",
-    "fe-tlb-ablation",
-    "fe-mana-replay-gap",
-)
-
 
 def _ctx(ip, hit=False, cycle=0, mpki=0.0):
     return AccessContext(ip=ip, addr=ip, cache_hit=hit,

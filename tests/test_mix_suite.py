@@ -30,13 +30,6 @@ from repro.workloads import (
 from repro.workloads.gap import gap_trace
 from repro.workloads.stream import stream_trace
 
-#: Claim registry rows this benchmark backs (see docs/paperclaims.md).
-CLAIM_IDS = (
-    "mix-mpki-gradient",
-    "mix-weighted-speedup",
-    "mix-gradient-ordering",
-)
-
 
 class TestDeterminism:
     def test_graded_mix_reproducible_in_process(self):

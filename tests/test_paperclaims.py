@@ -1,13 +1,11 @@
 """Tests for the paper-claims harness (repro.paperclaims).
 
 Predicates, the claim engine (against fake cells — no simulations),
-the seeded mutations, registry consistency with benchmarks/ CLAIM_IDS
-tags, renderer determinism and the BENCH payload schema.
+the seeded mutations, registry consistency, renderer determinism and
+the BENCH payload schema.
 """
 
-import ast
 import math
-import pathlib
 
 import pytest
 
@@ -37,8 +35,6 @@ from repro.paperclaims.cells import EngineReport
 from repro.paperclaims.claims import _fmt
 from repro.paperclaims.mutations import MUTATIONS
 from repro.paperclaims.render import MEASURED, _SECTION_HEADINGS
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 # --------------------------------------------------------------------- #
@@ -116,8 +112,7 @@ def test_fmt_handles_nan_and_inf():
 
 def test_claim_evaluate_all_predicates_must_hold():
     claim = Claim(
-        id="t", section="tables", title="t", paper="p", bench="b",
-        cells=("c",),
+        id="t", section="tables", title="t", paper="p", cells=("c",),
         predicates=(Band("x", lo=0.0), Band("x", hi=0.5)),
     )
     verdict = claim.evaluate({"x": 1.0})
@@ -147,7 +142,7 @@ def _cell(cell_id, values):
 
 def _claim(claim_id, cells, predicates, section="figures"):
     return Claim(id=claim_id, section=section, title=claim_id, paper="p",
-                 bench="b.py", cells=tuple(cells), predicates=predicates)
+                 cells=tuple(cells), predicates=predicates)
 
 
 def test_engine_runs_cells_once_and_evaluates():
@@ -256,34 +251,6 @@ def test_registry_ids_unique_and_cells_resolve():
 
 def test_every_claim_has_a_measured_renderer():
     assert set(MEASURED) == {claim.id for claim in CLAIMS}
-
-
-def _claim_ids_of(path: pathlib.Path) -> tuple[str, ...]:
-    tree = ast.parse(path.read_text())
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "CLAIM_IDS"
-                        for t in node.targets)):
-            return tuple(ast.literal_eval(node.value))
-    return ()
-
-
-def test_benchmarks_and_registry_cover_each_other():
-    by_file: dict[str, set] = {}
-    for claim in CLAIMS:
-        by_file.setdefault(claim.bench.split("::")[0], set()).add(claim.id)
-    for bench_file, ids in by_file.items():
-        path = (REPO / bench_file if bench_file.startswith("tests/")
-                else REPO / "benchmarks" / bench_file)
-        assert path.exists(), f"{bench_file} (from claim registry) missing"
-        tagged = set(_claim_ids_of(path))
-        assert tagged == ids, (
-            f"{bench_file}: CLAIM_IDS {sorted(tagged)} != registry "
-            f"{sorted(ids)}")
-    # and no benchmark carries ids the registry doesn't know
-    known = {claim.id for claim in CLAIMS}
-    for path in (REPO / "benchmarks").glob("test_*.py"):
-        assert set(_claim_ids_of(path)) <= known, path.name
 
 
 # --------------------------------------------------------------------- #

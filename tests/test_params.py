@@ -22,10 +22,6 @@ from repro.params import (
     same_page,
 )
 
-#: Claim registry rows this benchmark backs (see docs/paperclaims.md).
-CLAIM_IDS = ("table2-system",)
-
-
 
 class TestAddressGeometry:
     def test_lines_per_page_is_64(self):
