@@ -24,8 +24,7 @@ bounds the attempt budget for transient failures, ``--timeout SEC``
 kills and retries overdue jobs, ``--journal PATH`` checkpoints resolved
 cells so an interrupted run (Ctrl-C exits 130 after flushing the
 journal) resumes with zero recomputation, and ``--degraded`` renders
-``FAILED(reason)`` cells instead of aborting.  ``repro chaos`` runs the
-seeded fault-injection proof.
+``FAILED(reason)`` cells instead of aborting.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import sys
 
 from repro.analysis import ExperimentRunner, run_levels, run_sweep
 from repro.analysis.tracestats import analyze_trace
-from repro.analysis.validate import check_prefetcher
 from repro.errors import (
     ConfigurationError,
     ReproError,
@@ -50,7 +48,6 @@ from repro.resilience import (
 from repro.runner import ResultCache, SimulationRunner
 from repro.sim.batched import ENGINES
 from repro.sim.multicore import simulate_mix
-from repro.sim.trace import load_trace, save_trace
 from repro.stats import format_table, normalized_weighted_speedup
 from repro.workloads import homogeneous_mix, spec_trace
 from repro.workloads.cloudsuite import CLOUDSUITE_BENCHMARKS, cloudsuite_trace
@@ -176,11 +173,7 @@ def cmd_run(args) -> int:
 
 def cmd_frontend(args) -> int:
     """Compare instruction prefetchers over the frontend-bound suite."""
-    from repro.frontend import (
-        get_frontend_run_info,
-        make_frontend_prefetcher,
-        simulate_frontend,
-    )
+    from repro.frontend import make_frontend_prefetcher, simulate_frontend
 
     names = (list(FRONTEND_BENCHMARKS) if args.workloads == "all"
              else args.workloads.split(","))
@@ -188,22 +181,18 @@ def cmd_frontend(args) -> int:
     rows = []
     for name in names:
         trace = frontend_trace(name, args.scale)
-        baseline = simulate_frontend(trace, engine=args.engine)
+        baseline = simulate_frontend(trace)
         rows.append([name, "none", 1.0, baseline.l1i_mpki, "-",
                      baseline.walks_pki])
         for config in configs:
-            result = simulate_frontend(
-                trace, make_frontend_prefetcher(config),
-                engine=args.engine)
+            result = simulate_frontend(trace,
+                                       make_frontend_prefetcher(config))
             rows.append([name, config, result.speedup_over(baseline),
                          result.l1i_mpki, result.coverage_over(baseline),
                          result.walks_pki])
     print(format_table(
         ["workload", "prefetcher", "speedup", "L1-I MPKI", "coverage",
          "walks/ki"], rows))
-    info = get_frontend_run_info()
-    if info.get("support_reason"):
-        print(f"engine: {info['engine']} ({info['support_reason']})")
     return 0
 
 
@@ -273,17 +262,23 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dump_trace(args) -> int:
-    """Generate a workload and write it as a trace file."""
+    """Generate a workload and write it as a RIB1 trace file."""
+    from repro.ingest import write_binary
+
     trace = build_trace(args.workload, args.scale)
-    save_trace(trace, args.out)
+    write_binary(trace, args.out)
     print(f"wrote {len(trace)} records ({trace.load_records} loads) "
           f"to {args.out}")
     return 0
 
 
 def cmd_run_trace(args) -> int:
-    """Simulate a previously dumped trace file."""
-    trace = load_trace(args.trace_file)
+    """Simulate a RIB1 or k6 trace file (strict ingestion)."""
+    from repro.ingest import BINARY, detect_format, ingest_binary, ingest_k6
+
+    ingest = (ingest_binary if detect_format(args.trace_file) == BINARY
+              else ingest_k6)
+    trace, _ = ingest(args.trace_file)
     baseline = run_levels(trace, "none")
     result = run_levels(trace, args.prefetcher)
     rows = [
@@ -296,24 +291,6 @@ def cmd_run_trace(args) -> int:
         title=f"{args.trace_file} ({len(trace)} instructions)",
     ))
     return 0
-
-
-def cmd_validate(args) -> int:
-    """Audit a prefetcher config against the request contract."""
-    levels = make_prefetcher(args.prefetcher)
-    trace = build_trace(args.workload, args.scale)
-    exit_code = 0
-    for level, factory in levels.items():
-        report = check_prefetcher(
-            factory(), trace, allow_cross_page=args.allow_cross_page
-        )
-        status = "OK" if report.ok else "VIOLATIONS"
-        print(f"{args.prefetcher}@{level.upper()}: {status} — "
-              f"{report.accesses} accesses, {report.requests} requests")
-        for kind, count in sorted(report.by_kind().items()):
-            print(f"  {kind}: {count}")
-            exit_code = 1
-    return exit_code
 
 
 def cmd_verify(args) -> int:
@@ -332,6 +309,7 @@ def cmd_verify(args) -> int:
     from repro.workloads import full_suite
 
     failed = False
+    prefetchers = args.prefetchers.split(",") if args.prefetchers else None
 
     if not args.skip_oracle:
         print("== oracle lockstep diff (production IpcpL1 vs naive models) ==")
@@ -347,8 +325,9 @@ def cmd_verify(args) -> int:
                   f"{matched} matching prefetches")
 
     if not args.skip_invariants:
-        print("== runtime invariants (all prefetchers x full suite) ==")
-        reports = run_invariant_sweep(full_suite(scale=args.invariant_scale))
+        print("== runtime invariants (prefetchers x full suite) ==")
+        reports = run_invariant_sweep(
+            full_suite(scale=args.invariant_scale), prefetchers)
         bad = [r for r in reports if not r.ok]
         for report in bad[:10]:
             failed = True
@@ -387,9 +366,6 @@ def cmd_verify(args) -> int:
                 args.workloads.split(",") if args.workloads
                 else GOLDEN_WORKLOADS
             )
-            prefetchers = (
-                args.prefetchers.split(",") if args.prefetchers else None
-            )
             scale = args.scale if args.scale is not None else GOLDEN_SCALE
             document = collect_golden_stats(
                 workloads=workloads, prefetchers=prefetchers,
@@ -427,9 +403,6 @@ def cmd_verify(args) -> int:
         workloads = tuple(
             args.workloads.split(",") if args.workloads else GOLDEN_WORKLOADS
         )
-        prefetchers = (
-            args.prefetchers.split(",") if args.prefetchers else None
-        )
         scale = args.scale if args.scale is not None else GOLDEN_SCALE
         report = run_cross_engine(
             workloads=workloads, prefetchers=prefetchers, scale=scale,
@@ -451,8 +424,7 @@ def cmd_mix(args) -> int:
     levels = make_prefetcher(args.prefetcher)
     backend = make_backend(args)
     alone: dict[str, float] = {}
-    base = simulate_mix(traces, alone_ipc=alone, runner=backend,
-                        engine=args.engine)
+    base = simulate_mix(traces, alone_ipc=alone, runner=backend)
     result = simulate_mix(
         traces,
         l1_factory=levels.get("l1"),
@@ -460,7 +432,6 @@ def cmd_mix(args) -> int:
         llc_factory=levels.get("llc"),
         alone_ipc=alone,
         runner=backend,
-        engine=args.engine,
     )
     rows = [
         ["weighted speedup (baseline)", base.weighted_speedup],
@@ -471,9 +442,6 @@ def cmd_mix(args) -> int:
         ["metric", "value"], rows,
         title=f"{args.cores}-core homogeneous mix of {args.workload}",
     ))
-    if result.engine_reason:
-        print(f"engine: requested {args.engine!r}, ran "
-              f"{result.engine!r} — {result.engine_reason}")
     if result.degenerate_cores:
         print(f"warning: degenerate core(s) {result.degenerate_cores} "
               f"contributed 0.0 to the weighted speedup")
@@ -543,7 +511,7 @@ def cmd_trace(args) -> int:
     if not args.workload:
         raise ReproError("trace needs --workload (or --replay FILE)")
     trace = build_trace(args.workload, args.scale)
-    spec = trace_job(trace, args.prefetcher, engine=args.engine)
+    spec = trace_job(trace, args.prefetcher)
     traced = make_backend(args).run([spec])[0]
     events = list(traced.events)
     _print_stream_summary(summarize(events),
@@ -582,89 +550,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Chaos proof: a faulty sweep must match a fault-free one exactly."""
-    import functools
-    import pickle
-    import shutil
-    import tempfile
-
-    from repro.resilience.chaos import (
-        ChaosCache,
-        ChaosPlan,
-        chaos_execute_job,
-    )
-    from repro.runner import levels_job
-
-    traces = [build_trace(name, args.scale)
-              for name in args.workloads.split(",")]
-    configs = args.prefetchers.split(",")
-    specs = [levels_job(trace, config)
-             for trace in traces for config in configs]
-    plan = ChaosPlan(
-        seed=args.seed,
-        crash_rate=args.crash_rate,
-        hang_rate=args.hang_rate,
-        transient_rate=args.transient_rate,
-        corrupt_rate=args.corrupt_rate,
-        hang_seconds=args.hang_seconds,
-    )
-    print(f"chaos: {len(specs)}-cell grid ({len(traces)} workloads x "
-          f"{len(configs)} configs), seed {args.seed}, jobs {args.jobs}")
-
-    reference = SimulationRunner(jobs=args.jobs).run(specs)
-    expected = [pickle.dumps(cell) for cell in reference]
-
-    retry = RetryPolicy(max_attempts=args.retries, backoff_base=0.01)
-    execute = functools.partial(chaos_execute_job, plan=plan)
-    cache_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    try:
-        cache = ChaosCache(ResultCache(cache_dir), plan)
-        # Cold pass: crashes, hangs and transients fire during
-        # execution, and scheduled cache entries are corrupted as they
-        # publish.  Warm pass: the corrupt entries fail their digest
-        # check, get evicted and recomputed (under the same chaos).
-        cold = SimulationRunner(jobs=args.jobs, cache=cache, retry=retry,
-                                timeout=args.timeout, execute=execute)
-        cold_results = cold.run(specs)
-        warm = SimulationRunner(jobs=args.jobs, cache=cache, retry=retry,
-                                timeout=args.timeout, execute=execute)
-        warm_results = warm.run(specs)
-
-        rows = [
-            ["worker crashes recovered",
-             cold.worker_crashes + warm.worker_crashes],
-            ["pool respawns", cold.pool_respawns + warm.pool_respawns],
-            ["job timeouts", cold.timeouts + warm.timeouts],
-            ["transient retries", cold.retries + warm.retries],
-            ["cache entries corrupted", cache.corruptions],
-            ["corrupt entries detected & evicted", cache.inner.corrupt],
-            ["simulations (fault-free vs chaotic)",
-             f"{len(specs)} vs "
-             f"{cold.simulations_run + warm.simulations_run}"],
-        ]
-        print(format_table(["event", "count"], rows,
-                           title="Injected faults and recoveries"))
-
-        mismatches = 0
-        for label, results in (("cold", cold_results),
-                               ("warm", warm_results)):
-            for spec, cell, want in zip(specs, results, expected):
-                if pickle.dumps(cell) != want:
-                    mismatches += 1
-                    print(f"MISMATCH ({label}): {spec.trace_name}/"
-                          f"{spec.config_name}")
-        if mismatches:
-            print(f"chaos proof FAILED: {mismatches} cells diverged "
-                  f"from the fault-free run")
-            return 1
-        print(f"chaos proof OK: {2 * len(specs)} recovered cells "
-              f"bit-identical to the fault-free run")
-        return 0
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-
 def _print_ingest_report(report, *, written: int | None = None) -> None:
     rows = list(report.summary_rows())
     if written is not None:
@@ -674,14 +559,13 @@ def _print_ingest_report(report, *, written: int | None = None) -> None:
 
 
 def cmd_ingest(args) -> int:
-    """Trace ingestion: registry actions and the input-fault proof."""
+    """Trace ingestion: registry actions and streaming one file."""
     from repro.ingest import (
         TraceRegistry,
-        ingest_k6,
+        detect_format,
         stream_binary_columns,
         stream_k6_columns,
     )
-    from repro.ingest.convert import detect_format
     from repro.ingest.k6 import make_report
 
     if args.action == "register":
@@ -739,154 +623,7 @@ def cmd_ingest(args) -> int:
         print(f"streamed {report.records} records in {chunks} columnar "
               f"chunk(s) of <= {args.chunk_records}")
         return 0
-
-    if args.action == "chaos":
-        return _ingest_chaos(args)
     raise ConfigurationError(f"unknown ingest action {args.action!r}")
-
-
-def _ingest_chaos(args) -> int:
-    """Input-fault proof for the ingestion layer (docs/ingestion.md).
-
-    Asserts the strict policy's per-fault exit codes, the lenient/
-    quarantine contract (surviving records == clean minus exactly the
-    quarantined ones, proven down to decision-stream digests on both
-    engines), the error budget, and the registry's tamper refusal.
-    """
-    import gzip
-    import os
-    import shutil
-    import tempfile
-
-    from repro.errors import (
-        TraceBudgetError,
-        TraceChecksumError,
-        TraceFormatError,
-        TraceTruncatedError,
-    )
-    from repro.ingest import (
-        TraceRegistry,
-        ingest_k6,
-        read_quarantine,
-        write_k6,
-    )
-    from repro.resilience.chaos import (
-        InputFaultPlan,
-        corrupt_k6_text,
-        truncate_gzip,
-    )
-    from repro.runner.job import execute_job, trace_job
-    from repro.sim.trace import Trace
-    from repro.telemetry.export import (
-        events_digest,
-        read_events_jsonl,
-        write_events_jsonl,
-    )
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(label: str, ok: bool, detail: str) -> None:
-        checks.append((label, ok, detail))
-
-    def expect_error(label: str, error_type, code: int, fn) -> None:
-        try:
-            fn()
-        except error_type as error:
-            got = exit_code_for(error)
-            check(label, got == code, f"{error_type.__name__}, exit {got}")
-        except ReproError as error:
-            check(label, False,
-                  f"wrong error {type(error).__name__}: {error}")
-        else:
-            check(label, False, "no error raised")
-
-    workdir = tempfile.mkdtemp(prefix="repro-ingest-chaos-")
-    try:
-        source = build_trace(args.workload, args.scale)
-        clean_path = os.path.join(workdir, "clean.k6")
-        write_k6(source, clean_path)
-        with open(clean_path, "rb") as fh:
-            clean_bytes = fh.read()
-        clean_trace, _ = ingest_k6(clean_path, name="chaos")
-
-        plan = InputFaultPlan(seed=args.seed, flip_rate=args.flip_rate,
-                              garbage_rate=args.garbage_rate)
-        corruption = corrupt_k6_text(clean_bytes, plan)
-        faulted_path = os.path.join(workdir, "faulted.k6")
-        with open(faulted_path, "wb") as fh:
-            fh.write(corruption.data)
-        print(f"chaos: {len(clean_trace)} clean records, seed {args.seed} "
-              f"-> {len(corruption.victims)} bit-flipped victims, "
-              f"{corruption.garbage_lines} garbage lines")
-
-        # -- strict policy: one distinct exit code per fault kind ------
-        expect_error("strict: bit-flipped record -> format error (14)",
-                     TraceFormatError, 14,
-                     lambda: ingest_k6(faulted_path, policy="strict"))
-        gz_path = os.path.join(workdir, "truncated.k6.gz")
-        with open(gz_path, "wb") as fh:
-            fh.write(truncate_gzip(gzip.compress(clean_bytes)))
-        expect_error("strict: truncated gzip -> truncated error (15)",
-                     TraceTruncatedError, 15,
-                     lambda: ingest_k6(gz_path, policy="strict"))
-        expect_error("lenient: garbage flood -> budget error (17)",
-                     TraceBudgetError, 17,
-                     lambda: ingest_k6(faulted_path, policy="lenient",
-                                       max_errors=0))
-
-        # -- lenient/quarantine contract -------------------------------
-        quarantine_path = faulted_path + ".quarantine"
-        faulted_trace, report = ingest_k6(
-            faulted_path, name="chaos", policy="quarantine",
-            quarantine_path=quarantine_path)
-        victims = set(corruption.victims)
-        expected = Trace([record for index, record in enumerate(clean_trace)
-                          if index not in victims], name="chaos")
-        check("quarantine: survivors == clean minus victims",
-              list(faulted_trace) == list(expected),
-              f"{report.records} survivors, {report.skipped} skipped")
-        check("quarantine: sidecar holds exactly the skipped records",
-              len(read_quarantine(quarantine_path)) == report.skipped
-              and report.skipped == corruption.injected_faults,
-              f"{report.skipped} rows in {os.path.basename(quarantine_path)}")
-
-        # -- decision streams bit-identical on both engines ------------
-        for engine in ("scalar", "batched"):
-            results = []
-            for trace in (expected, faulted_trace):
-                traced = execute_job(
-                    trace_job(trace, args.prefetcher, engine=engine))
-                path = os.path.join(workdir, f"{engine}-{id(trace)}.jsonl")
-                write_events_jsonl(path, traced.events)
-                results.append(events_digest(read_events_jsonl(path)))
-            check(f"decision streams identical ({engine} engine)",
-                  results[0] == results[1], f"digest {results[0][:16]}..")
-
-        # -- registry: tampered file refuses to run or replay ----------
-        registry = TraceRegistry(os.path.join(workdir, "traces.json"))
-        registry.register("clean", clean_path)
-        registry.verify("clean")
-        blob = bytearray(clean_bytes)
-        blob[len(blob) // 2] ^= 0x01
-        with open(clean_path, "wb") as fh:
-            fh.write(bytes(blob))
-        expect_error("registry: tampered file -> checksum refusal (16)",
-                     TraceChecksumError, 16,
-                     lambda: registry.load_trace("clean"))
-
-        rows = [[label, "OK" if ok else "FAILED", detail]
-                for label, ok, detail in checks]
-        print(format_table(["check", "verdict", "detail"], rows,
-                           title="Input-fault proof"))
-        failed = sum(1 for _, ok, _ in checks if not ok)
-        if failed:
-            print(f"ingest chaos proof FAILED: {failed} of {len(checks)} "
-                  f"checks")
-            return 1
-        print(f"ingest chaos proof OK: {len(checks)} checks passed")
-        return 0
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def cmd_convert(args) -> int:
@@ -1035,9 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated frontend configurations "
                                "(see repro.frontend.registry)")
     frontend.add_argument("--scale", type=float, default=0.5)
-    frontend.add_argument("--engine", choices=ENGINES, default="scalar",
-                          help="frontend engine; 'batched' falls back to "
-                               "scalar with a support reason for now")
     frontend.set_defaults(func=cmd_frontend)
 
     compare = sub.add_parser("compare", help="speedup table")
@@ -1070,24 +804,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--scale", type=float, default=0.4)
     analyze.set_defaults(func=cmd_analyze)
 
-    dump = sub.add_parser("dump-trace", help="write a workload trace file")
+    dump = sub.add_parser("dump-trace",
+                          help="write a workload as a RIB1 trace file")
     dump.add_argument("--workload", required=True)
     dump.add_argument("--out", required=True)
     dump.add_argument("--scale", type=float, default=0.5)
     dump.set_defaults(func=cmd_dump_trace)
 
-    run_trace = sub.add_parser("run-trace", help="simulate a trace file")
+    run_trace = sub.add_parser("run-trace",
+                               help="simulate a RIB1 or k6 trace file")
     run_trace.add_argument("--trace-file", required=True)
     run_trace.add_argument("--prefetcher", default="ipcp")
     run_trace.set_defaults(func=cmd_run_trace)
-
-    validate = sub.add_parser(
-        "validate", help="audit a prefetcher's request contract")
-    validate.add_argument("--prefetcher", required=True)
-    validate.add_argument("--workload", default="roms_like")
-    validate.add_argument("--scale", type=float, default=0.2)
-    validate.add_argument("--allow-cross-page", action="store_true")
-    validate.set_defaults(func=cmd_validate)
 
     verify = sub.add_parser(
         "verify",
@@ -1108,9 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseline workload grid (comma-separated; "
                              "only with --update-baseline)")
     verify.add_argument("--prefetchers", default=None,
-                        help="baseline prefetcher grid (comma-separated; "
-                             "only with --update-baseline; default: all "
-                             "registered)")
+                        help="prefetcher grid (comma-separated) for the "
+                             "invariant sweep, the cross-engine gate and "
+                             "--update-baseline; default: all registered")
     verify.add_argument("--scale", type=float, default=None,
                         help="baseline workload scale (only with "
                              "--update-baseline)")
@@ -1135,9 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--workload", default=None)
     trace_cmd.add_argument("--prefetcher", default="ipcp")
     trace_cmd.add_argument("--scale", type=float, default=0.2)
-    trace_cmd.add_argument("--engine", choices=ENGINES, default="scalar",
-                           help="simulation engine (a telemetry run "
-                                "always falls back to scalar)")
     trace_cmd.add_argument("--out", default=None, metavar="PATH",
                            help="write the event stream (.jsonl canonical, "
                                 ".csv flat)")
@@ -1158,44 +883,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="functions shown per phase")
     profile.set_defaults(func=cmd_profile)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="seeded fault-injection proof: a sweep surviving worker "
-             "crashes, hangs, transient errors and corrupt cache "
-             "entries must be bit-identical to a fault-free run "
-             "(see docs/resilience.md)")
-    chaos.add_argument("--workloads", default="bwaves_like,gcc_like",
-                       help="comma-separated workload names")
-    chaos.add_argument("--prefetchers", default="none,ipcp",
-                       help="comma-separated prefetcher configurations")
-    chaos.add_argument("--scale", type=float, default=0.05)
-    chaos.add_argument("--seed", type=int, default=1,
-                       help="fault-schedule seed (same seed = same "
-                            "faults)")
-    chaos.add_argument("--jobs", type=int, default=2, metavar="N")
-    chaos.add_argument("--retries", type=int, default=4, metavar="N")
-    chaos.add_argument("--timeout", type=float, default=0.75,
-                       metavar="SEC",
-                       help="per-job deadline that converts injected "
-                            "hangs into timeouts")
-    chaos.add_argument("--crash-rate", type=float, default=0.25)
-    chaos.add_argument("--hang-rate", type=float, default=0.25)
-    chaos.add_argument("--transient-rate", type=float, default=0.25)
-    chaos.add_argument("--corrupt-rate", type=float, default=0.5)
-    chaos.add_argument("--hang-seconds", type=float, default=30.0)
-    chaos.set_defaults(func=cmd_chaos)
-
     ingest = sub.add_parser(
         "ingest",
         help="hardened trace ingestion: register/verify checksummed "
              "traces, stream-ingest k6/binary files under a fault "
-             "policy, run the input-fault proof (docs/ingestion.md)")
+             "policy (docs/ingestion.md)")
     ingest.add_argument("action",
-                        choices=("register", "verify", "list", "run",
-                                 "chaos"),
+                        choices=("register", "verify", "list", "run"),
                         help="register/verify/list work on the registry; "
-                             "run streams one file; chaos runs the "
-                             "input-fault proof")
+                             "run streams one file")
     ingest.add_argument("--registry", default="traces.json", metavar="PATH",
                         help="trace registry document (JSON)")
     ingest.add_argument("--name", default=None,
@@ -1217,19 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--chunk-records", type=int, default=65536,
                         metavar="N",
                         help="records per streamed columnar chunk")
-    ingest.add_argument("--workload", default="bwaves_like",
-                        help="chaos: workload synthesized into the clean "
-                             "trace")
-    ingest.add_argument("--prefetcher", default="ipcp",
-                        help="chaos: prefetcher for the decision-stream "
-                             "comparison")
-    ingest.add_argument("--scale", type=float, default=0.05)
-    ingest.add_argument("--seed", type=int, default=1,
-                        help="chaos: input-fault schedule seed")
-    ingest.add_argument("--flip-rate", type=float, default=0.05,
-                        help="chaos: per-record command bit-flip chance")
-    ingest.add_argument("--garbage-rate", type=float, default=0.02,
-                        help="chaos: per-record garbage-line chance")
     ingest.set_defaults(func=cmd_ingest)
 
     convert = sub.add_parser(
@@ -1288,10 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument("--cores", type=int, default=4)
     mix.add_argument("--prefetcher", default="ipcp")
     mix.add_argument("--scale", type=float, default=0.25)
-    mix.add_argument("--engine", choices=ENGINES, default="scalar",
-                     help="requested engine; mixes report the scalar "
-                          "fallback reason instead of silently ignoring "
-                          "--engine batched")
     add_runner_options(mix)
     mix.set_defaults(func=cmd_mix)
 

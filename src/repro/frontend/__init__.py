@@ -25,11 +25,7 @@ versus the data-side IPCP.
 """
 
 from repro.frontend.baselines import ManaLitePrefetcher, NextLineIPrefetcher
-from repro.frontend.engine import (
-    FrontendResult,
-    get_frontend_run_info,
-    simulate_frontend,
-)
+from repro.frontend.engine import FrontendResult, simulate_frontend
 from repro.frontend.ipcp_i import (
     FE_CLASS_NAMES,
     FE_CPLX,
@@ -64,7 +60,6 @@ __all__ = [
     "ManaLitePrefetcher",
     "NextLineIPrefetcher",
     "available_frontend_prefetchers",
-    "get_frontend_run_info",
     "make_frontend_prefetcher",
     "register_frontend_prefetcher",
     "simulate_frontend",

@@ -9,19 +9,12 @@ blocks that are still in flight charge only the remaining latency
 L1-I ways and can pollute — and a request that crosses the demand page
 triggers the speculative ITLB translation (see
 :meth:`repro.frontend.model.Itlb.prefetch_fill`).
-
-``engine="batched"`` is accepted for symmetry with
-:func:`repro.sim.engine.simulate` but currently falls back to this
-scalar loop — :func:`get_frontend_run_info` reports the
-``support_reason``, mirroring the data-side idiom, so a future fused
-kernel can slot in behind the same API and a cross-engine verify cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.frontend.model import (
     FrontendParams,
     InstructionCache,
@@ -36,23 +29,6 @@ from repro.prefetchers.base import (
     PrefetcherSummary,
 )
 from repro.sim.trace import Trace
-
-_LAST_RUN_INFO: dict = {"engine": "scalar", "fused": False,
-                        "support_reason": "no frontend run yet"}
-
-_SCALAR_ONLY_REASON = (
-    "frontend model has no batched kernel yet (scalar fallback)"
-)
-
-
-def get_frontend_run_info() -> dict:
-    """Engine actually used by the most recent frontend simulation.
-
-    Mirrors :func:`repro.sim.engine.get_last_run_info`: ``fused`` is
-    False whenever the scalar loop ran, and ``support_reason`` says
-    why (for v1, always the missing batched kernel).
-    """
-    return dict(_LAST_RUN_INFO)
 
 
 @dataclass(frozen=True)
@@ -111,7 +87,6 @@ def simulate_frontend(
     prefetcher: Prefetcher | None = None,
     params: FrontendParams | None = None,
     warmup: int | None = None,
-    engine: str = "scalar",
     recorder=None,
 ) -> FrontendResult:
     """Run one trace's instruction stream through the frontend model.
@@ -123,17 +98,6 @@ def simulate_frontend(
     ``recorder``, when given, is attached to the prefetcher for
     decision-level telemetry.
     """
-    global _LAST_RUN_INFO
-    if engine not in ("scalar", "batched"):
-        raise ConfigurationError(
-            f"unknown frontend engine {engine!r} (scalar or batched)"
-        )
-    _LAST_RUN_INFO = {
-        "engine": "scalar",
-        "fused": False,
-        "support_reason": _SCALAR_ONLY_REASON if engine == "batched"
-        else "scalar engine requested",
-    }
     params = params or FrontendParams()
     if recorder is not None and prefetcher is not None:
         prefetcher.attach_recorder(recorder)

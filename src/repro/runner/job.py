@@ -172,7 +172,6 @@ def trace_job(
     params: SystemParams | None = None,
     warmup: int | None = None,
     max_instructions: int | None = None,
-    engine: str = "scalar",
 ) -> JobSpec:
     """Spec for a levels cell executed with telemetry recording on.
 
@@ -180,8 +179,9 @@ def trace_job(
     traced run and its plain twin occupy different cache slots: the
     traced result is a :class:`repro.telemetry.TraceRunResult` (events
     included) and must never be replayed where a bare ``SimResult`` is
-    expected, or vice versa.  ``engine`` is honoured for parity, though
-    a live recorder always forces the batched engine's scalar fallback.
+    expected, or vice versa.  It always runs on the scalar engine: an
+    attached recorder is a configuration the batched engine does not
+    fuse.
     """
     return JobSpec(
         kind=KIND_TRACE,
@@ -192,7 +192,6 @@ def trace_job(
         params=params,
         warmup=warmup,
         max_instructions=max_instructions,
-        engine=validate_engine(engine),
     )
 
 
@@ -203,7 +202,6 @@ def mix_job(
     warmup: int = 5_000,
     roi: int = 20_000,
     seed: int = 1,
-    engine: str = "scalar",
 ) -> JobSpec:
     """Spec for one N-core mix under one registered configuration.
 
@@ -228,7 +226,6 @@ def mix_job(
         warmup=warmup,
         roi=roi,
         seed=seed,
-        engine=validate_engine(engine),
     )
 
 
@@ -294,7 +291,6 @@ def execute_job(spec: JobSpec):
             warmup=spec.warmup,
             roi=spec.roi,
             seed=spec.seed,
-            engine=spec.engine,
         )
     trace = spec.build_trace()
     if spec.kind in (KIND_LEVELS, KIND_TRACE):

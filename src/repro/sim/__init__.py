@@ -3,7 +3,6 @@
 from repro.sim.batched import (
     DEFAULT_CHUNK_RECORDS,
     ENGINES,
-    get_last_run_info,
     simulate_batched,
     support_reason,
     validate_engine,
@@ -18,8 +17,6 @@ from repro.sim.trace import (
     STORE,
     Trace,
     TraceRecord,
-    load_trace,
-    save_trace,
 )
 
 __all__ = [
@@ -35,9 +32,6 @@ __all__ = [
     "SimResult",
     "Trace",
     "TraceRecord",
-    "get_last_run_info",
-    "load_trace",
-    "save_trace",
     "simulate",
     "simulate_batched",
     "simulate_ideal",

@@ -27,12 +27,13 @@ three layers:
 
 Configurations the fused loop does not model (custom hierarchies,
 telemetry recorders, non-LRU replacement, non-IPCP prefetchers, the
-temporal extension) transparently fall back to the scalar engine —
-:func:`support_reason` names the reason and
-:func:`get_last_run_info` reports which path actually ran.  The scalar
-engine stays the differential oracle: results must be bit-identical
-(``SimResult.__eq__``) for every supported configuration, which
-``repro verify`` checks via :mod:`repro.verify.cross_engine`.
+temporal extension, a trace whose fields do not fit the columnar
+decode) transparently fall back to the scalar engine —
+:func:`support_reason` alone makes that decision and names the reason,
+and the returned ``SimResult.engine`` says which path actually ran.
+The scalar engine stays the differential oracle: results must be
+bit-identical (``SimResult.__eq__``) for every supported configuration,
+which ``repro verify`` checks via :mod:`repro.verify.cross_engine`.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ _MPKI_WINDOW = Cache.MPKI_WINDOW
 #: ``PfClass`` value -> 2-bit ``MetaClass`` wire field (L1 metadata).
 _META_OF_CLASS = {1: 1, 3: 2, 4: 3, 2: 0}  # CS, GS, NL, CPLX
 
-# What the engine actually did on the most recent simulate_batched()
-# call, for tests/CLI introspection (never consulted by the engine).
-_LAST_RUN: dict = {"engine": None, "fused": None, "reason": None,
-                   "records": 0, "chunk_records": 0}
-
 
 def validate_engine(engine: str) -> str:
     """Check an ``engine=`` selector value; returns it when valid."""
@@ -78,16 +74,6 @@ def validate_engine(engine: str) -> str:
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
     return engine
-
-
-def get_last_run_info() -> dict:
-    """Snapshot of the most recent batched-engine invocation.
-
-    Keys: ``engine`` (requested), ``fused`` (True when the fused
-    columnar loop ran, False when it fell back to scalar), ``reason``
-    (the fallback reason or None), ``records`` and ``chunk_records``.
-    """
-    return dict(_LAST_RUN)
 
 
 def _inert(prefetcher) -> bool:
@@ -109,10 +95,13 @@ def support_reason(
 
     The fused loop replicates the default single-core stack: built-in
     hierarchy, LRU replacement everywhere, IPCP (or nothing) at
-    L1/L2, no LLC prefetcher, no telemetry recorder.  Everything else
-    returns a human-readable reason and the caller falls back to
+    L1/L2, no LLC prefetcher, no telemetry recorder, and a trace that
+    decodes into columns.  Everything else returns a human-readable
+    reason and the caller falls back to
     :func:`repro.sim.engine.simulate` for the whole run — engines are
-    never mixed within one simulation.
+    never mixed within one simulation.  The columnar decode is
+    memoized on the trace, so checking it here costs the fused run
+    nothing extra.
     """
     # Deferred import: ipcp modules import prefetchers.base, which this
     # module also imports; binding lazily keeps the import graph simple.
@@ -138,6 +127,10 @@ def support_reason(
             return f"l2 prefetcher {l2_prefetcher.name!r} has no batch kernel"
         if l2_prefetcher.batch_state() is None:
             return "l2 ipcp declined batch stepping (recorder)"
+    try:
+        trace.columns()
+    except TraceError as error:
+        return f"columnar decode failed: {error}"
     return None
 
 
@@ -574,10 +567,10 @@ def simulate_batched(
     Accepts exactly the :func:`repro.sim.engine.simulate` signature
     (plus ``chunk_records``, the columnar gather window) and returns a
     bit-identical :class:`SimResult`; unsupported configurations fall
-    back to the scalar engine transparently (see :func:`support_reason`
-    and :func:`get_last_run_info`).  Live prefetcher objects are
-    mutated in place through their ``batch_state()`` handles, so their
-    post-run state also matches a scalar run.
+    back to the scalar engine transparently (see :func:`support_reason`),
+    and only a fused run returns ``engine="batched"``.  Live prefetcher
+    objects are mutated in place through their ``batch_state()``
+    handles, so their post-run state also matches a scalar run.
     """
     from repro.core.ipcp_l1 import IpcpL1
     from repro.core.ipcp_l2 import IpcpL2
@@ -587,23 +580,13 @@ def simulate_batched(
     if chunk_records < 1:
         raise ConfigurationError("chunk_records must be >= 1")
     params = params or SystemParams()
-    reason = support_reason(trace, l1_prefetcher, l2_prefetcher,
-                            llc_prefetcher, params, hierarchy, recorder)
-    cols = None
-    if reason is None:
-        try:
-            cols = trace.columns()
-        except TraceError as error:
-            reason = f"columnar decode failed: {error}"
-    if reason is not None:
-        _LAST_RUN.update(engine="batched", fused=False, reason=reason,
-                         records=len(trace), chunk_records=chunk_records)
+    if support_reason(trace, l1_prefetcher, l2_prefetcher, llc_prefetcher,
+                      params, hierarchy, recorder) is not None:
         return simulate(trace, l1_prefetcher, l2_prefetcher, llc_prefetcher,
                         params=params, warmup=warmup,
                         max_instructions=max_instructions,
                         hierarchy=hierarchy, recorder=recorder)
-    _LAST_RUN.update(engine="batched", fused=True, reason=None,
-                     records=len(trace), chunk_records=chunk_records)
+    cols = trace.columns()
 
     n = len(trace)
     warmup = n // 5 if warmup is None else warmup
@@ -1324,4 +1307,5 @@ def simulate_batched(
                        if l1_prefetcher is not None else None),
         l2_prefetcher=(l2_prefetcher.summary()
                        if l2_prefetcher is not None else None),
+        engine="batched",
     )

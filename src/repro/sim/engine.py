@@ -9,7 +9,7 @@ defaults scale down proportionally while keeping the warm-up/ROI split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.memsys.cache import CacheStats
 from repro.memsys.hierarchy import Hierarchy, build_hierarchy
@@ -27,6 +27,11 @@ class SimResult:
     live prefetcher objects — so a result pickles cleanly across process
     boundaries and into the persistent result cache without dragging
     prefetcher internals (tables, filters, throttlers) along.
+
+    ``engine`` names the engine that actually ran: ``"batched"`` only
+    when the fused columnar loop did, ``"scalar"`` otherwise (including
+    a batched request that fell back).  It is left out of equality, so
+    results from the two engines still compare bit for bit.
     """
 
     trace_name: str
@@ -40,6 +45,7 @@ class SimResult:
     dram_writes: int
     l1_prefetcher: PrefetcherSummary | None = None
     l2_prefetcher: PrefetcherSummary | None = None
+    engine: str = field(default="scalar", compare=False)
 
     @property
     def ipc(self) -> float:
@@ -137,7 +143,8 @@ def simulate(
     dispatches to :func:`repro.sim.batched.simulate_batched` — a fused
     columnar engine that returns a bit-identical :class:`SimResult`
     and falls back to the scalar path for configurations it cannot
-    model (see :doc:`docs/engine`).
+    model (see :doc:`docs/engine`).  The result's ``engine`` field
+    names the path that ran.
     """
     # Deferred import: repro.sim.batched imports this module for the
     # SimResult type and the scalar fallback, so binding lazily avoids

@@ -32,36 +32,6 @@ PrefetcherFactory = Callable[[], Prefetcher | None]
 
 _CHUNK = 64  # instructions per scheduling quantum
 
-# Why every mix executes on the scalar path regardless of the requested
-# engine: the cores interleave through one shared LLC/DRAM hierarchy,
-# which is exactly the caller-supplied-hierarchy configuration the
-# batched engine's support_reason() refuses to fuse.
-MIX_SCALAR_REASON = (
-    "mix cores interleave through a shared llc/dram hierarchy "
-    "(caller-supplied hierarchy is unsupported by the batched engine)"
-)
-
-# Mirror of repro.sim.batched._LAST_RUN for mixes: what the most recent
-# simulate_mix() in this process actually executed, and why.
-_LAST_MIX_RUN: dict = {
-    "requested": None,
-    "engine": None,
-    "reason": None,
-    "cores": 0,
-}
-
-
-def get_last_mix_run_info() -> dict:
-    """Snapshot of the most recent :func:`simulate_mix` dispatch.
-
-    Keys: ``requested`` (engine the caller asked for), ``engine`` (the
-    one that ran), ``reason`` (why they differ, ``None`` when they
-    match) and ``cores``.  The same information rides on the returned
-    :class:`MixResult` (``engine``/``engine_reason``) so it survives
-    the runner's process boundary and result cache.
-    """
-    return dict(_LAST_MIX_RUN)
-
 
 @dataclass
 class MixResult:
@@ -72,8 +42,6 @@ class MixResult:
     ipc_alone: list[float]
     dram_reads: int
     dram_writes: int
-    engine: str = "scalar"
-    engine_reason: str | None = None
 
     @property
     def per_core_speedup(self) -> list[float]:
@@ -260,7 +228,6 @@ def simulate_mix(
     alone_ipc: dict[str, float] | None = None,
     seed: int = 1,
     runner=None,
-    engine: str = "scalar",
 ) -> MixResult:
     """Simulate an N-core mix and return per-core IPCs + weighted speedup.
 
@@ -271,26 +238,11 @@ def simulate_mix(
     :class:`repro.runner.SimulationRunner`) parallelizes and caches
     those per-core alone runs.
 
-    ``engine`` is accepted (and validated) for signature parity with
-    :func:`repro.sim.engine.simulate`, but mixes always execute on the
-    scalar path: the cores interleave through one shared hierarchy,
-    which is exactly the caller-supplied-hierarchy configuration the
-    batched engine refuses to fuse (see :func:`support_reason`).  The
-    fallback is *recorded*, not silent — on the returned result
-    (``engine``/``engine_reason``) and via
-    :func:`get_last_mix_run_info` — so a ``--engine batched`` mix run
-    reports why it ran scalar instead of quietly doing so.
+    Mixes always run on the scalar path: the cores interleave through
+    one shared LLC/DRAM hierarchy, which the batched engine does not
+    model (see :func:`repro.sim.batched.support_reason`).
     """
-    from repro.sim.batched import validate_engine
-
-    validate_engine(engine)
-    base = params or SystemParams()
-    cores = len(traces)
-    reason = MIX_SCALAR_REASON if engine != "scalar" else None
-    _LAST_MIX_RUN.update(
-        requested=engine, engine="scalar", reason=reason, cores=cores,
-    )
-    mc_params = _multicore_params(base, cores)
+    mc_params = _multicore_params(params or SystemParams(), len(traces))
 
     ipcs, dram = _simulate_together(
         traces, mc_params, l1_factory, l2_factory, llc_factory,
@@ -316,6 +268,4 @@ def simulate_mix(
         ipc_alone=alone,
         dram_reads=dram.reads,
         dram_writes=dram.writes,
-        engine="scalar",
-        engine_reason=reason,
     )

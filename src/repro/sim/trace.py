@@ -16,7 +16,8 @@ inner simulation loop fast.
 
 :class:`Trace` wraps a list of records with a name and supports slicing,
 replay (cyclic iteration, used when multicore mixes replay short
-benchmarks), and a compact binary on-disk format.
+benchmarks) and a memoized columnar decode.  Trace files on disk use
+the RIB1 and k6 interchange formats of :mod:`repro.ingest`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ _KIND_NAMES = {OTHER: "other", LOAD: "load", STORE: "store", BRANCH: "branch"}
 
 TraceRecord = tuple[int, int, int, int]  # (kind, ip, vaddr, dep)
 
+# One packed record: the byte form repro.runner.job.trace_signature
+# hashes, so changing it changes every cache key.
 _RECORD = struct.Struct("<BQQB")
-_MAGIC = b"RPT2"
 
 
 def normalize_record(record) -> TraceRecord:
@@ -260,28 +262,3 @@ class Trace(Sequence[TraceRecord]):
         """Check every record; raises :class:`TraceError` on the first bad one."""
         for record in self._records:
             validate_record(record)
-
-
-def save_trace(trace: Trace, path: str) -> None:
-    """Write a trace in the compact binary format (magic + packed records)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(trace)))
-        for kind, ip, addr, dep in trace:
-            fh.write(_RECORD.pack(kind, ip, addr, dep))
-
-
-def load_trace(path: str, name: str | None = None) -> Trace:
-    """Read a trace written by :func:`save_trace`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise TraceError(f"{path}: bad magic {magic!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        records = []
-        for _ in range(count):
-            blob = fh.read(_RECORD.size)
-            if len(blob) != _RECORD.size:
-                raise TraceError(f"{path}: truncated trace")
-            records.append(_RECORD.unpack(blob))
-    return Trace(records, name=name or path)

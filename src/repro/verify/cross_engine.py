@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.params import SystemParams
 from repro.prefetchers import make_prefetcher
-from repro.sim.batched import get_last_run_info, simulate_batched
+from repro.sim.batched import simulate_batched, support_reason
 from repro.sim.engine import simulate
 from repro.verify.golden import GOLDEN_SCALE, GOLDEN_WORKLOADS, golden_prefetchers
 from repro.workloads import spec_trace
@@ -104,18 +105,19 @@ def _compare(trace, config: str, label: str, warmup=None,
         trace, *_build_levels(config),
         warmup=warmup, max_instructions=max_instructions,
     )
+    levels = _build_levels(config)
+    reason = support_reason(trace, *levels, SystemParams(), None, None)
     batched = simulate_batched(
-        trace, *_build_levels(config),
+        trace, *levels,
         warmup=warmup, max_instructions=max_instructions,
         chunk_records=chunk_records,
     )
-    info = get_last_run_info()
     return EngineCell(
         workload=trace.name,
         config=config,
         label=label,
-        fused=bool(info["fused"]),
-        reason=info["reason"],
+        fused=batched.engine == "batched",
+        reason=reason,
         match=scalar == batched,
     )
 

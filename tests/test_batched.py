@@ -14,7 +14,6 @@ from repro.runner import levels_job
 from repro.sim.batched import (
     DEFAULT_CHUNK_RECORDS,
     ENGINES,
-    get_last_run_info,
     simulate_batched,
     support_reason,
     validate_engine,
@@ -55,7 +54,8 @@ class TestEngineSelector:
         scalar = simulate(small_trace, *build_levels("ipcp"))
         batched = simulate(small_trace, *build_levels("ipcp"),
                            engine="batched")
-        assert get_last_run_info()["fused"] is True
+        assert scalar.engine == "scalar"
+        assert batched.engine == "batched"
         assert scalar == batched
 
     def test_simulate_rejects_unknown_engine(self, small_trace):
@@ -82,18 +82,20 @@ class TestFallbackContract:
     def test_custom_hierarchy_forces_fallback(self, small_trace):
         params = SystemParams()
         hierarchy = build_hierarchy(params)
+        assert support_reason(
+            small_trace, None, None, None, params, hierarchy, None,
+        ) == "caller-supplied hierarchy"
         result = simulate_batched(small_trace, params=params,
                                   hierarchy=hierarchy)
-        info = get_last_run_info()
-        assert info["fused"] is False
-        assert info["reason"] == "caller-supplied hierarchy"
+        assert result.engine == "scalar"
         assert result == simulate(small_trace,
                                   hierarchy=build_hierarchy(params))
 
     def test_non_lru_replacement_forces_fallback(self, small_trace):
         params = sweep_system(replacement="srrip")
-        simulate_batched(small_trace, *build_levels("ipcp"), params=params)
-        assert get_last_run_info()["fused"] is False
+        result = simulate_batched(small_trace, *build_levels("ipcp"),
+                                  params=params)
+        assert result.engine == "scalar"
 
     def test_foreign_prefetcher_forces_fallback(self, small_trace):
         l1, l2, llc = build_levels("mlop")
@@ -105,15 +107,20 @@ class TestFallbackContract:
     def test_fallback_still_matches_scalar(self, small_trace):
         scalar = simulate(small_trace, *build_levels("mlop"))
         batched = simulate_batched(small_trace, *build_levels("mlop"))
-        assert get_last_run_info()["fused"] is False
+        assert batched.engine == "scalar"
         assert scalar == batched
 
-    def test_last_run_info_records_sizes(self, small_trace):
-        simulate_batched(small_trace, *build_levels("ipcp"),
-                         chunk_records=512)
-        info = get_last_run_info()
-        assert info["records"] == len(small_trace)
-        assert info["chunk_records"] == 512
+    def test_undecodable_trace_forces_fallback(self):
+        # An address past uint64 cannot enter the columnar decode; the
+        # scalar loop's Python ints still simulate it.
+        trace = Trace([(LOAD, 0x400, 1 << 64, 0), (OTHER, 0x404, 0, 0)])
+        reason = support_reason(
+            trace, *build_levels("ipcp"), SystemParams(), None, None,
+        )
+        assert reason.startswith("columnar decode failed")
+        batched = simulate_batched(trace, *build_levels("ipcp"))
+        assert batched.engine == "scalar"
+        assert batched == simulate(trace, *build_levels("ipcp"))
 
     def test_chunk_records_validated(self, small_trace):
         with pytest.raises(ConfigurationError):
@@ -259,7 +266,7 @@ class TestPropertyEquivalence:
         batched = simulate_batched(trace, *build_levels(config),
                                    warmup=warmup, max_instructions=budget,
                                    chunk_records=chunk)
-        assert get_last_run_info()["fused"] is True
+        assert batched.engine == "batched"
         assert scalar == batched
 
     @given(trace=random_traces())
@@ -287,7 +294,7 @@ class TestPropertyEquivalence:
             throttle.on_epoch = lambda *args: rolls.append(args)
         scalar = simulate(trace, s_l1, s_l2, s_llc)
         batched = simulate_batched(trace, b_l1, b_l2, b_llc)
-        assert get_last_run_info()["fused"] is True
+        assert batched.engine == "batched"
         assert rolls, "trace too short to roll a single throttle epoch"
         assert scalar == batched
         for pf_class, throttle in s_l1.throttles.items():

@@ -77,6 +77,20 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mix", "--workload", "lbm_like", "--engine", "batched"],
+        ["frontend", "--engine", "batched"],
+        ["trace", "--workload", "lbm_like", "--engine", "batched"],
+        ["validate", "--prefetcher", "ipcp"],
+        ["chaos"],
+        ["ingest", "chaos"],
+    ])
+    def test_removed_surfaces_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_unknown_workload_exits_nonzero(self, capsys):
         code = main(["run", "--workload", "bogus", "--scale", "0.1"])
         assert code == 2
@@ -97,16 +111,6 @@ class TestTraceFileCommands:
         assert main(["run-trace", "--trace-file", out,
                      "--prefetcher", "ipcp"]) == 0
         assert "speedup" in capsys.readouterr().out
-
-    def test_validate_clean_prefetcher(self, capsys):
-        code = main(["validate", "--prefetcher", "ipcp", "--scale", "0.1"])
-        assert code == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_validate_cross_page_flag(self, capsys):
-        code = main(["validate", "--prefetcher", "isb",
-                     "--allow-cross-page", "--scale", "0.1"])
-        assert code == 0
 
 
 class TestTelemetryCommands:
@@ -256,6 +260,28 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "invariants" in out and "OK" in out
 
+    def test_invariant_phase_honours_prefetchers(self, monkeypatch, capsys):
+        from repro.prefetchers.base import Prefetcher, PrefetchRequest
+        from repro.prefetchers.registry import _REGISTRY
+        from repro.workloads import full_suite
+
+        class Flood(Prefetcher):
+            def __init__(self):
+                super().__init__(name="flood")
+
+            def on_access(self, ctx):
+                return [PrefetchRequest(addr=ctx.addr) for _ in range(100)]
+
+        monkeypatch.setitem(_REGISTRY, "flood", lambda: {"l1": Flood})
+        audit = ["verify", "--skip-oracle", "--skip-golden",
+                 "--skip-cross-engine", "--invariant-scale", "0.02"]
+        assert main(audit + ["--prefetchers", "next_line"]) == 0
+        cells = len(full_suite(scale=0.02))
+        assert (f"OK — {cells} (prefetcher, trace) cells"
+                in capsys.readouterr().out)
+        assert main(audit + ["--prefetchers", "flood"]) == 1
+        assert "burst_bound" in capsys.readouterr().out
+
     def test_golden_update_then_verify_roundtrip(self, tmp_path, capsys):
         baseline = str(tmp_path / "golden.json")
         assert self._write_baseline(baseline, tmp_path) == 0
@@ -377,27 +403,3 @@ class TestResilienceOptions:
                      "--no-cache"])
         assert code == 0
         assert "speedup" in capsys.readouterr().out
-
-
-class TestChaosCommand:
-    def test_chaos_proof_transient_and_corrupt(self, capsys):
-        # Serial, crash/hang-free schedule keeps this test fast while
-        # still exercising injected transients, cache corruption, and
-        # the bit-identical recovery proof end to end.
-        code = main(["chaos", "--workloads", "bwaves_like",
-                     "--prefetchers", "none,ipcp", "--scale", "0.05",
-                     "--jobs", "1", "--crash-rate", "0",
-                     "--hang-rate", "0", "--transient-rate", "1.0",
-                     "--corrupt-rate", "1.0", "--retries", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "chaos proof OK" in out
-        assert "bit-identical" in out
-        assert "transient retries" in out
-        assert "corrupt entries detected & evicted" in out
-
-    def test_chaos_rejects_bad_rates(self, capsys):
-        code = main(["chaos", "--crash-rate", "0.9",
-                     "--transient-rate", "0.9", "--scale", "0.05"])
-        assert code == ConfigurationError.exit_code
-        assert "sum" in capsys.readouterr().err

@@ -4,8 +4,7 @@ The ITLB model (hit/miss/page-crossing semantics, prefetch fills,
 capacity), the L1-I presence model, IPCP-I stepped in lockstep against
 its naive oracle (repro.verify.frontend_oracle), MANA-lite's
 record-and-replay contract, cross-process trace determinism, the
-frontend invariant sweep, the registry, and the engine's recorded
-scalar fallback.
+frontend invariant sweep and the registry.
 """
 
 import subprocess
@@ -23,7 +22,6 @@ from repro.frontend import (
     ManaLitePrefetcher,
     NextLineIPrefetcher,
     available_frontend_prefetchers,
-    get_frontend_run_info,
     make_frontend_prefetcher,
     simulate_frontend,
 )
@@ -327,17 +325,6 @@ class TestFrontendEngine:
         # the steady-state ROI misses less than the whole run
         cold = simulate_frontend(trace, warmup=0)
         assert warm.l1i_mpki <= cold.l1i_mpki
-
-    def test_batched_falls_back_with_reason(self):
-        trace = frontend_trace("interpreter_like", 0.05)
-        scalar = simulate_frontend(trace, engine="scalar")
-        batched = simulate_frontend(trace, engine="batched")
-        info = get_frontend_run_info()
-        assert scalar == batched
-        assert info["engine"] == "scalar" and not info["fused"]
-        assert "no batched kernel" in info["support_reason"]
-        with pytest.raises(ConfigurationError):
-            simulate_frontend(trace, engine="vectorized")
 
     def test_params_validation(self):
         with pytest.raises(ConfigurationError):

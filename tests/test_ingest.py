@@ -554,10 +554,11 @@ class TestInputFaultChaos:
         assert list(faulted) == expected
         assert report.skipped == corruption.injected_faults
 
-    def test_quarantine_decision_streams_match_on_both_engines(self):
+    def test_quarantine_decision_streams_match_clean_run(self):
         # The full contract: a quarantine-mode run of the corrupted
         # trace makes the same prefetch decisions, event for event, as
-        # a clean run of clean-minus-victims — on both engines.
+        # a clean run of clean-minus-victims.  A telemetry run always
+        # takes the scalar engine, so one run per trace covers it.
         from repro.runner.job import execute_job, trace_job
         from repro.telemetry import events_digest
 
@@ -571,14 +572,11 @@ class TestInputFaultChaos:
         expected = Trace([record for index, record
                           in enumerate(clean_trace)
                           if index not in victims], name="chaos")
-        for engine in ("scalar", "batched"):
-            digests = [
-                events_digest(
-                    execute_job(trace_job(trace, "ipcp",
-                                          engine=engine)).events)
-                for trace in (expected, faulted)
-            ]
-            assert digests[0] == digests[1], engine
+        digests = [
+            events_digest(execute_job(trace_job(trace, "ipcp")).events)
+            for trace in (expected, faulted)
+        ]
+        assert digests[0] == digests[1]
 
     def test_binary_corruption_is_detected(self, tmp_path):
         path = str(tmp_path / "t.rib")

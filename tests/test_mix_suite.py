@@ -2,9 +2,8 @@
 
 Determinism (identical mix traces across builds and across processes,
 stable content-addressed cache keys for GAP/STREAM traces), the
-mix1 -> mix7 MPKI gradient at test scale, the weighted-speedup
-degenerate-core guards, and the recorded (not silent) scalar-engine
-fallback for multicore mixes.
+mix1 -> mix7 MPKI gradient at test scale, and the weighted-speedup
+degenerate-core guards.
 """
 
 import subprocess
@@ -13,14 +12,9 @@ import sys
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import SimulationRunner, levels_job, mix_job
+from repro.runner import SimulationRunner, levels_job
 from repro.runner.job import trace_signature
-from repro.sim.multicore import (
-    MIX_SCALAR_REASON,
-    MixResult,
-    get_last_mix_run_info,
-    simulate_mix,
-)
+from repro.sim.multicore import MixResult
 from repro.workloads import (
     GRADED_MIXES,
     graded_mix,
@@ -111,36 +105,3 @@ class TestWeightedSpeedupGuards:
         assert result.weighted_speedup == pytest.approx(0.75)
         assert result.per_core_speedup == [
             pytest.approx(0.5), pytest.approx(0.25)]
-
-
-class TestEngineFallback:
-    def test_batched_request_falls_back_with_reason(self):
-        traces = graded_mix("mix1", 0.02)
-        result = simulate_mix(traces, warmup=200, roi=500,
-                              engine="batched")
-        assert result.engine == "scalar"
-        assert result.engine_reason == MIX_SCALAR_REASON
-        info = get_last_mix_run_info()
-        assert info["requested"] == "batched"
-        assert info["engine"] == "scalar"
-        assert info["reason"] == MIX_SCALAR_REASON
-        assert info["cores"] == 4
-
-    def test_scalar_request_records_no_reason(self):
-        traces = graded_mix("mix1", 0.02)
-        result = simulate_mix(traces, warmup=200, roi=500,
-                              engine="scalar")
-        assert result.engine == "scalar"
-        assert result.engine_reason is None
-        assert get_last_mix_run_info()["reason"] is None
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            simulate_mix(graded_mix("mix1", 0.02), engine="quantum")
-
-    def test_mix_job_engine_salts_the_cache_key(self):
-        traces = graded_mix("mix1", 0.02)
-        scalar = mix_job(traces, "none", warmup=200, roi=500)
-        batched = mix_job(traces, "none", warmup=200, roi=500,
-                          engine="batched")
-        assert scalar.cache_key() != batched.cache_key()

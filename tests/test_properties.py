@@ -177,11 +177,11 @@ class TestTraceProperties:
                   st.integers(min_value=0, max_value=1)),
         min_size=1, max_size=50))
     def test_serialisation_roundtrip(self, records, tmp_path_factory):
-        from repro.sim.trace import load_trace, save_trace
+        from repro.ingest import ingest_binary, write_binary
         trace = Trace(records)
-        path = str(tmp_path_factory.mktemp("traces") / "t.bin")
-        save_trace(trace, path)
-        assert list(load_trace(path)) == list(trace)
+        path = str(tmp_path_factory.mktemp("traces") / "t.rib")
+        write_binary(trace, path)
+        assert list(ingest_binary(path)[0]) == list(trace)
 
 
 # --------------------------------------------------------------------- #

@@ -2,21 +2,21 @@
 
 Hypothesis generates arbitrary access sequences; every registered
 prefetcher must keep its request contract (no crashes, legal addresses,
-9-bit metadata, bounded bursts) no matter what it observes — the same
-audit `python -m repro validate` runs, driven by random inputs.
+9-bit metadata, bounded bursts) no matter what it observes — the
+:func:`repro.verify.invariants.check_invariants` audit that
+``repro verify`` runs, driven by random inputs.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.validate import check_prefetcher
 from repro.prefetchers import make_prefetcher
 from repro.sim.trace import LOAD, STORE, Trace
+from repro.verify.invariants import CROSS_PAGE_PREFETCHERS, check_invariants
 
 # Keep a fast, representative subset for fuzzing (the full registry is
 # covered deterministically in test_validate.py).
 FUZZED = ["ipcp", "spp_l1", "bop", "mlop_l1", "bingo_l1", "vldp",
           "sandbox", "tskid_l1", "dol_l1"]
-CROSS_PAGE_OK = {"isb", "domino", "triage"}
 
 records = st.lists(
     st.tuples(
@@ -37,10 +37,12 @@ def test_fuzzed_access_streams_keep_the_contract(data):
     for name in FUZZED:
         config = make_prefetcher(name)
         for level, factory in config.items():
-            report = check_prefetcher(
-                factory(), trace, allow_cross_page=name in CROSS_PAGE_OK
+            report = check_invariants(
+                factory(), trace,
+                allow_cross_page=name in CROSS_PAGE_PREFETCHERS,
+                with_feedback=False,
             )
-            assert report.ok, (name, level, report.by_kind())
+            assert report.ok, (name, level, report.describe())
 
 
 @settings(deadline=None, max_examples=15)

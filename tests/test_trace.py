@@ -9,9 +9,7 @@ from repro.sim.trace import (
     OTHER,
     STORE,
     Trace,
-    load_trace,
     normalize_record,
-    save_trace,
     validate_record,
 )
 
@@ -97,26 +95,13 @@ class TestTraceContainer:
 
 class TestSerialisation:
     def test_roundtrip(self, tmp_path):
+        from repro.ingest import ingest_binary, write_binary
+
         trace = Trace(
             [(LOAD, 0x400, 0x1000, 1), (OTHER, 0x404, 0, 0)], name="rt"
         )
-        path = str(tmp_path / "trace.bin")
-        save_trace(trace, path)
-        loaded = load_trace(path, name="rt")
+        path = str(tmp_path / "trace.rib")
+        write_binary(trace, path)
+        loaded, _ = ingest_binary(path, name="rt")
         assert list(loaded) == list(trace)
         assert loaded.name == "rt"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(TraceError):
-            load_trace(str(path))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        trace = Trace([(LOAD, 0x400, 0x1000, 0)] * 4)
-        path = str(tmp_path / "trunc.bin")
-        save_trace(trace, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-5])
-        with pytest.raises(TraceError):
-            load_trace(path)

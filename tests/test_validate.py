@@ -1,22 +1,30 @@
-"""Tests for the prefetcher validation harness — including running it
-over every registered prefetcher as a library-wide contract check."""
+"""The prefetcher request contract, audited over whole traces by
+:func:`repro.verify.invariants.check_invariants` — including every
+registered prefetcher as a library-wide check.
+
+``with_feedback=False`` drives the prefetcher with demand accesses
+only, as a cache level would before any fill arrives.
+"""
 
 import pytest
 
-from repro.analysis.validate import check_prefetcher
 from repro.prefetchers import available_prefetchers, make_prefetcher
 from repro.prefetchers.base import Prefetcher, PrefetchRequest
+from repro.verify.invariants import CROSS_PAGE_PREFETCHERS, check_invariants
 from repro.workloads import spec_trace
 
-# Temporal prefetchers predict physical successors and may cross pages.
-CROSS_PAGE_OK = {"isb", "domino", "triage", "ipcp_temporal"}
+
+def audit(prefetcher, trace, allow_cross_page=False):
+    return check_invariants(prefetcher, trace,
+                            allow_cross_page=allow_cross_page,
+                            with_feedback=False)
 
 
 class TestHarness:
     def test_clean_prefetcher_passes(self):
         config = make_prefetcher("ipcp")
-        report = check_prefetcher(config["l1"](), spec_trace("lbm_like", 0.1))
-        assert report.ok, report.by_kind()
+        report = audit(config["l1"](), spec_trace("lbm_like", 0.1))
+        assert report.ok, report.describe()
         assert report.accesses > 0
 
     def test_page_crossing_detected(self):
@@ -27,9 +35,10 @@ class TestHarness:
             def on_access(self, ctx):
                 return [PrefetchRequest(addr=ctx.addr + 8192)]
 
-        report = check_prefetcher(Crosser(), spec_trace("lbm_like", 0.05))
+        report = audit(Crosser(), spec_trace("lbm_like", 0.05))
         assert not report.ok
-        assert report.by_kind().get("page_cross", 0) > 0
+        assert any(v.invariant == "page_containment"
+                   for v in report.violations)
 
     def test_cross_page_can_be_allowed(self):
         class Crosser(Prefetcher):
@@ -39,8 +48,8 @@ class TestHarness:
             def on_access(self, ctx):
                 return [PrefetchRequest(addr=ctx.addr + 8192)]
 
-        report = check_prefetcher(Crosser(), spec_trace("lbm_like", 0.05),
-                                  allow_cross_page=True)
+        report = audit(Crosser(), spec_trace("lbm_like", 0.05),
+                       allow_cross_page=True)
         assert report.ok
 
     def test_bad_metadata_detected(self):
@@ -51,33 +60,9 @@ class TestHarness:
             def on_access(self, ctx):
                 return [PrefetchRequest(addr=ctx.addr + 64, metadata=4096)]
 
-        report = check_prefetcher(WideMeta(), spec_trace("lbm_like", 0.05))
-        assert report.by_kind().get("metadata_width", 0) > 0
-
-    def test_exceptions_are_captured(self):
-        class Broken(Prefetcher):
-            def __init__(self):
-                super().__init__(name="broken")
-
-            def on_access(self, ctx):
-                raise RuntimeError("boom")
-
-        report = check_prefetcher(Broken(), spec_trace("lbm_like", 0.05))
-        assert report.by_kind().get("exception", 0) > 0
-
-    def test_runaway_burst_detected(self):
-        class Flood(Prefetcher):
-            def __init__(self):
-                super().__init__(name="flood")
-
-            def on_access(self, ctx):
-                line = ctx.addr >> 6
-                page_base = (line // 64) * 64
-                return [PrefetchRequest(addr=(page_base) << 6)
-                        for _ in range(100)]
-
-        report = check_prefetcher(Flood(), spec_trace("lbm_like", 0.05))
-        assert report.by_kind().get("burst", 0) > 0
+        report = audit(WideMeta(), spec_trace("lbm_like", 0.05))
+        assert any(v.invariant == "metadata_width"
+                   for v in report.violations)
 
 
 @pytest.mark.parametrize("name", [
@@ -87,7 +72,7 @@ def test_every_registered_prefetcher_honours_the_contract(name):
     """Library-wide audit: all shipped prefetchers obey the rules."""
     config = make_prefetcher(name)
     trace = spec_trace("roms_like", 0.1)
-    allow = name in CROSS_PAGE_OK
+    allow = name in CROSS_PAGE_PREFETCHERS
     for level, factory in config.items():
-        report = check_prefetcher(factory(), trace, allow_cross_page=allow)
-        assert report.ok, (name, level, report.by_kind())
+        report = audit(factory(), trace, allow_cross_page=allow)
+        assert report.ok, (name, level, report.describe())

@@ -141,6 +141,25 @@ class _WireMinusSixtyFour(Prefetcher):
         return [PrefetchRequest(addr=ctx.addr, metadata=packet)]
 
 
+class _Broken(Prefetcher):
+    def __init__(self):
+        super().__init__(name="broken")
+
+    def on_access(self, ctx):
+        raise RuntimeError("boom")
+
+
+class _Flood(Prefetcher):
+    """One access, 100 in-page requests: past the burst bound."""
+
+    def __init__(self):
+        super().__init__(name="flood")
+
+    def on_access(self, ctx):
+        page_base = (ctx.addr >> 12) << 12
+        return [PrefetchRequest(addr=page_base) for _ in range(100)]
+
+
 class TestInvariantChecker:
     def test_ipcp_l1_runs_clean_with_feedback(self):
         report = check_invariants(IpcpL1(), spec_trace("bwaves_like", 0.15))
@@ -171,6 +190,16 @@ class TestInvariantChecker:
         checker = InvariantChecker(_WireMinusSixtyFour())
         checker.on_access(_ctx(1, 0x1000))
         assert checker.by_invariant().get("stride_saturation") == 1
+
+    def test_exceptions_are_captured(self):
+        checker = InvariantChecker(_Broken())
+        assert checker.on_access(_ctx(1, 0x1000)) == []
+        assert checker.by_invariant().get("no_exceptions") == 1
+
+    def test_runaway_burst_flagged(self):
+        checker = InvariantChecker(_Flood())
+        checker.on_access(_ctx(1, 0x1000))
+        assert checker.by_invariant() == {"burst_bound": 1}
 
     def test_strict_mode_raises(self):
         checker = InvariantChecker(_CrossPage(), strict=True)
