@@ -11,7 +11,6 @@ Examples::
                           --workloads lbm_like,bwaves_like
     python -m repro analyze --workload mcf_i_like
     python -m repro mix --workload lbm_like --cores 4 --prefetcher ipcp
-    python -m repro trace --workload bwaves_like --out events.jsonl
     python -m repro profile --workload mcf_i_like --top 15
 
 Simulation commands accept ``--jobs N`` to fan cells out across worker
@@ -23,8 +22,8 @@ Execution is fault-tolerant (docs/resilience.md): ``--retries N``
 bounds the attempt budget for transient failures, ``--timeout SEC``
 kills and retries overdue jobs, ``--journal PATH`` checkpoints resolved
 cells so an interrupted run (Ctrl-C exits 130 after flushing the
-journal) resumes with zero recomputation, and ``--degraded`` renders
-``FAILED(reason)`` cells instead of aborting.
+journal) resumes with zero recomputation, and ``--degraded`` (``compare``
+and ``sweep`` only) renders ``FAILED(reason)`` cells instead of aborting.
 """
 
 from __future__ import annotations
@@ -448,87 +447,6 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _class_label(class_id: int) -> str:
-    from repro.core.ipcp_l1 import PfClass
-
-    try:
-        return PfClass(class_id).name.lower()
-    except ValueError:
-        return f"class{class_id}"
-
-
-def _print_stream_summary(summary, source: str) -> None:
-    rows = [[kind, count] for kind, count in summary.kinds]
-    print(format_table(["event kind", "count"], rows,
-                       title=f"{source}: {summary.total} events"))
-    per_class = [
-        [level, _class_label(cls), count, "issue"]
-        for level, cls, count in summary.issued_by_class
-    ] + [
-        [level, _class_label(cls), count, "useful"]
-        for level, cls, count in summary.useful_by_class
-    ]
-    if per_class:
-        print(format_table(["level", "class", "count", "kind"], per_class,
-                           title="Per-class prefetch events"))
-    if summary.drops_by_reason:
-        rows = [[reason, count]
-                for reason, count in summary.drops_by_reason]
-        print(format_table(["drop reason", "count"], rows,
-                           title="Dropped candidates"))
-    if summary.meta_by_class:
-        rows = [[name, count] for name, count in summary.meta_by_class]
-        print(format_table(["metadata class", "count"], rows,
-                           title="L1->L2 metadata packets decoded"))
-
-
-def _write_events(path: str, events) -> None:
-    from repro.telemetry.export import write_events_csv, write_events_jsonl
-
-    if path.endswith(".csv"):
-        write_events_csv(path, events)
-    else:
-        write_events_jsonl(path, events)
-    print(f"wrote {len(events)} events to {path}")
-
-
-def cmd_trace(args) -> int:
-    """Record the decision-level event stream for one run."""
-    from repro.runner import trace_job
-    from repro.telemetry import reconcile, summarize
-    from repro.telemetry.export import read_events_jsonl
-
-    from repro.telemetry.export import events_digest
-
-    if args.replay:
-        events = read_events_jsonl(args.replay)
-        _print_stream_summary(summarize(events), args.replay)
-        print(f"events digest: {events_digest(events)}")
-        if args.out:
-            _write_events(args.out, events)
-        return 0
-
-    if not args.workload:
-        raise ReproError("trace needs --workload (or --replay FILE)")
-    trace = build_trace(args.workload, args.scale)
-    spec = trace_job(trace, args.prefetcher)
-    traced = make_backend(args).run([spec])[0]
-    events = list(traced.events)
-    _print_stream_summary(summarize(events),
-                          f"{trace.name}/{args.prefetcher}")
-    print(f"events digest: {events_digest(events)}")
-    if args.out:
-        _write_events(args.out, events)
-    mismatches = reconcile(events, traced.result)
-    for mismatch in mismatches:
-        print(f"RECONCILE MISMATCH: {mismatch}")
-    if mismatches:
-        return 1
-    print("reconcile OK: per-class issue/useful events match the "
-          "hierarchy's counters exactly")
-    return 0
-
-
 def cmd_profile(args) -> int:
     """cProfile the simulator hot loop per phase."""
     from repro.runner.job import levels_job
@@ -734,10 +652,6 @@ def add_runner_options(parser: argparse.ArgumentParser) -> None:
                         help="checkpoint journal: record resolved cells "
                              "so an interrupted run resumes with zero "
                              "recomputation")
-    parser.add_argument("--degraded", action="store_true",
-                        help="render FAILED(reason) cells for jobs that "
-                             "exhaust their retry budget instead of "
-                             "aborting the run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -799,6 +713,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
+    # Only the table commands can render a failed cell; every other
+    # command would read a JobFailure as a result.
+    for table in (compare, sweep):
+        table.add_argument("--degraded", action="store_true",
+                           help="render FAILED(reason) cells for jobs that "
+                                "exhaust their retry budget instead of "
+                                "aborting the run")
+
     analyze = sub.add_parser("analyze", help="Section III pattern profile")
     analyze.add_argument("--workload", required=True)
     analyze.add_argument("--scale", type=float, default=0.4)
@@ -854,23 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the golden-stats regression")
     add_runner_options(verify)
     verify.set_defaults(func=cmd_verify)
-
-    trace_cmd = sub.add_parser(
-        "trace",
-        help="record the prefetcher's decision-level event stream "
-             "(classify/issue/drop/useful/epoch/meta) and reconcile it "
-             "against the run's counters (see docs/observability.md)")
-    trace_cmd.add_argument("--workload", default=None)
-    trace_cmd.add_argument("--prefetcher", default="ipcp")
-    trace_cmd.add_argument("--scale", type=float, default=0.2)
-    trace_cmd.add_argument("--out", default=None, metavar="PATH",
-                           help="write the event stream (.jsonl canonical, "
-                                ".csv flat)")
-    trace_cmd.add_argument("--replay", default=None, metavar="PATH",
-                           help="summarize a previously written JSONL "
-                                "event stream instead of simulating")
-    add_runner_options(trace_cmd)
-    trace_cmd.set_defaults(func=cmd_trace)
 
     profile = sub.add_parser(
         "profile",

@@ -31,18 +31,6 @@ from repro.prefetchers.base import (
     Prefetcher,
     PrefetchRequest,
 )
-from repro.telemetry import (
-    CLASSIFY,
-    DROP,
-    DROP_PAGE,
-    DROP_THROTTLE,
-    EPOCH,
-    ISSUE,
-    NULL_RECORDER,
-    USEFUL,
-    Event,
-    Recorder,
-)
 
 # Table I: IP table (36 b x 64) + CSPT (9 b x 128) + RST (53 b x 8)
 # + 2 class bits x 768 L1 lines + RR filter (12 b x 32) = 5800 bits,
@@ -108,8 +96,7 @@ class IpcpConfig:
 class IpcpL1(Prefetcher):
     """The L1-D bouquet: CS + CPLX + GS + tentative NL."""
 
-    def __init__(self, config: IpcpConfig | None = None,
-                 recorder: Recorder | None = None) -> None:
+    def __init__(self, config: IpcpConfig | None = None) -> None:
         cfg = config or IpcpConfig()
         # Declared storage follows the configured geometry (Table I
         # recomputation), so resized-table variants stay honest under
@@ -139,33 +126,6 @@ class IpcpL1(Prefetcher):
             )
             self.throttles[PfClass.TS] = ClassThrottle(cfg.temporal_degree)
             self.storage_bits += self.temporal.storage_bits
-        # Telemetry (observational only; never feeds back into decisions).
-        # _cur_ip/_cur_cycle snapshot the triggering demand access so the
-        # cache's fill/hit feedback can be attributed; _class_of_ip
-        # remembers each IP's last winning class for (re)classification
-        # events and is only populated while a live recorder is attached.
-        self._cur_ip = 0
-        self._cur_cycle = 0
-        self._class_of_ip: dict[int, int] = {}
-        self.attach_recorder(recorder if recorder is not None
-                             else NULL_RECORDER)
-
-    def attach_recorder(self, recorder: Recorder) -> None:
-        """Wire ``recorder`` into the bouquet, RR filter and throttles."""
-        self.recorder = recorder
-        self.rr_filter.recorder = recorder
-        for pf_class, throttle in self.throttles.items():
-            throttle.on_epoch = self._epoch_hook(pf_class)
-
-    def _epoch_hook(self, pf_class: PfClass):
-        def hook(accuracy: float, prev_degree: int, degree: int) -> None:
-            if self.recorder.enabled:
-                self.recorder.emit(Event(
-                    kind=EPOCH, level="l1", cycle=self._cur_cycle,
-                    pf_class=int(pf_class), accuracy=accuracy,
-                    degree=degree, prev_degree=prev_degree,
-                ))
-        return hook
 
     def batch_state(self) -> dict | None:
         """Live state handles for the batched engine (base-class hook).
@@ -175,10 +135,9 @@ class IpcpL1(Prefetcher):
         :mod:`repro.sim.batched` can step them in place, leaving the
         bouquet in exactly the state a scalar run would.  Returns None
         — forcing the scalar fallback — when the temporal extension is
-        enabled or a live recorder is attached, the two features the
-        fused kernel does not replicate.
+        enabled, which the fused kernel does not replicate.
         """
-        if self.temporal is not None or self.recorder.enabled:
+        if self.temporal is not None:
             return None
         return {
             "config": self.config,
@@ -203,11 +162,6 @@ class IpcpL1(Prefetcher):
         """
         if ctx.kind == AccessType.PREFETCH:
             return []
-        if self.recorder.enabled:
-            # Snapshot the trigger so feedback events (issue/useful,
-            # which arrive without an access context) are attributable.
-            self._cur_ip = ctx.ip
-            self._cur_cycle = ctx.cycle
         line = ctx.addr >> 6
         self.rr_filter.insert(line)
 
@@ -298,8 +252,6 @@ class IpcpL1(Prefetcher):
             deltas, meta_stride = self._deltas_for_class(pf_class, entry)
             if pf_class is PfClass.CPLX and not deltas:
                 continue  # CSPT confidence too low: fall through to NL
-            if self.recorder.enabled:
-                self._record_decision(pf_class, first=not claimed)
             requests.extend(self._emit(pf_class, line, deltas, meta_stride))
             claimed = True
             if cfg.throttling and self.throttles[pf_class].low_accuracy:
@@ -311,9 +263,7 @@ class IpcpL1(Prefetcher):
             chain = self.temporal.predict_chain(line)
             metadata = self._metadata_for(PfClass.NL, 0)
             for successor in chain:
-                if self.rr_filter.check_and_insert(
-                    successor, self._cur_ip, int(PfClass.TS), self._cur_cycle
-                ):
+                if self.rr_filter.check_and_insert(successor):
                     continue
                 requests.append(PrefetchRequest(
                     addr=successor << 6,
@@ -321,34 +271,6 @@ class IpcpL1(Prefetcher):
                     pf_class=int(PfClass.TS),
                 ))
         return requests
-
-    def _record_decision(self, pf_class: PfClass, first: bool) -> None:
-        """Telemetry for one class claiming the access (recording only).
-
-        Emits a ``classify`` event when the access's *winning* (first
-        claiming) class differs from the IP's previous winner, and a
-        ``drop``/``throttle`` event when accuracy throttling has pinched
-        the class degree below its default — one event per truncated
-        burst, with ``prev_degree - degree`` candidates suppressed.
-        """
-        rec = self.recorder
-        throttle = self.throttles[pf_class]
-        if self.config.throttling and throttle.degree < throttle.default_degree:
-            rec.emit(Event(
-                kind=DROP, level="l1", cycle=self._cur_cycle,
-                ip=self._cur_ip, pf_class=int(pf_class),
-                reason=DROP_THROTTLE, degree=throttle.degree,
-                prev_degree=throttle.default_degree,
-            ))
-        if first:
-            previous = self._class_of_ip.get(self._cur_ip, 0)
-            if previous != int(pf_class):
-                rec.emit(Event(
-                    kind=CLASSIFY, level="l1", cycle=self._cur_cycle,
-                    ip=self._cur_ip, pf_class=int(pf_class),
-                    prev_class=previous,
-                ))
-                self._class_of_ip[self._cur_ip] = int(pf_class)
 
     def _deltas_for_class(
         self, pf_class: PfClass, entry: IpEntry | None
@@ -372,22 +294,12 @@ class IpcpL1(Prefetcher):
     ) -> list[PrefetchRequest]:
         page = line // LINES_PER_PAGE
         metadata = self._metadata_for(pf_class, meta_stride)
-        rec = self.recorder
-        rec_on = rec.enabled
         requests = []
         for delta in deltas:
             target = line + delta
             if target // LINES_PER_PAGE != page or target < 0:
-                if rec_on:
-                    rec.emit(Event(
-                        kind=DROP, level="l1", cycle=self._cur_cycle,
-                        ip=self._cur_ip, addr=target << 6 if target >= 0 else 0,
-                        pf_class=int(pf_class), reason=DROP_PAGE,
-                    ))
                 continue  # spatial prefetcher: never cross the page
-            if self.rr_filter.check_and_insert(
-                target, self._cur_ip, int(pf_class), self._cur_cycle
-            ):
+            if self.rr_filter.check_and_insert(target):
                 self.bump("rr_filter_drops")
                 continue
             requests.append(
@@ -415,25 +327,12 @@ class IpcpL1(Prefetcher):
 
     def on_prefetch_fill(self, addr: int, pf_class: int) -> None:
         """Count a filled prefetch toward its class's throttle epoch."""
-        if self.recorder.enabled:
-            # The cache calls this exactly when it counts an issued-and-
-            # filled prefetch, so `issue` events reconcile 1:1 with
-            # `pf_issued_by_class` (IPCP always fills at this level).
-            self.recorder.emit(Event(
-                kind=ISSUE, level="l1", cycle=self._cur_cycle,
-                ip=self._cur_ip, addr=addr, pf_class=pf_class,
-            ))
         throttle = self.throttles.get(PfClass(pf_class))
         if throttle is not None:
             throttle.on_fill()
 
     def on_prefetch_hit(self, addr: int, pf_class: int) -> None:
         """Credit a useful prefetch to its class's accuracy counter."""
-        if self.recorder.enabled:
-            self.recorder.emit(Event(
-                kind=USEFUL, level="l1", cycle=self._cur_cycle,
-                ip=self._cur_ip, addr=addr, pf_class=pf_class,
-            ))
         throttle = self.throttles.get(PfClass(pf_class))
         if throttle is not None:
             throttle.on_hit()

@@ -26,16 +26,6 @@ from repro.prefetchers.base import (
     Prefetcher,
     PrefetchRequest,
 )
-from repro.telemetry import (
-    DROP,
-    DROP_PAGE,
-    ISSUE,
-    META,
-    NULL_RECORDER,
-    USEFUL,
-    Event,
-    Recorder,
-)
 
 # Table I: IP table (19 b x 64) + tentative-NL bit + 10 b miss counter
 # + 10 b instruction counter = 1237 bits.
@@ -61,7 +51,6 @@ class IpcpL2(Prefetcher):
         cs_degree: int = 4,
         gs_degree: int = 4,
         nl_mpki_threshold: float = 40.0,
-        recorder: Recorder | None = None,
     ) -> None:
         super().__init__(name="ipcp_l2", storage_bits=L2_STORAGE_BITS)
         if entries < 1 or cs_degree < 1 or gs_degree < 1:
@@ -73,13 +62,6 @@ class IpcpL2(Prefetcher):
         self._index_mask = entries - 1
         self._tag_mask = (1 << 9) - 1
         self._table = [L2IpEntry() for _ in range(entries)]
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self._cur_ip = 0
-        self._cur_cycle = 0
-
-    def attach_recorder(self, recorder: Recorder) -> None:
-        """Attach a telemetry recorder (observational only)."""
-        self.recorder = recorder
 
     def _split(self, ip: int) -> tuple[int, int]:
         index = ip & self._index_mask
@@ -92,11 +74,8 @@ class IpcpL2(Prefetcher):
         Exposes the bookkeeping IP table (plus its index/tag geometry
         and replay knobs) as direct references so
         :mod:`repro.sim.batched` can decode metadata and replay classes
-        in place.  Returns None — forcing the scalar fallback — while a
-        live recorder is attached.
+        in place.
         """
-        if self.recorder.enabled:
-            return None
         return {
             "table": self._table,
             "index_mask": self._index_mask,
@@ -112,11 +91,8 @@ class IpcpL2(Prefetcher):
 
         The L2 does not re-train: it decodes the 9-bit class/stride
         metadata riding on each L1 prefetch and issues deeper requests
-        along the same pattern, throttled by its own accuracy counters.
+        along the same pattern.
         """
-        if self.recorder.enabled:
-            self._cur_ip = ctx.ip
-            self._cur_cycle = ctx.cycle
         if ctx.kind == AccessType.PREFETCH:
             return self._on_prefetch_arrival(ctx)
         return self._on_demand(ctx)
@@ -137,13 +113,6 @@ class IpcpL2(Prefetcher):
         entry.meta_class = meta_class
         entry.stride = stride
         self.bump(f"decoded_{meta_class.name.lower()}")
-        if self.recorder.enabled:
-            # One event per L1->L2 metadata packet, as decoded.
-            self.recorder.emit(Event(
-                kind=META, level="l2", cycle=ctx.cycle, ip=ctx.ip,
-                addr=ctx.addr, reason=meta_class.name.lower(),
-                stride=stride,
-            ))
         line = ctx.addr >> 6
         if meta_class is MetaClass.CS and stride != 0:
             deltas = [stride * k for k in range(1, self.cs_degree + 1)]
@@ -176,39 +145,10 @@ class IpcpL2(Prefetcher):
         self, line: int, deltas: list[int], pf_class: PfClass
     ) -> list[PrefetchRequest]:
         page = line // LINES_PER_PAGE
-        rec = self.recorder
-        rec_on = rec.enabled
         requests = []
         for delta in deltas:
             target = line + delta
             if target // LINES_PER_PAGE != page or target < 0:
-                if rec_on:
-                    rec.emit(Event(
-                        kind=DROP, level="l2", cycle=self._cur_cycle,
-                        ip=self._cur_ip,
-                        addr=target << 6 if target >= 0 else 0,
-                        pf_class=int(pf_class), reason=DROP_PAGE,
-                    ))
                 continue
             requests.append(PrefetchRequest(addr=target << 6, pf_class=int(pf_class)))
         return requests
-
-    # ------------------------------------------------------------------ #
-    # Feedback from the cache (telemetry only; the L2 has no throttler)
-    # ------------------------------------------------------------------ #
-
-    def on_prefetch_fill(self, addr: int, pf_class: int) -> None:
-        """Count a filled L2 prefetch toward its class's throttle."""
-        if self.recorder.enabled:
-            self.recorder.emit(Event(
-                kind=ISSUE, level="l2", cycle=self._cur_cycle,
-                ip=self._cur_ip, addr=addr, pf_class=pf_class,
-            ))
-
-    def on_prefetch_hit(self, addr: int, pf_class: int) -> None:
-        """Credit a useful L2 prefetch to its class's accuracy."""
-        if self.recorder.enabled:
-            self.recorder.emit(Event(
-                kind=USEFUL, level="l2", cycle=self._cur_cycle,
-                ip=self._cur_ip, addr=addr, pf_class=pf_class,
-            ))

@@ -5,29 +5,20 @@ issuing a prefetch.  Instead a tiny 32-entry filter remembers the
 partial tags of recently seen demand lines and recently generated
 prefetch addresses; a prefetch whose line hits the filter is dropped,
 since the block is almost certainly in the L1 or its MSHRs already.
-
-The filter is a telemetry emitter: when a recorder is attached, every
-drop it causes becomes a ``drop``/``rr_hit`` event carrying the
-triggering IP and prefetch class (see :mod:`repro.telemetry`).  With
-the default null recorder the emission path reduces to one flag test.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.telemetry import DROP, DROP_RR, Event, NULL_RECORDER, Recorder
-
 
 class RrFilter:
     """32-entry FIFO of 12-bit partial line tags."""
 
-    def __init__(self, entries: int = 32, tag_bits: int = 12,
-                 recorder: Recorder | None = None) -> None:
+    def __init__(self, entries: int = 32, tag_bits: int = 12) -> None:
         self.entries = entries
         self._tag_mask = (1 << tag_bits) - 1
         self._fifo: deque[int] = deque(maxlen=entries)
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
 
     def _tag(self, line: int) -> int:
         return (line ^ (line >> 12)) & self._tag_mask
@@ -40,20 +31,10 @@ class RrFilter:
         """Was an aliasing line seen recently? (Prefetch should be dropped.)"""
         return self._tag(line) in self._fifo
 
-    def check_and_insert(self, line: int, ip: int = 0, pf_class: int = 0,
-                         cycle: int = 0) -> bool:
-        """Probe then record; returns True when the prefetch must be dropped.
-
-        ``ip``/``pf_class``/``cycle`` describe the triggering access for
-        telemetry only; they never influence the filter decision.
-        """
+    def check_and_insert(self, line: int) -> bool:
+        """Probe then record; True when the prefetch must be dropped."""
         tag = self._tag(line)
         if tag in self._fifo:
-            if self.recorder.enabled:
-                self.recorder.emit(Event(
-                    kind=DROP, level="l1", cycle=cycle, ip=ip,
-                    addr=line << 6, pf_class=pf_class, reason=DROP_RR,
-                ))
             return True
         self._fifo.append(tag)
         return False

@@ -17,8 +17,7 @@ metadata for the L2 when the class is running above 75% accuracy.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 EPOCH_FILLS = 256
 HIGH_WATERMARK = 0.75
@@ -34,12 +33,6 @@ class ClassThrottle:
     epoch_fills: int = 0
     epoch_hits: int = 0
     accuracy: float = 1.0  # optimistic until the first epoch completes
-    # Telemetry hook: called as on_epoch(accuracy, prev_degree, degree)
-    # after every epoch close.  Purely observational — the controller's
-    # decisions never depend on it.
-    on_epoch: Callable[[float, int, int], None] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.degree == 0:
@@ -56,7 +49,6 @@ class ClassThrottle:
         self.epoch_hits += 1
 
     def _close_epoch(self) -> None:
-        prev_degree = self.degree
         self.accuracy = self.epoch_hits / self.epoch_fills
         if self.accuracy > HIGH_WATERMARK:
             self.degree = min(self.default_degree, self.degree + 1)
@@ -64,8 +56,6 @@ class ClassThrottle:
             self.degree = max(1, self.degree - 1)
         self.epoch_fills = 0
         self.epoch_hits = 0
-        if self.on_epoch is not None:
-            self.on_epoch(self.accuracy, prev_degree, self.degree)
 
     @property
     def low_accuracy(self) -> bool:

@@ -87,7 +87,6 @@ def simulate_frontend(
     prefetcher: Prefetcher | None = None,
     params: FrontendParams | None = None,
     warmup: int | None = None,
-    recorder=None,
 ) -> FrontendResult:
     """Run one trace's instruction stream through the frontend model.
 
@@ -95,12 +94,8 @@ def simulate_frontend(
     data-side :func:`~repro.sim.engine.simulate`); statistics and the
     cycle counter reset at the ROI boundary while all model state
     (cache contents, TLB contents, prefetcher tables) persists.
-    ``recorder``, when given, is attached to the prefetcher for
-    decision-level telemetry.
     """
     params = params or FrontendParams()
-    if recorder is not None and prefetcher is not None:
-        prefetcher.attach_recorder(recorder)
 
     l1i = InstructionCache(params.l1i)
     l2_code = L2CodePresence(params.l2_code_blocks)

@@ -40,17 +40,6 @@ from repro.core.rr_filter import RrFilter
 from repro.core.throttle import ClassThrottle
 from repro.errors import ConfigurationError
 from repro.prefetchers.base import AccessContext, Prefetcher, PrefetchRequest
-from repro.telemetry import (
-    CLASSIFY,
-    DROP,
-    DROP_PAGE,
-    DROP_THROTTLE,
-    EPOCH,
-    Event,
-    ISSUE,
-    NULL_RECORDER,
-    USEFUL,
-)
 
 # Frontend prefetch classes (disjoint from the data-side class codes on
 # purpose: the two hierarchies never exchange metadata).
@@ -164,7 +153,6 @@ class IpcpIPrefetcher(Prefetcher):
         self.config = config or IpcpIConfig()
         super().__init__(name=name, storage_bits=self.config.storage_bits)
         cfg = self.config
-        self.recorder = NULL_RECORDER
         self.rr_filter = RrFilter(cfg.rr_entries, cfg.rr_tag_bits)
         self._bt_index_bits = (cfg.bt_entries - 1).bit_length()
         self._bt_tag_mask = (1 << cfg.bt_tag_bits) - 1
@@ -176,30 +164,12 @@ class IpcpIPrefetcher(Prefetcher):
         # GS-I region stream table, LRU over _RegionEntry.
         self._rst: dict[int, _RegionEntry] = {}
         self._last_block: int | None = None
-        self._last_winner = FE_NONE
         self.throttles = {
             FE_GS: ClassThrottle(cfg.gs_degree),
             FE_CS: ClassThrottle(cfg.cs_degree),
             FE_CPLX: ClassThrottle(cfg.cplx_degree),
             FE_NL: ClassThrottle(cfg.nl_degree),
         }
-
-    def attach_recorder(self, recorder) -> None:
-        """Attach a telemetry recorder (observational only)."""
-        self.recorder = recorder
-        self.rr_filter.recorder = recorder
-        for pf_class, throttle in self.throttles.items():
-            throttle.on_epoch = self._epoch_hook(pf_class)
-
-    def _epoch_hook(self, pf_class: int):
-        def on_epoch(accuracy: float, prev_degree: int, degree: int) -> None:
-            if self.recorder.enabled:
-                self.recorder.emit(Event(
-                    kind=EPOCH, level="l1i", pf_class=pf_class,
-                    accuracy=accuracy, prev_degree=prev_degree,
-                    degree=degree,
-                ))
-        return on_epoch
 
     # ---------------------------------------------------------- training
 
@@ -306,35 +276,20 @@ class IpcpIPrefetcher(Prefetcher):
     # ------------------------------------------------------------ emission
 
     def _emit(self, targets: list[int], pf_class: int, block: int,
-              ctx: AccessContext, out: list[PrefetchRequest]) -> None:
+              out: list[PrefetchRequest]) -> None:
         """Page-policy check + RR filter, then append requests."""
         blind = self.config.page_policy == "blind"
         page = block // BLOCKS_PER_PAGE
         throttle = self.throttles[pf_class]
         if throttle.degree < throttle.default_degree:
             self.bump("throttle_truncations")
-            if self.recorder.enabled:
-                self.recorder.emit(Event(
-                    kind=DROP, level="l1i", cycle=ctx.cycle, ip=ctx.ip,
-                    pf_class=pf_class, reason=DROP_THROTTLE,
-                    degree=throttle.degree,
-                    prev_degree=throttle.default_degree,
-                ))
         for target in targets:
             if target < 0:
                 continue
             if blind and target // BLOCKS_PER_PAGE != page:
                 self.bump("page_drops")
-                if self.recorder.enabled:
-                    self.recorder.emit(Event(
-                        kind=DROP, level="l1i", cycle=ctx.cycle, ip=ctx.ip,
-                        addr=target << 6, pf_class=pf_class,
-                        reason=DROP_PAGE,
-                    ))
                 continue
-            if self.rr_filter.check_and_insert(target, ip=ctx.ip,
-                                               pf_class=pf_class,
-                                               cycle=ctx.cycle):
+            if self.rr_filter.check_and_insert(target):
                 self.bump("rr_filter_drops")
                 continue
             out.append(PrefetchRequest(addr=target << 6, pf_class=pf_class))
@@ -357,25 +312,15 @@ class IpcpIPrefetcher(Prefetcher):
             FE_NL: self._nl_candidates(block, ctx.mpki),
         }
         out: list[PrefetchRequest] = []
-        winner = FE_NONE
         claimed = False
         for pf_class in (FE_GS, FE_CS, FE_CPLX, FE_NL):
             targets = candidates[pf_class]
             if not targets or claimed:
                 continue
-            if winner == FE_NONE:
-                winner = pf_class
-            self._emit(targets, pf_class, block, ctx, out)
+            self._emit(targets, pf_class, block, out)
             # A low-accuracy winner lets the next class try as well.
             if not self.throttles[pf_class].low_accuracy:
                 claimed = True
-        if winner != FE_NONE and winner != self._last_winner:
-            if self.recorder.enabled:
-                self.recorder.emit(Event(
-                    kind=CLASSIFY, level="l1i", cycle=ctx.cycle, ip=ctx.ip,
-                    pf_class=winner, prev_class=self._last_winner,
-                ))
-            self._last_winner = winner
         return out
 
     # ------------------------------------------------------------ feedback
@@ -386,10 +331,6 @@ class IpcpIPrefetcher(Prefetcher):
         if throttle is not None:
             throttle.on_fill()
         self.bump("pf_fills")
-        if self.recorder.enabled:
-            self.recorder.emit(Event(
-                kind=ISSUE, level="l1i", addr=addr, pf_class=pf_class,
-            ))
 
     def on_prefetch_hit(self, addr: int, pf_class: int) -> None:
         """Credit a demand hit on a prefetched block to its class."""
@@ -397,7 +338,3 @@ class IpcpIPrefetcher(Prefetcher):
         if throttle is not None:
             throttle.on_hit()
         self.bump("pf_hits")
-        if self.recorder.enabled:
-            self.recorder.emit(Event(
-                kind=USEFUL, level="l1i", addr=addr, pf_class=pf_class,
-            ))

@@ -51,9 +51,9 @@ def apply_mutation(name: str):
 
     original_init = IpcpL1.__init__
 
-    def mutated_init(self, config=None, recorder=None):
+    def mutated_init(self, config=None):
         config = dataclasses.replace(config or IpcpConfig(), **overrides)
-        original_init(self, config, recorder=recorder)
+        original_init(self, config)
 
     IpcpL1.__init__ = mutated_init
     try:

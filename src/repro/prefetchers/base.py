@@ -95,15 +95,6 @@ class Prefetcher:
         """Increment a named statistic counter."""
         self.stats[counter] = self.stats.get(counter, 0) + amount
 
-    def attach_recorder(self, recorder) -> None:
-        """Attach a :class:`repro.telemetry.Recorder` for decision events.
-
-        The base class ignores it — only prefetchers with decision-level
-        telemetry (IPCP's L1/L2) override this.  Attaching a recorder
-        must never change what a prefetcher *decides*, only what it
-        reports.
-        """
-
     def batch_state(self) -> dict | None:
         """Expose internal state handles for the batched engine.
 

@@ -33,7 +33,6 @@ from repro.runner.job import (
     levels_job,
     mix_job,
     params_fingerprint,
-    trace_job,
     trace_signature,
 )
 from repro.runner.pool import SimulationRunner
@@ -53,6 +52,5 @@ __all__ = [
     "levels_job",
     "mix_job",
     "params_fingerprint",
-    "trace_job",
     "trace_signature",
 ]

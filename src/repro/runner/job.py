@@ -29,7 +29,6 @@ from repro.sim.trace import _RECORD, Trace
 # Kinds of work a job can describe.
 KIND_LEVELS = "levels"  # single-core (trace x registered config) cell
 KIND_ALONE_IPC = "alone-ipc"  # one core alone on the shared multicore system
-KIND_TRACE = "trace"  # a levels cell run with telemetry event recording
 KIND_MIX = "mix"  # an N-core mix of traces under one registered config
 
 _salt_cache: str | None = None
@@ -166,35 +165,6 @@ def levels_job(
     )
 
 
-def trace_job(
-    trace: Trace,
-    config_name: str,
-    params: SystemParams | None = None,
-    warmup: int | None = None,
-    max_instructions: int | None = None,
-) -> JobSpec:
-    """Spec for a levels cell executed with telemetry recording on.
-
-    Identical inputs to :func:`levels_job` but a distinct ``kind``, so a
-    traced run and its plain twin occupy different cache slots: the
-    traced result is a :class:`repro.telemetry.TraceRunResult` (events
-    included) and must never be replayed where a bare ``SimResult`` is
-    expected, or vice versa.  It always runs on the scalar engine: an
-    attached recorder is a configuration the batched engine does not
-    fuse.
-    """
-    return JobSpec(
-        kind=KIND_TRACE,
-        trace_name=trace.name,
-        config_name=config_name,
-        trace_sig=trace_signature(trace),
-        records=tuple(trace),
-        params=params,
-        warmup=warmup,
-        max_instructions=max_instructions,
-    )
-
-
 def mix_job(
     traces: list[Trace],
     config_name: str,
@@ -293,7 +263,7 @@ def execute_job(spec: JobSpec):
             seed=spec.seed,
         )
     trace = spec.build_trace()
-    if spec.kind in (KIND_LEVELS, KIND_TRACE):
+    if spec.kind == KIND_LEVELS:
         from repro.prefetchers import make_prefetcher
         from repro.sim.engine import simulate
 
@@ -302,15 +272,7 @@ def execute_job(spec: JobSpec):
             level: levels[level]() if level in levels else None
             for level in ("l1", "l2", "llc")
         }
-        recorder = None
-        if spec.kind == KIND_TRACE:
-            from repro.telemetry import EventLog, TraceRunResult
-
-            recorder = EventLog()
-            for prefetcher in prefetchers.values():
-                if prefetcher is not None:
-                    prefetcher.attach_recorder(recorder)
-        result = simulate(
+        return simulate(
             trace,
             l1_prefetcher=prefetchers["l1"],
             l2_prefetcher=prefetchers["l2"],
@@ -318,22 +280,8 @@ def execute_job(spec: JobSpec):
             params=spec.params,
             warmup=spec.warmup,
             max_instructions=spec.max_instructions,
-            recorder=recorder,
             engine=spec.engine,
         )
-        if recorder is None:
-            return result
-        traced = TraceRunResult(result=result, events=tuple(recorder.events))
-        # Canonicalise the pickle topology.  The freshly built graph
-        # interns strings like "l1" across the SimResult/Event boundary,
-        # but one process hop re-splits that sharing (key-sharing
-        # instance dicts re-intern dict keys, values keep the wire
-        # copy), so sequential and pooled runs would cache byte-different
-        # pickles of equal objects.  A single dumps/loads is idempotent
-        # under further hops, so both paths now serialise identically.
-        import pickle
-
-        return pickle.loads(pickle.dumps(traced))
     if spec.kind == KIND_ALONE_IPC:
         from repro.sim.multicore import _simulate_together
 

@@ -64,8 +64,8 @@ class SimulationRunner:
     ``jobs`` is the worker-process count (1 = run in this process);
     ``cache`` an optional :class:`ResultCache`.  ``retry`` bounds the
     attempt budget for transient failures and timeouts; ``timeout`` is
-    the per-job wall-clock deadline in seconds (enforced only with
-    ``jobs >= 2`` — an in-process job cannot be preempted).  ``journal``
+    the per-job wall-clock deadline in seconds (it needs ``jobs >= 2``
+    — an in-process job cannot be preempted, so it is rejected).  ``journal``
     checkpoints resolutions for resume; ``degraded`` turns terminal
     failures into :class:`JobFailure` cells instead of exceptions.
     ``execute`` swaps the execution function (``fn(spec, attempt)``) —
@@ -90,6 +90,9 @@ class SimulationRunner:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
         if timeout is not None and timeout <= 0:
             raise ReproError(f"timeout must be positive, got {timeout}")
+        if timeout is not None and jobs == 1:
+            raise ReproError("timeout needs jobs >= 2: an in-process job "
+                             "cannot be preempted")
         self.jobs = jobs
         self.cache = cache
         self.retry = retry if retry is not None else RetryPolicy()

@@ -26,11 +26,11 @@ three layers:
    end-of-run prefetcher state matches a scalar run bit for bit.
 
 Configurations the fused loop does not model (custom hierarchies,
-telemetry recorders, non-LRU replacement, non-IPCP prefetchers, the
-temporal extension, a trace whose fields do not fit the columnar
-decode) transparently fall back to the scalar engine —
-:func:`support_reason` alone makes that decision and names the reason,
-and the returned ``SimResult.engine`` says which path actually ran.
+non-LRU replacement, non-IPCP prefetchers, the temporal extension, a
+trace whose fields do not fit the columnar decode) transparently fall
+back to the scalar engine — :func:`support_reason` alone makes that
+decision and names the reason, and the returned ``SimResult.engine``
+says which path actually ran.
 The scalar engine stays the differential oracle: results must be
 bit-identical (``SimResult.__eq__``) for every supported configuration,
 which ``repro verify`` checks via :mod:`repro.verify.cross_engine`.
@@ -89,19 +89,18 @@ def support_reason(
     llc_prefetcher: Prefetcher | None,
     params: SystemParams,
     hierarchy,
-    recorder,
+    _unused=None,  # ignored; benchmarks/perf/harness.py passes seven args
 ) -> str | None:
     """Why this configuration needs the scalar engine (None = fused OK).
 
     The fused loop replicates the default single-core stack: built-in
     hierarchy, LRU replacement everywhere, IPCP (or nothing) at
-    L1/L2, no LLC prefetcher, no telemetry recorder, and a trace that
-    decodes into columns.  Everything else returns a human-readable
-    reason and the caller falls back to
-    :func:`repro.sim.engine.simulate` for the whole run — engines are
-    never mixed within one simulation.  The columnar decode is
-    memoized on the trace, so checking it here costs the fused run
-    nothing extra.
+    L1/L2, no LLC prefetcher, and a trace that decodes into columns.
+    Everything else returns a human-readable reason and the caller
+    falls back to :func:`repro.sim.engine.simulate` for the whole run
+    — engines are never mixed within one simulation.  The columnar
+    decode is memoized on the trace, so checking it here costs the
+    fused run nothing extra.
     """
     # Deferred import: ipcp modules import prefetchers.base, which this
     # module also imports; binding lazily keeps the import graph simple.
@@ -110,8 +109,6 @@ def support_reason(
 
     if hierarchy is not None:
         return "caller-supplied hierarchy"
-    if recorder is not None:
-        return "telemetry recorder attached"
     for name in ("l1d", "l2", "llc"):
         if getattr(params, name).replacement != "lru":
             return f"{name} replacement policy is not lru"
@@ -121,12 +118,10 @@ def support_reason(
         if type(l1_prefetcher) is not IpcpL1:
             return f"l1 prefetcher {l1_prefetcher.name!r} has no batch kernel"
         if l1_prefetcher.batch_state() is None:
-            return "l1 ipcp declined batch stepping (temporal/recorder)"
+            return "l1 ipcp declined batch stepping (temporal)"
     if not _inert(l2_prefetcher):
         if type(l2_prefetcher) is not IpcpL2:
             return f"l2 prefetcher {l2_prefetcher.name!r} has no batch kernel"
-        if l2_prefetcher.batch_state() is None:
-            return "l2 ipcp declined batch stepping (recorder)"
     try:
         trace.columns()
     except TraceError as error:
@@ -559,7 +554,6 @@ def simulate_batched(
     warmup: int | None = None,
     max_instructions: int | None = None,
     hierarchy=None,
-    recorder=None,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> SimResult:
     """Run one trace through the fused columnar engine.
@@ -581,11 +575,11 @@ def simulate_batched(
         raise ConfigurationError("chunk_records must be >= 1")
     params = params or SystemParams()
     if support_reason(trace, l1_prefetcher, l2_prefetcher, llc_prefetcher,
-                      params, hierarchy, recorder) is not None:
+                      params, hierarchy) is not None:
         return simulate(trace, l1_prefetcher, l2_prefetcher, llc_prefetcher,
                         params=params, warmup=warmup,
                         max_instructions=max_instructions,
-                        hierarchy=hierarchy, recorder=recorder)
+                        hierarchy=hierarchy)
     cols = trace.columns()
 
     n = len(trace)

@@ -123,7 +123,6 @@ def simulate(
     warmup: int | None = None,
     max_instructions: int | None = None,
     hierarchy: Hierarchy | None = None,
-    recorder=None,
     engine: str = "scalar",
 ) -> SimResult:
     """Run one trace through one prefetcher configuration.
@@ -131,12 +130,6 @@ def simulate(
     ``warmup`` defaults to 20% of the trace; ``max_instructions`` caps
     the ROI length.  A pre-built ``hierarchy`` may be supplied (used by
     the multicore engine and by tests that inspect internals).
-
-    ``recorder`` is an optional :class:`repro.telemetry.Recorder`
-    already attached to the prefetchers; it is reset at the end of
-    warm-up, alongside the statistics, so the recorded event stream
-    covers exactly the measured ROI and reconciles against the
-    returned counters.
 
     ``engine`` selects the execution strategy: ``"scalar"`` (this
     per-record loop, the reference semantics) or ``"batched"``, which
@@ -157,7 +150,7 @@ def simulate(
             trace, l1_prefetcher, l2_prefetcher, llc_prefetcher,
             params=params, warmup=warmup,
             max_instructions=max_instructions,
-            hierarchy=hierarchy, recorder=recorder,
+            hierarchy=hierarchy,
         )
     params = params or SystemParams()
     if hierarchy is None:
@@ -174,8 +167,6 @@ def simulate(
 
     cpu.run(trace[:warmup])
     hierarchy.reset_stats()
-    if recorder is not None:
-        recorder.reset()
     roi_start_instr, roi_start_cycle = cpu.mark()
 
     roi_records = trace[warmup:]

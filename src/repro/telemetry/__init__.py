@@ -1,73 +1,6 @@
-"""Decision-level observability for the IPCP stack.
+"""Profiling of the simulator hot path.
 
-The simulator's aggregate counters (``pf_issued``, coverage, MPKI) say
-*how much* a prefetcher helped; they cannot say *why* — which IP was
-classified into which class, why a candidate prefetch was dropped, when
-an epoch's accuracy forced the throttler to back off.  The paper's
-per-class evaluation (Fig. 12's class contributions, Fig. 13's
-utility/priority ablations, Table IV) is exactly this decision-level
-view, so this package makes it a first-class artifact:
-
-* :class:`Recorder` — the protocol every component emits through.  The
-  default is the shared :data:`NULL_RECORDER` whose ``enabled`` flag is
-  False; hot paths guard every emission with that flag, so a simulation
-  without recording runs the exact pre-telemetry instruction stream and
-  produces bit-identical statistics.
-* :class:`Event` — one typed, flat, picklable record per decision:
-  ``classify`` / ``issue`` / ``drop`` / ``useful`` / ``epoch`` /
-  ``meta`` (see :mod:`repro.telemetry.events` for the schema).
-* :class:`EventLog` — the in-memory recorder used by the ``trace`` job
-  kind and the ``repro trace`` CLI; its event stream reconciles
-  *exactly* against the cache hierarchy's per-class counters
-  (:func:`reconcile`).
-* :mod:`repro.telemetry.export` — JSONL/CSV event-stream exporters.
-* :mod:`repro.telemetry.profiling` — cProfile-based per-phase
-  (warm-up vs ROI) profiles of the simulator hot path.
-
-See ``docs/observability.md`` for the full event schema and CLI
-examples.
+:mod:`repro.telemetry.profiling` wraps each phase (warm-up, ROI) of a
+single-core run in its own cProfile and returns per-function rows; the
+``repro profile`` subcommand renders them.  See ``docs/observability.md``.
 """
-
-from repro.telemetry.export import events_digest
-from repro.telemetry.events import (
-    CLASSIFY,
-    DROP,
-    DROP_PAGE,
-    DROP_RR,
-    DROP_THROTTLE,
-    EPOCH,
-    EVENT_KINDS,
-    ISSUE,
-    META,
-    USEFUL,
-    Event,
-)
-from repro.telemetry.recorder import (
-    NULL_RECORDER,
-    EventLog,
-    Recorder,
-    TraceRunResult,
-    reconcile,
-    summarize,
-)
-
-__all__ = [
-    "CLASSIFY",
-    "DROP",
-    "DROP_PAGE",
-    "DROP_RR",
-    "DROP_THROTTLE",
-    "EPOCH",
-    "EVENT_KINDS",
-    "ISSUE",
-    "META",
-    "USEFUL",
-    "Event",
-    "EventLog",
-    "events_digest",
-    "NULL_RECORDER",
-    "Recorder",
-    "TraceRunResult",
-    "reconcile",
-    "summarize",
-]

@@ -126,15 +126,15 @@ def profile_phases(
 def profile_job(spec, top: int = 12) -> list[PhaseProfile]:
     """Profile one runner :class:`~repro.runner.job.JobSpec` cell.
 
-    Only ``levels``/``trace`` kinds carry a registered configuration a
+    Only the ``levels`` kind carries a registered configuration a
     profile can rebuild; other kinds raise :class:`ConfigurationError`.
     """
     from repro.prefetchers import make_prefetcher
-    from repro.runner.job import KIND_LEVELS, KIND_TRACE
+    from repro.runner.job import KIND_LEVELS
 
-    if spec.kind not in (KIND_LEVELS, KIND_TRACE):
+    if spec.kind != KIND_LEVELS:
         raise ConfigurationError(
-            f"cannot profile a {spec.kind!r} job; expected levels/trace"
+            f"cannot profile a {spec.kind!r} job; expected levels"
         )
     levels = make_prefetcher(spec.config_name)
     built = {level: factory() for level, factory in levels.items()}

@@ -106,7 +106,7 @@ def _compare(trace, config: str, label: str, warmup=None,
         warmup=warmup, max_instructions=max_instructions,
     )
     levels = _build_levels(config)
-    reason = support_reason(trace, *levels, SystemParams(), None, None)
+    reason = support_reason(trace, *levels, SystemParams(), None)
     batched = simulate_batched(
         trace, *levels,
         warmup=warmup, max_instructions=max_instructions,

@@ -20,7 +20,6 @@ from repro.sim.batched import (
 )
 from repro.sim.engine import simulate
 from repro.sim.trace import BRANCH, LOAD, OTHER, STORE, Trace
-from repro.telemetry import EventLog
 from repro.workloads import spec_trace
 
 
@@ -66,24 +65,14 @@ class TestEngineSelector:
 class TestFallbackContract:
     def test_supported_config_has_no_reason(self, small_trace):
         assert support_reason(
-            small_trace, *build_levels("ipcp"), SystemParams(), None, None,
+            small_trace, *build_levels("ipcp"), SystemParams(), None,
         ) is None
-
-    def test_recorder_forces_fallback(self, small_trace):
-        l1, l2, llc = build_levels("ipcp")
-        recorder = EventLog()
-        l1.attach_recorder(recorder)
-        l2.attach_recorder(recorder)
-        reason = support_reason(
-            small_trace, l1, l2, llc, SystemParams(), None, recorder,
-        )
-        assert reason == "telemetry recorder attached"
 
     def test_custom_hierarchy_forces_fallback(self, small_trace):
         params = SystemParams()
         hierarchy = build_hierarchy(params)
         assert support_reason(
-            small_trace, None, None, None, params, hierarchy, None,
+            small_trace, None, None, None, params, hierarchy,
         ) == "caller-supplied hierarchy"
         result = simulate_batched(small_trace, params=params,
                                   hierarchy=hierarchy)
@@ -100,7 +89,7 @@ class TestFallbackContract:
     def test_foreign_prefetcher_forces_fallback(self, small_trace):
         l1, l2, llc = build_levels("mlop")
         reason = support_reason(
-            small_trace, l1, l2, llc, SystemParams(), None, None,
+            small_trace, l1, l2, llc, SystemParams(), None,
         )
         assert reason is not None
 
@@ -115,7 +104,7 @@ class TestFallbackContract:
         # scalar loop's Python ints still simulate it.
         trace = Trace([(LOAD, 0x400, 1 << 64, 0), (OTHER, 0x404, 0, 0)])
         reason = support_reason(
-            trace, *build_levels("ipcp"), SystemParams(), None, None,
+            trace, *build_levels("ipcp"), SystemParams(), None,
         )
         assert reason.startswith("columnar decode failed")
         batched = simulate_batched(trace, *build_levels("ipcp"))
@@ -269,19 +258,6 @@ class TestPropertyEquivalence:
         assert batched.engine == "batched"
         assert scalar == batched
 
-    @given(trace=random_traces())
-    @settings(max_examples=15, deadline=None)
-    def test_telemetry_stream_engine_independent(self, trace):
-        def traced_events(engine):
-            l1, l2, llc = build_levels("ipcp")
-            recorder = EventLog()
-            l1.attach_recorder(recorder)
-            l2.attach_recorder(recorder)
-            simulate(trace, l1, l2, llc, recorder=recorder, engine=engine)
-            return tuple(recorder.events)
-
-        assert traced_events("scalar") == traced_events("batched")
-
     def test_throttle_epochs_covered(self):
         # A trace long enough that at least one per-class accuracy
         # epoch (EPOCH_FILLS prefetch fills) rolls over; the epoch
@@ -291,7 +267,10 @@ class TestPropertyEquivalence:
         b_l1, b_l2, b_llc = build_levels("ipcp")
         rolls = []
         for throttle in s_l1.throttles.values():
-            throttle.on_epoch = lambda *args: rolls.append(args)
+            def counted(close=throttle._close_epoch):
+                rolls.append(1)
+                close()
+            throttle._close_epoch = counted
         scalar = simulate(trace, s_l1, s_l2, s_llc)
         batched = simulate_batched(trace, b_l1, b_l2, b_llc)
         assert batched.engine == "batched"

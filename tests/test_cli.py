@@ -80,10 +80,15 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["mix", "--workload", "lbm_like", "--engine", "batched"],
         ["frontend", "--engine", "batched"],
-        ["trace", "--workload", "lbm_like", "--engine", "batched"],
+        ["trace", "--workload", "lbm_like"],
         ["validate", "--prefetcher", "ipcp"],
         ["chaos"],
         ["ingest", "chaos"],
+        # Only compare and sweep can render a FAILED(reason) cell.
+        ["run", "--workload", "bwaves_like", "--degraded"],
+        ["mix", "--workload", "lbm_like", "--degraded"],
+        ["paper", "--only", "sens-dram-bandwidth", "--degraded"],
+        ["verify", "--degraded"],
     ])
     def test_removed_surfaces_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -113,57 +118,7 @@ class TestTraceFileCommands:
         assert "speedup" in capsys.readouterr().out
 
 
-class TestTelemetryCommands:
-    def test_trace_reconciles_and_writes_jsonl(self, tmp_path, capsys):
-        import json
-
-        out = str(tmp_path / "events.jsonl")
-        code = main(["trace", "--workload", "bwaves_like", "--scale", "0.1",
-                     "--out", out, "--no-cache"])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "reconcile OK" in text
-        assert "issue" in text and "useful" in text
-        with open(out) as fh:
-            events = [json.loads(line) for line in fh]
-        assert events
-        assert {"issue", "useful", "drop", "meta"} <= {
-            e["kind"] for e in events
-        }
-
-    def test_trace_replay_summarizes_a_stream(self, tmp_path, capsys):
-        out = str(tmp_path / "events.jsonl")
-        assert main(["trace", "--workload", "bwaves_like", "--scale", "0.1",
-                     "--out", out, "--no-cache"]) == 0
-        capsys.readouterr()
-        assert main(["trace", "--replay", out]) == 0
-        text = capsys.readouterr().out
-        assert "events" in text and "issue" in text
-
-    def test_trace_csv_export(self, tmp_path, capsys):
-        import csv
-
-        out = str(tmp_path / "events.csv")
-        assert main(["trace", "--workload", "bwaves_like", "--scale", "0.1",
-                     "--out", out, "--no-cache"]) == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and "pf_class" in rows[0]
-
-    def test_trace_without_workload_or_replay_errors(self, capsys):
-        code = main(["trace", "--no-cache"])
-        assert code != 0
-        assert "error:" in capsys.readouterr().err
-
-    def test_trace_jobs_flow_through_the_cache(self, tmp_path, capsys):
-        argv = ["trace", "--workload", "bwaves_like", "--scale", "0.1",
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        # Warm invocation replays the cached TraceRunResult verbatim.
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-
+class TestProfileCommand:
     def test_profile_prints_phase_tables(self, capsys):
         code = main(["profile", "--workload", "bwaves_like",
                      "--scale", "0.05", "--top", "5"])
@@ -238,7 +193,10 @@ class TestRunnerOptions:
 
 
 class TestVerifyCommand:
-    GOLDEN_ONLY = ["verify", "--skip-oracle", "--skip-invariants"]
+    # Each phase test skips the others; the full cross-engine grid runs
+    # in CI, here it runs once on the TINY grid.
+    GOLDEN_ONLY = ["verify", "--skip-oracle", "--skip-invariants",
+                   "--skip-cross-engine"]
     TINY = ["--workloads", "bwaves_like", "--prefetchers", "none,ipcp",
             "--scale", "0.1"]
 
@@ -248,17 +206,30 @@ class TestVerifyCommand:
             "--cache-dir", str(tmp_path / "cache")])
 
     def test_oracle_phase_passes(self, capsys):
-        code = main(["verify", "--skip-golden", "--skip-invariants"])
+        code = main(["verify", "--skip-golden", "--skip-invariants",
+                     "--skip-cross-engine"])
         assert code == 0
         out = capsys.readouterr().out
         assert "lockstep" in out and "OK" in out
 
     def test_invariant_phase_passes(self, capsys):
         code = main(["verify", "--skip-golden", "--skip-oracle",
-                     "--invariant-scale", "0.02"])
+                     "--skip-cross-engine", "--invariant-scale", "0.02"])
         assert code == 0
         out = capsys.readouterr().out
         assert "invariants" in out and "OK" in out
+
+    def test_cross_engine_phase_passes(self, capsys):
+        import re
+
+        code = main(["verify", "--skip-oracle", "--skip-invariants",
+                     "--skip-golden"] + self.TINY)
+        assert code == 0
+        out = capsys.readouterr().out
+        match = re.search(r"(\d+) cells, (\d+) fused, \d+ fallback, "
+                          r"0 mismatches", out)
+        assert match, out
+        assert int(match.group(2)) >= 1
 
     def test_invariant_phase_honours_prefetchers(self, monkeypatch, capsys):
         from repro.prefetchers.base import Prefetcher, PrefetchRequest
@@ -362,6 +333,21 @@ class TestErrorHygiene:
                      "--retries", "1", "--no-cache", "--degraded"])
         assert code == 0
         assert "FAILED(JobTimeout)" in capsys.readouterr().out
+
+    def test_sweep_degraded_renders_failed_cells(self, capsys):
+        code = main(["sweep", "--axis", "dram-bandwidth", "--values", "3.2",
+                     "--workloads", "bwaves_like", "--prefetchers", "none",
+                     "--scale", "0.05", "--jobs", "2", "--timeout", "0.001",
+                     "--retries", "1", "--no-cache", "--degraded"])
+        assert code == 0
+        assert "FAILED(JobTimeout)" in capsys.readouterr().out
+
+    def test_timeout_with_one_job_is_rejected(self, capsys):
+        # One job runs in-process, where no deadline can be enforced.
+        code = main(["run", "--workload", "bwaves_like", "--scale", "0.05",
+                     "--timeout", "0.001", "--retries", "1", "--no-cache"])
+        assert code == 2
+        assert "jobs >= 2" in capsys.readouterr().err
 
     def test_interrupt_flushes_journal_and_exits_130(
             self, tmp_path, capsys, monkeypatch):

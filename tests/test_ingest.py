@@ -554,13 +554,11 @@ class TestInputFaultChaos:
         assert list(faulted) == expected
         assert report.skipped == corruption.injected_faults
 
-    def test_quarantine_decision_streams_match_clean_run(self):
+    def test_quarantine_results_match_clean_run(self):
         # The full contract: a quarantine-mode run of the corrupted
-        # trace makes the same prefetch decisions, event for event, as
-        # a clean run of clean-minus-victims.  A telemetry run always
-        # takes the scalar engine, so one run per trace covers it.
-        from repro.runner.job import execute_job, trace_job
-        from repro.telemetry import events_digest
+        # trace simulates exactly like a clean run of clean-minus-
+        # victims — every counter, per-class prefetch counts included.
+        from repro.runner.job import execute_job, levels_job
 
         clean = self._clean_bytes(200)
         plan = InputFaultPlan(seed=9, flip_rate=0.08, garbage_rate=0.04)
@@ -572,11 +570,12 @@ class TestInputFaultChaos:
         expected = Trace([record for index, record
                           in enumerate(clean_trace)
                           if index not in victims], name="chaos")
-        digests = [
-            events_digest(execute_job(trace_job(trace, "ipcp")).events)
+        clean_result, faulted_result = (
+            execute_job(levels_job(trace, "ipcp"))
             for trace in (expected, faulted)
-        ]
-        assert digests[0] == digests[1]
+        )
+        assert clean_result.l1.pf_issued_by_class  # IPCP did prefetch
+        assert faulted_result == clean_result
 
     def test_binary_corruption_is_detected(self, tmp_path):
         path = str(tmp_path / "t.rib")
@@ -659,17 +658,3 @@ class TestIngestCli:
             original = fh.read()
         with open(back, "rb") as fh:
             assert fh.read() == original
-
-    def test_trace_prints_events_digest(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out_path = str(tmp_path / "events.jsonl")
-        assert main(["trace", "--workload", "bwaves_like",
-                     "--scale", "0.02", "--out", out_path]) == 0
-        live = capsys.readouterr().out
-        assert "events digest:" in live
-        digest = [line for line in live.splitlines()
-                  if "events digest:" in line][0].split()[-1]
-        assert main(["trace", "--replay", out_path]) == 0
-        replayed = capsys.readouterr().out
-        assert f"events digest: {digest}" in replayed

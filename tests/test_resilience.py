@@ -343,6 +343,12 @@ class TestPoolRecovery:
         with pytest.raises(ReproError):
             SimulationRunner(timeout=0.0)
 
+    def test_rejects_timeout_with_one_job(self):
+        # An in-process job cannot be preempted: the deadline would be
+        # silently ignored, so the runner refuses it up front.
+        with pytest.raises(ReproError, match="jobs >= 2"):
+            SimulationRunner(jobs=1, timeout=5.0)
+
 
 class TestCheckpointJournal:
     def test_resume_performs_zero_redundant_simulations(

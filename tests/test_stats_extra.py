@@ -66,29 +66,3 @@ class TestSimResultHelpers:
         fast = result_with()
         stalled = result_with(cycles=0)
         assert fast.speedup_over(stalled) == 0.0
-
-
-class TestCsvExport:
-    def test_roundtrip(self, tmp_path):
-        from repro.stats.export import read_csv, write_csv
-        path = str(tmp_path / "t.csv")
-        write_csv(path, ["a", "b"], [["x", 1.5], ["y", 2]])
-        headers, rows = read_csv(path)
-        assert headers == ["a", "b"]
-        assert rows == [["x", "1.5"], ["y", "2"]]
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        import pytest
-        from repro.errors import ConfigurationError
-        from repro.stats.export import write_csv
-        with pytest.raises(ConfigurationError):
-            write_csv(str(tmp_path / "t.csv"), ["a"], [["x", "extra"]])
-
-    def test_empty_file_rejected(self, tmp_path):
-        import pytest
-        from repro.errors import ConfigurationError
-        from repro.stats.export import read_csv
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ConfigurationError):
-            read_csv(str(path))
