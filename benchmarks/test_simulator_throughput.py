@@ -21,6 +21,7 @@ the trade-off stays visible (docs/engine.md).
 """
 
 import os
+import statistics
 import time
 
 from repro.core import IpcpL1, IpcpL2
@@ -29,26 +30,37 @@ from repro.sim.batched import simulate_batched
 from repro.sim.engine import simulate
 from repro.workloads import compute_dense_trace, spec_trace
 
+#: Repetitions per side of every engine comparison.
+REPS = 7
 
-def measure(trace, reps=1, engine=simulate, levels=None, **kwargs):
-    """Best-of-``reps`` records/second for one engine on one trace.
+#: The pool check's suite: big enough that one worker needs several
+#: seconds, so the pool's fixed start-up cost cannot decide the check.
+POOL_SUITE = ("lbm_like", "bwaves_like", "fotonik_like", "wrf_like",
+              "mcf_r_like", "omnetpp_like", "xz_like", "gcc_like")
+POOL_SCALE = 1.5
 
-    ``levels`` is a zero-argument factory returning fresh
-    (l1, l2, llc) prefetchers per repetition, so no run ever observes
-    trained state.  Best-of (not mean) because the guard compares two
-    engines on one noisy machine: minima track the code's cost, means
-    track the neighbours'.
+
+def measure_interleaved(trace, sides, reps=REPS):
+    """Median records/second of each side, repetitions interleaved.
+
+    ``sides`` maps a name to ``(engine, levels)``, where ``levels`` is a
+    zero-argument factory returning fresh (l1, l2, llc) prefetchers per
+    repetition (None: no prefetching), so no run ever observes trained
+    state.  Each round times every side once, so a slow phase of a
+    shared host lands on all sides alike instead of on whichever one
+    happened to be running; the median then drops the odd slow round.
     """
-    best = None
+    seconds = {name: [] for name in sides}
     for _ in range(reps):
-        l1, l2, llc = levels() if levels is not None else (None, None, None)
-        start = time.perf_counter()
-        engine(trace, l1_prefetcher=l1, l2_prefetcher=l2,
-               llc_prefetcher=llc, **kwargs)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return len(trace) / best
+        for name, (engine, levels) in sides.items():
+            l1, l2, llc = (levels() if levels is not None
+                           else (None, None, None))
+            start = time.perf_counter()
+            engine(trace, l1_prefetcher=l1, l2_prefetcher=l2,
+                   llc_prefetcher=llc)
+            seconds[name].append(time.perf_counter() - start)
+    return {name: len(trace) / statistics.median(times)
+            for name, times in seconds.items()}
 
 
 def measure_jobs(specs, total_records, jobs, cache=None):
@@ -65,19 +77,21 @@ def ipcp_levels():
     return IpcpL1(), IpcpL2(), None
 
 
-def no_levels():
-    return None, None, None
+def engine_sides(prefix=""):
+    """Scalar and batched engines, without and with IPCP."""
+    return {
+        f"{prefix}baseline": (simulate, None),
+        f"{prefix}ipcp": (simulate, ipcp_levels),
+        f"{prefix}batched_baseline": (simulate_batched, None),
+        f"{prefix}batched_ipcp": (simulate_batched, ipcp_levels),
+    }
 
 
 def test_simulator_throughput(benchmark, emit, tmp_path):
     trace = spec_trace("lbm_like", 0.5)
     dense = compute_dense_trace()
 
-    # A >=4-trace suite for the parallel fan-out comparison (smaller
-    # scale keeps the sequential leg of the comparison affordable).
-    suite = [spec_trace(name, 0.25)
-             for name in ("lbm_like", "bwaves_like", "fotonik_like",
-                          "wrf_like")]
+    suite = [spec_trace(name, POOL_SCALE) for name in POOL_SUITE]
     suite_records = sum(len(t) for t in suite)
     suite_specs = [levels_job(t, "ipcp") for t in suite]
 
@@ -85,21 +99,8 @@ def test_simulator_throughput(benchmark, emit, tmp_path):
     replay_spec = levels_job(trace, "ipcp")
 
     def run():
-        rates = {
-            "baseline": measure(trace, reps=3),
-            "ipcp": measure(trace, reps=3, levels=ipcp_levels),
-            "batched_baseline": measure(trace, reps=5,
-                                        engine=simulate_batched),
-            "batched_ipcp": measure(trace, reps=5, engine=simulate_batched,
-                                    levels=ipcp_levels),
-            "dense_baseline": measure(dense, reps=3),
-            "dense_ipcp": measure(dense, reps=3, levels=ipcp_levels),
-            "dense_batched_baseline": measure(dense, reps=5,
-                                              engine=simulate_batched),
-            "dense_batched_ipcp": measure(dense, reps=5,
-                                          engine=simulate_batched,
-                                          levels=ipcp_levels),
-        }
+        rates = {**measure_interleaved(trace, engine_sides()),
+                 **measure_interleaved(dense, engine_sides("dense_"))}
         # Warm the cache once, then time a cold-process-equivalent
         # replay: the second resolution must be a pure cache hit.
         SimulationRunner(cache=cache).run([replay_spec])

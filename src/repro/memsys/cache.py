@@ -91,6 +91,27 @@ class CacheStats:
         return self.demand_misses / self.demand_accesses
 
 
+class InstructionCounter:
+    """Retired-instruction count the caches sample MPKI against.
+
+    One per core: the CPU model writes it, every cache of that core's
+    hierarchy reads it.  It holds no reference back to the hierarchy,
+    so a finished hierarchy is freed without the cyclic collector.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+#: ``AccessType`` the prefetcher observes, indexed by ``AccessKind``.
+_ACCESS_TYPE = (AccessType.LOAD, AccessType.STORE, AccessType.PREFETCH)
+_LOAD = AccessKind.LOAD
+_PREFETCH = AccessKind.PREFETCH
+_WRITEBACK = AccessKind.WRITEBACK
+
+
 class Cache:
     """One level of the cache hierarchy.
 
@@ -98,6 +119,12 @@ class Cache:
     :class:`repro.memsys.hierarchy.DramPort`.  ``translate`` converts the
     prefetcher's (virtual) addresses into the physical space used for
     tags — supplied only at the L1, identity elsewhere.
+
+    Block state is flat: each per-way field is one list of
+    ``sets * ways`` slots (slot ``set * ways + way``), and ``_map`` is
+    one dict from line address to slot.  ``_line[slot]`` is -1 until
+    the slot is first filled; a filled slot only ever changes owner by
+    eviction.  Replacement policies see ``(set_idx, way)``.
     """
 
     MPKI_WINDOW = 1024  # instructions per MPKI sample (paper uses 10-bit counters)
@@ -117,17 +144,18 @@ class Cache:
 
         sets = params.sets
         self._set_mask = sets - 1
-        self._set_bits = sets.bit_length() - 1
-        self.policy = make_replacement_policy(params.replacement, sets, params.ways)
+        self._ways = ways = params.ways
+        self._latency = params.latency
+        self.policy = make_replacement_policy(params.replacement, sets, ways)
+        self._drrip = isinstance(self.policy, DrripPolicy)
 
-        ways = params.ways
-        self._map: list[dict[int, int]] = [dict() for _ in range(sets)]
-        self._tag = [[0] * ways for _ in range(sets)]
-        self._valid = [[False] * ways for _ in range(sets)]
-        self._dirty = [[False] * ways for _ in range(sets)]
-        self._pf = [[False] * ways for _ in range(sets)]
-        self._pf_class = [[0] * ways for _ in range(sets)]
-        self._fill_cycle = [[0] * ways for _ in range(sets)]
+        size = sets * ways
+        self._map: dict[int, int] = {}
+        self._line = [-1] * size
+        self._dirty = [False] * size
+        self._pf = [False] * size
+        self._pf_class = [0] * size
+        self._fill_cycle = [0] * size
 
         # MSHR: line -> [ready_cycle, was_prefetch, pf_class]
         self._mshr: dict[int, list] = {}
@@ -137,23 +165,17 @@ class Cache:
         self._pq: deque[int] = deque()
         self._pq_last_issue = 0
 
-        # Running MPKI sampled every MPKI_WINDOW instructions.
-        self.instruction_source = None  # set by the hierarchy/CPU
+        # Running MPKI sampled every MPKI_WINDOW instructions.  A cache
+        # outside a hierarchy keeps a private counter that stays at 0,
+        # so it never samples.
+        self.instruction_counter = InstructionCounter()
         self._mpki = 0.0
         self._mpki_mark_instr = 0
         self._mpki_mark_misses = 0
 
-    # ------------------------------------------------------------------ #
-    # Lookup helpers
-    # ------------------------------------------------------------------ #
-
-    def _index(self, line: int) -> tuple[int, int]:
-        return line & self._set_mask, line >> self._set_bits
-
     def probe(self, addr: int) -> bool:
         """Return True if the line holding ``addr`` is present (no side effects)."""
-        set_idx, tag = self._index(addr >> LINE_BITS)
-        return tag in self._map[set_idx]
+        return (addr >> LINE_BITS) in self._map
 
     @property
     def mpki(self) -> float:
@@ -161,9 +183,7 @@ class Cache:
         return self._mpki
 
     def _update_mpki(self) -> None:
-        if self.instruction_source is None:
-            return
-        instructions = self.instruction_source()
+        instructions = self.instruction_counter.value
         elapsed = instructions - self._mpki_mark_instr
         if elapsed >= self.MPKI_WINDOW:
             window_misses = self.stats.demand_misses - self._mpki_mark_misses
@@ -190,29 +210,24 @@ class Cache:
         Returns None only for PREFETCH accesses that were dropped
         (MSHR/PQ exhaustion downstream).
         """
-        if kind == AccessKind.WRITEBACK:
+        if kind == _WRITEBACK:
             self._handle_writeback(addr, cycle)
             return cycle
 
         line = addr >> LINE_BITS
-        set_idx, tag = self._index(line)
-        way = self._map[set_idx].get(tag)
-        hit = way is not None
-        is_demand = kind in (AccessKind.LOAD, AccessKind.STORE)
-
-        if is_demand:
-            ready = self._demand_access(
-                addr, cycle, kind, ip, set_idx, tag, way, line
-            )
-        else:
+        slot = self._map.get(line)
+        if kind == _PREFETCH:
             ready = self._prefetch_arrival(
-                addr, cycle, ip, metadata, pf_class, set_idx, tag, way, line
+                addr, cycle, ip, metadata, pf_class, slot, line
             )
             if ready is None:
                 return None
+        else:
+            ready = self._demand_access(addr, cycle, kind, ip, slot, line)
 
         if self.prefetcher is not None:
-            self._run_prefetcher(addr, cycle, kind, ip, vaddr, metadata, hit)
+            self._run_prefetcher(addr, cycle, kind, ip, vaddr, metadata,
+                                 slot is not None)
         return ready
 
     def _demand_access(
@@ -221,33 +236,32 @@ class Cache:
         cycle: int,
         kind: AccessKind,
         ip: int,
-        set_idx: int,
-        tag: int,
-        way: int | None,
+        slot: int | None,
         line: int,
     ) -> int:
         stats = self.stats
         stats.demand_accesses += 1
-        is_load = kind == AccessKind.LOAD
+        is_load = kind == _LOAD
         if is_load:
             stats.load_accesses += 1
 
-        if way is not None:
+        if slot is not None:
             stats.demand_hits += 1
+            set_idx, way = divmod(slot, self._ways)
             self.policy.on_hit(set_idx, way, False, ip)
-            ready = cycle + self.params.latency
-            was_prefetch = self._pf[set_idx][way]
+            ready = cycle + self._latency
+            was_prefetch = self._pf[slot]
             if was_prefetch:
-                self._credit_useful(set_idx, way, addr)
-            fill = self._fill_cycle[set_idx][way]
+                self._credit_useful(slot, addr)
+            fill = self._fill_cycle[slot]
             if fill > ready:
                 # The block is still in flight: pay the residual latency
                 # (a *late* prefetch when a prefetch brought it).
                 if was_prefetch:
                     stats.pf_late += 1
                 ready = fill
-            if kind == AccessKind.STORE:
-                self._dirty[set_idx][way] = True
+            if not is_load:
+                self._dirty[slot] = True
             self._update_mpki()
             return ready
 
@@ -255,8 +269,8 @@ class Cache:
         stats.demand_misses += 1
         if is_load:
             stats.load_misses += 1
-        if isinstance(self.policy, DrripPolicy):
-            self.policy.record_miss(set_idx)
+        if self._drrip:
+            self.policy.record_miss(line & self._set_mask)
 
         entry = self._mshr.get(line)
         if entry is not None:
@@ -265,25 +279,16 @@ class Cache:
                 self._credit_mshr_prefetch(entry, addr)
                 stats.pf_late += 1
             self._update_mpki()
-            return max(entry[0], cycle + self.params.latency)
+            return max(entry[0], cycle + self._latency)
 
         stats.uncovered_misses += 1
         effective_cycle = self._reserve_mshr_demand(cycle)
         down = self.next_level.access(
-            addr,
-            effective_cycle + self.params.latency,
-            kind,
-            ip=ip,
-        )
+            addr, effective_cycle + self._latency, kind, ip=ip)
         if down is None:
             raise SimulationError("demand access dropped by lower level")
         ready = down
-        self._install(
-            addr, set_idx, tag, ready, ip,
-            is_prefetch=False,
-            pf_class=0,
-            dirty=(kind == AccessKind.STORE),
-        )
+        self._install(addr, line, ready, ip, False, 0, not is_load)
         self._mshr[line] = [ready, False, 0]
         self._update_mpki()
         return ready
@@ -295,35 +300,26 @@ class Cache:
         ip: int,
         metadata: int,
         pf_class: int,
-        set_idx: int,
-        tag: int,
-        way: int | None,
+        slot: int | None,
         line: int,
     ) -> int | None:
         """A prefetch issued by the level above lands here: fill on miss."""
-        if way is not None:
+        if slot is not None:
+            set_idx, way = divmod(slot, self._ways)
             self.policy.on_hit(set_idx, way, True, ip)
-            return cycle + self.params.latency
+            return cycle + self._latency
         entry = self._mshr.get(line)
         if entry is not None:
-            return max(entry[0], cycle + self.params.latency)
+            return max(entry[0], cycle + self._latency)
         if not self._mshr_has_room(cycle):
             self.stats.pf_dropped_mshr += 1
             return None
         down = self.next_level.access(
-            addr,
-            cycle + self.params.latency,
-            AccessKind.PREFETCH,
-            ip=ip,
-            metadata=metadata,
-            pf_class=pf_class,
-        )
+            addr, cycle + self._latency, _PREFETCH,
+            ip=ip, metadata=metadata, pf_class=pf_class)
         if down is None:
             return None
-        self._install(
-            addr, set_idx, tag, down, ip,
-            is_prefetch=True, pf_class=pf_class, dirty=False,
-        )
+        self._install(addr, line, down, ip, True, pf_class, False)
         self.stats.pf_filled += 1
         self._mshr[line] = [down, True, pf_class]
         return down
@@ -342,21 +338,8 @@ class Cache:
         metadata: int,
         hit: bool,
     ) -> None:
-        observed = vaddr if vaddr is not None else addr
-        access_type = {
-            AccessKind.LOAD: AccessType.LOAD,
-            AccessKind.STORE: AccessType.STORE,
-            AccessKind.PREFETCH: AccessType.PREFETCH,
-        }[kind]
-        ctx = AccessContext(
-            ip=ip,
-            addr=observed,
-            cache_hit=hit,
-            kind=access_type,
-            cycle=cycle,
-            metadata=metadata,
-            mpki=self._mpki,
-        )
+        ctx = AccessContext(ip, addr if vaddr is None else vaddr, hit,
+                            _ACCESS_TYPE[kind], cycle, metadata, self._mpki)
         for request in self.prefetcher.on_access(ctx):
             self.issue_prefetch(request, cycle, ip)
 
@@ -368,9 +351,8 @@ class Cache:
         if self.translate is not None:
             addr = self.translate(addr)
         line = addr >> LINE_BITS
-        set_idx, tag = self._index(line)
 
-        if request.fill_this_level and tag in self._map[set_idx]:
+        if request.fill_this_level and line in self._map:
             stats.pf_dropped_in_cache += 1
             return False
         if line in self._mshr:
@@ -388,13 +370,8 @@ class Cache:
         self._pq_last_issue = max(cycle, self._pq_last_issue + 1)
 
         down = self.next_level.access(
-            addr,
-            cycle + self.params.latency,
-            AccessKind.PREFETCH,
-            ip=ip,
-            metadata=request.metadata,
-            pf_class=request.pf_class,
-        )
+            addr, cycle + self._latency, _PREFETCH,
+            ip=ip, metadata=request.metadata, pf_class=request.pf_class)
         if down is None:
             stats.pf_dropped_mshr += 1
             return False
@@ -404,10 +381,7 @@ class Cache:
         stats.pf_issued_by_class[cls] = stats.pf_issued_by_class.get(cls, 0) + 1
         self._pq.append(self._pq_last_issue)
         if request.fill_this_level:
-            self._install(
-                addr, set_idx, tag, down, ip,
-                is_prefetch=True, pf_class=cls, dirty=False,
-            )
+            self._install(addr, line, down, ip, True, cls, False)
             stats.pf_filled += 1
             self._mshr[line] = [down, True, cls]
             if self.prefetcher is not None:
@@ -421,64 +395,57 @@ class Cache:
     def _install(
         self,
         addr: int,
-        set_idx: int,
-        tag: int,
+        line: int,
         ready: int,
         ip: int,
         is_prefetch: bool,
         pf_class: int,
         dirty: bool,
     ) -> None:
-        way = self._find_way(set_idx, ip)
+        set_idx = line & self._set_mask
+        ways = self._ways
+        base = set_idx * ways
+        lines = self._line
+        seg = lines[base:base + ways]
         evicted_addr = None
-        if self._valid[set_idx][way]:
-            evicted_addr = self._evict(set_idx, way, ip)
-        self._map[set_idx][tag] = way
-        self._tag[set_idx][way] = tag
-        self._valid[set_idx][way] = True
-        self._dirty[set_idx][way] = dirty
-        self._pf[set_idx][way] = is_prefetch
-        self._pf_class[set_idx][way] = pf_class
-        self._fill_cycle[set_idx][way] = ready
+        if -1 in seg:
+            way = seg.index(-1)
+        else:
+            way = self.policy.victim(set_idx)
+            evicted_addr = self._evict(base + way, set_idx, way, ip)
+        slot = base + way
+        self._map[line] = slot
+        lines[slot] = line
+        self._dirty[slot] = dirty
+        self._pf[slot] = is_prefetch
+        self._pf_class[slot] = pf_class
+        self._fill_cycle[slot] = ready
         self.policy.on_fill(set_idx, way, is_prefetch, ip)
         if self.prefetcher is not None:
             self.prefetcher.on_fill(addr, is_prefetch, 0, evicted_addr)
 
-    def _find_way(self, set_idx: int, ip: int) -> int:
-        valid = self._valid[set_idx]
-        for way in range(self.params.ways):
-            if not valid[way]:
-                return way
-        return self.policy.victim(set_idx)
-
-    def _evict(self, set_idx: int, way: int, ip: int) -> int:
-        tag = self._tag[set_idx][way]
-        del self._map[set_idx][tag]
-        line = (tag << self._set_bits) | set_idx
+    def _evict(self, slot: int, set_idx: int, way: int, ip: int) -> int:
+        line = self._line[slot]
+        del self._map[line]
         victim_addr = line << LINE_BITS
-        if self._pf[set_idx][way]:
+        was_prefetch = self._pf[slot]
+        if was_prefetch:
             self.stats.pf_unused_evicted += 1
-        self.policy.on_evict(set_idx, way, not self._pf[set_idx][way], ip)
-        if self._dirty[set_idx][way]:
+        self.policy.on_evict(set_idx, way, not was_prefetch, ip)
+        if self._dirty[slot]:
             self.stats.writebacks += 1
-            self.next_level.access(
-                victim_addr, self._fill_cycle[set_idx][way], AccessKind.WRITEBACK
-            )
-        self._valid[set_idx][way] = False
+            self.next_level.access(victim_addr, self._fill_cycle[slot],
+                                   _WRITEBACK)
         return victim_addr
 
     def _handle_writeback(self, addr: int, cycle: int) -> None:
         line = addr >> LINE_BITS
-        set_idx, tag = self._index(line)
-        way = self._map[set_idx].get(tag)
-        if way is not None:
-            self._dirty[set_idx][way] = True
+        slot = self._map.get(line)
+        if slot is not None:
+            self._dirty[slot] = True
             return
         # Write-allocate the full line; no fetch from below is needed.
-        self._install(
-            addr, set_idx, tag, cycle, 0,
-            is_prefetch=False, pf_class=0, dirty=True,
-        )
+        self._install(addr, line, cycle, 0, False, 0, True)
 
     def _mshr_has_room(self, cycle: int) -> bool:
         if len(self._mshr) < self.params.mshr_entries:
@@ -500,12 +467,12 @@ class Cache:
         self._purge_mshr(earliest)
         return earliest
 
-    def _credit_useful(self, set_idx: int, way: int, addr: int) -> None:
+    def _credit_useful(self, slot: int, addr: int) -> None:
         stats = self.stats
         stats.pf_useful += 1
-        cls = self._pf_class[set_idx][way]
+        cls = self._pf_class[slot]
         stats.pf_useful_by_class[cls] = stats.pf_useful_by_class.get(cls, 0) + 1
-        self._pf[set_idx][way] = False
+        self._pf[slot] = False
         if self.prefetcher is not None:
             self.prefetcher.on_prefetch_hit(addr, cls)
 
@@ -516,11 +483,9 @@ class Cache:
         stats.pf_useful_by_class[cls] = stats.pf_useful_by_class.get(cls, 0) + 1
         entry[1] = False
         # Clear the prefetch mark on the already-installed block, if present.
-        line = addr >> LINE_BITS
-        set_idx, tag = self._index(line)
-        way = self._map[set_idx].get(tag)
-        if way is not None:
-            self._pf[set_idx][way] = False
+        slot = self._map.get(addr >> LINE_BITS)
+        if slot is not None:
+            self._pf[slot] = False
         if self.prefetcher is not None:
             self.prefetcher.on_prefetch_hit(addr, cls)
 
@@ -528,5 +493,4 @@ class Cache:
         """Zero the counters (cache contents and training state persist)."""
         self.stats = CacheStats()
         self._mpki_mark_misses = 0
-        if self.instruction_source is not None:
-            self._mpki_mark_instr = self.instruction_source()
+        self._mpki_mark_instr = self.instruction_counter.value

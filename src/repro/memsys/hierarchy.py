@@ -2,7 +2,9 @@
 
 A :class:`Hierarchy` owns one core's private L1-D and L2 plus
 (possibly shared) LLC and DRAM, the per-core virtual memory map, and the
-instruction counter the caches sample MPKI against.  The CPU model calls
+:class:`~repro.memsys.cache.InstructionCounter` its caches sample MPKI
+against (the CPU model writes it; it points back at nothing, so a
+dropped hierarchy is freed at once).  The CPU model calls
 :meth:`Hierarchy.load` / :meth:`Hierarchy.store` with *virtual*
 addresses; translation happens here so L1 prefetchers train on virtual
 addresses while the physical hierarchy below sees scrambled frames —
@@ -11,7 +13,7 @@ exactly the paper's setup.
 
 from __future__ import annotations
 
-from repro.memsys.cache import AccessKind, Cache
+from repro.memsys.cache import AccessKind, Cache, InstructionCounter
 from repro.memsys.dram import Dram
 from repro.memsys.tlb import TlbHierarchy
 from repro.memsys.vmem import VirtualMemory
@@ -58,14 +60,18 @@ class Hierarchy:
         self.dram = dram
         self.vmem = vmem
         self.tlb = tlb
-        self.instructions = 0
-        counter = lambda: self.instructions  # noqa: E731 - tiny closure
+        self.instruction_counter = counter = InstructionCounter()
         for cache in (l1d, l2, llc):
-            cache.instruction_source = counter
+            cache.instruction_counter = counter
+
+    @property
+    def instructions(self) -> int:
+        """Retired instructions so far (what the caches sample MPKI on)."""
+        return self.instruction_counter.value
 
     def tick_instruction(self, count: int = 1) -> None:
         """Advance the retired-instruction counter (drives MPKI sampling)."""
-        self.instructions += count
+        self.instruction_counter.value += count
 
     def _translate_delay(self, vaddr: int) -> int:
         if self.tlb is None:
@@ -119,7 +125,10 @@ def build_hierarchy(
     """Build a hierarchy from Table II parameters.
 
     ``shared_llc``/``shared_dram`` let multicore setups hang several
-    private L1/L2 pairs off one LLC and DRAM.
+    private L1/L2 pairs off one LLC and DRAM.  Each call wires its new
+    core's instruction counter into all three caches, so a shared LLC
+    samples MPKI against the core built *last* (a known quirk: it moves
+    no number today, as no mix runs an MPKI-gated LLC prefetcher).
     """
     params = params or SystemParams()
     vmem = VirtualMemory(seed=vmem_seed, asid=asid)

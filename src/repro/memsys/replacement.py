@@ -44,26 +44,27 @@ class ReplacementPolicy(ABC):
 
 
 class LruPolicy(ReplacementPolicy):
-    """Classic least-recently-used replacement via a monotone timestamp."""
+    """Classic least-recently-used replacement via a monotone timestamp.
+
+    Stamps live in one flat list of ``sets * ways`` slots; the victim is
+    the first way holding its set's minimum stamp.
+    """
 
     def __init__(self, sets: int, ways: int) -> None:
         super().__init__(sets, ways)
         self._clock = 0
-        self._stamp = [[0] * ways for _ in range(sets)]
-
-    def _touch(self, set_idx: int, way: int) -> None:
-        self._clock += 1
-        self._stamp[set_idx][way] = self._clock
+        self._stamp = [0] * (sets * ways)
 
     def on_fill(self, set_idx: int, way: int, is_prefetch: bool, ip: int) -> None:
-        self._touch(set_idx, way)
+        self._clock += 1
+        self._stamp[set_idx * self.ways + way] = self._clock
 
-    def on_hit(self, set_idx: int, way: int, is_prefetch: bool, ip: int) -> None:
-        self._touch(set_idx, way)
+    on_hit = on_fill
 
     def victim(self, set_idx: int) -> int:
-        stamps = self._stamp[set_idx]
-        return min(range(self.ways), key=stamps.__getitem__)
+        base = set_idx * self.ways
+        seg = self._stamp[base:base + self.ways]
+        return seg.index(min(seg))
 
 
 class SrripPolicy(ReplacementPolicy):

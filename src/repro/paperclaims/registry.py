@@ -8,6 +8,7 @@ claims hold the thresholds those measurements must meet.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.paperclaims.cells import (
@@ -696,27 +697,33 @@ def _cell_throughput(ctx: CellContext) -> dict[str, float]:
     trace = spec_trace("lbm_like", 0.5)
     dense = compute_dense_trace()
 
-    def rate(work, engine=simulate, reps=2, ipcp=False) -> float:
-        # Best-of-reps: minima track the engine's cost on a shared
-        # machine; a fresh prefetcher pair per rep keeps runs cold.
-        best = None
+    def rates(work, sides, reps=5) -> dict[str, float]:
+        # Median of interleaved rounds: each round times every side of
+        # the ratio predicates once, so a slow phase of the host (a busy
+        # sibling worker in a cold run) hits both sides of a ratio alike.
+        # A fresh prefetcher pair per run keeps runs cold.
+        seconds = {name: [] for name in sides}
         for _ in range(reps):
-            levels = ({"l1_prefetcher": IpcpL1(), "l2_prefetcher": IpcpL2()}
-                      if ipcp else {})
-            start = time.perf_counter()
-            engine(work, **levels)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        return len(work) / best
+            for name, (engine, ipcp) in sides.items():
+                levels = ({"l1_prefetcher": IpcpL1(),
+                           "l2_prefetcher": IpcpL2()} if ipcp else {})
+                start = time.perf_counter()
+                engine(work, **levels)
+                seconds[name].append(time.perf_counter() - start)
+        return {name: len(work) / statistics.median(times)
+                for name, times in seconds.items()}
 
     return {
-        "thr.baseline": rate(trace),
-        "thr.ipcp": rate(trace, ipcp=True),
-        "thr.batched_baseline": rate(trace, engine=simulate_batched),
-        "thr.batched_ipcp": rate(trace, engine=simulate_batched, ipcp=True),
-        "thr.dense_baseline": rate(dense),
-        "thr.dense_batched_baseline": rate(dense, engine=simulate_batched),
+        **rates(trace, {
+            "thr.baseline": (simulate, False),
+            "thr.ipcp": (simulate, True),
+            "thr.batched_baseline": (simulate_batched, False),
+            "thr.batched_ipcp": (simulate_batched, True),
+        }),
+        **rates(dense, {
+            "thr.dense_baseline": (simulate, False),
+            "thr.dense_batched_baseline": (simulate_batched, False),
+        }),
     }
 
 

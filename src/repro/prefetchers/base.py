@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class AccessType(IntEnum):
@@ -31,9 +32,12 @@ class AccessType(IntEnum):
     PREFETCH = 2  # a prefetch issued by the level above arriving here
 
 
-@dataclass(frozen=True)
-class AccessContext:
-    """Everything a prefetcher may observe about one cache access."""
+class AccessContext(NamedTuple):
+    """Everything a prefetcher may observe about one cache access.
+
+    An immutable record, cheap to build: the cache builds one per
+    prefetcher call, positionally.
+    """
 
     ip: int
     addr: int
@@ -44,8 +48,7 @@ class AccessContext:
     mpki: float = 0.0  # running demand-miss MPKI of this cache level
 
 
-@dataclass(frozen=True)
-class PrefetchRequest:
+class PrefetchRequest(NamedTuple):
     """One prefetch the prefetcher wants the cache to issue.
 
     ``addr`` is a byte address in the same address space the prefetcher

@@ -175,13 +175,13 @@ def _access_columns(trace: Trace, model_tlb: bool):
 class _Level:
     """Flattened mutable state for one cache level of the fused loop.
 
-    Mirrors :class:`repro.memsys.cache.Cache` field for field (tag map,
-    way arrays, LRU stamps, MSHR dict, prefetch queue, counters) but as
-    plain slots the module-level helpers below poke directly.  The way
-    arrays are single flat lists of ``sets * ways`` slots (one C-level
-    allocation each instead of one list per set) and ``map`` is one
-    dict from *line address* to flat slot index, so a lookup is a
-    single dict probe.  ``thr`` carries the L1 IPCP per-class throttles
+    Mirrors :class:`repro.memsys.cache.Cache` plus its LRU policy (line
+    map, way arrays, LRU stamps, MSHR dict, prefetch queue, counters)
+    as plain slots the module-level helpers below poke directly.  The
+    layout is the scalar cache's: flat lists of ``sets * ways`` slots
+    and ``map``, one dict from *line address* to slot; it keeps tags
+    and a ``valid`` array where the cache keeps each slot's line (-1
+    while empty).  ``thr`` carries the L1 IPCP per-class throttles
     (int class -> live :class:`~repro.core.throttle.ClassThrottle`) and
     ``l2pf`` the L2 IPCP batch state; both stay None on levels without
     that prefetcher.

@@ -123,18 +123,27 @@ class Cpu:
         while rob and rob[0] <= cycle:
             rob.popleft()
 
-    def run(self, records, max_instructions: int | None = None) -> CpuResult:
+    def run(self, records, max_instructions: int | None = None,
+            drain: bool = True) -> CpuResult:
         """Run records (any iterable) until exhausted or the budget is hit.
 
         The budget is checked *before* pulling from the iterator, so a
         partially-consumed iterator can be resumed by a later call
-        without losing records (the timeline recorder relies on this).
+        without losing records (the timeline recorder and the multicore
+        scheduler rely on this).  With ``drain`` (the default) the call
+        ends with :meth:`finish`; the multicore scheduler passes False
+        so its quanta leave the ROB in flight, exactly as a run of
+        :meth:`step` calls would.
 
         The loop body is :meth:`step` inlined with every loop-invariant
         attribute hoisted into locals; the two MUST stay semantically in
         lockstep (``test_cpu.py`` pins run-vs-step equivalence).  In pure
         Python the per-record attribute traffic dominates, so this is
-        the simulator's single hottest optimization site.
+        the simulator's single hottest optimization site.  Instead of
+        :meth:`step`'s per-record ``tick_instruction`` call, the loop
+        writes the hierarchy's instruction counter just before each load
+        or store (the only points a cache samples it) and once at the
+        end, so every reader sees the value ticking would give.
         """
         start_retired = self.retired
         start_cycle = self.cycle
@@ -151,11 +160,11 @@ class Cpu:
         hierarchy = self.hierarchy
         hier_load = hierarchy.load
         hier_store = hierarchy.store
-        hier_tick = hierarchy.tick_instruction
+        counter = hierarchy.instruction_counter
+        counted = counter.value
         predictor_update = self.branch_predictor.update
         penalty = self.branch_predictor.misprediction_penalty
         cycle = self.cycle
-        retired = self.retired
         dispatched = self._dispatched_this_cycle
         inorder = self._inorder_completion
         last_load = self._last_load_completion
@@ -185,9 +194,11 @@ class Cpu:
                 issue = last_load
 
             if kind == LOAD:
+                counter.value = counted + executed
                 completion = hier_load(addr, ip, issue)
                 last_load = completion
             elif kind == STORE:
+                counter.value = counted + executed
                 hier_store(addr, ip, issue)
                 completion = issue + 1
             elif kind == BRANCH:
@@ -204,17 +215,17 @@ class Cpu:
                 inorder = completion
             rob_append(inorder)
             dispatched += 1
-            retired += 1
-            hier_tick()
             executed += 1
 
+        counter.value = counted + executed
         self.cycle = cycle
-        self.retired = retired
+        self.retired = start_retired + executed
         self._dispatched_this_cycle = dispatched
         self._inorder_completion = inorder
         self._last_load_completion = last_load
 
-        self.finish()
+        if drain:
+            self.finish()
         return CpuResult(
             instructions=self.retired - start_retired,
             cycles=self.cycle - start_cycle,

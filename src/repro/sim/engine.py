@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.memsys.cache import CacheStats
+from repro.memsys.cache import CacheStats, InstructionCounter
 from repro.memsys.hierarchy import Hierarchy, build_hierarchy
 from repro.params import SystemParams
 from repro.prefetchers.base import Prefetcher, PrefetcherSummary
@@ -79,10 +79,10 @@ class _IdealHierarchy:
 
     def __init__(self, l1_latency: int) -> None:
         self.latency = l1_latency
-        self.instructions = 0
+        self.instruction_counter = InstructionCounter()
 
     def tick_instruction(self, count: int = 1) -> None:
-        self.instructions += count
+        self.instruction_counter.value += count
 
     def load(self, vaddr: int, ip: int, cycle: int) -> int:
         return cycle + self.latency

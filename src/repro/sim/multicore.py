@@ -107,9 +107,11 @@ def _run_cores(
 ) -> list[tuple[int, int]]:
     """Interleave cores until each retires ``quota`` more instructions.
 
-    Returns per-core (instructions, cycles) marks at the moment each
-    core hit its quota (cores keep running afterwards to provide
-    contention, as in the paper).
+    Each quantum is ``_CHUNK`` records through :meth:`Cpu.run` with
+    ``drain=False``: the core's ROB stays in flight between quanta, as
+    if it had stepped record by record.  Returns per-core (instructions,
+    cycles) marks at the moment each core hit its quota (cores keep
+    running afterwards to provide contention, as in the paper).
     """
     start = [cpu.mark() for cpu in cpus]
     finish_mark: list[tuple[int, int] | None] = [None] * len(cpus)
@@ -121,9 +123,7 @@ def _run_cores(
     while pending:
         core = min(range(len(cpus)), key=lambda i: cpus[i].cycle)
         cpu = cpus[core]
-        iterator = iterators[core]
-        for _ in range(_CHUNK):
-            cpu.step(next(iterator))
+        cpu.run(iterators[core], _CHUNK, drain=False)
         if finish_mark[core] is None and \
                 cpu.retired - start[core][0] >= quota:
             cpu.finish()

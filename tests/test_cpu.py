@@ -11,6 +11,14 @@ def make_cpu(width=4, rob=256):
     return Cpu(hierarchy, CoreParams(width=width, rob_size=rob))
 
 
+def core_state(cpu):
+    """Everything a resumed run or step depends on, plus MPKI samples."""
+    return (cpu.cycle, cpu.retired, list(cpu._rob),
+            cpu._dispatched_this_cycle, cpu._inorder_completion,
+            cpu._last_load_completion, cpu.hierarchy.instructions,
+            [cache.mpki for cache in cpu.hierarchy.caches])
+
+
 class TestWidthLimit:
     def test_alu_only_ipc_equals_width(self):
         cpu = make_cpu(width=4)
@@ -135,3 +143,29 @@ class TestRunStepEquivalence:
         slow.finish()
 
         assert (fast.retired, fast.cycle) == (slow.retired, slow.cycle)
+
+    def test_undrained_quanta_match_stepping_after_every_quantum(self):
+        # The multicore scheduler runs each core in 64-record quanta
+        # through run(drain=False); between quanta the core must be in
+        # exactly the state per-record step() calls leave it in.
+        from itertools import islice
+
+        from repro.core import IpcpL1, IpcpL2
+        from repro.workloads import spec_trace
+
+        def ipcp_cpu():
+            return Cpu(build_hierarchy(SystemParams(), l1_prefetcher=IpcpL1(),
+                                       l2_prefetcher=IpcpL2()))
+
+        trace = spec_trace("omnetpp_like", 0.05)
+        fast, slow = ipcp_cpu(), ipcp_cpu()
+        fast_records, slow_records = iter(trace), iter(trace)
+        quanta = len(trace) // 64
+        assert quanta > 16
+        for _ in range(quanta):
+            fast.run(fast_records, 64, drain=False)
+            for record in islice(slow_records, 64):
+                slow.step(record)
+            assert core_state(fast) == core_state(slow)
+        assert fast._rob  # quanta really left instructions in flight
+        assert fast.hierarchy.l1d.mpki > 0  # the sampler really ran

@@ -141,6 +141,25 @@ class TestSharedLevels:
         # Distinct ASIDs -> distinct physical lines in the shared LLC.
         assert llc.stats.demand_misses == 2
 
+    def test_shared_llc_samples_last_built_core(self):
+        # Each hierarchy wires its counter into all three of its caches,
+        # so a shared LLC ends up sampling MPKI against the core built
+        # last (a known quirk; no claim runs an MPKI-gated LLC
+        # prefetcher in a mix).
+        from repro.memsys.cache import Cache
+        from repro.memsys.dram import Dram
+        from repro.memsys.hierarchy import DramPort
+        from repro.params import default_llc
+
+        dram = Dram()
+        llc = Cache(default_llc(2), DramPort(dram))
+        h0 = build_hierarchy(shared_llc=llc, shared_dram=dram, asid=0)
+        h1 = build_hierarchy(shared_llc=llc, shared_dram=dram, asid=1)
+        h0.tick_instruction(5)
+        assert h0.l2.instruction_counter.value == 5
+        assert llc.instruction_counter is h1.instruction_counter
+        assert llc.instruction_counter.value == 0
+
     def test_reset_stats_resets_all_levels(self, hierarchy):
         hierarchy.load(0x1000, 0x400, 0)
         hierarchy.reset_stats()
@@ -158,3 +177,30 @@ class TestIpcpIntegration:
             hierarchy.load(0x3000_0000 + i * 64, 0x400_101, i * 50)
         future_paddr = hierarchy.vmem.translate(0x3000_0000 + 12 * 64)
         assert hierarchy.l1d.probe(future_paddr)
+
+
+class TestLifetime:
+    def test_dropped_hierarchy_is_freed_without_cyclic_gc(self):
+        # The caches share a counter object, not a closure over the
+        # hierarchy, so dropping the last reference frees the hierarchy
+        # at once instead of leaving cyclic garbage for the collector.
+        import gc
+        import weakref
+
+        from repro.core import IpcpL2
+        from repro.sim.engine import simulate
+        from repro.workloads import spec_trace
+
+        trace = spec_trace("lbm_like", 0.02)
+        hierarchy = build_hierarchy(SystemParams(), l1_prefetcher=IpcpL1(),
+                                    l2_prefetcher=IpcpL2())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulate(trace, hierarchy=hierarchy)
+            ref = weakref.ref(hierarchy)
+            del hierarchy
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
