@@ -20,10 +20,12 @@ processes and keep a persistent result cache (``--cache-dir``, default
 
 Execution is fault-tolerant (docs/resilience.md): ``--retries N``
 bounds the attempt budget for transient failures, ``--timeout SEC``
-kills and retries overdue jobs, ``--journal PATH`` checkpoints resolved
-cells so an interrupted run (Ctrl-C exits 130 after flushing the
-journal) resumes with zero recomputation, and ``--degraded`` (``compare``
-and ``sweep`` only) renders ``FAILED(reason)`` cells instead of aborting.
+kills and retries overdue jobs, ``--journal PATH`` logs one line per
+resolved cell (Ctrl-C exits 130 after flushing it), and ``--degraded``
+(``compare`` and ``sweep`` only) renders ``FAILED(reason)`` cells
+instead of aborting.  An interrupted run resumes from the result cache,
+not the journal: each result is cached as it completes, so a rerun
+against the same cache re-simulates only the unfinished cells.
 """
 
 from __future__ import annotations
@@ -649,9 +651,8 @@ def add_runner_options(parser: argparse.ArgumentParser) -> None:
                              "worker is killed and the job retried "
                              "(needs --jobs >= 2)")
     parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="checkpoint journal: record resolved cells "
-                             "so an interrupted run resumes with zero "
-                             "recomputation")
+                        help="checkpoint journal: log one line per "
+                             "resolved cell")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -888,8 +889,8 @@ def main(argv: list[str] | None = None) -> int:
     Error hygiene: every :class:`ReproError` subclass maps to its own
     nonzero exit code (see docs/resilience.md) and prints a one-line
     message, never a traceback.  Ctrl-C flushes any open checkpoint
-    journals before exiting 130, so an interrupted sweep resumes from
-    exactly where it stopped.
+    journals before exiting 130; a rerun against the same result cache
+    replays every cell that finished before the interrupt.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

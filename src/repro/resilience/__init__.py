@@ -11,14 +11,16 @@ four survivability properties a long sweep needs:
 * **timeouts + crash recovery** — per-job wall-clock deadlines and
   ``BrokenProcessPool`` handling that kill/respawn the worker pool and
   re-dispatch only the unresolved jobs;
-* **checkpoint/resume** — :class:`CheckpointJournal`: an append-only
-  journal of resolved cache keys, so an interrupted sweep resumes with
-  zero recomputation, plus :class:`JobFailure` cells so degraded runs
-  render partial grids instead of aborting;
+* **journal** — :class:`CheckpointJournal`: an append-only log of
+  resolved cache keys and terminal failures, plus :class:`JobFailure`
+  cells so degraded runs render partial grids instead of aborting.  An
+  interrupted sweep resumes from the result cache (every result is
+  published as it completes); the runner reads the journal back only
+  in degraded mode, to skip cells it logged as failed;
 * **chaos** — :mod:`repro.resilience.chaos`: a deterministic, seeded
   fault-injection harness (worker crashes, hangs, transient errors,
   corrupt cache entries) that proves recovered runs are bit-identical
-  to fault-free runs (``repro chaos``, ``tests/test_chaos.py``).
+  to fault-free runs (``tests/test_chaos.py``).
 
 See ``docs/resilience.md`` for semantics and the failure taxonomy
 table.  :mod:`~repro.resilience.chaos` is imported lazily (it depends

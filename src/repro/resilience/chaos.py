@@ -18,8 +18,8 @@ fault kind)`` — no global RNG, no wall clock — so a chaos run is
 bit-reproducible and a test can replay the exact same fault schedule.
 Faults only fire on attempts ``<= plan.fault_attempts``; as long as the
 retry budget exceeds that, every chaotic run converges to the same
-results as a fault-free run, which is the property ``repro chaos`` and
-``tests/test_chaos.py`` prove.
+results as a fault-free run, which is the property
+``tests/test_chaos.py`` proves.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ Execution is fault-tolerant (see ``docs/resilience.md``):
   is killed, the pool respawned, and only unresolved jobs re-dispatched
   (likewise for a worker that crashes outright: ``BrokenProcessPool``
   is recovery, not the end of the batch);
-* a :class:`~repro.resilience.CheckpointJournal` records every
-  resolution, so an interrupted batch resumes with zero recomputation;
+* a :class:`~repro.resilience.CheckpointJournal` logs every
+  resolution; a rerun reads back only its ``failed`` lines, and only
+  in degraded mode (an interrupted batch resumes from the cache, which
+  holds every result published before the interrupt);
 * in degraded mode a job that exhausts its budget resolves to a
   :class:`~repro.resilience.JobFailure` cell instead of aborting the
   whole batch.
@@ -66,14 +68,15 @@ class SimulationRunner:
     attempt budget for transient failures and timeouts; ``timeout`` is
     the per-job wall-clock deadline in seconds (it needs ``jobs >= 2``
     — an in-process job cannot be preempted, so it is rejected).  ``journal``
-    checkpoints resolutions for resume; ``degraded`` turns terminal
-    failures into :class:`JobFailure` cells instead of exceptions.
+    logs resolutions (degraded mode reads its failures back);
+    ``degraded`` turns terminal failures into :class:`JobFailure` cells
+    instead of exceptions.
     ``execute`` swaps the execution function (``fn(spec, attempt)``) —
     the chaos harness uses this to inject faults.
 
     ``simulations_run`` counts execution *attempts* — cache and journal
     hits do not increment it, which is how tests assert that a warm
-    rerun (or a checkpoint resume) performs zero simulations.
+    rerun performs zero simulations.
     """
 
     def __init__(

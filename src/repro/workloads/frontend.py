@@ -27,6 +27,7 @@ import zlib
 
 from repro.errors import ReproError
 from repro.sim.trace import BRANCH, LOAD, OTHER, Trace
+from repro.workloads.patterns import shuffle
 
 DEFAULT_FRONTEND_INSTRUCTIONS = 60_000
 
@@ -169,7 +170,7 @@ def _coldstart_like(rng: random.Random, n_records: int) -> list:
     """
     functions = _layout(rng, 640, 24, 56, 32, 128)
     steady = list(range(100, 148))
-    rng.shuffle(steady)
+    shuffle(rng, steady)
     records: list = []
     cold_budget = (n_records * 2) // 5
     index = 0

@@ -32,7 +32,10 @@ ELEMENT = 8  # bytes per loaded element
 
 
 class WorkloadBuilder:
-    """Accumulates records; hands out stable synthetic IPs per role."""
+    """Accumulates records; hands out stable synthetic IPs per role.
+
+    ``loads`` counts the LOAD records, which only :meth:`load` emits.
+    """
 
     def __init__(self, name: str, seed: int = 1, alu_per_load: int = 4) -> None:
         if alu_per_load < 0:
@@ -41,8 +44,11 @@ class WorkloadBuilder:
         self.rng = random.Random(seed)
         self.alu_per_load = alu_per_load
         self.records: list[tuple[int, int, int, int]] = []
+        self.loads = 0
         self._next_ip = 0x400000
         self._ips: dict[str, int] = {}
+        # role -> (load IP, its ALU padding records), built on first load
+        self._load_roles: dict[str, tuple[int, tuple]] = {}
 
     def ip(self, role: str) -> int:
         """A stable fake instruction pointer for a named code location.
@@ -57,12 +63,24 @@ class WorkloadBuilder:
         return self._ips[role]
 
     def load(self, role: str, addr: int, dep: bool = False) -> None:
-        """One load plus its ALU consumer padding."""
-        self.records.append((LOAD, self.ip(role), addr, 1 if dep else 0))
-        for j in range(self.alu_per_load):
-            self.records.append(
+        """One load plus its ALU consumer padding.
+
+        The padding records are the same for every load of a role, so
+        they are built once, on the role's first load (drawing the load
+        IP, then each ``.alu{j}`` IP in order), and shared afterwards.
+        """
+        try:
+            ip, padding = self._load_roles[role]
+        except KeyError:
+            ip = self.ip(role)
+            padding = tuple(
                 (OTHER, self.ip(f"{role}.alu{j}"), 0, 1 if j == 0 else 0)
+                for j in range(self.alu_per_load)
             )
+            self._load_roles[role] = (ip, padding)
+        self.records.append((LOAD, ip, addr, 1 if dep else 0))
+        self.records.extend(padding)
+        self.loads += 1
 
     def store(self, role: str, addr: int) -> None:
         """One store (never blocks retirement)."""
@@ -83,6 +101,30 @@ class WorkloadBuilder:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def shuffle(rng: random.Random, items: list) -> None:
+    """Shuffle ``items`` in place, drawing exactly what
+    :meth:`random.Random.shuffle` draws.
+
+    For ``i`` from ``len(items) - 1`` down to 1, draw ``r =
+    getrandbits(k)`` with ``k = (i + 1).bit_length()`` until ``r <= i``,
+    then swap items ``i`` and ``r``: the same words in the same order as
+    CPython's shuffle, so traces stay byte-identical and the rng ends in
+    the same state.  ``k`` is fixed over each power-of-two band of
+    ``i``, which saves the per-element ``_randbelow`` call.
+    """
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1
+        for i in range(top, bottom - 1, -1):
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            items[i], items[r] = items[r], items[i]
+        top = bottom - 1
 
 
 def stream_pattern(
@@ -165,7 +207,7 @@ def dense_region_burst(
     order = list(range(lines))
     for start in range(0, lines, shuffle_window):
         window = order[start:start + shuffle_window]
-        builder.rng.shuffle(window)
+        shuffle(builder.rng, window)
         order[start:start + shuffle_window] = window
     for i, line_index in enumerate(order):
         role = roles[i % len(roles)]
@@ -189,7 +231,7 @@ def pointer_chase(
     cannot cover.
     """
     ring = list(range(pool_lines))
-    builder.rng.shuffle(ring)
+    shuffle(builder.rng, ring)
     position = 0
     for _ in range(count):
         builder.load(role, base + ring[position] * LINE_SIZE, dep=True)

@@ -298,7 +298,7 @@ def extension_trace(name: str, scale: float = 1.0, seed: int = 7) -> Trace:
 
 def builder_loads(builder: WorkloadBuilder) -> int:
     """Loads emitted so far (generators size episodes against this)."""
-    return sum(1 for kind, _, _, _ in builder.records if kind == 1)
+    return builder.loads
 
 
 Generator = Callable[[WorkloadBuilder, int], None]

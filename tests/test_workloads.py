@@ -1,14 +1,23 @@
 """Tests for the synthetic workload generators."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import LOAD, STORE
+from repro.runner.job import trace_signature
+from repro.sim.trace import LOAD, OTHER, STORE
 from repro.workloads import (
+    FRONTEND_BENCHMARKS,
     GAP_BENCHMARKS,
     SPEC_BENCHMARKS,
     STREAM_BENCHMARKS,
     cloudsuite_suite,
+    compute_dense_trace,
+    frontend_trace,
     full_suite,
     gap_trace,
     heterogeneous_mixes,
@@ -19,6 +28,7 @@ from repro.workloads import (
     spec_trace,
     stream_trace,
 )
+from repro.workloads import cloudsuite, neural, spec
 from repro.workloads.cloudsuite import CLOUDSUITE_BENCHMARKS, cloudsuite_trace
 from repro.workloads.neural import NEURAL_BENCHMARKS, neural_trace
 from repro.workloads.patterns import (
@@ -26,8 +36,14 @@ from repro.workloads.patterns import (
     complex_stride_pattern,
     dense_region_burst,
     pointer_chase,
+    shuffle,
     stream_pattern,
     strided_pattern,
+)
+from repro.workloads.spec import (
+    EXTENSION_BENCHMARKS,
+    builder_loads,
+    extension_trace,
 )
 
 
@@ -240,3 +256,97 @@ class TestMixes:
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigurationError):
             homogeneous_mix("lbm_like", 0)
+
+
+def _assert_shuffle_matches_stdlib(n: int, seed: int) -> None:
+    expected, reference = list(range(n)), random.Random(seed)
+    reference.shuffle(expected)
+    items, rng = list(range(n)), random.Random(seed)
+    shuffle(rng, items)
+    assert items == expected, (n, seed)
+    assert rng.getstate() == reference.getstate(), (n, seed)
+
+
+class TestShuffle:
+    """The helper draws exactly what ``random.Random.shuffle`` draws."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_small_length(self, seed):
+        for n in range(71):
+            _assert_shuffle_matches_stdlib(n, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_of_two_band_edges(self, seed):
+        for k in range(18):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                _assert_shuffle_matches_stdlib(n, seed)
+
+    @pytest.mark.parametrize("n", [12_288, 49_152, 65_536, 98_304, 131_072])
+    def test_generator_pool_sizes(self, n):
+        for seed in range(4):
+            _assert_shuffle_matches_stdlib(n, seed)
+
+    @given(n=st.integers(0, 5000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_stdlib_property(self, n, seed):
+        _assert_shuffle_matches_stdlib(n, seed)
+
+
+def _builder_generators(scale: float = 0.05):
+    """One (generator, alu_per_load, loads) param per builder generator."""
+    loads = max(1, int(spec.DEFAULT_LOADS * scale))
+    for registry in (SPEC_BENCHMARKS, GAP_BENCHMARKS, STREAM_BENCHMARKS,
+                     EXTENSION_BENCHMARKS):
+        for name, (generator, _, alu) in registry.items():
+            yield pytest.param(generator, alu, loads, id=name)
+    for registry, alu, default in (
+        (CLOUDSUITE_BENCHMARKS, 5, cloudsuite.DEFAULT_LOADS),
+        (NEURAL_BENCHMARKS, 10, neural.DEFAULT_LOADS),
+    ):
+        for name, generator in registry.items():
+            yield pytest.param(generator, alu, max(1, int(default * scale)),
+                               id=name)
+
+
+class TestGenerationCost:
+    @pytest.mark.parametrize("generator, alu, loads", _builder_generators())
+    def test_load_counter_matches_load_records(self, generator, alu, loads):
+        builder = WorkloadBuilder("t", seed=7, alu_per_load=alu)
+        generator(builder, loads)
+        emitted = sum(1 for record in builder.records if record[0] == LOAD)
+        assert builder.loads == builder_loads(builder) == emitted
+
+    def test_padding_records_are_shared_per_role(self):
+        trace = spec_trace("lbm_like", 0.1)
+        alu = SPEC_BENCHMARKS["lbm_like"][2]
+        load_roles = {ip for kind, ip, _, _ in trace if kind == LOAD}
+        padding = {id(record) for record in trace if record[0] == OTHER}
+        assert len(padding) <= len(load_roles) * alu
+
+
+# One digest over the trace_signature of every generator in every
+# registry (plus the compute-dense and frontend traces) at scale 0.05,
+# seeds 7 and 8.  A generator edit that moves any record, IP or rng draw
+# changes it; a change to how records are assembled must not.  Update it
+# only in a change that means to regenerate every trace.
+TRACE_CONTENT_DIGEST = "c980ebc51b2f85d9484fac2c7f9f1951"
+
+
+class TestTraceContentPin:
+    def test_digest_over_every_generator(self):
+        builders = (
+            (SPEC_BENCHMARKS, spec_trace), (GAP_BENCHMARKS, gap_trace),
+            (STREAM_BENCHMARKS, stream_trace),
+            (CLOUDSUITE_BENCHMARKS, cloudsuite_trace),
+            (NEURAL_BENCHMARKS, neural_trace),
+            (EXTENSION_BENCHMARKS, extension_trace),
+            (FRONTEND_BENCHMARKS, frontend_trace),
+        )
+        digest = hashlib.blake2b(digest_size=16)
+        for seed in (7, 8):
+            for registry, build in builders:
+                for name in registry:
+                    trace = build(name, 0.05, seed)
+                    digest.update(trace_signature(trace).encode())
+            dense = compute_dense_trace(loads=500, seed=seed)
+            digest.update(trace_signature(dense).encode())
+        assert digest.hexdigest() == TRACE_CONTENT_DIGEST
