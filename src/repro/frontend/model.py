@@ -190,13 +190,9 @@ class Itlb(TlbHierarchy):
         An STLB hit is a free promotion into the ITLB; only a miss in
         both levels costs a (speculative, off-critical-path) walk.
         """
-        if self._dtlb.lookup(vpage):
-            return
-        self._dtlb.insert(vpage)
-        if self._stlb.lookup(vpage):
+        if self._dtlb.touch(vpage) or self._stlb.touch(vpage):
             return
         self.prefetch_walks += 1
-        self._stlb.insert(vpage)
 
     def resident(self) -> tuple[int, int]:
         """Current (ITLB, STLB) occupancy — for capacity invariants."""

@@ -25,9 +25,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
-from repro.memsys.replacement import DrripPolicy, make_replacement_policy
+from repro.memsys.replacement import (
+    DrripPolicy,
+    LruPolicy,
+    make_replacement_policy,
+)
 from repro.params import CacheParams, LINE_BITS
 from repro.prefetchers.base import (
     AccessContext,
@@ -94,9 +99,10 @@ class CacheStats:
 class InstructionCounter:
     """Retired-instruction count the caches sample MPKI against.
 
-    One per core: the CPU model writes it, every cache of that core's
-    hierarchy reads it.  It holds no reference back to the hierarchy,
-    so a finished hierarchy is freed without the cyclic collector.
+    One per core: the CPU model writes it, every private cache of that
+    core's hierarchy reads it.  It holds no reference back to the
+    hierarchy, so a finished hierarchy is freed without the cyclic
+    collector.
     """
 
     __slots__ = ("value",)
@@ -105,29 +111,67 @@ class InstructionCounter:
         self.value = 0
 
 
-#: ``AccessType`` the prefetcher observes, indexed by ``AccessKind``.
-_ACCESS_TYPE = (AccessType.LOAD, AccessType.STORE, AccessType.PREFETCH)
+class CoreSumCounter:
+    """Retired instructions of every core sharing one cache level.
+
+    A shared LLC samples MPKI against this.  ``value`` sums the cores'
+    own counters each time the LLC reads it, so the cores' run loops
+    write only their own counter.
+    """
+
+    __slots__ = ("counters",)
+
+    def __init__(self, counters: list[InstructionCounter]) -> None:
+        self.counters = counters
+
+    @property
+    def value(self) -> int:
+        """Retired instructions summed over the sharing cores."""
+        total = 0
+        for counter in self.counters:
+            total += counter.value
+        return total
+
+
+_MPKI_WINDOW = 1024  # instructions per MPKI sample (paper uses 10-bit counters)
 _LOAD = AccessKind.LOAD
 _PREFETCH = AccessKind.PREFETCH
 _WRITEBACK = AccessKind.WRITEBACK
+_LOAD_TYPE = AccessType.LOAD
+_STORE_TYPE = AccessType.STORE
+_PREFETCH_TYPE = AccessType.PREFETCH
+# ``_new_context(AccessContext, fields)`` builds the named tuple without
+# its Python-level ``__new__`` (one frame less per prefetcher call).
+_new_context = tuple.__new__
 
 
 class Cache:
     """One level of the cache hierarchy.
 
+    Traffic enters a level through one method per kind, and each call
+    services the whole level in one Python frame, plus one ``_install``
+    call when it fills a line: :meth:`demand` (loads and stores),
+    :meth:`prefetch_arrival` (a prefetch issued by the level above lands
+    here) and :meth:`writeback` (a dirty line evicted above).
     ``next_level`` is another :class:`Cache` or a
-    :class:`repro.memsys.hierarchy.DramPort`.  ``translate`` converts the
-    prefetcher's (virtual) addresses into the physical space used for
-    tags — supplied only at the L1, identity elsewhere.
+    :class:`repro.memsys.hierarchy.DramPort`, reached through the same
+    three methods.  ``translate`` converts the prefetcher's (virtual)
+    addresses into the physical space used for tags — supplied only at
+    the L1, identity elsewhere.
 
     Block state is flat: each per-way field is one list of
     ``sets * ways`` slots (slot ``set * ways + way``), and ``_map`` is
     one dict from line address to slot.  ``_line[slot]`` is -1 until
     the slot is first filled; a filled slot only ever changes owner by
-    eviction.  Replacement policies see ``(set_idx, way)``.
+    eviction, so once ``_filled`` reaches ``sets * ways`` no fill scans
+    for an empty way.  An LRU level updates its :class:`LruPolicy`'s
+    clock and stamps inline; other policies see ``(set_idx, way)``
+    through their hooks.  Each MSHR entry is also on a heap of
+    ``(ready_cycle, line)``, so expiry pops the earliest entries
+    instead of scanning them all.
     """
 
-    MPKI_WINDOW = 1024  # instructions per MPKI sample (paper uses 10-bit counters)
+    MPKI_WINDOW = _MPKI_WINDOW
 
     def __init__(
         self,
@@ -147,9 +191,11 @@ class Cache:
         self._ways = ways = params.ways
         self._latency = params.latency
         self.policy = make_replacement_policy(params.replacement, sets, ways)
+        self._lru = self.policy if type(self.policy) is LruPolicy else None
         self._drrip = isinstance(self.policy, DrripPolicy)
 
-        size = sets * ways
+        self._size = size = sets * ways
+        self._filled = 0
         self._map: dict[int, int] = {}
         self._line = [-1] * size
         self._dirty = [False] * size
@@ -157,8 +203,13 @@ class Cache:
         self._pf_class = [0] * size
         self._fill_cycle = [0] * size
 
-        # MSHR: line -> [ready_cycle, was_prefetch, pf_class]
+        # MSHR: line -> [ready_cycle, was_prefetch, pf_class], and the
+        # same entries as (ready_cycle, line) on a min-heap.  A line is
+        # never re-added while present and a ready cycle never changes,
+        # so the two always hold the same lines.
         self._mshr: dict[int, list] = {}
+        self._mshr_heap: list[tuple[int, int]] = []
+        self._mshr_entries = params.mshr_entries
         # PQ entries are occupied from enqueue until the cache pipeline
         # issues them (one per cycle), NOT for the full memory latency —
         # the deque holds each entry's issue (pop) cycle.
@@ -169,9 +220,22 @@ class Cache:
         # outside a hierarchy keeps a private counter that stays at 0,
         # so it never samples.
         self.instruction_counter = InstructionCounter()
+        self._cores: list[InstructionCounter] = []
         self._mpki = 0.0
         self._mpki_mark_instr = 0
         self._mpki_mark_misses = 0
+
+    def attach_core(self, counter: InstructionCounter) -> None:
+        """Sample MPKI against ``counter``'s core as well.
+
+        A private level has one core.  A level shared by several cores
+        (a mix's LLC) samples against their summed retired instructions.
+        """
+        self._cores.append(counter)
+        if len(self._cores) == 1:
+            self.instruction_counter = counter
+        else:
+            self.instruction_counter = CoreSumCounter(self._cores)
 
     def probe(self, addr: int) -> bool:
         """Return True if the line holding ``addr`` is present (no side effects)."""
@@ -182,17 +246,8 @@ class Cache:
         """Demand-miss MPKI over the most recent sampling window."""
         return self._mpki
 
-    def _update_mpki(self) -> None:
-        instructions = self.instruction_counter.value
-        elapsed = instructions - self._mpki_mark_instr
-        if elapsed >= self.MPKI_WINDOW:
-            window_misses = self.stats.demand_misses - self._mpki_mark_misses
-            self._mpki = window_misses * 1000.0 / elapsed
-            self._mpki_mark_instr = instructions
-            self._mpki_mark_misses = self.stats.demand_misses
-
     # ------------------------------------------------------------------ #
-    # Main access path
+    # Entry points, one per kind of traffic
     # ------------------------------------------------------------------ #
 
     def access(
@@ -205,54 +260,62 @@ class Cache:
         metadata: int = 0,
         pf_class: int = 0,
     ) -> int | None:
-        """Service an access; return the data-ready cycle.
+        """Service an access of any ``kind``; return the data-ready cycle.
 
-        Returns None only for PREFETCH accesses that were dropped
-        (MSHR/PQ exhaustion downstream).
+        Dispatches to :meth:`demand`, :meth:`prefetch_arrival` or
+        :meth:`writeback` (for which it returns ``cycle``).  Returns
+        None only for PREFETCH accesses that were dropped (MSHR/PQ
+        exhaustion downstream).
         """
         if kind == _WRITEBACK:
-            self._handle_writeback(addr, cycle)
+            self.writeback(addr, cycle)
             return cycle
-
-        line = addr >> LINE_BITS
-        slot = self._map.get(line)
         if kind == _PREFETCH:
-            ready = self._prefetch_arrival(
-                addr, cycle, ip, metadata, pf_class, slot, line
-            )
-            if ready is None:
-                return None
-        else:
-            ready = self._demand_access(addr, cycle, kind, ip, slot, line)
+            return self.prefetch_arrival(addr, cycle, ip, metadata, pf_class)
+        return self.demand(addr, cycle, kind == _LOAD, ip, vaddr)
 
-        if self.prefetcher is not None:
-            self._run_prefetcher(addr, cycle, kind, ip, vaddr, metadata,
-                                 slot is not None)
-        return ready
-
-    def _demand_access(
+    def demand(
         self,
         addr: int,
         cycle: int,
-        kind: AccessKind,
+        is_load: bool,
         ip: int,
-        slot: int | None,
-        line: int,
+        vaddr: int | None = None,
     ) -> int:
+        """Service a demand load or store; return the data-ready cycle.
+
+        A miss that allocates waits for a free MSHR, then the level
+        below services it (its prefetcher included) before this level
+        installs the line.  This level then samples its MPKI and runs
+        its prefetcher, which trains on ``vaddr`` when given.
+        """
+        line = addr >> LINE_BITS
+        slot = self._map.get(line)
         stats = self.stats
         stats.demand_accesses += 1
-        is_load = kind == _LOAD
         if is_load:
             stats.load_accesses += 1
 
         if slot is not None:
             stats.demand_hits += 1
-            set_idx, way = divmod(slot, self._ways)
-            self.policy.on_hit(set_idx, way, False, ip)
+            lru = self._lru
+            if lru is not None:
+                clock = lru.clock + 1
+                lru.clock = clock
+                lru.stamp[slot] = clock
+            else:
+                set_idx, way = divmod(slot, self._ways)
+                self.policy.on_hit(set_idx, way, False, ip)
             ready = cycle + self._latency
             was_prefetch = self._pf[slot]
             if was_prefetch:
-                self._credit_useful(slot, addr)
+                stats.pf_useful += 1
+                cls = self._pf_class[slot]
+                by_class = stats.pf_useful_by_class
+                by_class[cls] = by_class.get(cls, 0) + 1
+                self._pf[slot] = False
+                if self.prefetcher is not None:
+                    self.prefetcher.on_prefetch_hit(addr, cls)
             fill = self._fill_cycle[slot]
             if fill > ready:
                 # The block is still in flight: pay the residual latency
@@ -262,86 +325,132 @@ class Cache:
                 ready = fill
             if not is_load:
                 self._dirty[slot] = True
-            self._update_mpki()
-            return ready
+        else:
+            stats.demand_misses += 1
+            if is_load:
+                stats.load_misses += 1
+            if self._drrip:
+                self.policy.record_miss(line & self._set_mask)
+            mshr = self._mshr
+            entry = mshr.get(line)
+            if entry is not None:
+                stats.mshr_merges += 1
+                if entry[1]:
+                    # Merging into an in-flight prefetch: late but covered.
+                    stats.pf_useful += 1
+                    cls = entry[2]
+                    by_class = stats.pf_useful_by_class
+                    by_class[cls] = by_class.get(cls, 0) + 1
+                    entry[1] = False
+                    if self.prefetcher is not None:
+                        self.prefetcher.on_prefetch_hit(addr, cls)
+                    stats.pf_late += 1
+                ready = max(entry[0], cycle + self._latency)
+            else:
+                stats.uncovered_misses += 1
+                start = cycle
+                if len(mshr) >= self._mshr_entries \
+                        and not self._expire_mshr(cycle):
+                    # Demands stall (advance time) rather than drop.
+                    start = self._mshr_heap[0][0]
+                    stats.mshr_full_stalls += 1
+                    self._expire_mshr(start)
+                ready = self.next_level.demand(
+                    addr, start + self._latency, is_load, ip)
+                if ready is None:
+                    raise SimulationError("demand access dropped by lower level")
+                self._install(addr, line, ready, ip, False, 0, not is_load)
+                mshr[line] = [ready, False, 0]
+                heappush(self._mshr_heap, (ready, line))
 
-        # Miss.
-        stats.demand_misses += 1
-        if is_load:
-            stats.load_misses += 1
-        if self._drrip:
-            self.policy.record_miss(line & self._set_mask)
+        instructions = self.instruction_counter.value
+        elapsed = instructions - self._mpki_mark_instr
+        if elapsed >= _MPKI_WINDOW:
+            misses = stats.demand_misses
+            self._mpki = (misses - self._mpki_mark_misses) * 1000.0 / elapsed
+            self._mpki_mark_instr = instructions
+            self._mpki_mark_misses = misses
 
-        entry = self._mshr.get(line)
-        if entry is not None:
-            stats.mshr_merges += 1
-            if entry[1]:  # merging into an in-flight prefetch: late but covered
-                self._credit_mshr_prefetch(entry, addr)
-                stats.pf_late += 1
-            self._update_mpki()
-            return max(entry[0], cycle + self._latency)
-
-        stats.uncovered_misses += 1
-        effective_cycle = self._reserve_mshr_demand(cycle)
-        down = self.next_level.access(
-            addr, effective_cycle + self._latency, kind, ip=ip)
-        if down is None:
-            raise SimulationError("demand access dropped by lower level")
-        ready = down
-        self._install(addr, line, ready, ip, False, 0, not is_load)
-        self._mshr[line] = [ready, False, 0]
-        self._update_mpki()
+        prefetcher = self.prefetcher
+        if prefetcher is not None:
+            ctx = _new_context(AccessContext, (
+                ip, addr if vaddr is None else vaddr, slot is not None,
+                _LOAD_TYPE if is_load else _STORE_TYPE, cycle, 0, self._mpki))
+            for request in prefetcher.on_access(ctx):
+                self.issue_prefetch(request, cycle, ip)
         return ready
 
-    def _prefetch_arrival(
+    def prefetch_arrival(
         self,
         addr: int,
         cycle: int,
         ip: int,
         metadata: int,
         pf_class: int,
-        slot: int | None,
-        line: int,
     ) -> int | None:
-        """A prefetch issued by the level above lands here: fill on miss."""
+        """A prefetch issued by the level above lands here: fill on miss.
+
+        Returns the data-ready cycle, or None when the prefetch is
+        dropped (no free MSHR here, or dropped below); this level's
+        prefetcher sees only prefetches that were not dropped, with
+        their ``metadata``.
+        """
+        line = addr >> LINE_BITS
+        slot = self._map.get(line)
         if slot is not None:
-            set_idx, way = divmod(slot, self._ways)
-            self.policy.on_hit(set_idx, way, True, ip)
-            return cycle + self._latency
-        entry = self._mshr.get(line)
-        if entry is not None:
-            return max(entry[0], cycle + self._latency)
-        if not self._mshr_has_room(cycle):
-            self.stats.pf_dropped_mshr += 1
-            return None
-        down = self.next_level.access(
-            addr, cycle + self._latency, _PREFETCH,
-            ip=ip, metadata=metadata, pf_class=pf_class)
-        if down is None:
-            return None
-        self._install(addr, line, down, ip, True, pf_class, False)
-        self.stats.pf_filled += 1
-        self._mshr[line] = [down, True, pf_class]
-        return down
+            lru = self._lru
+            if lru is not None:
+                clock = lru.clock + 1
+                lru.clock = clock
+                lru.stamp[slot] = clock
+            else:
+                set_idx, way = divmod(slot, self._ways)
+                self.policy.on_hit(set_idx, way, True, ip)
+            ready = cycle + self._latency
+        else:
+            mshr = self._mshr
+            entry = mshr.get(line)
+            if entry is not None:
+                ready = max(entry[0], cycle + self._latency)
+            else:
+                if len(mshr) >= self._mshr_entries \
+                        and not self._expire_mshr(cycle):
+                    self.stats.pf_dropped_mshr += 1
+                    return None
+                ready = self.next_level.prefetch_arrival(
+                    addr, cycle + self._latency, ip, metadata, pf_class)
+                if ready is None:
+                    return None
+                self._install(addr, line, ready, ip, True, pf_class, False)
+                self.stats.pf_filled += 1
+                mshr[line] = [ready, True, pf_class]
+                heappush(self._mshr_heap, (ready, line))
+
+        prefetcher = self.prefetcher
+        if prefetcher is not None:
+            ctx = _new_context(AccessContext, (
+                ip, addr, slot is not None, _PREFETCH_TYPE, cycle, metadata,
+                self._mpki))
+            for request in prefetcher.on_access(ctx):
+                self.issue_prefetch(request, cycle, ip)
+        return ready
+
+    def writeback(self, addr: int, cycle: int) -> None:
+        """Absorb a dirty line evicted from the level above.
+
+        A present line turns dirty; an absent one is write-allocated
+        (the whole line arrives, so nothing is fetched from below).
+        """
+        line = addr >> LINE_BITS
+        slot = self._map.get(line)
+        if slot is not None:
+            self._dirty[slot] = True
+        else:
+            self._install(addr, line, cycle, 0, False, 0, True)
 
     # ------------------------------------------------------------------ #
     # Prefetch issue path (requests from *this* level's prefetcher)
     # ------------------------------------------------------------------ #
-
-    def _run_prefetcher(
-        self,
-        addr: int,
-        cycle: int,
-        kind: AccessKind,
-        ip: int,
-        vaddr: int | None,
-        metadata: int,
-        hit: bool,
-    ) -> None:
-        ctx = AccessContext(ip, addr if vaddr is None else vaddr, hit,
-                            _ACCESS_TYPE[kind], cycle, metadata, self._mpki)
-        for request in self.prefetcher.on_access(ctx):
-            self.issue_prefetch(request, cycle, ip)
 
     def issue_prefetch(self, request: PrefetchRequest, cycle: int, ip: int = 0) -> bool:
         """Issue one prefetch request; returns True if it was sent out."""
@@ -352,44 +461,48 @@ class Cache:
             addr = self.translate(addr)
         line = addr >> LINE_BITS
 
-        if request.fill_this_level and line in self._map:
+        fill = request.fill_this_level
+        if fill and line in self._map:
             stats.pf_dropped_in_cache += 1
             return False
-        if line in self._mshr:
+        mshr = self._mshr
+        if line in mshr:
             stats.pf_dropped_in_flight += 1
             return False
 
-        while self._pq and self._pq[0] <= cycle:
-            self._pq.popleft()
-        if len(self._pq) >= self.params.pq_entries:
+        pq = self._pq
+        while pq and pq[0] <= cycle:
+            pq.popleft()
+        if len(pq) >= self.params.pq_entries:
             stats.pf_dropped_pq += 1
             return False
-        if request.fill_this_level and not self._mshr_has_room(cycle):
+        if fill and len(mshr) >= self._mshr_entries \
+                and not self._expire_mshr(cycle):
             stats.pf_dropped_mshr += 1
             return False
         self._pq_last_issue = max(cycle, self._pq_last_issue + 1)
 
-        down = self.next_level.access(
-            addr, cycle + self._latency, _PREFETCH,
-            ip=ip, metadata=request.metadata, pf_class=request.pf_class)
+        cls = request.pf_class
+        down = self.next_level.prefetch_arrival(
+            addr, cycle + self._latency, ip, request.metadata, cls)
         if down is None:
             stats.pf_dropped_mshr += 1
             return False
 
         stats.pf_issued += 1
-        cls = request.pf_class
         stats.pf_issued_by_class[cls] = stats.pf_issued_by_class.get(cls, 0) + 1
-        self._pq.append(self._pq_last_issue)
-        if request.fill_this_level:
+        pq.append(self._pq_last_issue)
+        if fill:
             self._install(addr, line, down, ip, True, cls, False)
             stats.pf_filled += 1
-            self._mshr[line] = [down, True, cls]
+            mshr[line] = [down, True, cls]
+            heappush(self._mshr_heap, (down, line))
             if self.prefetcher is not None:
                 self.prefetcher.on_prefetch_fill(addr, cls)
         return True
 
     # ------------------------------------------------------------------ #
-    # Fills, evictions, writebacks, MSHR bookkeeping
+    # Fills, evictions, MSHR expiry
     # ------------------------------------------------------------------ #
 
     def _install(
@@ -406,13 +519,32 @@ class Cache:
         ways = self._ways
         base = set_idx * ways
         lines = self._line
-        seg = lines[base:base + ways]
+        lru = self._lru
+        way = -1
+        if self._filled < self._size:
+            seg = lines[base:base + ways]
+            if -1 in seg:
+                way = seg.index(-1)
+                self._filled += 1
         evicted_addr = None
-        if -1 in seg:
-            way = seg.index(-1)
-        else:
-            way = self.policy.victim(set_idx)
-            evicted_addr = self._evict(base + way, set_idx, way, ip)
+        if way < 0:
+            if lru is not None:
+                seg = lru.stamp[base:base + ways]
+                way = seg.index(min(seg))
+            else:
+                way = self.policy.victim(set_idx)
+            slot = base + way
+            victim = lines[slot]
+            del self._map[victim]
+            evicted_addr = victim << LINE_BITS
+            was_prefetch = self._pf[slot]
+            if was_prefetch:
+                self.stats.pf_unused_evicted += 1
+            if lru is None:
+                self.policy.on_evict(set_idx, way, not was_prefetch, ip)
+            if self._dirty[slot]:
+                self.stats.writebacks += 1
+                self.next_level.writeback(evicted_addr, self._fill_cycle[slot])
         slot = base + way
         self._map[line] = slot
         lines[slot] = line
@@ -420,74 +552,22 @@ class Cache:
         self._pf[slot] = is_prefetch
         self._pf_class[slot] = pf_class
         self._fill_cycle[slot] = ready
-        self.policy.on_fill(set_idx, way, is_prefetch, ip)
+        if lru is not None:
+            clock = lru.clock + 1
+            lru.clock = clock
+            lru.stamp[slot] = clock
+        else:
+            self.policy.on_fill(set_idx, way, is_prefetch, ip)
         if self.prefetcher is not None:
             self.prefetcher.on_fill(addr, is_prefetch, 0, evicted_addr)
 
-    def _evict(self, slot: int, set_idx: int, way: int, ip: int) -> int:
-        line = self._line[slot]
-        del self._map[line]
-        victim_addr = line << LINE_BITS
-        was_prefetch = self._pf[slot]
-        if was_prefetch:
-            self.stats.pf_unused_evicted += 1
-        self.policy.on_evict(set_idx, way, not was_prefetch, ip)
-        if self._dirty[slot]:
-            self.stats.writebacks += 1
-            self.next_level.access(victim_addr, self._fill_cycle[slot],
-                                   _WRITEBACK)
-        return victim_addr
-
-    def _handle_writeback(self, addr: int, cycle: int) -> None:
-        line = addr >> LINE_BITS
-        slot = self._map.get(line)
-        if slot is not None:
-            self._dirty[slot] = True
-            return
-        # Write-allocate the full line; no fetch from below is needed.
-        self._install(addr, line, cycle, 0, False, 0, True)
-
-    def _mshr_has_room(self, cycle: int) -> bool:
-        if len(self._mshr) < self.params.mshr_entries:
-            return True
-        self._purge_mshr(cycle)
-        return len(self._mshr) < self.params.mshr_entries
-
-    def _purge_mshr(self, cycle: int) -> None:
-        done = [line for line, entry in self._mshr.items() if entry[0] <= cycle]
-        for line in done:
-            del self._mshr[line]
-
-    def _reserve_mshr_demand(self, cycle: int) -> int:
-        """Demands stall (advance time) rather than drop when MSHRs are full."""
-        if self._mshr_has_room(cycle):
-            return cycle
-        earliest = min(entry[0] for entry in self._mshr.values())
-        self.stats.mshr_full_stalls += 1
-        self._purge_mshr(earliest)
-        return earliest
-
-    def _credit_useful(self, slot: int, addr: int) -> None:
-        stats = self.stats
-        stats.pf_useful += 1
-        cls = self._pf_class[slot]
-        stats.pf_useful_by_class[cls] = stats.pf_useful_by_class.get(cls, 0) + 1
-        self._pf[slot] = False
-        if self.prefetcher is not None:
-            self.prefetcher.on_prefetch_hit(addr, cls)
-
-    def _credit_mshr_prefetch(self, entry: list, addr: int) -> None:
-        stats = self.stats
-        stats.pf_useful += 1
-        cls = entry[2]
-        stats.pf_useful_by_class[cls] = stats.pf_useful_by_class.get(cls, 0) + 1
-        entry[1] = False
-        # Clear the prefetch mark on the already-installed block, if present.
-        slot = self._map.get(addr >> LINE_BITS)
-        if slot is not None:
-            self._pf[slot] = False
-        if self.prefetcher is not None:
-            self.prefetcher.on_prefetch_hit(addr, cls)
+    def _expire_mshr(self, cycle: int) -> bool:
+        """Retire the MSHR entries ready by ``cycle``; True if one is free."""
+        heap = self._mshr_heap
+        mshr = self._mshr
+        while heap and heap[0][0] <= cycle:
+            del mshr[heappop(heap)[1]]
+        return len(mshr) < self._mshr_entries
 
     def reset_stats(self) -> None:
         """Zero the counters (cache contents and training state persist)."""

@@ -13,33 +13,35 @@ exactly the paper's setup.
 
 from __future__ import annotations
 
-from repro.memsys.cache import AccessKind, Cache, InstructionCounter
+from repro.memsys.cache import Cache, InstructionCounter
 from repro.memsys.dram import Dram
 from repro.memsys.tlb import TlbHierarchy
 from repro.memsys.vmem import VirtualMemory
-from repro.params import PAGE_BITS, SystemParams
+from repro.params import PAGE_BITS, PAGE_SIZE, SystemParams
 from repro.prefetchers.base import Prefetcher
+
+_PAGE_OFFSET = PAGE_SIZE - 1
 
 
 class DramPort:
-    """Adapter giving :class:`~repro.memsys.dram.Dram` the cache access API."""
+    """Gives :class:`~repro.memsys.dram.Dram` the three cache entry points."""
 
     def __init__(self, dram: Dram) -> None:
         self.dram = dram
 
-    def access(
-        self,
-        addr: int,
-        cycle: int,
-        kind: AccessKind,
-        ip: int = 0,
-        metadata: int = 0,
-        pf_class: int = 0,
-    ) -> int:
-        if kind == AccessKind.WRITEBACK:
-            self.dram.write(addr, cycle)
-            return cycle
+    def demand(self, addr: int, cycle: int, is_load: bool, ip: int,
+               vaddr: int | None = None) -> int:
+        """Read the line for a demand miss; return the data-ready cycle."""
         return self.dram.read(addr, cycle)
+
+    def prefetch_arrival(self, addr: int, cycle: int, ip: int,
+                         metadata: int, pf_class: int) -> int:
+        """Read the line for a prefetch; DRAM never drops one."""
+        return self.dram.read(addr, cycle)
+
+    def writeback(self, addr: int, cycle: int) -> None:
+        """Write a dirty line evicted from the LLC."""
+        self.dram.write(addr, cycle)
 
 
 class Hierarchy:
@@ -60,9 +62,10 @@ class Hierarchy:
         self.dram = dram
         self.vmem = vmem
         self.tlb = tlb
+        self._frames = vmem.page_table
         self.instruction_counter = counter = InstructionCounter()
         for cache in (l1d, l2, llc):
-            cache.instruction_counter = counter
+            cache.attach_core(counter)
 
     @property
     def instructions(self) -> int:
@@ -73,30 +76,27 @@ class Hierarchy:
         """Advance the retired-instruction counter (drives MPKI sampling)."""
         self.instruction_counter.value += count
 
-    def _translate_delay(self, vaddr: int) -> int:
-        if self.tlb is None:
-            return 0
-        return self.tlb.access(vaddr >> PAGE_BITS)
-
     def load(self, vaddr: int, ip: int, cycle: int) -> int:
         """Demand load; returns the data-ready cycle."""
-        cycle += self._translate_delay(vaddr)
-        paddr = self.vmem.translate(vaddr)
-        ready = self.l1d.access(
-            paddr, cycle, AccessKind.LOAD, ip=ip, vaddr=vaddr
-        )
-        assert ready is not None
-        return ready
+        vpage = vaddr >> PAGE_BITS
+        if self.tlb is not None:
+            cycle += self.tlb.access(vpage)
+        frame = self._frames.get(vpage)
+        if frame is None:
+            frame = self.vmem.allocate(vpage)
+        return self.l1d.demand((frame << PAGE_BITS) | (vaddr & _PAGE_OFFSET),
+                               cycle, True, ip, vaddr)
 
     def store(self, vaddr: int, ip: int, cycle: int) -> int:
         """Demand store (write-allocate); returns the completion cycle."""
-        cycle += self._translate_delay(vaddr)
-        paddr = self.vmem.translate(vaddr)
-        ready = self.l1d.access(
-            paddr, cycle, AccessKind.STORE, ip=ip, vaddr=vaddr
-        )
-        assert ready is not None
-        return ready
+        vpage = vaddr >> PAGE_BITS
+        if self.tlb is not None:
+            cycle += self.tlb.access(vpage)
+        frame = self._frames.get(vpage)
+        if frame is None:
+            frame = self.vmem.allocate(vpage)
+        return self.l1d.demand((frame << PAGE_BITS) | (vaddr & _PAGE_OFFSET),
+                               cycle, False, ip, vaddr)
 
     @property
     def caches(self) -> tuple[Cache, Cache, Cache]:
@@ -125,10 +125,10 @@ def build_hierarchy(
     """Build a hierarchy from Table II parameters.
 
     ``shared_llc``/``shared_dram`` let multicore setups hang several
-    private L1/L2 pairs off one LLC and DRAM.  Each call wires its new
-    core's instruction counter into all three caches, so a shared LLC
-    samples MPKI against the core built *last* (a known quirk: it moves
-    no number today, as no mix runs an MPKI-gated LLC prefetcher).
+    private L1/L2 pairs off one LLC and DRAM.  Each call attaches its
+    new core's instruction counter to all three caches, so a shared LLC
+    samples MPKI against the retired instructions of every core built
+    on it.
     """
     params = params or SystemParams()
     vmem = VirtualMemory(seed=vmem_seed, asid=asid)

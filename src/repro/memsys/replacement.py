@@ -9,6 +9,9 @@ A policy tracks per-(set, way) state and answers one question: which
 way of a set should be evicted next.  The cache drives the policy
 through three hooks: :meth:`ReplacementPolicy.on_fill`,
 :meth:`ReplacementPolicy.on_hit` and :meth:`ReplacementPolicy.victim`.
+LRU, the default, is the exception on the cache's hot path: the cache
+updates :class:`LruPolicy`'s clock and stamps inline instead of calling
+its hooks (same state, same arithmetic).
 """
 
 from __future__ import annotations
@@ -46,24 +49,27 @@ class ReplacementPolicy(ABC):
 class LruPolicy(ReplacementPolicy):
     """Classic least-recently-used replacement via a monotone timestamp.
 
-    Stamps live in one flat list of ``sets * ways`` slots; the victim is
-    the first way holding its set's minimum stamp.
+    ``stamp`` is one flat list of ``sets * ways`` slots (slot
+    ``set * ways + way``); a fill or hit bumps ``clock`` and writes it
+    into the slot.  The victim is the first way holding its set's
+    minimum stamp.  :class:`~repro.memsys.cache.Cache` performs exactly
+    these updates inline on this object's ``clock`` and ``stamp``.
     """
 
     def __init__(self, sets: int, ways: int) -> None:
         super().__init__(sets, ways)
-        self._clock = 0
-        self._stamp = [0] * (sets * ways)
+        self.clock = 0
+        self.stamp = [0] * (sets * ways)
 
     def on_fill(self, set_idx: int, way: int, is_prefetch: bool, ip: int) -> None:
-        self._clock += 1
-        self._stamp[set_idx * self.ways + way] = self._clock
+        self.clock += 1
+        self.stamp[set_idx * self.ways + way] = self.clock
 
     on_hit = on_fill
 
     def victim(self, set_idx: int) -> int:
         base = set_idx * self.ways
-        seg = self._stamp[base:base + self.ways]
+        seg = self.stamp[base:base + self.ways]
         return seg.index(min(seg))
 
 

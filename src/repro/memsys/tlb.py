@@ -52,28 +52,28 @@ class TlbStats:
 
 
 class _LruSet:
-    """Fully-associative LRU set of virtual page numbers."""
+    """Fully-associative LRU set of virtual page numbers, MRU last."""
 
     def __init__(self, entries: int) -> None:
         self.entries = entries
-        self._pages: OrderedDict[int, None] = OrderedDict()
+        self.pages: OrderedDict[int, None] = OrderedDict()
 
-    def lookup(self, vpage: int) -> bool:
-        if vpage in self._pages:
-            self._pages.move_to_end(vpage)
+    def touch(self, vpage: int) -> bool:
+        """Look ``vpage`` up and make it MRU; True if it was present.
+
+        A miss inserts it, evicting the LRU page when the set is full.
+        """
+        pages = self.pages
+        if vpage in pages:
+            pages.move_to_end(vpage)
             return True
+        if len(pages) >= self.entries:
+            pages.popitem(last=False)
+        pages[vpage] = None
         return False
 
-    def insert(self, vpage: int) -> None:
-        if vpage in self._pages:
-            self._pages.move_to_end(vpage)
-            return
-        if len(self._pages) >= self.entries:
-            self._pages.popitem(last=False)
-        self._pages[vpage] = None
-
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self.pages)
 
 
 class TlbHierarchy:
@@ -87,15 +87,26 @@ class TlbHierarchy:
 
     def access(self, vpage: int) -> int:
         """Translate ``vpage``; returns the added delay in cycles."""
-        self.stats.accesses += 1
-        if self._dtlb.lookup(vpage):
+        stats = self.stats
+        stats.accesses += 1
+        # Each level's _LruSet.touch, inlined: this runs on every load
+        # and store.
+        dtlb = self._dtlb.pages
+        if vpage in dtlb:
+            dtlb.move_to_end(vpage)
             return 0
-        self.stats.dtlb_misses += 1
-        self._dtlb.insert(vpage)
-        if self._stlb.lookup(vpage):
+        stats.dtlb_misses += 1
+        if len(dtlb) >= self._dtlb.entries:
+            dtlb.popitem(last=False)
+        dtlb[vpage] = None
+        stlb = self._stlb.pages
+        if vpage in stlb:
+            stlb.move_to_end(vpage)
             return self.params.stlb_penalty
-        self.stats.stlb_misses += 1
-        self._stlb.insert(vpage)
+        stats.stlb_misses += 1
+        if len(stlb) >= self._stlb.entries:
+            stlb.popitem(last=False)
+        stlb[vpage] = None
         return self.params.walk_penalty
 
     def reset_stats(self) -> None:

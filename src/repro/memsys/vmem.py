@@ -34,29 +34,31 @@ class VirtualMemory:
     def __init__(self, seed: int = 1, asid: int = 0) -> None:
         self._seed = seed
         self._asid = asid
-        self._page_table: dict[int, int] = {}
+        # vpage -> frame; read directly on the hierarchy's load path.
+        self.page_table: dict[int, int] = {}
         self._used_frames: set[int] = set()
         self._probe_salt = 0
 
     def translate(self, vaddr: int) -> int:
         """Translate a virtual byte address to a physical byte address."""
         vpage = vaddr >> PAGE_BITS
-        frame = self._page_table.get(vpage)
+        frame = self.page_table.get(vpage)
         if frame is None:
-            frame = self._allocate(vpage)
+            frame = self.allocate(vpage)
         return (frame << PAGE_BITS) | (vaddr & (PAGE_SIZE - 1))
 
-    def _allocate(self, vpage: int) -> int:
+    def allocate(self, vpage: int) -> int:
+        """Map the untouched page ``vpage`` to a fresh frame; return it."""
         key = (self._asid << 48) ^ vpage ^ self._seed
         frame = _splitmix64(key) & ((1 << 34) - 1)  # 16 TB physical space
         while frame in self._used_frames:
             self._probe_salt += 1
             frame = _splitmix64(key + self._probe_salt) & ((1 << 34) - 1)
         self._used_frames.add(frame)
-        self._page_table[vpage] = frame
+        self.page_table[vpage] = frame
         return frame
 
     @property
     def mapped_pages(self) -> int:
         """Number of virtual pages touched so far."""
-        return len(self._page_table)
+        return len(self.page_table)

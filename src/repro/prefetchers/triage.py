@@ -13,6 +13,7 @@ confidence so low-value streams stop prefetching.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 
 from repro.prefetchers.base import (
     AccessContext,
@@ -52,8 +53,9 @@ class TriagePrefetcher(Prefetcher):
                 entry[1] = 1
 
     def _evict(self) -> None:
-        # Prefer evicting a low-confidence entry from the LRU end.
-        for key in list(self._table)[:8]:
+        # Prefer evicting a low-confidence entry among the 8 LRU ones
+        # (pulling only those 8 keys, not the whole table).
+        for key in list(islice(self._table, 8)):
             if self._table[key][1] <= 1:
                 del self._table[key]
                 return

@@ -264,7 +264,7 @@ class _Level:
 
 
 def _purge(lvl: _Level, cycle: int) -> None:
-    """Drop completed MSHR entries (``Cache._purge_mshr``)."""
+    """Drop completed MSHR entries (as ``Cache._expire_mshr`` does)."""
     mshr = lvl.mshr
     done = [line for line, entry in mshr.items() if entry[0] <= cycle]
     for line in done:
@@ -275,7 +275,7 @@ def _install(lvl: _Level, line: int, ready: int,
              is_pf: bool, cls: int, dirty: bool) -> None:
     """Install a line, evicting (and writing back) as needed.
 
-    Transcribes ``Cache._install``/``_find_way``/``_evict`` for the LRU
+    Transcribes ``Cache._install`` (eviction included) for the LRU
     policy: first invalid way, else the minimum-stamp way; dirty
     victims ride down as writebacks stamped with their fill cycle.
     """
@@ -312,7 +312,7 @@ def _install(lvl: _Level, line: int, ready: int,
 
 
 def _writeback(lvl: _Level, line: int, cycle: int) -> None:
-    """Absorb a writeback from the level above (``_handle_writeback``)."""
+    """Absorb a writeback from the level above (``Cache.writeback``)."""
     slot = lvl.map.get(line)
     if slot is not None:
         lvl.dirty[slot] = 1
@@ -322,7 +322,7 @@ def _writeback(lvl: _Level, line: int, cycle: int) -> None:
 
 def _demand(lvl: _Level, line: int, cycle: int, is_store: bool,
             ip: int, instr: int) -> int:
-    """Demand access at L2/LLC (``Cache._demand_access`` + L2 replay).
+    """Demand access at L2/LLC (``Cache.demand`` + L2 replay).
 
     ``instr`` is the hierarchy instruction count *before* this record's
     tick, matching when the scalar MPKI sampler reads it.
@@ -398,7 +398,7 @@ def _demand(lvl: _Level, line: int, cycle: int, is_store: bool,
 
 def _pf_arrival(lvl: _Level, line: int, cycle: int, ip: int,
                 metadata: int, cls: int):
-    """A prefetch from the level above lands here (``_prefetch_arrival``).
+    """A prefetch from the level above lands here (``Cache.prefetch_arrival``).
 
     Returns the data-ready cycle, or None when the prefetch was dropped
     for MSHR exhaustion — in which case the L2 metadata replay is

@@ -103,6 +103,47 @@ class TestMshr:
         cache.access(0x2000, ready + 10_000, AccessKind.LOAD)
         assert cache.stats.mshr_full_stalls == 0
 
+    def test_stall_waits_for_the_earliest_entry_only(self):
+        class Fixed:  # the level below answers in 100 cycles, no queue
+            def demand(self, addr, cycle, is_load, ip, vaddr=None):
+                return cycle + 100
+
+        params = CacheParams("T", 4 * 2 * 64, 2, 1, 4, 2)
+        cache = Cache(params, Fixed())
+        assert cache.access(0x0000, 0, AccessKind.LOAD) == 101
+        assert cache.access(0x1000, 50_000, AccessKind.LOAD) == 50_101
+        # Full at cycle 1: the miss starts when the earliest entry
+        # retires (cycle 101), and only that entry retires.
+        assert cache.access(0x2000, 1, AccessKind.LOAD) == 202
+        assert cache.stats.mshr_full_stalls == 1
+        # Full again (entries ready at 202 and 50_101): wait for 202.
+        assert cache.access(0x3000, 102, AccessKind.LOAD) == 303
+        assert cache.stats.mshr_full_stalls == 2
+
+
+class TestPartialFill:
+    @pytest.mark.parametrize("policy", ["lru", "srrip"])
+    def test_a_set_evicts_only_once_full(self, policy):
+        evicted = []
+
+        class Fills(Prefetcher):
+            def __init__(self):
+                super().__init__(name="fills")
+
+            def on_fill(self, addr, was_prefetch, metadata, evicted_addr):
+                evicted.append(evicted_addr)
+
+        params = CacheParams("T", 2 * 2 * 64, 2, 1, 4, 4, policy)
+        cache = Cache(params, DramPort(Dram()), prefetcher=Fills())
+        # Set 0 (even lines) takes a third line before set 1 sees any.
+        for i, addr in enumerate((0x000, 0x080, 0x100, 0x040, 0x0C0, 0x140)):
+            cache.access(addr, i * 10_000, AccessKind.LOAD)
+        # Set 1's first two fills take its empty ways although three of
+        # the four slots were already filled; its third evicts.
+        assert evicted == [None, None, 0x000, None, None, 0x040]
+        assert [cache.probe(a) for a in (0x080, 0x100, 0x0C0, 0x140)] \
+            == [True] * 4
+
 
 class TestPrefetchIssue:
     def test_issue_prefetch_installs_with_prefetch_bit(self):

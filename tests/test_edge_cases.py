@@ -101,7 +101,7 @@ class TestDemandIntegrity:
 
     def test_dropped_demand_raises_simulation_error(self):
         class NullLevel:
-            def access(self, *args, **kwargs):
+            def demand(self, *args, **kwargs):
                 return None
 
         params = CacheParams("T", 4 * 2 * 64, 2, 1, 4, 4)

@@ -141,11 +141,9 @@ class TestSharedLevels:
         # Distinct ASIDs -> distinct physical lines in the shared LLC.
         assert llc.stats.demand_misses == 2
 
-    def test_shared_llc_samples_last_built_core(self):
-        # Each hierarchy wires its counter into all three of its caches,
-        # so a shared LLC ends up sampling MPKI against the core built
-        # last (a known quirk; no claim runs an MPKI-gated LLC
-        # prefetcher in a mix).
+    def test_shared_llc_samples_every_core(self):
+        # Private levels count their own core; a shared LLC samples MPKI
+        # against every core's retired instructions.
         from repro.memsys.cache import Cache
         from repro.memsys.dram import Dram
         from repro.memsys.hierarchy import DramPort
@@ -156,9 +154,28 @@ class TestSharedLevels:
         h0 = build_hierarchy(shared_llc=llc, shared_dram=dram, asid=0)
         h1 = build_hierarchy(shared_llc=llc, shared_dram=dram, asid=1)
         h0.tick_instruction(5)
+        h1.tick_instruction(7)
         assert h0.l2.instruction_counter.value == 5
-        assert llc.instruction_counter is h1.instruction_counter
-        assert llc.instruction_counter.value == 0
+        assert h1.l1d.instruction_counter.value == 7
+        assert llc.instruction_counter.value == 12
+
+    def test_shared_llc_mpki_window_spans_cores(self):
+        # Neither core alone retires a full sampling window, together
+        # they do: the LLC samples its demand misses against their sum.
+        from repro.memsys.cache import Cache
+        from repro.memsys.dram import Dram
+        from repro.memsys.hierarchy import DramPort
+        from repro.params import default_llc
+
+        dram = Dram()
+        llc = Cache(default_llc(2), DramPort(dram))
+        h0 = build_hierarchy(shared_llc=llc, shared_dram=dram, asid=0)
+        h1 = build_hierarchy(shared_llc=llc, shared_dram=dram, asid=1)
+        h0.tick_instruction(Cache.MPKI_WINDOW // 2)
+        h1.tick_instruction(Cache.MPKI_WINDOW // 2)
+        h0.load(0x1000, 0x400, 0)
+        assert llc.stats.demand_misses == 1
+        assert llc.mpki == 1000.0 / Cache.MPKI_WINDOW
 
     def test_reset_stats_resets_all_levels(self, hierarchy):
         hierarchy.load(0x1000, 0x400, 0)

@@ -2,6 +2,7 @@
 future-work TS class."""
 
 import random
+from collections import OrderedDict
 
 from repro.core import IpcpConfig, IpcpL1
 from repro.core.ipcp_l1 import PfClass
@@ -151,6 +152,39 @@ class TestTriage:
         pf = TriagePrefetcher(entries=16)
         feed_ring(pf, ring(size=64), laps=2)
         assert len(pf._table) <= 16
+
+    @staticmethod
+    def _full_table(confidences):
+        class CountingTable(OrderedDict):
+            pulled = 0
+
+            def __iter__(self):
+                for key in super().__iter__():
+                    self.pulled += 1
+                    yield key
+
+        pf = TriagePrefetcher(entries=len(confidences))
+        pf._table = CountingTable(
+            (line, [line + 1, conf]) for line, conf in enumerate(confidences))
+        return pf
+
+    def test_eviction_scans_only_the_eight_lru_keys(self):
+        # Confidence 1 first appears at the fourth LRU key.
+        pf = self._full_table([3, 2, 2, 1, 1] + [3] * 59)
+        pf._train(1_000, 1_001)
+        assert pf._table.pulled <= 8
+        assert 3 not in pf._table
+        assert 4 in pf._table and 0 in pf._table
+        assert len(pf._table) == 64
+
+    def test_eviction_falls_back_to_lru_key(self):
+        # No low-confidence key among the eight LRU ones: the LRU key
+        # goes, even though the ninth is low-confidence.
+        pf = self._full_table([2] * 8 + [1] + [3] * 55)
+        pf._train(1_000, 1_001)
+        assert pf._table.pulled <= 8
+        assert 0 not in pf._table
+        assert 8 in pf._table
 
 
 class TestIpcpTemporalClass:
