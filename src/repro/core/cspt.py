@@ -32,7 +32,12 @@ class CsptEntry:
 
 
 class Cspt:
-    """128-entry direct-mapped complex stride prediction table."""
+    """128-entry direct-mapped complex stride prediction table.
+
+    :meth:`repro.core.ipcp_l1.IpcpL1.on_access` calls :meth:`train` and
+    :meth:`predict_chain` and rolls the signature with the rule of
+    :func:`update_signature` inline.
+    """
 
     def __init__(self, entries: int = 128) -> None:
         self.entries = entries

@@ -64,18 +64,24 @@ class IpEntry:
 
 
 class IpTable:
-    """64-entry direct-mapped, tagged IP table with hysteresis."""
+    """64-entry direct-mapped, tagged IP table with hysteresis.
+
+    The table owns the entries; :meth:`repro.core.ipcp_l1.IpcpL1.on_access`
+    applies the same rules as :meth:`access`, :meth:`compute_stride` and
+    :meth:`record_access` inline, in one frame per demand access.
+    """
 
     def __init__(self, entries: int = 64, tag_bits: int = 9) -> None:
         self.entries = entries
         self.tag_bits = tag_bits
         self._index_mask = entries - 1
+        self._tag_shift = entries.bit_length() - 1
         self._tag_mask = (1 << tag_bits) - 1
         self._table = [IpEntry() for _ in range(entries)]
 
     def _split(self, ip: int) -> tuple[int, int]:
         index = ip & self._index_mask
-        tag = (ip >> self.entries.bit_length() - 1) & self._tag_mask
+        tag = (ip >> self._tag_shift) & self._tag_mask
         return index, tag
 
     def lookup(self, ip: int) -> IpEntry | None:

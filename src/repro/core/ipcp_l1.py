@@ -15,16 +15,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from repro.core.cspt import Cspt, update_signature
-from repro.core.ip_table import IpEntry, IpTable
-from repro.core.metadata import MetaClass, encode_metadata
+from repro.core.cspt import Cspt
+from repro.core.ip_table import (
+    SIGNATURE_MASK,
+    STRIDE_MAX,
+    STRIDE_MIN,
+    IpEntry,
+    IpTable,
+)
+from repro.core.metadata import MetaClass
 from repro.core.rr_filter import RrFilter
-from repro.core.rst import Rst
+from repro.core.rst import (
+    DIRECTION_MAX,
+    DIRECTION_MID,
+    GS_TRAIN_THRESHOLD,
+    Rst,
+    RstEntry,
+)
 from repro.core.storage import ipcp_storage_report
 from repro.core.temporal import TemporalTable
-from repro.core.throttle import ClassThrottle, HIGH_WATERMARK
+from repro.core.throttle import (
+    EPOCH_FILLS,
+    HIGH_WATERMARK,
+    LOW_WATERMARK,
+    ClassThrottle,
+)
 from repro.errors import ConfigurationError
-from repro.params import LINES_PER_PAGE, LINES_PER_REGION
+from repro.params import LINES_PER_PAGE
 from repro.prefetchers.base import (
     AccessContext,
     AccessType,
@@ -49,12 +66,21 @@ class PfClass(IntEnum):
     TS = 5  # optional temporal class (the paper's future-work extension)
 
 
-_META_OF_CLASS = {
-    PfClass.CS: MetaClass.CS,
-    PfClass.GS: MetaClass.GS,
-    PfClass.NL: MetaClass.NL,
-    PfClass.CPLX: MetaClass.NONE,  # CPLX is never replayed at the L2
-}
+# The metadata's 2-bit class field, shifted into place, indexed by
+# PfClass value.  CPLX is never replayed at the L2, and temporal
+# prefetches carry NL's field.
+_META_CLASS_BITS = tuple(int(meta) << 7 for meta in (
+    MetaClass.NONE, MetaClass.CS, MetaClass.NONE, MetaClass.GS, MetaClass.NL,
+))
+_PREFETCH = AccessType.PREFETCH
+_CS, _CPLX, _GS, _NL, _TS = (
+    int(c) for c in (PfClass.CS, PfClass.CPLX, PfClass.GS, PfClass.NL,
+                     PfClass.TS)
+)
+_NL_DELTAS = (1,)
+# ``_new_request(PrefetchRequest, fields)`` builds the named tuple
+# without its Python-level ``__new__`` (one frame less per request).
+_new_request = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -91,6 +117,13 @@ class IpcpConfig:
             raise ConfigurationError("priority may only contain GS/CS/CPLX/NL")
         if len(set(self.priority)) != len(self.priority):
             raise ConfigurationError("priority order contains duplicates")
+        # The IP table and the CSPT are direct-mapped and index with
+        # ``entries - 1`` as a mask, so any other size strands entries.
+        for field_name in ("ip_table_entries", "cspt_entries"):
+            entries = getattr(self, field_name)
+            if entries < 1 or entries & (entries - 1):
+                raise ConfigurationError(
+                    f"{field_name} must be a power of two, got {entries}")
 
 
 class IpcpL1(Prefetcher):
@@ -109,6 +142,7 @@ class IpcpL1(Prefetcher):
         )
         super().__init__(name="ipcp", storage_bits=report.l1_bits)
         self.config = cfg
+        self._priority = tuple(int(c) for c in cfg.priority)
         self.ip_table = IpTable(entries=cfg.ip_table_entries)
         self.cspt = Cspt(entries=cfg.cspt_entries)
         self.rst = Rst(entries=cfg.rst_entries)
@@ -149,190 +183,250 @@ class IpcpL1(Prefetcher):
         }
 
     # ------------------------------------------------------------------ #
-    # Training
+    # The per-access pipeline
     # ------------------------------------------------------------------ #
 
     def on_access(self, ctx: AccessContext) -> list[PrefetchRequest]:
         """Classify the IP, train all classes, emit bouquet prefetches.
 
-        Runs the full L1 pipeline on one demand access: IP-table
-        hysteresis, CS/CPLX/GS training, class arbitration by the
-        configured priority, per-class throttled degree, RR-filter
-        dedup, and metadata tagging for the L2 replayer.
+        Runs the whole L1 pipeline on one demand access in one frame.
+        Each sub-structure keeps its state and a method with the same
+        rule (named in parentheses); this method applies those rules
+        inline, in this order:
+
+        1. the RR filter records the demand line (``RrFilter.insert``);
+        2. the IP table resolves the IP under hysteresis
+           (``IpTable.access``);
+        3. the RST observes the access (``Rst.observe``);
+        4. the line stride (``IpTable.compute_stride``) trains the CS
+           confidence;
+        5. the CSPT trains under the IP's old signature (a call to
+           ``Cspt.train``), then the signature rolls
+           (``update_signature``);
+        6. the temporal table trains, when enabled;
+        7. the entry takes its GS state and the last-access fields
+           (``IpTable.record_access``);
+        8. the priority walk issues each eligible class's prefetches at
+           its throttled degree, page-bounded, deduplicated by the RR
+           filter (``RrFilter.check_and_insert``) and tagged with the
+           class's metadata for the L2.
         """
-        if ctx.kind == AccessType.PREFETCH:
+        ip, addr, _, kind, _, _, mpki = ctx
+        if kind == _PREFETCH:
             return []
-        line = ctx.addr >> 6
-        self.rr_filter.insert(line)
+        cfg = self.config
+        line = addr >> 6
+        rr_filter = self.rr_filter
+        fifo = rr_filter._fifo
+        rr_mask = rr_filter._tag_mask
+        fifo.append((line ^ (line >> 12)) & rr_mask)
 
-        entry = self.ip_table.access(ctx.ip)
-        rst_entry = self._train_gs(entry, line)
-        stride = self._train_strides(entry, ctx.addr)
-        if self.temporal is not None and entry is not None and entry.last_line:
-            self.temporal.train(entry.last_line, line)
+        ip_table = self.ip_table
+        slots = ip_table._table
+        index = ip & ip_table._index_mask
+        tag = (ip >> ip_table._tag_shift) & ip_table._tag_mask
+        entry = slots[index]
+        if entry.seen_once and entry.tag == tag:
+            entry.valid = True
+            last_line = entry.last_line
+        elif entry.valid:
+            entry.valid = False  # hysteresis: incumbent survives one challenge
+            entry = None
+            last_line = 0
+        else:
+            entry = slots[index] = IpEntry(tag=tag, valid=True, seen_once=True)
+            last_line = 0
 
+        region_entry = None
+        if cfg.enable_gs:
+            rst = self.rst
+            regions = rst._table
+            region = line >> 5  # 2 KB regions of 32 lines
+            offset = line & 31
+            region_entry = regions.pop(region, None)
+            if region_entry is None:
+                tentative = False
+                if last_line and last_line >> 5 != region:
+                    previous = regions.get(last_line >> 5)
+                    tentative = previous is not None and previous.trained
+                if len(regions) >= rst.entries:
+                    del regions[next(iter(regions))]
+                region_entry = RstEntry(region=region, tentative=tentative)
+                region_entry.last_line_offset = offset
+            regions[region] = region_entry  # most recently used
+            bit = 1 << offset
+            vector = region_entry.bit_vector
+            if not vector & bit:
+                vector |= bit
+                region_entry.bit_vector = vector
+                if vector.bit_count() >= GS_TRAIN_THRESHOLD:
+                    region_entry.trained = True
+                    region_entry.dense = True
+            count = region_entry.pos_neg_count
+            if offset > region_entry.last_line_offset:
+                if count < DIRECTION_MAX:
+                    count += 1
+                    region_entry.pos_neg_count = count
+            elif offset < region_entry.last_line_offset and count > 0:
+                count -= 1
+                region_entry.pos_neg_count = count
+            region_entry.direction = 1 if count >= DIRECTION_MID else -1
+            region_entry.last_line_offset = offset
+
+        requests = []
+        claimed = False
         if entry is not None:
-            if rst_entry is not None and (rst_entry.trained or rst_entry.tentative):
+            offset_in_page = line & 63
+            vpage = (addr >> 12) & 0x3  # 2 LSBs of the virtual page
+            if last_line:
+                stride = offset_in_page - entry.last_line_offset
+                if vpage != entry.last_vpage:
+                    moved = (vpage - entry.last_vpage) & 0x3
+                    if moved == 1:  # next page
+                        stride += LINES_PER_PAGE
+                    elif moved == 3:  # previous page
+                        stride -= LINES_PER_PAGE
+                    else:
+                        stride = 0  # jumped pages: no meaningful stride
+                if stride > STRIDE_MAX:
+                    stride = STRIDE_MAX
+                elif stride < STRIDE_MIN:
+                    stride = STRIDE_MIN
+                if stride:
+                    # CS: 2-bit confidence on the constant stride.
+                    if stride == entry.stride:
+                        if entry.confidence < 3:
+                            entry.confidence += 1
+                    else:
+                        confidence = entry.confidence
+                        if confidence > 0:
+                            confidence -= 1
+                            entry.confidence = confidence
+                        if confidence == 0:
+                            entry.stride = stride
+                    # CPLX: train the CSPT under the old signature, then
+                    # roll it.
+                    if cfg.enable_cplx:
+                        signature = entry.signature
+                        self.cspt.train(signature, stride)
+                        entry.signature = (
+                            (signature << 1) ^ (stride & SIGNATURE_MASK)
+                        ) & SIGNATURE_MASK
+                if self.temporal is not None:
+                    self.temporal.train(last_line, line)
+            if region_entry is not None and (
+                    region_entry.trained or region_entry.tentative):
                 entry.stream_valid = True
-                entry.direction = rst_entry.direction
+                entry.direction = region_entry.direction
             else:
                 entry.stream_valid = False
-            self.ip_table.record_access(entry, ctx.addr)
+            entry.last_vpage = vpage
+            entry.last_line_offset = offset_in_page
+            entry.last_line = line
 
-        return self._classify_and_issue(entry, line, stride, ctx.mpki)
+            # The priority walk, for tracked IPs only: an IP that lost
+            # the hysteresis duel issues nothing.  Tentative NL serves
+            # tracked IPs that fit no class, and only while the L1 MPKI
+            # is low enough to afford speculation.
+            throttles = self.throttles
+            throttling = cfg.throttling
+            page = line >> 6
+            drops = 0
+            for pf_class in self._priority:
+                # ``step`` is the CS stride or GS direction, and also the
+                # stride the metadata carries (0 for CPLX and NL).
+                if pf_class == _GS:
+                    if not (cfg.enable_gs and entry.stream_valid):
+                        continue
+                    step = entry.direction
+                elif pf_class == _CS:
+                    if not (cfg.enable_cs and entry.confidence >= 2
+                            and entry.stride != 0):
+                        continue
+                    step = entry.stride
+                elif pf_class == _CPLX:
+                    if not cfg.enable_cplx:
+                        continue
+                    step = 0
+                elif cfg.enable_nl and mpki < cfg.nl_mpki_threshold:
+                    step = 0
+                else:
+                    continue
+                throttle = throttles[pf_class]
+                degree = throttle.degree if throttling \
+                    else throttle.default_degree
+                if step:
+                    deltas = range(step, step * (degree + 1), step)
+                elif pf_class == _CPLX:
+                    deltas = self.cspt.predict_chain(entry.signature, degree)
+                    if not deltas:
+                        continue  # CSPT confidence too low: fall through
+                else:
+                    deltas = _NL_DELTAS
+                # Strides ride to the L2 only when the class accuracy is
+                # > 75%, so the L2 never replays a low-accuracy pattern.
+                if not cfg.send_metadata:
+                    metadata = 0
+                elif throttle.accuracy < HIGH_WATERMARK:
+                    metadata = _META_CLASS_BITS[pf_class]
+                else:
+                    metadata = _META_CLASS_BITS[pf_class] \
+                        | (step & SIGNATURE_MASK)
+                for delta in deltas:
+                    target = line + delta
+                    if target >> 6 != page or target < 0:
+                        continue  # spatial prefetcher: never cross the page
+                    rr_tag = (target ^ (target >> 12)) & rr_mask
+                    if rr_tag in fifo:
+                        drops += 1
+                        continue
+                    fifo.append(rr_tag)
+                    requests.append(_new_request(
+                        PrefetchRequest,
+                        (target << 6, True, metadata, pf_class)))
+                claimed = True
+                if throttling and throttle.accuracy < LOW_WATERMARK:
+                    continue  # low accuracy: let lower-priority classes explore
+                break
+            if drops:
+                stats = self.stats
+                stats["rr_filter_drops"] = \
+                    stats.get("rr_filter_drops", 0) + drops
 
-    def _train_gs(self, entry: IpEntry | None, line: int):
-        if not self.config.enable_gs:
-            return None
-        region = line // LINES_PER_REGION
-        offset = line % LINES_PER_REGION
-        previous_region = None
-        if entry is not None and entry.last_line:
-            previous_region = entry.last_line // LINES_PER_REGION
-        return self.rst.observe(region, offset, previous_region)
-
-    def _train_strides(self, entry: IpEntry | None, vaddr: int) -> int:
-        """Train CS confidence and the CPLX signature; return the stride."""
-        if entry is None or not entry.last_line:
-            return 0
-        stride = self.ip_table.compute_stride(entry, vaddr)
-        if stride == 0:
-            return 0
-        # CS: 2-bit confidence on the constant stride.
-        if stride == entry.stride:
-            entry.confidence = min(3, entry.confidence + 1)
-        else:
-            entry.confidence = max(0, entry.confidence - 1)
-            if entry.confidence == 0:
-                entry.stride = stride
-        # CPLX: train the CSPT under the old signature, then roll it.
-        if self.config.enable_cplx:
-            self.cspt.train(entry.signature, stride)
-            entry.signature = update_signature(entry.signature, stride)
-        return stride
-
-    # ------------------------------------------------------------------ #
-    # Classification + issue
-    # ------------------------------------------------------------------ #
-
-    def _classify_and_issue(
-        self,
-        entry: IpEntry | None,
-        line: int,
-        stride: int,
-        mpki: float,
-    ) -> list[PrefetchRequest]:
-        cfg = self.config
-        eligible: dict[PfClass, bool] = {
-            PfClass.GS: (
-                cfg.enable_gs and entry is not None and entry.stream_valid
-            ),
-            PfClass.CS: (
-                cfg.enable_cs
-                and entry is not None
-                and entry.confidence >= 2
-                and entry.stride != 0
-            ),
-            PfClass.CPLX: cfg.enable_cplx and entry is not None,
-            # Tentative NL: only for *tracked* IPs that fit no class (an
-            # IP losing the hysteresis duel issues nothing), and only
-            # while the L1 MPKI is low enough to afford speculation.
-            PfClass.NL: (
-                cfg.enable_nl
-                and entry is not None
-                and mpki < cfg.nl_mpki_threshold
-            ),
-        }
-
-        requests: list[PrefetchRequest] = []
-        claimed = False
-        for pf_class in cfg.priority:
-            if not eligible.get(pf_class, False):
-                continue
-            deltas, meta_stride = self._deltas_for_class(pf_class, entry)
-            if pf_class is PfClass.CPLX and not deltas:
-                continue  # CSPT confidence too low: fall through to NL
-            requests.extend(self._emit(pf_class, line, deltas, meta_stride))
-            claimed = True
-            if cfg.throttling and self.throttles[pf_class].low_accuracy:
-                continue  # low accuracy: let lower-priority classes explore
-            break
         if self.temporal is not None and not claimed:
             # Future-work temporal class: cover irregular-but-recurring
             # orders that no spatial class claimed.
-            chain = self.temporal.predict_chain(line)
-            metadata = self._metadata_for(PfClass.NL, 0)
-            for successor in chain:
-                if self.rr_filter.check_and_insert(successor):
+            metadata = _META_CLASS_BITS[_NL] if cfg.send_metadata else 0
+            for successor in self.temporal.predict_chain(line):
+                rr_tag = (successor ^ (successor >> 12)) & rr_mask
+                if rr_tag in fifo:
                     continue
-                requests.append(PrefetchRequest(
-                    addr=successor << 6,
-                    metadata=metadata,
-                    pf_class=int(PfClass.TS),
-                ))
+                fifo.append(rr_tag)
+                requests.append(_new_request(
+                    PrefetchRequest, (successor << 6, True, metadata, _TS)))
         return requests
-
-    def _deltas_for_class(
-        self, pf_class: PfClass, entry: IpEntry | None
-    ) -> tuple[list[int], int]:
-        """Line deltas this class wants to prefetch, plus its metadata stride."""
-        degree = (
-            self.throttles[pf_class].degree
-            if self.config.throttling
-            else self.throttles[pf_class].default_degree
-        )
-        if pf_class is PfClass.CS:
-            return [entry.stride * k for k in range(1, degree + 1)], entry.stride
-        if pf_class is PfClass.GS:
-            return [entry.direction * k for k in range(1, degree + 1)], entry.direction
-        if pf_class is PfClass.CPLX:
-            return self.cspt.predict_chain(entry.signature, degree), 0
-        return [1], 0  # NL
-
-    def _emit(
-        self, pf_class: PfClass, line: int, deltas: list[int], meta_stride: int
-    ) -> list[PrefetchRequest]:
-        page = line // LINES_PER_PAGE
-        metadata = self._metadata_for(pf_class, meta_stride)
-        requests = []
-        for delta in deltas:
-            target = line + delta
-            if target // LINES_PER_PAGE != page or target < 0:
-                continue  # spatial prefetcher: never cross the page
-            if self.rr_filter.check_and_insert(target):
-                self.bump("rr_filter_drops")
-                continue
-            requests.append(
-                PrefetchRequest(
-                    addr=target << 6,
-                    metadata=metadata,
-                    pf_class=int(pf_class),
-                )
-            )
-        return requests
-
-    def _metadata_for(self, pf_class: PfClass, stride: int) -> int:
-        if not self.config.send_metadata:
-            return 0
-        meta_class = _META_OF_CLASS[pf_class]
-        # Strides ride to the L2 only when the class accuracy is > 75%
-        # so the L2 never replays a low-accuracy pattern.
-        if self.throttles[pf_class].accuracy < HIGH_WATERMARK:
-            stride = 0
-        return encode_metadata(meta_class, stride)
 
     # ------------------------------------------------------------------ #
     # Feedback from the cache (drives the throttler)
     # ------------------------------------------------------------------ #
 
     def on_prefetch_fill(self, addr: int, pf_class: int) -> None:
-        """Count a filled prefetch toward its class's throttle epoch."""
-        throttle = self.throttles.get(PfClass(pf_class))
+        """Count a filled prefetch toward its class's throttle epoch.
+
+        Applies ``ClassThrottle.on_fill`` inline.
+        """
+        throttle = self.throttles.get(pf_class)
         if throttle is not None:
-            throttle.on_fill()
+            fills = throttle.epoch_fills + 1
+            throttle.epoch_fills = fills
+            if fills >= EPOCH_FILLS:
+                throttle._close_epoch()
 
     def on_prefetch_hit(self, addr: int, pf_class: int) -> None:
-        """Credit a useful prefetch to its class's accuracy counter."""
-        throttle = self.throttles.get(PfClass(pf_class))
+        """Credit a useful prefetch to its class's accuracy counter.
+
+        Applies ``ClassThrottle.on_hit`` inline.
+        """
+        throttle = self.throttles.get(pf_class)
         if throttle is not None:
-            throttle.on_hit()
+            throttle.epoch_hits += 1

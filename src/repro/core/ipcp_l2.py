@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.metadata import MetaClass, decode_metadata
+from repro.core.ip_table import SIGNATURE_MASK
 from repro.core.ipcp_l1 import PfClass
+from repro.core.metadata import MetaClass
 from repro.errors import ConfigurationError
-from repro.params import LINES_PER_PAGE
 from repro.prefetchers.base import (
     AccessContext,
     AccessType,
@@ -30,6 +30,16 @@ from repro.prefetchers.base import (
 # Table I: IP table (19 b x 64) + tentative-NL bit + 10 b miss counter
 # + 10 b instruction counter = 1237 bits.
 L2_STORAGE_BITS = 1237
+
+_PREFETCH = AccessType.PREFETCH
+_CS, _GS, _NL = int(PfClass.CS), int(PfClass.GS), int(PfClass.NL)
+_META_CS, _META_GS, _META_NL = MetaClass.CS, MetaClass.GS, MetaClass.NL
+# By the metadata's 2-bit class field.
+_META_CLASSES = tuple(MetaClass)
+_DECODED_COUNTERS = tuple(f"decoded_{c.name.lower()}" for c in MetaClass)
+# ``_new_request(PrefetchRequest, fields)`` builds the named tuple
+# without its Python-level ``__new__`` (one frame less per request).
+_new_request = tuple.__new__
 
 
 @dataclass
@@ -55,18 +65,18 @@ class IpcpL2(Prefetcher):
         super().__init__(name="ipcp_l2", storage_bits=L2_STORAGE_BITS)
         if entries < 1 or cs_degree < 1 or gs_degree < 1:
             raise ConfigurationError("IpcpL2 sizes/degrees must be >= 1")
+        if entries & (entries - 1):
+            # Direct-mapped with ``entries - 1`` as the index mask.
+            raise ConfigurationError(
+                f"IpcpL2 entries must be a power of two, got {entries}")
         self.entries = entries
         self.cs_degree = cs_degree
         self.gs_degree = gs_degree
         self.nl_mpki_threshold = nl_mpki_threshold
         self._index_mask = entries - 1
+        self._tag_shift = entries.bit_length() - 1
         self._tag_mask = (1 << 9) - 1
         self._table = [L2IpEntry() for _ in range(entries)]
-
-    def _split(self, ip: int) -> tuple[int, int]:
-        index = ip & self._index_mask
-        tag = (ip >> self.entries.bit_length() - 1) & self._tag_mask
-        return index, tag
 
     def batch_state(self) -> dict | None:
         """Live state handles for the batched engine (base-class hook).
@@ -79,7 +89,7 @@ class IpcpL2(Prefetcher):
         return {
             "table": self._table,
             "index_mask": self._index_mask,
-            "tag_shift": self.entries.bit_length() - 1,
+            "tag_shift": self._tag_shift,
             "tag_mask": self._tag_mask,
             "cs_degree": self.cs_degree,
             "gs_degree": self.gs_degree,
@@ -89,66 +99,50 @@ class IpcpL2(Prefetcher):
     def on_access(self, ctx: AccessContext) -> list[PrefetchRequest]:
         """Replay the L1's classification from the metadata packet.
 
-        The L2 does not re-train: it decodes the 9-bit class/stride
-        metadata riding on each L1 prefetch and issues deeper requests
-        along the same pattern.
+        The L2 does not re-train.  Every L1 prefetch reaching the L2
+        updates the bookkeeping entry of its IP from the 9-bit
+        class/stride packet (``decode_metadata``, inline) and pushes
+        the recorded CS/GS pattern ``degree`` lines further ahead: the
+        paper's "prefetch deep based on the L1 access stream but from
+        L2 and till L2".  A demand access replays its IP's recorded CS
+        or GS pattern; any other demand gets a next-line prefetch while
+        the L2 MPKI is under the threshold.  One frame per access.
         """
-        if ctx.kind == AccessType.PREFETCH:
-            return self._on_prefetch_arrival(ctx)
-        return self._on_demand(ctx)
-
-    def _on_prefetch_arrival(self, ctx: AccessContext) -> list[PrefetchRequest]:
-        """Decode L1 metadata; extend the pattern deeper from the L2.
-
-        This is the paper's "prefetch deep based on the L1 access
-        stream but from L2 and till L2": every L1 prefetch request
-        reaching the L2 both updates the bookkeeping table and pushes
-        the recorded CS/GS pattern ``degree`` lines further ahead.
-        """
-        meta_class, stride = decode_metadata(ctx.metadata)
-        index, tag = self._split(ctx.ip)
-        entry = self._table[index]
-        entry.tag = tag
-        entry.valid = True
-        entry.meta_class = meta_class
-        entry.stride = stride
-        self.bump(f"decoded_{meta_class.name.lower()}")
-        line = ctx.addr >> 6
-        if meta_class is MetaClass.CS and stride != 0:
-            deltas = [stride * k for k in range(1, self.cs_degree + 1)]
-            return self._emit(line, deltas, PfClass.CS)
-        if meta_class is MetaClass.GS and stride != 0:
-            direction = 1 if stride > 0 else -1
-            deltas = [direction * k for k in range(1, self.gs_degree + 1)]
-            return self._emit(line, deltas, PfClass.GS)
-        if meta_class is MetaClass.NL and ctx.mpki < self.nl_mpki_threshold:
-            return self._emit(line, [1], PfClass.NL)
-        return []
-
-    def _on_demand(self, ctx: AccessContext) -> list[PrefetchRequest]:
-        index, tag = self._split(ctx.ip)
-        entry = self._table[index]
-        line = ctx.addr >> 6
-        if entry.valid and entry.tag == tag:
-            if entry.meta_class is MetaClass.CS and entry.stride != 0:
-                deltas = [entry.stride * k for k in range(1, self.cs_degree + 1)]
-                return self._emit(line, deltas, PfClass.CS)
-            if entry.meta_class is MetaClass.GS and entry.stride != 0:
-                direction = 1 if entry.stride > 0 else -1
-                deltas = [direction * k for k in range(1, self.gs_degree + 1)]
-                return self._emit(line, deltas, PfClass.GS)
-        if ctx.mpki < self.nl_mpki_threshold:
-            return self._emit(line, [1], PfClass.NL)
-        return []
-
-    def _emit(
-        self, line: int, deltas: list[int], pf_class: PfClass
-    ) -> list[PrefetchRequest]:
-        page = line // LINES_PER_PAGE
+        ip, addr, _, kind, _, metadata, mpki = ctx
+        entry = self._table[ip & self._index_mask]
+        tag = (ip >> self._tag_shift) & self._tag_mask
+        if kind == _PREFETCH:
+            class_bits = (metadata >> 7) & 0x3
+            raw = metadata & SIGNATURE_MASK
+            stride = raw - 128 if raw >= 64 else raw  # 7-bit two's complement
+            entry.tag = tag
+            entry.valid = True
+            entry.meta_class = meta_class = _META_CLASSES[class_bits]
+            entry.stride = stride
+            counter = _DECODED_COUNTERS[class_bits]
+            stats = self.stats
+            stats[counter] = stats.get(counter, 0) + 1
+        elif entry.valid and entry.tag == tag:
+            meta_class = entry.meta_class
+            stride = entry.stride
+        else:
+            meta_class = None
+        if meta_class is _META_CS and stride:
+            step, degree, pf_class = stride, self.cs_degree, _CS
+        elif meta_class is _META_GS and stride:
+            step = 1 if stride > 0 else -1
+            degree, pf_class = self.gs_degree, _GS
+        elif (kind != _PREFETCH or meta_class is _META_NL) \
+                and mpki < self.nl_mpki_threshold:
+            step, degree, pf_class = 1, 1, _NL
+        else:
+            return []
+        line = addr >> 6
+        page = line >> 6
         requests = []
-        for delta in deltas:
-            target = line + delta
-            if target // LINES_PER_PAGE != page or target < 0:
+        for target in range(line + step, line + step * (degree + 1), step):
+            if target >> 6 != page or target < 0:
                 continue
-            requests.append(PrefetchRequest(addr=target << 6, pf_class=int(pf_class)))
+            requests.append(_new_request(
+                PrefetchRequest, (target << 6, True, 0, pf_class)))
         return requests

@@ -37,7 +37,12 @@ def encode_metadata(meta_class: MetaClass, stride: int = 0) -> int:
 
 
 def decode_metadata(packet: int) -> tuple[MetaClass, int]:
-    """Unpack a 9-bit packet into (class, signed stride)."""
+    """Unpack a 9-bit packet into (class, signed stride).
+
+    :meth:`repro.core.ipcp_l2.IpcpL2.on_access` decodes with the same
+    rule inline, as :meth:`repro.core.ipcp_l1.IpcpL1.on_access` encodes
+    with the rule of :func:`encode_metadata`.
+    """
     meta_class = MetaClass((packet >> 7) & 0x3)
     raw = packet & SIGNATURE_MASK
     stride = raw - 128 if raw >= 64 else raw  # 7-bit two's complement

@@ -13,7 +13,12 @@ from collections import deque
 
 
 class RrFilter:
-    """32-entry FIFO of 12-bit partial line tags."""
+    """32-entry FIFO of 12-bit partial line tags.
+
+    The filter owns the FIFO; :meth:`repro.core.ipcp_l1.IpcpL1.on_access`
+    applies the same rules as :meth:`insert` and :meth:`check_and_insert`
+    inline, in one frame per demand access.
+    """
 
     def __init__(self, entries: int = 32, tag_bits: int = 12) -> None:
         self.entries = entries

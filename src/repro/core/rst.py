@@ -48,7 +48,12 @@ class RstEntry:
 
 
 class Rst:
-    """8-entry LRU region stream table."""
+    """8-entry LRU region stream table.
+
+    The table owns the entries, in LRU order;
+    :meth:`repro.core.ipcp_l1.IpcpL1.on_access` applies the same rule as
+    :meth:`observe` inline, in one frame per demand access.
+    """
 
     def __init__(self, entries: int = 8) -> None:
         self.entries = entries

@@ -26,7 +26,12 @@ LOW_WATERMARK = 0.40
 
 @dataclass
 class ClassThrottle:
-    """Accuracy-driven degree controller for one IPCP class."""
+    """Accuracy-driven degree controller for one IPCP class.
+
+    :class:`repro.core.ipcp_l1.IpcpL1` applies the same rules as
+    :meth:`on_fill` and :meth:`on_hit` inline in its feedback hooks, and
+    reads ``degree`` and ``accuracy`` directly in its priority walk.
+    """
 
     default_degree: int
     degree: int = 0

@@ -32,6 +32,14 @@ ROUND_ACCESSES = 256
 LOOKAHEADS = 3
 SCORE_KEEP = 0.35  # fraction of the round an offset must score to win
 
+# Score slots per lookahead level: offset d in -16..16 at d + 16 (the
+# slot of offset 0 never scores).
+_SLOTS = 2 * OFFSET_RANGE + 1
+_PREFETCH = AccessType.PREFETCH
+# ``_new_request(PrefetchRequest, fields)`` builds the named tuple
+# without its Python-level ``__new__`` (one frame less per request).
+_new_request = tuple.__new__
+
 
 class MlopPrefetcher(Prefetcher):
     """Multi-lookahead offset prefetcher over per-page access maps."""
@@ -39,71 +47,71 @@ class MlopPrefetcher(Prefetcher):
     def __init__(self, pages: int = 64) -> None:
         super().__init__(name="mlop", storage_bits=8 * 1024 * 8)  # ~8 KB (paper)
         self.pages = pages
-        # page -> {line_offset: access sequence number}
+        # page -> {line_offset: access sequence number}, in LRU order
         self._maps: OrderedDict[int, dict[int, int]] = OrderedDict()
         self._seq = 0
-        offsets = [d for d in range(-OFFSET_RANGE, OFFSET_RANGE + 1) if d != 0]
-        self._offsets = offsets
-        self._scores = {k: {d: 0 for d in offsets} for k in range(1, LOOKAHEADS + 1)}
+        self._scores = [[0] * _SLOTS for _ in range(LOOKAHEADS)]
         self._round = 0
         self._chosen: list[int] = [1]  # offsets, one per lookahead level
 
-    def _page_map(self, page: int) -> dict[int, int]:
-        page_map = self._maps.get(page)
-        if page_map is None:
-            if len(self._maps) >= self.pages:
-                self._maps.popitem(last=False)
-            page_map = {}
-            self._maps[page] = page_map
-        else:
-            self._maps.move_to_end(page)
-        return page_map
-
     def on_access(self, ctx: AccessContext) -> list[PrefetchRequest]:
-        if ctx.kind == AccessType.PREFETCH:
+        """Score the offsets this access confirms; prefetch the winners.
+
+        One frame per access: the page map's LRU update, the scoring,
+        the round close and the requests all run inline.
+        """
+        _, addr, _, kind, _, _, _ = ctx
+        if kind == _PREFETCH:
             return []
-        line = ctx.addr >> 6
+        line = addr >> 6
         page = line // LINES_PER_PAGE
         offset_in_page = line % LINES_PER_PAGE
-        page_map = self._page_map(page)
+        maps = self._maps
+        page_map = maps.get(page)
+        if page_map is None:
+            if len(maps) >= self.pages:
+                maps.popitem(last=False)
+            page_map = maps[page] = {}
+        else:
+            maps.move_to_end(page)
 
-        self._seq += 1
-        self._score(page_map, offset_in_page)
-        page_map[offset_in_page] = self._seq
+        seq = self._seq + 1
+        self._seq = seq
+        # An offset d that predicted this access (line X - d was
+        # accessed ``distance`` steps ago) scores at every lookahead
+        # level it can serve; ``distance`` is at least 1.  Only the
+        # page's touched lines can be sources.  The LOOKAHEADS levels
+        # are unrolled.
+        first, second, third = self._scores
+        for source, stamp in page_map.items():
+            slot = offset_in_page - source + OFFSET_RANGE
+            if 0 <= slot < _SLOTS and slot != OFFSET_RANGE:
+                first[slot] += 1
+                distance = seq - stamp
+                if distance >= 2:
+                    second[slot] += 1
+                    if distance >= 3:
+                        third[slot] += 1
+        page_map[offset_in_page] = seq
+
         self._round += 1
         if self._round >= ROUND_ACCESSES:
-            self._close_round()
+            # Each level elects its best offset, the first in -16..16
+            # order on a tie, if it scored enough of the round.
+            chosen = []
+            for scores in self._scores:
+                best = max(scores)
+                if best >= ROUND_ACCESSES * SCORE_KEEP:
+                    chosen.append(scores.index(best) - OFFSET_RANGE)
+            self._scores = [[0] * _SLOTS for _ in range(LOOKAHEADS)]
+            self._chosen = chosen or [1]
+            self._round = 0
 
         requests = []
         for level, offset in enumerate(self._chosen, start=1):
             target = line + offset * level
             if target < 0 or target // LINES_PER_PAGE != page:
                 continue
-            requests.append(PrefetchRequest(addr=target << 6))
+            requests.append(_new_request(
+                PrefetchRequest, (target << 6, True, 0, 0)))
         return requests
-
-    def _score(self, page_map: dict[int, int], offset_in_page: int) -> None:
-        for delta in self._offsets:
-            source = offset_in_page - delta
-            if source < 0 or source >= LINES_PER_PAGE:
-                continue
-            stamp = page_map.get(source)
-            if stamp is None:
-                continue
-            distance = self._seq - stamp
-            # An offset that predicted this access `distance` steps in
-            # advance scores at every lookahead level it can serve.
-            for level in range(1, LOOKAHEADS + 1):
-                if distance >= level:
-                    self._scores[level][delta] += 1
-
-    def _close_round(self) -> None:
-        chosen = []
-        for level in range(1, LOOKAHEADS + 1):
-            scores = self._scores[level]
-            best = max(scores, key=scores.get)
-            if scores[best] >= ROUND_ACCESSES * SCORE_KEEP:
-                chosen.append(best)
-            self._scores[level] = {d: 0 for d in self._offsets}
-        self._chosen = chosen or [1]
-        self._round = 0

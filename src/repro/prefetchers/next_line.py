@@ -17,6 +17,11 @@ from repro.prefetchers.base import (
     PrefetchRequest,
 )
 
+_PREFETCH = AccessType.PREFETCH
+# ``_new_request(PrefetchRequest, fields)`` builds the named tuple
+# without its Python-level ``__new__`` (one frame less per request).
+_new_request = tuple.__new__
+
 
 class NextLinePrefetcher(Prefetcher):
     """Prefetch the next ``degree`` sequential lines (within the page)."""
@@ -35,17 +40,21 @@ class NextLinePrefetcher(Prefetcher):
         self.demand_only = demand_only
 
     def on_access(self, ctx: AccessContext) -> list[PrefetchRequest]:
-        if self.demand_only and ctx.kind == AccessType.PREFETCH:
+        """Prefetch the next ``degree`` lines of the access's page."""
+        _, addr, cache_hit, kind, _, _, _ = ctx
+        if self.demand_only and kind == _PREFETCH:
             return []
-        if self.on_miss_only and ctx.cache_hit:
+        if self.on_miss_only and cache_hit:
             return []
-        line = ctx.addr >> 6
+        line = addr >> 6
         page = line // LINES_PER_PAGE
-        return [
-            PrefetchRequest(addr=(line + k) << 6)
-            for k in range(1, self.degree + 1)
-            if (line + k) // LINES_PER_PAGE == page
-        ]
+        requests = []
+        for target in range(line + 1, line + self.degree + 1):
+            if target // LINES_PER_PAGE != page:
+                break  # the rest lie past the page too
+            requests.append(_new_request(
+                PrefetchRequest, (target << 6, True, 0, 0)))
+        return requests
 
 
 class ThrottledNextLinePrefetcher(NextLinePrefetcher):

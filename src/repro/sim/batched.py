@@ -495,7 +495,7 @@ def _issue_pf(lvl: _Level, line: int, cycle: int, ip: int,
 
 
 def _l2_demand_replay(lvl: _Level, ip: int, line: int, cycle: int) -> None:
-    """Replay the recorded class on an L2 demand (``IpcpL2._on_demand``)."""
+    """Replay the recorded class on an L2 demand (``IpcpL2.on_access``)."""
     st = lvl.l2pf
     entry = st["table"][ip & st["index_mask"]]
     if entry.valid and entry.tag == (ip >> st["tag_shift"]) & st["tag_mask"]:
@@ -514,7 +514,7 @@ def _l2_demand_replay(lvl: _Level, ip: int, line: int, cycle: int) -> None:
 
 def _l2_meta_replay(lvl: _Level, ip: int, line: int,
                     metadata: int, cycle: int) -> None:
-    """Decode L1 metadata at the L2 (``IpcpL2._on_prefetch_arrival``)."""
+    """Decode L1 metadata at the L2 (``IpcpL2.on_access``, on arrival)."""
     st = lvl.l2pf
     mcv = (metadata >> 7) & 0x3
     raw = metadata & 0x7F
@@ -536,7 +536,7 @@ def _l2_meta_replay(lvl: _Level, ip: int, line: int,
 
 def _emit_l2(lvl: _Level, line: int, step: int, degree: int,
              cls: int, cycle: int, ip: int) -> None:
-    """Issue an L2 replay burst, page-bounded (``IpcpL2._emit``)."""
+    """Issue an L2 replay burst, page-bounded (as ``IpcpL2.on_access``)."""
     page = line >> 6
     for k in range(1, degree + 1):
         target = line + step * k

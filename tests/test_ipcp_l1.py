@@ -44,6 +44,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             IpcpConfig(priority=(PfClass.GS, PfClass.GS))
 
+    @pytest.mark.parametrize("field", ["ip_table_entries", "cspt_entries"])
+    @pytest.mark.parametrize("entries", [0, 96, 100])
+    def test_rejects_table_size_not_power_of_two(self, field, entries):
+        # Direct-mapped tables index with ``entries - 1`` as a mask: a
+        # 100-entry IP table would reach 16 slots, a 96-entry CSPT 64.
+        with pytest.raises(ConfigurationError, match="power of two"):
+            IpcpConfig(**{field: entries})
+
+    def test_accepts_power_of_two_table_sizes(self):
+        pf = IpcpL1(IpcpConfig(ip_table_entries=512, cspt_entries=1024))
+        assert len(pf.ip_table._table) == 512
+        assert len(pf.cspt._table) == 1024
+
     def test_default_priority_order(self):
         assert IpcpConfig().priority == (
             PfClass.GS, PfClass.CS, PfClass.CPLX, PfClass.NL

@@ -44,6 +44,12 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             IpcpL2(cs_degree=0)
 
+    def test_rejects_entries_not_power_of_two(self):
+        # Direct-mapped with ``entries - 1`` as the index mask: 48
+        # entries would reach 32 slots.
+        with pytest.raises(ConfigurationError, match="power of two"):
+            IpcpL2(entries=48)
+
 
 class TestMetadataDecoding:
     def test_cs_arrival_extends_stride_deeper(self):

@@ -103,6 +103,43 @@ class TestMlop:
         feed_lines(pf, [BASE + i * 64 for i in range(100)])  # 100 pages
         assert len(pf._maps) <= 8
 
+    # Round closing, observed through the requests alone.  A round is
+    # ROUND_ACCESSES (256) accesses; SCORE_KEEP of it is 89.6.
+
+    @staticmethod
+    def _distances(pf, line):
+        return [(r.addr >> 6) - line for r in pf.on_access(ctx_for(line))]
+
+    @staticmethod
+    def _alternate(count):
+        """Lines 10 and 13 of one page, alternating: +3 and -3 score."""
+        return [BASE + (10 if i % 2 == 0 else 13) for i in range(count)]
+
+    def test_round_tie_elects_the_earlier_offset(self):
+        pf = MlopPrefetcher()
+        # One access elsewhere, then 255 alternating accesses: +3 and -3
+        # score 127 each at the first level; no deeper level scores.
+        feed_lines(pf, [BASE + 64 * 10] + self._alternate(255))
+        assert self._distances(pf, BASE + 64 * 20 + 32) == [-3]
+
+    def test_level_below_the_keep_fraction_elects_nothing(self):
+        pf = MlopPrefetcher()
+        # 200 alternating accesses, then a 56-line stream in another
+        # page: the first level elects +3 (153), while the second level
+        # peaks at 54 (+2) and the third at 53 (+3), below 89.6.
+        feed_lines(pf, self._alternate(200)
+                   + [BASE + 64 * 5 + i for i in range(56)])
+        assert self._distances(pf, BASE + 64 * 20 + 32) == [3]
+
+    def test_round_without_a_winner_falls_back_to_next_line(self):
+        pf = MlopPrefetcher()
+        feed_lines(pf, [BASE + 64 * 10] + self._alternate(255))
+        assert self._distances(pf, BASE + 64 * 20 + 32) == [-3]
+        # The rest of the next round touches a fresh page per access,
+        # so no offset scores at any level.
+        feed_lines(pf, [BASE + 64 * (100 + i) + 32 for i in range(255)])
+        assert self._distances(pf, BASE + 64 * 1000 + 32) == [1]
+
 
 class TestAsp:
     def test_elects_dominant_global_stride(self):
