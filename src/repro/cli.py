@@ -20,12 +20,14 @@ processes and keep a persistent result cache (``--cache-dir``, default
 
 Execution is fault-tolerant (docs/resilience.md): ``--retries N``
 bounds the attempt budget for transient failures, ``--timeout SEC``
-kills and retries overdue jobs, ``--journal PATH`` logs one line per
-resolved cell (Ctrl-C exits 130 after flushing it), and ``--degraded``
-(``compare`` and ``sweep`` only) renders ``FAILED(reason)`` cells
-instead of aborting.  An interrupted run resumes from the result cache,
-not the journal: each result is cached as it completes, so a rerun
-against the same cache re-simulates only the unfinished cells.
+kills and retries overdue jobs, and ``--degraded`` (``compare`` and
+``sweep`` only) renders ``FAILED(reason)`` cells instead of aborting.
+Beside it, ``--journal PATH`` logs each cell that exhausted its retry
+budget, and a degraded rerun against the same journal renders those
+cells without retrying them (Ctrl-C exits 130 after flushing it).  An
+interrupted run resumes from the result cache, not the journal: each
+result is cached as it completes, so a rerun against the same cache
+re-simulates only the unfinished cells.
 """
 
 from __future__ import annotations
@@ -35,10 +37,13 @@ import sys
 
 from repro.analysis import ExperimentRunner, run_levels, run_sweep
 from repro.analysis.tracestats import analyze_trace
-from repro.errors import (
-    ConfigurationError,
-    ReproError,
-    exit_code_for,
+from repro.errors import ReproError, exit_code_for
+from repro.ingest import (
+    DEFAULT_MAX_ERRORS,
+    POLICIES,
+    STRICT,
+    ingest_binary,
+    write_binary,
 )
 from repro.prefetchers import available_prefetchers, make_prefetcher
 from repro.resilience import (
@@ -264,8 +269,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_dump_trace(args) -> int:
     """Generate a workload and write it as a RIB1 trace file."""
-    from repro.ingest import write_binary
-
     trace = build_trace(args.workload, args.scale)
     write_binary(trace, args.out)
     print(f"wrote {len(trace)} records ({trace.load_records} loads) "
@@ -274,12 +277,12 @@ def cmd_dump_trace(args) -> int:
 
 
 def cmd_run_trace(args) -> int:
-    """Simulate a RIB1 or k6 trace file (strict ingestion)."""
-    from repro.ingest import BINARY, detect_format, ingest_binary, ingest_k6
-
-    ingest = (ingest_binary if detect_format(args.trace_file) == BINARY
-              else ingest_k6)
-    trace, _ = ingest(args.trace_file)
+    """Simulate a RIB1 trace file read under an ingestion policy."""
+    trace, report = ingest_binary(args.trace_file, policy=args.policy,
+                                  max_errors=args.max_errors,
+                                  quarantine_path=args.quarantine_path)
+    print(format_table(["property", "value"], report.summary_rows(),
+                       title=f"Ingestion: {report.source}"))
     baseline = run_levels(trace, "none")
     result = run_levels(trace, args.prefetcher)
     rows = [
@@ -470,105 +473,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _print_ingest_report(report, *, written: int | None = None) -> None:
-    rows = list(report.summary_rows())
-    if written is not None:
-        rows.append(["records written", written])
-    print(format_table(["property", "value"], rows,
-                       title=f"Ingestion: {report.source}"))
-
-
-def cmd_ingest(args) -> int:
-    """Trace ingestion: registry actions and streaming one file."""
-    from repro.ingest import (
-        TraceRegistry,
-        detect_format,
-        stream_binary_columns,
-        stream_k6_columns,
-    )
-    from repro.ingest.k6 import make_report
-
-    if args.action == "register":
-        if not args.file:
-            raise ConfigurationError("ingest register needs --file PATH")
-        import os
-
-        name = args.name or os.path.basename(args.file)
-        registry = TraceRegistry(args.registry)
-        entry = registry.register(name, args.file, fmt=args.format)
-        print(format_table(
-            ["property", "value"],
-            [["name", name]] + [[k, entry[k]] for k in sorted(entry)],
-            title=f"Registered in {args.registry}"))
-        return 0
-
-    if args.action == "verify":
-        registry = TraceRegistry(args.registry)
-        if args.name:
-            registry.verify(args.name)
-            results = {args.name: "ok"}
-        else:
-            results = registry.verify_all()
-        rows = [[name, status] for name, status in sorted(results.items())]
-        print(format_table(["trace", "verification"], rows,
-                           title=f"Registry {args.registry}"))
-        return 1 if any(status != "ok" for status in results.values()) else 0
-
-    if args.action == "list":
-        registry = TraceRegistry(args.registry)
-        rows = [
-            [name, entry["format"], entry["records"], entry["bytes"],
-             entry["signature"][:16]]
-            for name, entry in sorted(registry.traces.items())
-        ]
-        print(format_table(
-            ["trace", "format", "records", "bytes", "signature[:16]"],
-            rows, title=f"Registry {args.registry}"))
-        return 0
-
-    if args.action == "run":
-        if not args.file:
-            raise ConfigurationError("ingest run needs --file PATH")
-        fmt = args.format or detect_format(args.file)
-        stream = (stream_binary_columns if fmt == "binary"
-                  else stream_k6_columns)
-        report = make_report(args.file, fmt, args.policy,
-                             max_errors=args.max_errors,
-                             quarantine_path=args.quarantine_path)
-        chunks = 0
-        for _ in stream(args.file, report=report,
-                        chunk_records=args.chunk_records):
-            chunks += 1
-        _print_ingest_report(report)
-        print(f"streamed {report.records} records in {chunks} columnar "
-              f"chunk(s) of <= {args.chunk_records}")
-        return 0
-    raise ConfigurationError(f"unknown ingest action {args.action!r}")
-
-
-def cmd_convert(args) -> int:
-    """Convert a trace between the k6 and binary interchange formats."""
-    from repro.ingest import convert_trace
-
-    journal = CheckpointJournal(args.journal) if args.journal else None
-    try:
-        report, written = convert_trace(
-            args.src, args.dst,
-            src_format=args.src_format,
-            dst_format=args.dst_format,
-            policy=args.policy,
-            max_errors=args.max_errors,
-            quarantine_path=args.quarantine_path,
-            chunk_records=args.chunk_records,
-            journal=journal,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    _print_ingest_report(report, written=written)
-    return 0
-
-
 def cmd_paper(args) -> int:
     """Evaluate the paper-claim registry; --write regenerates doc + BENCH."""
     import contextlib
@@ -650,9 +554,6 @@ def add_runner_options(parser: argparse.ArgumentParser) -> None:
                         help="per-job wall-clock timeout; the overdue "
                              "worker is killed and the job retried "
                              "(needs --jobs >= 2)")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="checkpoint journal: log one line per "
-                             "resolved cell")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -715,12 +616,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     # Only the table commands can render a failed cell; every other
-    # command would read a JobFailure as a result.
+    # command would read a JobFailure as a result, and the journal is
+    # the failure log a degraded rerun reads back.
     for table in (compare, sweep):
         table.add_argument("--degraded", action="store_true",
                            help="render FAILED(reason) cells for jobs that "
                                 "exhaust their retry budget instead of "
                                 "aborting the run")
+        table.add_argument("--journal", default=None, metavar="PATH",
+                           help="failure log: record each cell that "
+                                "exhausts its retry budget; a --degraded "
+                                "rerun renders it without retrying")
 
     analyze = sub.add_parser("analyze", help="Section III pattern profile")
     analyze.add_argument("--workload", required=True)
@@ -734,10 +640,21 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--scale", type=float, default=0.5)
     dump.set_defaults(func=cmd_dump_trace)
 
-    run_trace = sub.add_parser("run-trace",
-                               help="simulate a RIB1 or k6 trace file")
+    run_trace = sub.add_parser(
+        "run-trace",
+        help="simulate a RIB1 trace file under an ingestion policy "
+             "(docs/ingestion.md)")
     run_trace.add_argument("--trace-file", required=True)
     run_trace.add_argument("--prefetcher", default="ipcp")
+    run_trace.add_argument("--policy", choices=POLICIES, default=STRICT,
+                           help="malformed-record policy")
+    run_trace.add_argument("--max-errors", type=int,
+                           default=DEFAULT_MAX_ERRORS, metavar="N",
+                           help="lenient/quarantine fault budget")
+    run_trace.add_argument("--quarantine-path", default=None,
+                           metavar="PATH",
+                           help="quarantine sidecar (default: "
+                                "<trace-file>.quarantine)")
     run_trace.set_defaults(func=cmd_run_trace)
 
     verify = sub.add_parser(
@@ -788,65 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=12,
                          help="functions shown per phase")
     profile.set_defaults(func=cmd_profile)
-
-    ingest = sub.add_parser(
-        "ingest",
-        help="hardened trace ingestion: register/verify checksummed "
-             "traces, stream-ingest k6/binary files under a fault "
-             "policy (docs/ingestion.md)")
-    ingest.add_argument("action",
-                        choices=("register", "verify", "list", "run"),
-                        help="register/verify/list work on the registry; "
-                             "run streams one file")
-    ingest.add_argument("--registry", default="traces.json", metavar="PATH",
-                        help="trace registry document (JSON)")
-    ingest.add_argument("--name", default=None,
-                        help="registry entry name (default: file basename; "
-                             "for verify: all entries)")
-    ingest.add_argument("--file", default=None, metavar="PATH",
-                        help="trace file for register/run")
-    ingest.add_argument("--format", choices=("k6", "binary"), default=None,
-                        help="trace format (default: detect by magic)")
-    ingest.add_argument("--policy",
-                        choices=("strict", "lenient", "quarantine"),
-                        default="strict",
-                        help="malformed-record policy for ingest run")
-    ingest.add_argument("--max-errors", type=int, default=1000, metavar="N",
-                        help="lenient/quarantine malformed-record budget")
-    ingest.add_argument("--quarantine-path", default=None, metavar="PATH",
-                        help="quarantine sidecar (default: "
-                             "<file>.quarantine)")
-    ingest.add_argument("--chunk-records", type=int, default=65536,
-                        metavar="N",
-                        help="records per streamed columnar chunk")
-    ingest.set_defaults(func=cmd_ingest)
-
-    convert = sub.add_parser(
-        "convert",
-        help="convert a trace between k6 text and RIB1 binary "
-             "(streaming; resumable into binary via --journal)")
-    convert.add_argument("src", help="source trace file")
-    convert.add_argument("dst", help="destination trace file")
-    convert.add_argument("--src-format", choices=("k6", "binary"),
-                         default=None,
-                         help="source format (default: detect by magic)")
-    convert.add_argument("--dst-format", choices=("k6", "binary"),
-                         default=None,
-                         help="destination format (default: .k6/.k6.gz "
-                              "-> k6, else binary)")
-    convert.add_argument("--policy",
-                         choices=("strict", "lenient", "quarantine"),
-                         default="strict")
-    convert.add_argument("--max-errors", type=int, default=1000,
-                         metavar="N")
-    convert.add_argument("--quarantine-path", default=None, metavar="PATH")
-    convert.add_argument("--chunk-records", type=int, default=65536,
-                         metavar="N",
-                         help="records between resume checkpoints")
-    convert.add_argument("--journal", default=None, metavar="PATH",
-                         help="checkpoint journal enabling resume of an "
-                              "interrupted conversion into binary")
-    convert.set_defaults(func=cmd_convert)
 
     paper = sub.add_parser(
         "paper",

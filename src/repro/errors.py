@@ -44,12 +44,14 @@ class TraceError(ReproError):
 
 
 class TraceFormatError(TraceError):
-    """An ingested trace record does not parse under its declared format.
+    """An ingested trace file is not RIB1 or holds a malformed record.
 
-    Raised by the streaming readers in :mod:`repro.ingest` under the
-    ``strict`` policy at the first malformed record (torn line, unknown
-    command, field overflow); under ``lenient``/``quarantine`` the
-    record is skipped and counted instead.
+    Raised by the RIB1 reader in :mod:`repro.ingest` under every policy
+    when the header is not RIB1 (wrong magic or version), and under the
+    ``strict`` policy at the first malformed record (bad marker byte,
+    unknown kind, bad dep flag, memory record at address 0); under
+    ``lenient``/``quarantine`` such a record is skipped and counted
+    instead.
     """
 
     exit_code = 14
@@ -58,32 +60,32 @@ class TraceFormatError(TraceError):
 class TraceTruncatedError(TraceError):
     """An ingested trace stream ended before its declared end.
 
-    Covers a gzip member cut mid-stream, a binary trace whose byte size
-    is not a whole number of records, and a record count that stops
-    short of the header's promise.
+    Covers a header cut short (under every policy), a torn last
+    record, a record count that stops short of the header's promise, a
+    missing footer, an unfinalized file and a failed read.
     """
 
     exit_code = 15
 
 
 class TraceChecksumError(TraceError):
-    """A trace's content signature does not match its recorded one.
+    """A trace's content does not match its recorded digest.
 
-    Raised when a binary trace's embedded footer checksum fails, or
-    when a registered trace file no longer hashes to the signature in
-    the trace registry — the registry refuses to run (or replay cached
-    results for) a file that silently changed underneath it.
+    Raised when a RIB1 trace's footer magic is damaged or its records
+    no longer hash to the footer's blake2b digest — bit rot that kept
+    every record well-formed.
     """
 
     exit_code = 16
 
 
 class TraceBudgetError(TraceError):
-    """Lenient ingestion exhausted its malformed-record budget.
+    """Lenient ingestion exhausted its fault budget.
 
-    ``lenient``/``quarantine`` ingestion skips and counts bad records,
-    but only up to ``max_errors``; a stream that is mostly garbage is a
-    wrong *file*, not a recoverable blemish, and fails loudly.
+    ``lenient``/``quarantine`` ingestion skips bad records and counts
+    every fault, but only up to ``max_errors``; a stream that is mostly
+    garbage is a wrong *file*, not a recoverable blemish, and fails
+    loudly.
     """
 
     exit_code = 17

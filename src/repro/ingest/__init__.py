@@ -1,19 +1,18 @@
-"""Hardened streaming trace ingestion.
+"""Hardened trace-file ingestion.
 
-Bounded-memory readers for two interchange formats — DRAMSim2 k6/mase
-text (optionally gzipped) and the RIB1 fixed-width binary record —
-decoding straight into the columnar chunks the batched engine
-consumes, under a typed input-fault taxonomy with three policies:
+RIB1 (:mod:`repro.ingest.binary`) is the one trace file the toolkit
+reads and writes: ``repro dump-trace`` writes a workload as RIB1 and
+``repro run-trace`` reads one back into a simulation, under a typed
+input-fault taxonomy with three policies:
 
-* ``strict`` fails at the first malformed record with a
-  fault-specific exit code (format 14, truncated 15, checksum 16);
+* ``strict`` fails at the first malformed record or damaged stream
+  with a fault-specific exit code (format 14, truncated 15, checksum
+  16);
 * ``lenient`` skips and counts, up to a bounded error budget (17);
 * ``quarantine`` is lenient plus a ``.quarantine`` JSONL sidecar of
   every skipped raw record.
 
-A checksummed :class:`TraceRegistry` binds trace names to blake2b
-content signatures so simulation cache keys are content-addressed by
-trace file, and a tampered file refuses to run at all.  See
+A file whose header is not RIB1 fails under every policy.  See
 ``docs/ingestion.md``.
 """
 
@@ -21,24 +20,7 @@ from repro.ingest.binary import (
     BinaryTraceWriter,
     ingest_binary,
     iter_binary_wire,
-    stream_binary_columns,
     write_binary,
-)
-from repro.ingest.convert import (
-    BINARY,
-    FORMATS,
-    K6,
-    convert_trace,
-    detect_format,
-    validate_format,
-)
-from repro.ingest.k6 import (
-    K6_READ_IP,
-    K6_WRITE_IP,
-    ingest_k6,
-    iter_k6_wire,
-    stream_k6_columns,
-    write_k6,
 )
 from repro.ingest.policies import (
     CHECKSUM,
@@ -55,42 +37,23 @@ from repro.ingest.policies import (
     read_quarantine,
     validate_policy,
 )
-from repro.ingest.registry import (
-    TraceRegistry,
-    file_signature,
-)
 
 __all__ = [
-    "BINARY",
     "BinaryTraceWriter",
     "CHECKSUM",
     "DEFAULT_MAX_ERRORS",
     "FORMAT",
-    "FORMATS",
     "IngestFault",
     "IngestReport",
-    "K6",
-    "K6_READ_IP",
-    "K6_WRITE_IP",
     "LENIENT",
     "POLICIES",
     "QUARANTINE",
     "QuarantineWriter",
     "STRICT",
     "TRUNCATED",
-    "TraceRegistry",
-    "convert_trace",
-    "detect_format",
-    "file_signature",
     "ingest_binary",
-    "ingest_k6",
     "iter_binary_wire",
-    "iter_k6_wire",
     "read_quarantine",
-    "stream_binary_columns",
-    "stream_k6_columns",
-    "validate_format",
     "validate_policy",
     "write_binary",
-    "write_k6",
 ]

@@ -1,4 +1,4 @@
-"""Fixed-width binary trace interchange format ("RIB1").
+"""The RIB1 trace file: the one trace format the toolkit reads and writes.
 
 A ChampSim-style packed-record format with just enough envelope to
 make every damage mode *detectable*:
@@ -19,39 +19,38 @@ make every damage mode *detectable*:
 
 The reader distinguishes the three taxonomy faults precisely: a
 malformed record is ``format``, a stream that stops short of the
-header's count (or mid-record, or before the footer) is
-``truncated``, and a footer digest or footer-magic mismatch is
+header's count (or mid-record, or before the footer, or on a failed
+read) is ``truncated``, and a footer digest or footer-magic mismatch is
 ``checksum`` — each mapping to its own exit code under the strict
-policy (:mod:`repro.errors`).
+policy (:mod:`repro.errors`).  A damaged header (wrong magic, unknown
+version, fewer than 24 bytes) raises its typed error under *every*
+policy: the policy decides what happens to bad records, not whether a
+file that is no RIB1 trace at all reads as an empty one.
 
-Reading is streaming and bounded: one record blob at a time off a
-:class:`~repro.ingest.stream.ByteStream` block buffer.  Writing
-supports crash-resume: :meth:`BinaryTraceWriter.resume` re-opens an
-unfinalized file, truncates any torn trailing record, re-hashes what
-survives and appends from there.
+Reading streams one record at a time, so the reader itself holds one
+28-byte blob; :func:`ingest_binary` materializes the surviving records
+as a :class:`~repro.sim.trace.Trace`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 from collections.abc import Iterator
 
-import numpy as np
-
-from repro.errors import ConfigurationError, TraceError
-from repro.ingest.k6 import DEFAULT_CHUNK_RECORDS, make_report
+from repro.errors import TraceError, TraceFormatError, TraceTruncatedError
 from repro.ingest.policies import (
     CHECKSUM,
     DEFAULT_MAX_ERRORS,
     FORMAT,
     IngestReport,
+    QUARANTINE,
     STRICT,
     TRUNCATED,
 )
-from repro.ingest.stream import ByteStream
-from repro.sim.trace import BRANCH, LOAD, OTHER, STORE, Trace, TraceColumns
+from repro.sim.trace import BRANCH, LOAD, OTHER, STORE, Trace
 
 MAGIC = b"RIB1"
 FOOTER_MAGIC = b"RIBF"
@@ -78,189 +77,166 @@ def _record_hasher():
     return hashlib.blake2b(digest_size=_DIGEST_BYTES)
 
 
-def _read_exact(stream: ByteStream, n: int) -> bytes:
-    """Read exactly ``n`` bytes (shorter only at end of stream)."""
-    parts = []
-    remaining = n
-    while remaining:
-        block = stream.read(remaining)
-        if not block:
-            break
-        parts.append(block)
-        remaining -= len(block)
-    return b"".join(parts)
+def _open_source(source, label: str | None = None):
+    """Open a trace source as a binary file object.
 
-
-def iter_binary_wire(source, report: IngestReport, *,
-                     start_offset: int = 0,
-                     label: str | None = None) -> Iterator[tuple]:
-    """Yield ``(kind, ip, addr, dep, cycle)`` wire records from RIB1.
-
-    ``start_offset`` resumes at a record boundary previously
-    checkpointed by a reader over the same source; resumed runs skip
-    the footer digest check (the hash would need the skipped bytes)
-    but still verify the footer magic.
+    ``source`` may be a filesystem path, raw ``bytes`` or a binary
+    file object (taken as-is).  Returns ``(fh, label, owns)`` where
+    ``owns`` says whether the caller should close ``fh``.
     """
-    if start_offset and (start_offset < HEADER_SIZE or
-                         (start_offset - HEADER_SIZE) % RECORD_SIZE):
-        raise ConfigurationError(
-            f"binary resume offset {start_offset} is not a record boundary"
-        )
-    with ByteStream(source, report, label) as stream:
-        hasher = _record_hasher()
-        header = _read_exact(stream, HEADER_SIZE)
-        if len(header) < HEADER_SIZE:
-            report.fault(TRUNCATED, 0, stream.offset,
-                         f"header cut short ({len(header)} of "
-                         f"{HEADER_SIZE} bytes)", raw=header)
-            stream.settle(0)
-            return
-        magic, version, _flags, count = _HEADER.unpack(header)
-        if magic != MAGIC:
-            report.fault(FORMAT, 0, 0, f"bad magic {magic!r}", raw=header)
-            return
-        if version != VERSION:
-            report.fault(FORMAT, 0, 4,
-                         f"unsupported format version {version}", raw=header)
-            return
-        index = 0
-        if start_offset:
-            stream.skip_to(start_offset)
-            report.resumed_from = start_offset
-            index = (start_offset - HEADER_SIZE) // RECORD_SIZE
-        expected = None if count == COUNT_UNKNOWN else count
-        if expected is None:
-            # Unfinalized stream (writer crashed before finalize): the
-            # payload is still readable greedily, but the file as a
-            # whole is truncated by definition.
-            report.fault(TRUNCATED, 0, HEADER_SIZE,
-                         "unfinalized trace (sentinel record count)")
-        while expected is None or index < expected:
-            blob = _read_exact(stream, RECORD_SIZE)
-            if not blob:
-                if expected is not None:
-                    report.fault(TRUNCATED, index, stream.offset,
-                                 f"stream ended at record {index} of "
-                                 f"{expected}")
+    if isinstance(source, (bytes, bytearray)):
+        return io.BytesIO(bytes(source)), label or "<bytes>", True
+    if isinstance(source, (str, os.PathLike)):
+        path = os.fspath(source)
+        return open(path, "rb"), label or path, True
+    return source, label or getattr(source, "name", "<stream>"), False
+
+
+class _Reader:
+    """Offset-tracking exact reads; a failed read ends the stream.
+
+    An ``OSError`` from the file is remembered in :attr:`error` and
+    reads as end of stream, so the reader reports it as a *truncated*
+    fault instead of a traceback.
+    """
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.offset = 0
+        self.error = ""
+
+    def read(self, n: int) -> bytes:
+        """Read ``n`` bytes (shorter only at end of stream or on error)."""
+        parts = []
+        while n and not self.error:
+            try:
+                block = self._fh.read(n)
+            except OSError as error:
+                self.error = f" (read failed: {error})"
                 break
-            if len(blob) < RECORD_SIZE:
-                report.fault(TRUNCATED, index, stream.offset,
-                             f"torn record ({len(blob)} of {RECORD_SIZE} "
-                             f"bytes)", raw=blob)
+            if not block:
                 break
-            hasher.update(blob)
-            kind, ip, addr, cycle, dep, marker = _RECORD.unpack(blob)
-            if marker != MARKER:
-                report.fault(FORMAT, index, stream.offset - RECORD_SIZE,
-                             f"record marker 0x{marker:02x} != "
-                             f"0x{MARKER:02x}", raw=blob)
-                index += 1
-                continue
-            if kind not in _VALID_KINDS:
-                report.fault(FORMAT, index, stream.offset - RECORD_SIZE,
-                             f"unknown record kind {kind}", raw=blob)
-                index += 1
-                continue
-            if dep not in (0, 1):
-                report.fault(FORMAT, index, stream.offset - RECORD_SIZE,
-                             f"dep flag {dep} not in {{0, 1}}", raw=blob)
-                index += 1
-                continue
-            if kind in (LOAD, STORE) and addr == 0:
-                report.fault(FORMAT, index, stream.offset - RECORD_SIZE,
-                             "memory record with address 0", raw=blob)
-                index += 1
-                continue
+            parts.append(block)
+            n -= len(block)
+        data = b"".join(parts)
+        self.offset += len(data)
+        return data
+
+
+def _record_fault(kind: int, addr: int, dep: int, marker: int) -> str:
+    """Why a decoded record is malformed ("" when it is valid)."""
+    if marker != MARKER:
+        return f"record marker 0x{marker:02x} != 0x{MARKER:02x}"
+    if kind not in _VALID_KINDS:
+        return f"unknown record kind {kind}"
+    if dep not in (0, 1):
+        return f"dep flag {dep} not in {{0, 1}}"
+    if kind in (LOAD, STORE) and addr == 0:
+        return "memory record with address 0"
+    return ""
+
+
+def iter_binary_wire(fh, report: IngestReport) -> Iterator[tuple]:
+    """Yield the valid ``(kind, ip, addr, dep)`` records of a RIB1 file.
+
+    ``fh`` is an open binary file.  Record and stream faults go through
+    ``report`` under its policy; a header fault raises under every
+    policy (see the module docstring).
+    """
+    reader = _Reader(fh)
+    header = reader.read(HEADER_SIZE)
+    if len(header) < HEADER_SIZE:
+        raise TraceTruncatedError(
+            f"{report.source}: header cut short ({len(header)} of "
+            f"{HEADER_SIZE} bytes){reader.error}")
+    magic, version, _flags, count = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TraceFormatError(
+            f"{report.source}: not a RIB1 trace (magic {magic!r})")
+    if version != VERSION:
+        raise TraceFormatError(
+            f"{report.source}: unsupported RIB1 version {version}")
+    expected = None if count == COUNT_UNKNOWN else count
+    if expected is None:
+        # Unfinalized stream (writer crashed before finalize): the
+        # payload is still readable greedily, but the file as a whole
+        # is truncated by definition.
+        report.fault(TRUNCATED, 0, HEADER_SIZE,
+                     "unfinalized trace (sentinel record count)",
+                     dropped=False)
+    hasher = _record_hasher()
+    index = 0
+    while expected is None or index < expected:
+        offset = reader.offset
+        blob = reader.read(RECORD_SIZE)
+        if blob and len(blob) < RECORD_SIZE:
+            report.fault(TRUNCATED, index, offset,
+                         f"torn record ({len(blob)} of {RECORD_SIZE} "
+                         f"bytes){reader.error}", raw=blob)
+            break
+        if not blob:
+            if expected is not None or reader.error:
+                report.fault(TRUNCATED, index, offset,
+                             f"stream ended at record {index} of "
+                             f"{expected}{reader.error}", dropped=False)
+            break
+        hasher.update(blob)
+        kind, ip, addr, _cycle, dep, marker = _RECORD.unpack(blob)
+        reason = _record_fault(kind, addr, dep, marker)
+        if reason:
+            report.fault(FORMAT, index, offset, reason, raw=blob)
+        else:
             report.records += 1
-            report.bytes_consumed = stream.offset
-            yield kind, ip, addr, dep, cycle
-            index += 1
-        stream.settle(index)
-        report.bytes_consumed = stream.offset
-        if expected is None:
-            return
-        footer = _read_exact(stream, FOOTER_SIZE)
-        stream.settle(index)
-        if len(footer) < FOOTER_SIZE:
-            report.fault(TRUNCATED, index, stream.offset,
-                         f"footer cut short ({len(footer)} of "
-                         f"{FOOTER_SIZE} bytes)", raw=footer)
-            return
-        if footer[:4] != FOOTER_MAGIC:
-            report.fault(CHECKSUM, index, stream.offset - FOOTER_SIZE,
-                         f"bad footer magic {footer[:4]!r}", raw=footer)
-            return
-        if not report.resumed_from and footer[4:] != hasher.digest():
-            report.fault(CHECKSUM, index, stream.offset - FOOTER_SIZE,
-                         "record digest mismatch "
-                         f"(footer {footer[4:].hex()}, "
-                         f"computed {hasher.hexdigest()})")
-
-
-def stream_binary_columns(source, *, policy: str = STRICT,
-                          max_errors: int = DEFAULT_MAX_ERRORS,
-                          chunk_records: int = DEFAULT_CHUNK_RECORDS,
-                          quarantine_path: str | None = None,
-                          report: IngestReport | None = None,
-                          label: str | None = None,
-                          ) -> Iterator[TraceColumns]:
-    """Stream a RIB1 trace as bounded columnar chunks."""
-    if report is None:
-        report = make_report(source, "binary", policy, max_errors=max_errors,
-                             quarantine_path=quarantine_path, label=label)
-    kinds: list[int] = []
-    ips: list[int] = []
-    addrs: list[int] = []
-    deps: list[int] = []
-    try:
-        for kind, ip, addr, dep, _cycle in iter_binary_wire(source, report,
-                                                            label=label):
-            kinds.append(kind)
-            ips.append(ip)
-            addrs.append(addr)
-            deps.append(dep)
-            if len(kinds) >= chunk_records:
-                yield _chunk(kinds, ips, addrs, deps)
-                kinds, ips, addrs, deps = [], [], [], []
-        if kinds:
-            yield _chunk(kinds, ips, addrs, deps)
-    finally:
-        report.close()
-
-
-def _chunk(kinds, ips, addrs, deps) -> TraceColumns:
-    n = len(kinds)
-    return TraceColumns.from_arrays(
-        np.fromiter(kinds, dtype=np.uint8, count=n),
-        np.fromiter(ips, dtype=np.uint64, count=n),
-        np.fromiter(addrs, dtype=np.uint64, count=n),
-        np.fromiter(deps, dtype=np.uint8, count=n),
-    )
+            yield kind, ip, addr, dep
+        index += 1
+    if expected is None:
+        return
+    offset = reader.offset
+    footer = reader.read(FOOTER_SIZE)
+    if len(footer) < FOOTER_SIZE:
+        report.fault(TRUNCATED, index, offset,
+                     f"footer cut short ({len(footer)} of {FOOTER_SIZE} "
+                     f"bytes){reader.error}", raw=footer, dropped=False)
+    elif footer[:4] != FOOTER_MAGIC:
+        report.fault(CHECKSUM, index, offset,
+                     f"bad footer magic {footer[:4]!r}", raw=footer,
+                     dropped=False)
+    elif footer[4:] != hasher.digest():
+        report.fault(CHECKSUM, index, offset,
+                     f"record digest mismatch (footer {footer[4:].hex()}, "
+                     f"computed {hasher.hexdigest()})", dropped=False)
 
 
 def ingest_binary(source, *, name: str | None = None, policy: str = STRICT,
                   max_errors: int = DEFAULT_MAX_ERRORS,
                   quarantine_path: str | None = None,
-                  max_records: int | None = None,
                   label: str | None = None) -> tuple[Trace, IngestReport]:
-    """Ingest a RIB1 trace into a :class:`Trace` (for simulation jobs)."""
-    report = make_report(source, "binary", policy, max_errors=max_errors,
-                         quarantine_path=quarantine_path, label=label)
-    records: list[tuple[int, int, int, int]] = []
+    """Read a RIB1 trace under an ingestion policy.
+
+    Returns the surviving records as a :class:`Trace` (named ``name``,
+    default the source label) and the :class:`IngestReport`.  Under
+    ``quarantine`` the sidecar goes to ``quarantine_path`` (default
+    ``<source>.quarantine``).
+    """
+    fh, label, owns = _open_source(source, label)
     try:
-        for kind, ip, addr, dep, _cycle in iter_binary_wire(source, report,
-                                                            label=label):
-            records.append((kind, ip, addr, dep))
-            if max_records is not None and len(records) >= max_records:
-                break
+        report = IngestReport(source=label, policy=policy,
+                              max_errors=max_errors)
+        if policy == QUARANTINE:
+            report.attach_quarantine(quarantine_path
+                                     or f"{label}.quarantine")
+        try:
+            records = list(iter_binary_wire(fh, report))
+        finally:
+            report.close()
     finally:
-        report.close()
-    trace_name = name or report.source
-    return Trace._from_records(records, trace_name), report
+        if owns:
+            fh.close()
+    return Trace._from_records(records, name or label), report
 
 
 class BinaryTraceWriter:
-    """Streaming RIB1 writer with crash-resume.
+    """Streaming RIB1 writer.
 
     The header goes out immediately with the :data:`COUNT_UNKNOWN`
     sentinel; :meth:`finalize` appends the checksum footer and patches
@@ -269,69 +245,23 @@ class BinaryTraceWriter:
     valid trace.
     """
 
-    def __init__(self, path: str, *, flags: int = 0) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self.count = 0
         self.finalized = False
         self._hasher = _record_hasher()
         self._fh = open(path, "wb")
-        self._fh.write(_HEADER.pack(MAGIC, VERSION, flags, COUNT_UNKNOWN))
-
-    @classmethod
-    def resume(cls, path: str) -> "BinaryTraceWriter":
-        """Re-open an unfinalized RIB1 file and continue appending.
-
-        Any torn trailing record (a partial write from the crash) is
-        truncated away; the surviving records are re-hashed so the
-        eventual footer digest covers the whole payload.
-        """
-        size = os.path.getsize(path)
-        if size < HEADER_SIZE:
-            raise TraceError(f"{path}: too short to be a RIB1 trace")
-        with open(path, "rb") as probe:
-            magic, version, flags, count = _HEADER.unpack(
-                probe.read(HEADER_SIZE))
-        if magic != MAGIC or version != VERSION:
-            raise TraceError(f"{path}: not a RIB1 v{VERSION} trace")
-        if count != COUNT_UNKNOWN:
-            raise TraceError(f"{path}: already finalized; refusing to "
-                             f"append to a checksummed trace")
-        payload = size - HEADER_SIZE
-        whole = payload - payload % RECORD_SIZE
-        writer = cls.__new__(cls)
-        writer.path = path
-        writer.count = whole // RECORD_SIZE
-        writer.finalized = False
-        writer._hasher = _record_hasher()
-        writer._fh = open(path, "r+b")
-        writer._fh.seek(HEADER_SIZE)
-        remaining = whole
-        while remaining:
-            block = writer._fh.read(min(remaining, 1 << 20))
-            writer._hasher.update(block)
-            remaining -= len(block)
-        writer._fh.truncate(HEADER_SIZE + whole)
-        writer._fh.seek(HEADER_SIZE + whole)
-        return writer
+        self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, COUNT_UNKNOWN))
 
     def append(self, record) -> None:
-        """Append one canonical 4-tuple or 5-tuple wire record."""
+        """Append one ``(kind, ip, addr, dep)`` record."""
         if self.finalized:
             raise TraceError(f"{self.path}: writer already finalized")
-        if len(record) == 5:
-            kind, ip, addr, dep, cycle = record
-        else:
-            kind, ip, addr, dep = record
-            cycle = self.count
-        blob = _RECORD.pack(kind, ip, addr, cycle, dep, MARKER)
+        kind, ip, addr, dep = record
+        blob = _RECORD.pack(kind, ip, addr, self.count, dep, MARKER)
         self._hasher.update(blob)
         self._fh.write(blob)
         self.count += 1
-
-    @property
-    def offset(self) -> int:
-        """Byte offset after the last appended record (checkpointable)."""
-        return HEADER_SIZE + self.count * RECORD_SIZE
 
     def finalize(self) -> None:
         """Write the checksum footer and patch the header count."""
@@ -346,7 +276,7 @@ class BinaryTraceWriter:
         self.finalized = True
 
     def close(self) -> None:
-        """Close without finalizing (the file stays resumable)."""
+        """Close without finalizing (the file reads as truncated)."""
         if not self._fh.closed:
             self._fh.flush()
             self._fh.close()

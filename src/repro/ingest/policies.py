@@ -1,26 +1,30 @@
 """Ingestion policies, fault accounting and quarantine sidecars.
 
-Every streaming reader in :mod:`repro.ingest` funnels its malformed
-input through one :class:`IngestReport`, parameterized by policy:
+The RIB1 reader (:mod:`repro.ingest.binary`) funnels every malformed
+record and damaged stream through one :class:`IngestReport`,
+parameterized by policy:
 
-* ``strict`` — the first malformed record raises a typed error from
-  the taxonomy in :mod:`repro.errors` (:class:`~repro.errors.
-  TraceFormatError` for torn/unparseable records, :class:`~repro.
-  errors.TraceTruncatedError` for streams cut short), each with its
-  own CLI exit code;
-* ``lenient`` — malformed records are skipped and counted, up to a
-  bounded ``max_errors`` budget (:class:`~repro.errors.
+* ``strict`` — the first fault raises a typed error from the taxonomy
+  in :mod:`repro.errors` (:class:`~repro.errors.TraceFormatError` for
+  malformed records, :class:`~repro.errors.TraceTruncatedError` for
+  streams cut short, :class:`~repro.errors.TraceChecksumError` for a
+  failed footer digest), each with its own CLI exit code;
+* ``lenient`` — faults are counted and malformed records skipped, up
+  to a bounded ``max_errors`` budget (:class:`~repro.errors.
   TraceBudgetError` beyond it — a stream that is mostly garbage is the
   wrong file, not a blemish);
 * ``quarantine`` — lenient, plus every skipped raw record is appended
   to a ``.quarantine`` JSONL sidecar (offset, index, reason, raw bytes
   hex) so the malformed input can be inspected after the run.
 
-The report is the single source of truth for the lenient-mode
-contract the chaos harness proves: ``report.skipped_indices`` names
-*exactly* the records that were dropped, so a clean trace minus those
-indices must be bit-identical to the faulted trace's surviving
-records.
+A fault either drops a record (a malformed or torn record) or drops
+none (a stale footer digest, a missing footer, a stream that ends at a
+record boundary short of the header's count).  Every fault counts in
+``fault_counts`` and against the budget; only dropped records enter
+``skipped_indices``.  That list is the single source of truth for the
+lenient-mode contract the input-fault tests prove: it names *exactly*
+the records that were dropped, so a clean trace minus those indices
+must be bit-identical to the faulted trace's surviving records.
 """
 
 from __future__ import annotations
@@ -66,11 +70,11 @@ def validate_policy(policy: str) -> str:
 
 @dataclass
 class IngestFault:
-    """One skipped (or fatal) malformed record."""
+    """One malformed record or damaged stream section."""
 
     kind: str        # FORMAT / TRUNCATED / CHECKSUM
     index: int       # record index in the input stream (0-based)
-    offset: int      # byte offset of the record in the (decompressed) stream
+    offset: int      # byte offset of the faulted bytes in the file
     reason: str
     raw: bytes = b""
 
@@ -131,27 +135,25 @@ def read_quarantine(path: str) -> list[dict]:
 class IngestReport:
     """Accounting for one ingestion run (mutated by the reader).
 
-    ``records`` counts canonical records emitted downstream;
+    ``records`` counts the records emitted downstream;
     ``skipped_indices`` names the input-stream indices of every record
-    the policy dropped — the exact set the chaos contract subtracts
-    from the clean trace.  ``faults`` keeps the first
-    :data:`MAX_KEPT_FAULTS` full fault descriptions (the sidecar keeps
-    them all under ``quarantine``).
+    the policy dropped — the exact set the input-fault contract
+    subtracts from the clean trace.  ``fault_counts`` counts every
+    fault by kind, including those that dropped no record.  ``faults``
+    keeps the first :data:`MAX_KEPT_FAULTS` full fault descriptions
+    (the sidecar keeps every dropped record under ``quarantine``).
     """
 
     MAX_KEPT_FAULTS = 64
 
     source: str
-    format: str
     policy: str
     max_errors: int = DEFAULT_MAX_ERRORS
     records: int = 0
-    bytes_consumed: int = 0
     skipped_indices: list[int] = field(default_factory=list)
     fault_counts: dict[str, int] = field(default_factory=dict)
     faults: list[IngestFault] = field(default_factory=list)
     quarantine_path: str | None = None
-    resumed_from: int = 0
     _writer: QuarantineWriter | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -163,8 +165,8 @@ class IngestReport:
 
     @property
     def skipped(self) -> int:
-        """Total records dropped by the lenient/quarantine policy."""
-        return sum(self.fault_counts.values())
+        """Records dropped by the lenient/quarantine policy."""
+        return len(self.skipped_indices)
 
     def attach_quarantine(self, path: str) -> None:
         """Open the ``.quarantine`` sidecar (quarantine policy only)."""
@@ -177,35 +179,38 @@ class IngestReport:
             self._writer.close()
 
     def fault(self, kind: str, index: int, offset: int, reason: str,
-              raw: bytes = b"") -> None:
-        """Record one malformed record under the active policy.
+              raw: bytes = b"", *, dropped: bool = True) -> None:
+        """Record one fault under the active policy.
 
         Under ``strict`` this raises the matching taxonomy error
-        immediately; under ``lenient``/``quarantine`` it counts (and
-        optionally sidecars) the fault, raising
+        immediately; under ``lenient``/``quarantine`` it counts the
+        fault and, when it ``dropped`` record ``index``, names (and
+        optionally sidecars) that record, raising
         :class:`TraceBudgetError` once the budget is spent.
         """
         fault = IngestFault(kind=kind, index=index, offset=offset,
                             reason=reason, raw=raw)
         if self.policy == STRICT:
-            raise self._error(fault)
+            raise self._error(fault, dropped)
         self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
-        self.skipped_indices.append(index)
+        if dropped:
+            self.skipped_indices.append(index)
+            if self._writer is not None:
+                self._writer.write(fault)
         if len(self.faults) < self.MAX_KEPT_FAULTS:
             self.faults.append(fault)
-        if self._writer is not None:
-            self._writer.write(fault)
-        if self.skipped > self.max_errors:
+        total = sum(self.fault_counts.values())
+        if total > self.max_errors:
             self.close()
             raise TraceBudgetError(
-                f"{self.source}: {self.skipped} malformed records exceed "
-                f"the lenient budget of {self.max_errors} "
-                f"(last: {reason})"
+                f"{self.source}: {total} faults exceed the lenient "
+                f"budget of {self.max_errors} (last: {reason})"
             )
 
-    def _error(self, fault: IngestFault):
-        message = (f"{self.source}: record {fault.index} "
-                   f"(byte {fault.offset}): {fault.reason}")
+    def _error(self, fault: IngestFault, dropped: bool):
+        where = (f"record {fault.index} (byte {fault.offset})" if dropped
+                 else f"byte {fault.offset}")
+        message = f"{self.source}: {where}: {fault.reason}"
         if fault.kind == TRUNCATED:
             return TraceTruncatedError(message)
         if fault.kind == CHECKSUM:
@@ -216,16 +221,12 @@ class IngestReport:
         """``[property, value]`` rows for the CLI summary table."""
         rows = [
             ["source", self.source],
-            ["format", self.format],
             ["policy", self.policy],
             ["records ingested", self.records],
-            ["bytes consumed", self.bytes_consumed],
             ["records skipped", self.skipped],
         ]
         for kind in sorted(self.fault_counts):
-            rows.append([f"  skipped ({kind})", self.fault_counts[kind]])
+            rows.append([f"faults ({kind})", self.fault_counts[kind]])
         if self.quarantine_path:
             rows.append(["quarantine sidecar", self.quarantine_path])
-        if self.resumed_from:
-            rows.append(["resumed from byte", self.resumed_from])
         return rows

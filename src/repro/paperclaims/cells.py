@@ -8,7 +8,7 @@ simulation through one shared :class:`repro.runner.SimulationRunner`
 * the whole claim run parallelizes under ``--jobs`` and persists in the
   content-addressed result cache — a warm re-check replays cached
   results instead of re-simulating, and
-* the resilience layer (retries, timeouts, journaling) applies to every
+* the resilience layer (retries, timeouts) applies to every
   cell uniformly.
 
 :class:`ClaimEngine` resolves the cell dependency set of the requested

@@ -3,7 +3,7 @@
 The paper's evaluation grids (and anything production-scale built on
 them) run for long enough that faults are a certainty, not an edge
 case.  This package gives :class:`repro.runner.SimulationRunner` the
-four survivability properties a long sweep needs:
+survivability properties a long sweep needs:
 
 * **retry** — :class:`RetryPolicy`: bounded attempts with exponential
   backoff and deterministic jitter, gated on the failure taxonomy in
@@ -11,20 +11,17 @@ four survivability properties a long sweep needs:
 * **timeouts + crash recovery** — per-job wall-clock deadlines and
   ``BrokenProcessPool`` handling that kill/respawn the worker pool and
   re-dispatch only the unresolved jobs;
-* **journal** — :class:`CheckpointJournal`: an append-only log of
-  resolved cache keys and terminal failures, plus :class:`JobFailure`
-  cells so degraded runs render partial grids instead of aborting.  An
-  interrupted sweep resumes from the result cache (every result is
-  published as it completes); the runner reads the journal back only
-  in degraded mode, to skip cells it logged as failed;
-* **chaos** — :mod:`repro.resilience.chaos`: a deterministic, seeded
-  fault-injection harness (worker crashes, hangs, transient errors,
-  corrupt cache entries) that proves recovered runs are bit-identical
-  to fault-free runs (``tests/test_chaos.py``).
+* **degraded mode** — :class:`JobFailure` cells so degraded runs
+  render partial grids instead of aborting, and
+  :class:`CheckpointJournal`, an append-only log of the cells that
+  failed terminally, which a degraded rerun reads back to skip them.
+  An interrupted sweep resumes from the result cache (every result is
+  published as it completes), not from the journal.
 
-See ``docs/resilience.md`` for semantics and the failure taxonomy
-table.  :mod:`~repro.resilience.chaos` is imported lazily (it depends
-on the runner package) — use ``from repro.resilience import chaos``.
+The seeded fault-injection harness that proves recovered runs are
+bit-identical to fault-free runs lives with its tests
+(``tests/chaos.py``, driven by ``tests/test_chaos.py``).  See
+``docs/resilience.md`` for semantics and the failure taxonomy table.
 """
 
 from repro.resilience.journal import CheckpointJournal, flush_active_journals

@@ -1,18 +1,18 @@
-"""Append-only checkpoint journal for interruptible sweeps.
+"""Append-only failure log for degraded sweeps.
 
-A :class:`CheckpointJournal` records, one JSON line per event, the
-resolution of every job in a long run: ``done`` lines name cache keys
-whose payloads were published to the :class:`~repro.runner.cache.
-ResultCache`, ``failed`` lines carry the failure taxonomy for cells
-that exhausted their retry budget.  Lines are flushed as they are
-written, so the journal is crash-consistent by construction — killing
-the process mid-run loses at most the jobs that were literally in
-flight.
+A :class:`CheckpointJournal` records, one JSON line per event, every
+cell of a run that exhausted its retry budget: the cache key plus the
+failure taxonomy (error type, message, attempts).  A later success of
+a logged cell writes a ``cleared`` line that supersedes its failure.
+Each line is flushed to the OS as it is written, and
+:meth:`~CheckpointJournal.flush`/:meth:`~CheckpointJournal.close`
+fsync it; the CLI flushes every open journal on Ctrl-C.
 
-On resume, a runner pointed at the same journal and cache re-simulates
-*nothing* that already resolved: ``done`` keys are cache hits, and in
-degraded mode ``failed`` keys surface immediately as
-:class:`~repro.resilience.policy.JobFailure` cells without burning a
+Other successful cells are not logged: each result is published to the
+:class:`~repro.runner.cache.ResultCache` as it completes, so an
+interrupted run resumes from the cache.  The journal is read back only
+in degraded mode, where a recorded failure surfaces immediately as a
+:class:`~repro.resilience.policy.JobFailure` cell without burning a
 fresh attempt budget on a known-fatal cell.
 
 A half-written trailing line (the writer was SIGKILLed mid-append) is
@@ -20,7 +20,7 @@ skipped on load rather than treated as corruption, and so are runs of
 NUL bytes: journalling filesystems that replay a metadata-only commit
 after power loss can leave a pre-allocated tail of ``\\x00`` where the
 flushed data never hit the platter.  Both cases are counted in
-:attr:`CheckpointJournal.skipped_lines` so a resume can report how
+:attr:`CheckpointJournal.skipped_lines` so a rerun can report how
 much of the journal was unreadable.
 """
 
@@ -33,8 +33,8 @@ import weakref
 from repro.errors import CheckpointError
 from repro.resilience.policy import JobFailure
 
-DONE = "done"
 FAILED = "failed"
+CLEARED = "cleared"
 
 # Open journals, so the CLI can flush every one of them on
 # KeyboardInterrupt regardless of which command object holds them.
@@ -51,7 +51,7 @@ def flush_active_journals() -> int:
 
 
 class CheckpointJournal:
-    """Append-only record of resolved cache keys for one sweep."""
+    """Append-only record of the cells that failed terminally."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -98,28 +98,16 @@ class CheckpointJournal:
                 status = entry["status"]
             except (ValueError, TypeError, KeyError):
                 # A writer killed mid-append leaves a torn final line;
-                # everything before it is still a valid checkpoint.
+                # everything before it is still a valid entry.
                 self.skipped_lines += 1
                 continue
-            if status in (DONE, FAILED):
+            if status in (FAILED, CLEARED):
                 self.entries[key] = entry
 
     def _write(self, entry: dict) -> None:
         self.entries[entry["key"]] = entry
         self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._fh.flush()
-
-    def record_done(self, key: str, **extra) -> None:
-        """Mark a key as resolved and published to the cache.
-
-        ``extra`` fields ride along in the journal entry — the ingest
-        converter checkpoints per-chunk byte offsets this way so a
-        resumed conversion can seek instead of re-reading.
-        """
-        entry = dict(extra)
-        entry["key"] = key
-        entry["status"] = DONE
-        self._write(entry)
 
     def record_failed(self, key: str, failure: JobFailure) -> None:
         """Mark a key as terminally failed (with its taxonomy)."""
@@ -130,6 +118,15 @@ class CheckpointJournal:
             "message": failure.message,
             "attempts": failure.attempts,
         })
+
+    def clear_failure(self, key: str) -> None:
+        """Supersede a key's logged failure: the cell has since succeeded.
+
+        Writes a line only when the key has a failure on record, so a
+        run without failures leaves the journal empty.
+        """
+        if self.entries.get(key, {}).get("status") == FAILED:
+            self._write({"key": key, "status": CLEARED})
 
     def failure_for(self, key: str) -> JobFailure | None:
         """The recorded failure for a key, if it terminally failed."""
@@ -142,11 +139,6 @@ class CheckpointJournal:
             message=entry.get("message", ""),
             attempts=int(entry.get("attempts", 0)),
         )
-
-    @property
-    def done_keys(self) -> set[str]:
-        return {key for key, entry in self.entries.items()
-                if entry.get("status") == DONE}
 
     @property
     def failed_keys(self) -> set[str]:

@@ -17,8 +17,8 @@ values so cells can
 under :class:`repro.analysis.ExperimentRunner`, the sensitivity sweeps,
 the multicore alone-IPC runs and the ``repro`` CLI.  Execution is
 fault-tolerant via :mod:`repro.resilience` — bounded retries with
-backoff, per-job timeouts, worker-crash recovery, checkpoint/resume
-journals and degraded-mode :class:`JobFailure` cells (see
+backoff, per-job timeouts, worker-crash recovery, and degraded-mode
+:class:`JobFailure` cells with a failure journal (see
 ``docs/resilience.md``).
 """
 

@@ -18,10 +18,10 @@ Execution is fault-tolerant (see ``docs/resilience.md``):
   is killed, the pool respawned, and only unresolved jobs re-dispatched
   (likewise for a worker that crashes outright: ``BrokenProcessPool``
   is recovery, not the end of the batch);
-* a :class:`~repro.resilience.CheckpointJournal` logs every
-  resolution; a rerun reads back only its ``failed`` lines, and only
-  in degraded mode (an interrupted batch resumes from the cache, which
-  holds every result published before the interrupt);
+* a :class:`~repro.resilience.CheckpointJournal` logs every terminal
+  failure; a rerun reads it back only in degraded mode (an interrupted
+  batch resumes from the cache, which holds every result published
+  before the interrupt);
 * in degraded mode a job that exhausts its budget resolves to a
   :class:`~repro.resilience.JobFailure` cell instead of aborting the
   whole batch.
@@ -68,7 +68,7 @@ class SimulationRunner:
     attempt budget for transient failures and timeouts; ``timeout`` is
     the per-job wall-clock deadline in seconds (it needs ``jobs >= 2``
     — an in-process job cannot be preempted, so it is rejected).  ``journal``
-    logs resolutions (degraded mode reads its failures back);
+    logs terminal failures (degraded mode reads them back);
     ``degraded`` turns terminal failures into :class:`JobFailure` cells
     instead of exceptions.
     ``execute`` swaps the execution function (``fn(spec, attempt)``) —
@@ -160,7 +160,7 @@ class SimulationRunner:
             if self.cache is not None:
                 self.cache.put(key, payload)
             if self.journal is not None:
-                self.journal.record_done(key)
+                self.journal.clear_failure(key)
 
         def publish_failure(key: str, failure: JobFailure) -> None:
             resolved[key] = failure

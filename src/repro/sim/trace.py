@@ -17,7 +17,7 @@ inner simulation loop fast.
 :class:`Trace` wraps a list of records with a name and supports slicing,
 replay (cyclic iteration, used when multicore mixes replay short
 benchmarks) and a memoized columnar decode.  Trace files on disk use
-the RIB1 and k6 interchange formats of :mod:`repro.ingest`.
+the RIB1 format of :mod:`repro.ingest`.
 """
 
 from __future__ import annotations
@@ -111,31 +111,6 @@ class TraceColumns:
         self._dep_bytes: bytes | None = None
         self._set_tag: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._event_columns: dict[str, np.ndarray] | None = None
-
-    @classmethod
-    def from_arrays(cls, kind, ip, addr, dep) -> "TraceColumns":
-        """Build columns straight from per-field arrays (no tuple pass).
-
-        The streaming ingestion readers (:mod:`repro.ingest`) decode
-        interchange-format chunks directly into field arrays; this
-        constructor derives the geometry columns without ever building
-        the per-record tuple list a :class:`Trace` would hold.
-        """
-        columns = cls.__new__(cls)
-        columns.kind = np.asarray(kind, dtype=np.uint8)
-        columns.ip = np.asarray(ip, dtype=np.uint64)
-        columns.addr = np.asarray(addr, dtype=np.uint64)
-        columns.dep = np.asarray(dep, dtype=np.uint8)
-        columns.is_load = columns.kind == LOAD
-        columns.line = columns.addr >> np.uint64(6)
-        columns.page = columns.addr >> np.uint64(12)
-        columns.offset = columns.line & np.uint64(63)
-        columns.events = np.flatnonzero(columns.kind != OTHER)
-        columns._kind_bytes = None
-        columns._dep_bytes = None
-        columns._set_tag = {}
-        columns._event_columns = None
-        return columns
 
     def __len__(self) -> int:
         return len(self.kind)

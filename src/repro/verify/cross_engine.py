@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import TraceError
 from repro.params import SystemParams
 from repro.prefetchers import make_prefetcher
 from repro.sim.batched import simulate_batched, support_reason
@@ -123,28 +124,26 @@ def _compare(trace, config: str, label: str, warmup=None,
 
 
 def _ingest_round_trip_trace(trace):
-    """A trace round-tripped through the ingestion layer (in memory).
+    """A trace round-tripped through a RIB1 file.
 
-    Serializes the workload to canonical k6 text, then strict-ingests
-    it back — the exact path an externally supplied trace takes into
-    the simulator.  The ingested twin has only the memory records
-    (k6 carries no branches) with the synthetic k6 instruction
-    pointers, so it is a *different* cell from the source workload;
-    what the gate demands is that both engines agree on it too.
+    Writes the workload with :func:`~repro.ingest.write_binary`, then
+    strict-ingests it back — the exact path a trace file takes into the
+    simulator.  The twin must hold the source's records; it carries a
+    new name, so it is a separate cell that both engines must agree on
+    too.
     """
-    from repro.ingest import ingest_k6
-    from repro.ingest.k6 import K6_CYCLE_STEP, _COMMAND_FOR
+    import os
+    import tempfile
 
-    lines = []
-    for kind, _ip, addr, _dep in trace:
-        command = _COMMAND_FOR.get(kind)
-        if command is None:
-            continue
-        lines.append(f"0x{addr:x} {command} "
-                     f"{len(lines) * K6_CYCLE_STEP}\n")
-    payload = "".join(lines).encode("ascii")
-    ingested, report = ingest_k6(payload, name=f"{trace.name}.k6")
-    assert report.records == len(lines)
+    from repro.ingest import ingest_binary, write_binary
+
+    name = f"{trace.name}.rib"
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, name)
+        write_binary(trace, path)
+        ingested, _ = ingest_binary(path, name=name)
+    if list(ingested) != list(trace):
+        raise TraceError(f"{name}: the RIB1 round trip changed the records")
     return ingested
 
 
@@ -160,8 +159,8 @@ def run_cross_engine(
     each time with freshly constructed prefetchers so no state leaks
     between runs — and the two :class:`repro.sim.engine.SimResult`
     values must compare equal.  One extra cell round-trips the first
-    workload through the k6 ingestion layer so externally ingested
-    traces are covered by the same equivalence demand.  With
+    workload through a RIB1 trace file so traces read by ``repro
+    run-trace`` are covered by the same equivalence demand.  With
     ``edge_cases`` the harness also sweeps the warm-up/budget/chunking
     boundary combinations in :data:`EDGE_CASES` on the first workload
     under the full IPCP configuration.

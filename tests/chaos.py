@@ -1,6 +1,8 @@
-"""Deterministic, seeded fault injection for the execution layer.
+"""Deterministic, seeded fault injection for the resilience tests.
 
-``chaos_execute_job`` wraps :func:`repro.runner.job.execute_job` and
+A test helper, imported by ``tests/test_chaos.py`` (execution faults)
+and ``tests/test_ingest.py`` (input faults).  ``chaos_execute_job``
+wraps :func:`repro.runner.job.execute_job` and
 :class:`ChaosCache` wraps :class:`repro.runner.cache.ResultCache`;
 together they inject the four fault families the resilience layer must
 absorb:
@@ -31,6 +33,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import TransientJobError, WorkerCrashError
+from repro.ingest.binary import FOOTER_SIZE, HEADER_SIZE, MARKER, RECORD_SIZE
 from repro.runner.cache import ResultCache
 from repro.runner.job import JobSpec, execute_job
 
@@ -196,41 +199,33 @@ class ChaosCache:
 #
 # Same philosophy as ChaosPlan — every fault is a pure function of
 # (seed, record index, fault kind) — but aimed at the *bytes on disk*
-# rather than the execution layer: seeded bit flips inside k6 command
-# tokens, interleaved garbage lines, mid-stream truncation, and
-# whole-record byte reversal (wrong endianness) for binary traces.
+# rather than the execution layer: whole-record byte reversal (wrong
+# endianness) and mid-record truncation of a RIB1 trace.
 #
-# Each corruptor returns the exact clean-record indices it destroyed,
+# The corruptor returns the exact clean-record indices it destroyed,
 # which is what makes the lenient-mode contract *checkable*: a lenient
 # ingest of the faulted bytes must yield precisely the clean trace
 # minus the returned victims, bit for bit.  Every injected fault is
-# guaranteed-invalid by construction (a single-bit flip in a k6
-# command can never produce the other valid command, and a reversed
-# binary record is re-damaged if its marker byte would survive), so a
-# fault can never silently mutate a record into different-but-valid
-# data — it is either dropped and counted, or the corruptor is wrong.
+# guaranteed-invalid by construction (a reversed record is re-damaged
+# if its marker byte would survive), so a fault can never silently
+# mutate a record into different-but-valid data — it is either
+# dropped and counted, or the corruptor is wrong.
 # ---------------------------------------------------------------------------
 
-BIT_FLIP = "bit-flip"
-GARBAGE = "garbage"
-TRUNCATE = "truncate"
 BYTE_REVERSE = "byte-reverse"
 
 
 @dataclass(frozen=True)
 class InputFaultPlan:
-    """Seeded schedule of byte-level trace damage.
+    """Seeded schedule of byte-level RIB1 trace damage.
 
-    ``flip_rate`` is the per-record chance of damage (a command-token
-    bit flip for k6 text, a whole-record byte reversal for binary);
-    ``garbage_rate`` the per-record chance of an interleaved garbage
-    line (k6 only); ``truncate_fraction`` > 0 cuts the stream mid-
-    record at roughly that fraction of its length.
+    ``flip_rate`` is the per-record chance of a whole-record byte
+    reversal; ``truncate_fraction`` > 0 cuts the stream mid-record at
+    roughly that fraction of its records.
     """
 
     seed: int = 1
     flip_rate: float = 0.0
-    garbage_rate: float = 0.0
     truncate_fraction: float = 0.0
 
     def roll(self, index: int, kind: str) -> float:
@@ -246,68 +241,7 @@ class CorruptionResult:
 
     data: bytes
     victims: list[int]      # clean-record indices that no longer survive
-    garbage_lines: int = 0  # interleaved invalid lines (k6 only)
     truncated: bool = False
-
-    @property
-    def injected_faults(self) -> int:
-        """Faults a lenient reader should count (victims + garbage)."""
-        return len(self.victims) + self.garbage_lines + (
-            1 if self.truncated else 0)
-
-
-def corrupt_k6_text(clean: bytes, plan: InputFaultPlan) -> CorruptionResult:
-    """Apply a fault schedule to canonical k6 text.
-
-    ``clean`` must be canonical (as written by
-    :func:`repro.ingest.k6.write_k6`: one record per line, no blanks
-    or comments), so line index == record index.
-    """
-    lines = clean.decode("ascii").splitlines()
-    out: list[tuple[bytes, int | None]] = []  # (line, clean index | None)
-    victims: set[int] = set()
-    garbage_lines = 0
-    for index, text in enumerate(lines):
-        if plan.roll(index, GARBAGE) < plan.garbage_rate:
-            # One field, starts with '!': can never parse as a record.
-            out.append((f"!!garbage:{index}!!".encode(), None))
-            garbage_lines += 1
-        if plan.roll(index, BIT_FLIP) < plan.flip_rate:
-            addr, command, cycle = text.split()
-            pos = int(plan.roll(index, "bytepos") * len(command))
-            bit = int(plan.roll(index, "bitpos") * 8)
-            flipped = bytearray(command.encode())
-            flipped[pos] ^= 1 << bit
-            damaged = b" ".join(
-                (addr.encode(), bytes(flipped), cycle.encode()))
-            out.append((damaged, index))
-            victims.add(index)
-        else:
-            out.append((text.encode(), index))
-    truncated = False
-    if plan.truncate_fraction > 0 and out:
-        total = sum(len(line) + 1 for line, _ in out)
-        target = int(total * plan.truncate_fraction)
-        consumed = 0
-        for cut_at, (line, _) in enumerate(out):
-            if consumed + len(line) + 1 > target:
-                break
-            consumed += len(line) + 1
-        else:
-            cut_at = len(out) - 1
-        # Keep one byte of the cut line: the partial record ("0", "!")
-        # is guaranteed-invalid, so the cut is always *visible* as a
-        # fault rather than landing on a clean line boundary.
-        head = b"\n".join(line for line, _ in out[:cut_at])
-        prefix = (head + b"\n" if head else b"") + out[cut_at][0][:1]
-        for _, clean_index in out[cut_at:]:
-            if clean_index is not None:
-                victims.add(clean_index)
-        garbage_lines = sum(1 for _, idx in out[:cut_at] if idx is None)
-        return CorruptionResult(prefix, sorted(victims), garbage_lines,
-                                truncated=True)
-    data = b"\n".join(line for line, _ in out) + (b"\n" if out else b"")
-    return CorruptionResult(data, sorted(victims), garbage_lines, truncated)
 
 
 def corrupt_binary(clean: bytes, plan: InputFaultPlan) -> CorruptionResult:
@@ -319,9 +253,9 @@ def corrupt_binary(clean: bytes, plan: InputFaultPlan) -> CorruptionResult:
     guaranteed-detectable.  Note a flipped payload also stales the
     footer digest — lenient readers will count one trailing
     ``checksum`` fault on top of the per-record ``format`` faults.
+    A truncation keeps half of the cut record (a torn record) and
+    drops everything after it, footer included.
     """
-    from repro.ingest.binary import (
-        FOOTER_SIZE, HEADER_SIZE, MARKER, RECORD_SIZE)
     payload = len(clean) - HEADER_SIZE - FOOTER_SIZE
     count = payload // RECORD_SIZE
     blob = bytearray(clean)
@@ -345,13 +279,3 @@ def corrupt_binary(clean: bytes, plan: InputFaultPlan) -> CorruptionResult:
         truncated = True
     return CorruptionResult(bytes(blob), sorted(victims),
                             truncated=truncated)
-
-
-def truncate_gzip(compressed: bytes, fraction: float = 0.5) -> bytes:
-    """Cut a gzip member mid-stream (a *truncated* ingest fault).
-
-    Keeps at least the 10-byte gzip header so the reader engages the
-    decompressor and fails inside it, not at format detection.
-    """
-    cut = max(10, int(len(compressed) * fraction))
-    return compressed[:cut]

@@ -1,6 +1,6 @@
 """Chaos proof: recovered runs are bit-identical to fault-free runs.
 
-The fault-injection harness (``repro.resilience.chaos``) schedules
+The fault-injection harness (``tests/chaos.py``) schedules
 crashes, hangs, transient exceptions and cache corruption as a pure
 function of ``(seed, key, attempt, kind)``.  These tests drive a real
 multi-cell sweep through each fault family — and then all of them at
@@ -18,7 +18,10 @@ import pytest
 
 from repro.errors import ConfigurationError, TransientJobError, WorkerCrashError
 from repro.resilience import RetryPolicy
-from repro.resilience.chaos import (
+from repro.runner import ResultCache, SimulationRunner, levels_job
+from repro.workloads import spec_trace
+
+from chaos import (
     CORRUPT,
     CRASH,
     HANG,
@@ -27,8 +30,6 @@ from repro.resilience.chaos import (
     ChaosPlan,
     chaos_execute_job,
 )
-from repro.runner import ResultCache, SimulationRunner, levels_job
-from repro.workloads import spec_trace
 
 FAST = RetryPolicy(max_attempts=5, backoff_base=0.0)
 

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import build_trace, main
+from repro.ingest.binary import FOOTER_SIZE, HEADER_SIZE, RECORD_SIZE
 from repro.errors import (
     ConfigurationError,
     JobTimeout,
@@ -84,6 +85,11 @@ class TestCommands:
         ["validate", "--prefetcher", "ipcp"],
         ["chaos"],
         ["ingest", "chaos"],
+        ["ingest", "run", "--file", "trace.k6"],
+        ["convert", "trace.k6", "trace.rib"],
+        # The journal is the failure log of the two degraded commands.
+        ["paper", "--only", "sens-dram-bandwidth", "--journal", "j"],
+        ["run", "--workload", "bwaves_like", "--journal", "j"],
         # Only compare and sweep can render a FAILED(reason) cell.
         ["run", "--workload", "bwaves_like", "--degraded"],
         ["mix", "--workload", "lbm_like", "--degraded"],
@@ -107,15 +113,81 @@ class TestCommands:
         assert code == ConfigurationError.exit_code
 
 
+def _tear_last_record(blob):
+    del blob[len(blob) - FOOTER_SIZE - RECORD_SIZE // 2:]
+
+
+def _rot_first_ip(blob):
+    blob[HEADER_SIZE + 1] ^= 0x01   # low byte of record 0's ip
+
+
+def _smash_first_marker(blob):
+    blob[HEADER_SIZE + RECORD_SIZE - 2] ^= 0xFF
+
+
 class TestTraceFileCommands:
-    def test_dump_and_run_trace_roundtrip(self, tmp_path, capsys):
-        out = str(tmp_path / "w.trace")
+    def _dumped(self, tmp_path, capsys, damage=None) -> str:
+        out = str(tmp_path / "w.rib")
         assert main(["dump-trace", "--workload", "bwaves_like",
                      "--out", out, "--scale", "0.05"]) == 0
         capsys.readouterr()
+        if damage is not None:
+            with open(out, "rb") as fh:
+                blob = bytearray(fh.read())
+            damage(blob)
+            with open(out, "wb") as fh:
+                fh.write(bytes(blob))
+        return out
+
+    def test_dump_and_run_trace_roundtrip(self, tmp_path, capsys):
+        out = self._dumped(tmp_path, capsys)
         assert main(["run-trace", "--trace-file", out,
                      "--prefetcher", "ipcp"]) == 0
-        assert "speedup" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "speedup" in printed
+        assert "records ingested" in printed
+
+    @pytest.mark.parametrize("damage, options, code", [
+        (_smash_first_marker, [], 14),
+        (_tear_last_record, [], 15),
+        (_rot_first_ip, [], 16),
+        (_smash_first_marker, ["--policy", "lenient", "--max-errors", "0"],
+         17),
+    ], ids=["bad-marker", "torn-record", "bit-rot", "over-budget"])
+    def test_run_trace_exits_with_the_fault_code(
+            self, damage, options, code, tmp_path, capsys):
+        out = self._dumped(tmp_path, capsys, damage)
+        assert main(["run-trace", "--trace-file", out] + options) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "speedup" not in captured.out
+
+    def test_run_trace_lenient_prints_the_ingest_report(
+            self, tmp_path, capsys):
+        out = self._dumped(tmp_path, capsys, _smash_first_marker)
+        sidecar = str(tmp_path / "w.quarantine")
+        assert main(["run-trace", "--trace-file", out,
+                     "--policy", "quarantine",
+                     "--quarantine-path", sidecar]) == 0
+        printed = capsys.readouterr().out
+        rows = dict(line.rsplit(None, 1) for line in printed.splitlines()
+                    if line.startswith(("records", "faults")))
+        assert rows.pop("records ingested").isdigit()
+        assert rows == {"records skipped": "1",
+                        "faults (checksum)": "1",
+                        "faults (format)": "1"}
+        assert sidecar in printed and "speedup" in printed
+        assert os.path.getsize(sidecar) > 0
+
+    def test_run_trace_rejects_a_text_trace_under_lenient(
+            self, tmp_path, capsys):
+        text = tmp_path / "old.k6"
+        text.write_text("0x10000 P_MEM_RD 10\n0x10040 P_MEM_WR 20\n")
+        code = main(["run-trace", "--trace-file", str(text),
+                     "--policy", "lenient"])
+        assert code == 14
+        assert "not a RIB1 trace" in capsys.readouterr().err
 
 
 class TestProfileCommand:
@@ -376,9 +448,9 @@ class TestResilienceOptions:
                 "--journal", str(tmp_path / "sweep.journal")]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        # The journal records both resolved cells.
+        # The journal logs failures only, and both cells resolved.
         with open(tmp_path / "sweep.journal") as fh:
-            assert len(fh.read().strip().splitlines()) == 2
+            assert fh.read() == ""
         # Resumed invocation reproduces the identical table.
         assert main(argv) == 0
         assert capsys.readouterr().out == first

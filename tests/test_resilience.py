@@ -99,6 +99,12 @@ def always_sleep(spec, attempt=1):
     time.sleep(30.0)
 
 
+def logged_failure(key: str) -> JobFailure:
+    """A terminal failure as the runner journals it."""
+    return JobFailure(key=key, error_type="SimulationError",
+                      message="boom", attempts=1)
+
+
 @pytest.fixture(scope="module")
 def trace():
     return spec_trace("bwaves_like", 0.05)
@@ -366,8 +372,6 @@ class TestCheckpointJournal:
             assert interrupted.simulations_run == 2
 
         resumed_journal = CheckpointJournal(journal_path)
-        assert resumed_journal.done_keys == {spec.cache_key()
-                                             for spec in specs[:2]}
         resumed = SimulationRunner(cache=ResultCache(cache_dir),
                                    journal=resumed_journal)
         resumed.run(specs)
@@ -408,11 +412,15 @@ class TestCheckpointJournal:
             assert journal.failure_for(spec.cache_key()) is None
         assert pickle.dumps(result) == reference_none
         assert retried.simulations_run == 1
+        # The success is on disk too: a degraded rerun must not render
+        # the superseded failure.
+        with CheckpointJournal(journal_path) as journal:
+            assert journal.failed_keys == set()
 
     def test_torn_trailing_line_is_skipped(self, trace, tmp_path):
         journal_path = str(tmp_path / "sweep.journal")
         with CheckpointJournal(journal_path) as journal:
-            journal.record_done("aaaa")
+            journal.record_failed("aaaa", logged_failure("aaaa"))
             journal.record_failed("bbbb", JobFailure(
                 key="bbbb", error_type="JobTimeout", message="slow",
                 attempts=3))
@@ -420,8 +428,8 @@ class TestCheckpointJournal:
             fh.write('{"key": "cccc", "sta')  # writer SIGKILLed mid-append
 
         journal = CheckpointJournal(journal_path)
-        assert journal.done_keys == {"aaaa"}
-        assert journal.failed_keys == {"bbbb"}
+        assert journal.failed_keys == {"aaaa", "bbbb"}
+        assert journal.skipped_lines == 1
         failure = journal.failure_for("bbbb")
         assert failure.error_type == "JobTimeout"
         assert failure.attempts == 3
@@ -433,14 +441,14 @@ class TestCheckpointJournal:
         # where flushed lines never hit the platter.
         journal_path = str(tmp_path / "sweep.journal")
         with CheckpointJournal(journal_path) as journal:
-            journal.record_done("aaaa")
-            journal.record_done("bbbb", offset=4839, written=198)
+            journal.record_failed("aaaa", logged_failure("aaaa"))
+            journal.record_failed("bbbb", logged_failure("bbbb"))
         with open(journal_path, "ab") as fh:
             fh.write(b"\x00" * 256 + b"\n")          # padded tail
             fh.write(b'{"key": "cccc", "sta\x00\x00')  # torn + padded
 
         journal = CheckpointJournal(journal_path)
-        assert journal.done_keys == {"aaaa", "bbbb"}
+        assert journal.failed_keys == {"aaaa", "bbbb"}
         assert journal.skipped_lines == 2
         journal.close()
 
@@ -448,22 +456,10 @@ class TestCheckpointJournal:
         # NUL runs around an intact entry must not hide it.
         journal_path = str(tmp_path / "sweep.journal")
         with open(journal_path, "wb") as fh:
-            fh.write(b'\x00\x00{"key": "aaaa", "status": "done"}\x00\x00\n')
+            fh.write(b'\x00\x00{"key": "aaaa", "status": "failed"}\x00\x00\n')
         journal = CheckpointJournal(journal_path)
-        assert journal.done_keys == {"aaaa"}
+        assert journal.failed_keys == {"aaaa"}
         assert journal.skipped_lines == 0
-        journal.close()
-
-    def test_record_done_extras_round_trip(self, tmp_path):
-        # The ingest converter checkpoints {offset, written} this way.
-        journal_path = str(tmp_path / "sweep.journal")
-        with CheckpointJournal(journal_path) as journal:
-            journal.record_done("ingest:t.rib:chunk:0",
-                                offset=12345, written=64)
-        journal = CheckpointJournal(journal_path)
-        entry = journal.entries["ingest:t.rib:chunk:0"]
-        assert entry["offset"] == 12345
-        assert entry["written"] == 64
         journal.close()
 
     def test_flush_active_journals(self, tmp_path):
