@@ -37,7 +37,7 @@ import sys
 
 from repro.analysis import ExperimentRunner, run_levels, run_sweep
 from repro.analysis.tracestats import analyze_trace
-from repro.errors import ReproError, exit_code_for
+from repro.errors import ReproError, TraceError, exit_code_for
 from repro.ingest import (
     DEFAULT_MAX_ERRORS,
     POLICIES,
@@ -283,6 +283,8 @@ def cmd_run_trace(args) -> int:
                                   quarantine_path=args.quarantine_path)
     print(format_table(["property", "value"], report.summary_rows(),
                        title=f"Ingestion: {report.source}"))
+    if not len(trace):
+        raise TraceError(f"{report.source}: no records to simulate")
     baseline = run_levels(trace, "none")
     result = run_levels(trace, args.prefetcher)
     rows = [

@@ -40,7 +40,12 @@ import os
 import struct
 from collections.abc import Iterator
 
-from repro.errors import TraceError, TraceFormatError, TraceTruncatedError
+from repro.errors import (
+    ConfigurationError,
+    TraceError,
+    TraceFormatError,
+    TraceTruncatedError,
+)
 from repro.ingest.policies import (
     CHECKSUM,
     DEFAULT_MAX_ERRORS,
@@ -81,15 +86,20 @@ def _open_source(source, label: str | None = None):
     """Open a trace source as a binary file object.
 
     ``source`` may be a filesystem path, raw ``bytes`` or a binary
-    file object (taken as-is).  Returns ``(fh, label, owns)`` where
+    file object (taken as-is).  Returns ``(fh, label, file_name,
+    owns)``: ``file_name`` is the file the source reads (``None`` for
+    bytes and for file objects without a string ``name``), and
     ``owns`` says whether the caller should close ``fh``.
     """
     if isinstance(source, (bytes, bytearray)):
-        return io.BytesIO(bytes(source)), label or "<bytes>", True
+        return io.BytesIO(bytes(source)), label or "<bytes>", None, True
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
-        return open(path, "rb"), label or path, True
-    return source, label or getattr(source, "name", "<stream>"), False
+        return open(path, "rb"), label or path, path, True
+    name = getattr(source, "name", None)
+    file_name = name if isinstance(name, str) else None
+    return (source, label or getattr(source, "name", "<stream>"),
+            file_name, False)
 
 
 class _Reader:
@@ -215,16 +225,22 @@ def ingest_binary(source, *, name: str | None = None, policy: str = STRICT,
 
     Returns the surviving records as a :class:`Trace` (named ``name``,
     default the source label) and the :class:`IngestReport`.  Under
-    ``quarantine`` the sidecar goes to ``quarantine_path`` (default
-    ``<source>.quarantine``).
+    ``quarantine`` the sidecar goes to ``quarantine_path``, by default
+    ``<file name>.quarantine``; a source without a file name (bytes, or
+    a file object with no ``name``) needs an explicit path and raises
+    :class:`ConfigurationError` before reading without one.
     """
-    fh, label, owns = _open_source(source, label)
+    fh, label, file_name, owns = _open_source(source, label)
     try:
+        if policy == QUARANTINE and not quarantine_path:
+            if file_name is None:
+                raise ConfigurationError("quarantine of a source with no "
+                                         "file name needs quarantine_path")
+            quarantine_path = f"{file_name}.quarantine"
         report = IngestReport(source=label, policy=policy,
                               max_errors=max_errors)
         if policy == QUARANTINE:
-            report.attach_quarantine(quarantine_path
-                                     or f"{label}.quarantine")
+            report.attach_quarantine(quarantine_path)
         try:
             records = list(iter_binary_wire(fh, report))
         finally:

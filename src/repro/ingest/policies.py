@@ -95,7 +95,6 @@ class QuarantineWriter:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.written = 0
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -105,7 +104,6 @@ class QuarantineWriter:
         """Append one quarantined fault as a compact JSON line."""
         self._fh.write(json.dumps(fault.to_dict(), sort_keys=True,
                                   separators=(",", ":")) + "\n")
-        self.written += 1
 
     def close(self) -> None:
         """Flush and close the sidecar file (idempotent)."""
@@ -139,12 +137,10 @@ class IngestReport:
     ``skipped_indices`` names the input-stream indices of every record
     the policy dropped — the exact set the input-fault contract
     subtracts from the clean trace.  ``fault_counts`` counts every
-    fault by kind, including those that dropped no record.  ``faults``
-    keeps the first :data:`MAX_KEPT_FAULTS` full fault descriptions
-    (the sidecar keeps every dropped record under ``quarantine``).
+    fault by kind, including those that dropped no record.  Under
+    ``quarantine`` the sidecar at ``quarantine_path`` keeps every
+    dropped record in full.
     """
-
-    MAX_KEPT_FAULTS = 64
 
     source: str
     policy: str
@@ -152,7 +148,6 @@ class IngestReport:
     records: int = 0
     skipped_indices: list[int] = field(default_factory=list)
     fault_counts: dict[str, int] = field(default_factory=dict)
-    faults: list[IngestFault] = field(default_factory=list)
     quarantine_path: str | None = None
     _writer: QuarantineWriter | None = field(default=None, repr=False)
 
@@ -197,8 +192,6 @@ class IngestReport:
             self.skipped_indices.append(index)
             if self._writer is not None:
                 self._writer.write(fault)
-        if len(self.faults) < self.MAX_KEPT_FAULTS:
-            self.faults.append(fault)
         total = sum(self.fault_counts.values())
         if total > self.max_errors:
             self.close()

@@ -22,7 +22,10 @@ behaviour resemble real code.
 
 from __future__ import annotations
 
+import math
 import random
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.params import LINE_SIZE, REGION_SIZE
@@ -35,6 +38,8 @@ class WorkloadBuilder:
     """Accumulates records; hands out stable synthetic IPs per role.
 
     ``loads`` counts the LOAD records, which only :meth:`load` emits.
+    ``records`` holds canonical ``(kind, ip, addr, dep)`` tuples: add
+    to it through the emitters, which :meth:`build` relies on.
     """
 
     def __init__(self, name: str, seed: int = 1, alu_per_load: int = 4) -> None:
@@ -96,8 +101,12 @@ class WorkloadBuilder:
             self.records.append((OTHER, self.ip("filler"), 0, 0))
 
     def build(self) -> Trace:
-        """Freeze the accumulated records into a named trace."""
-        return Trace(self.records, name=self.name)
+        """Freeze the accumulated records into a named trace.
+
+        Every emitter appends tuples with an int ``dep`` of 0 or 1, so
+        the records skip :class:`Trace`'s per-record normalisation.
+        """
+        return Trace._from_records(self.records.copy(), self.name)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -125,6 +134,121 @@ def shuffle(rng: random.Random, items: list) -> None:
                 r = getrandbits(k)
             items[i], items[r] = items[r], items[i]
         top = bottom - 1
+
+
+#: :func:`ring_prefix` keeps steps, draws and word offsets in int32.
+MAX_RING = 2**31 - 1
+
+
+def _words(getrandbits, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of the generator, in draw order.
+
+    ``getrandbits(32 * count)`` draws ``count`` words and puts the first
+    one in the least significant bits, so its little-endian bytes list
+    them in order.  A call ``getrandbits(k)`` with ``k <= 32`` takes one
+    word and shifts it right by ``32 - k``.
+    """
+    value = getrandbits(32 * count)
+    return np.frombuffer(value.to_bytes(4 * count, "little"), dtype="<u4")
+
+
+def _shuffle_draws(rng: random.Random, n: int) -> np.ndarray:
+    """``draws[i]``: the position step ``i`` of :func:`shuffle` swaps
+    with, for ``i`` from 1 to ``n - 1``, drawing exactly its words.
+
+    Steps sharing one bit count ``k`` form a band, from ``top`` down to
+    ``bottom = 2**(k-1) - 1``.  Within a band, word ``t`` (``x[t]`` once
+    shifted) comes while step ``top - t + rej(t)`` waits, ``rej(t)``
+    being the words rejected before it, so it is rejected exactly when
+    ``rej(t) < d[t] = x[t] + t - top``.  That system is triangular:
+    iterating ``rejected = exclusive_cumsum(rejected) < d`` settles at
+    least one more leading word per pass, and a stable vector is its
+    one solution.  The band's draws are the first ``top - bottom + 1``
+    accepted words.
+
+    Every remaining step takes at least one word, so holding no more
+    unconsumed words than steps left never draws past where ``shuffle``
+    stops; words left over after a band start the next one.
+    """
+    draws = np.zeros(n, dtype=np.int32)
+    getrandbits = rng.getrandbits
+    words = np.empty(0, dtype="<u4")
+    top = n - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1
+        while top >= bottom:
+            # Expected words for steps top..bottom, plus a few standard
+            # deviations of the rejections, so a band rarely draws twice.
+            expected = (1 << k) * math.log((top + 1.5) / (bottom + 0.5))
+            rejections = max(expected - (top - bottom + 1), 0.0)
+            want = min(top, int(expected + 3 * math.sqrt(rejections)) + 8)
+            if len(words) < want:
+                words = np.concatenate(
+                    (words, _words(getrandbits, want - len(words))))
+            x = (words >> (32 - k)).astype(np.int32)
+            d = x - top
+            d += np.arange(len(x), dtype=np.int32)
+            rejected = d > 0
+            before = np.zeros(len(x), dtype=np.int32)
+            while True:
+                np.cumsum(rejected[:-1], dtype=np.int32, out=before[1:])
+                settled = before < d
+                if np.array_equal(settled, rejected):
+                    break
+                rejected = settled
+            accepted = np.flatnonzero(~rejected)[:top - bottom + 1]
+            if len(accepted) == top - bottom + 1:
+                words = words[accepted[-1] + 1:]
+            else:
+                words = words[len(x):]
+            draws[top - len(accepted) + 1:top + 1] = x[accepted[::-1]]
+            top -= len(accepted)
+    return draws
+
+
+def ring_prefix(rng: random.Random, n: int, count: int) -> list[int]:
+    """``ring[:count]`` of ``ring = list(range(n)); shuffle(rng, ring)``.
+
+    ``rng`` ends in exactly the state :func:`shuffle` leaves, so the
+    result and every later draw match the full shuffle.  The
+    per-element work runs in numpy: :func:`_shuffle_draws` resolves
+    every step's swap target from bulk words, and only the steps that
+    reach ``[0, count)`` are composed.
+    After step ``i``, position ``i`` never changes again.  A position
+    ``q >= count`` is written before its own step only by later steps
+    ``j`` with ``draws[j] == q``; the last to run is the smallest such
+    ``j``, so ``q`` then holds what position ``j`` held before step
+    ``j``.  Following those links from each position below ``count``
+    gives the prefix as the early steps leave it, and the last
+    ``count`` steps replay in Python.
+
+    ``rng`` must be a :class:`random.Random` whose ``getrandbits`` is
+    the stdlib's (the word layout :func:`_words` relies on).
+    """
+    if not 0 <= n <= MAX_RING:
+        raise ConfigurationError(f"ring size {n} outside [0, {MAX_RING}]")
+    if count < 0:
+        raise ConfigurationError(f"ring prefix count {count} is negative")
+    count = min(count, n)
+    draws = _shuffle_draws(rng, n)
+    steps = np.arange(count, n, dtype=np.int32)
+    moved = draws[count:] < steps
+    writer = np.full(n, n, dtype=np.int32)
+    np.minimum.at(writer, draws[count:][moved], steps[moved])
+    position = np.arange(count, dtype=np.int32)
+    while True:
+        later = writer[position]
+        linked = later < n
+        if not linked.any():
+            break
+        position[linked] = later[linked]
+    ring = position.tolist()
+    targets = draws[:count].tolist()
+    for i in range(count - 1, 0, -1):
+        r = targets[i]
+        ring[i], ring[r] = ring[r], ring[i]
+    return ring
 
 
 def stream_pattern(
@@ -228,14 +352,13 @@ def pointer_chase(
 
     Each load's address "comes from" the previous load (dep=1), so the
     misses serialise — the mcf/omnetpp behaviour spatial prefetchers
-    cannot cover.
+    cannot cover.  The ring is a full :func:`shuffle` of the pool, but
+    :func:`ring_prefix` builds only the ``count`` lines the walk reads.
     """
-    ring = list(range(pool_lines))
-    shuffle(builder.rng, ring)
-    position = 0
-    for _ in range(count):
-        builder.load(role, base + ring[position] * LINE_SIZE, dep=True)
-        position = (position + 1) % pool_lines
+    ring = ring_prefix(builder.rng, pool_lines, count)
+    for position in range(count):
+        builder.load(role, base + ring[position % pool_lines] * LINE_SIZE,
+                     dep=True)
 
 
 def hot_set(

@@ -6,12 +6,15 @@ import os
 import pytest
 
 from repro.cli import build_trace, main
+from repro.ingest import write_binary
 from repro.ingest.binary import FOOTER_SIZE, HEADER_SIZE, RECORD_SIZE
 from repro.errors import (
     ConfigurationError,
     JobTimeout,
     ReproError,
+    TraceError,
 )
+from repro.sim.trace import LOAD
 
 
 class TestBuildTrace:
@@ -179,6 +182,38 @@ class TestTraceFileCommands:
                         "faults (format)": "1"}
         assert sidecar in printed and "speedup" in printed
         assert os.path.getsize(sidecar) > 0
+
+    def _assert_no_records_error(self, argv, capsys):
+        assert main(argv) == TraceError.exit_code
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "no records to simulate" in captured.err
+        rows = dict(line.rsplit(None, 1) for line in captured.out.splitlines()
+                    if line.startswith("records"))
+        assert rows["records ingested"] == "0"
+        assert "speedup" not in captured.out
+
+    def test_run_trace_rejects_an_empty_trace(self, tmp_path, capsys):
+        empty = str(tmp_path / "empty.rib")
+        write_binary([], empty)
+        self._assert_no_records_error(["run-trace", "--trace-file", empty],
+                                      capsys)
+
+    def test_run_trace_rejects_a_lenient_run_that_drops_everything(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "bad.rib")
+        write_binary([(LOAD, 0x400000, 0x10000 + 64 * i, 0)
+                      for i in range(3)], path)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        for index in range(3):
+            blob[HEADER_SIZE + (index + 1) * RECORD_SIZE - 2] ^= 0xFF
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        self._assert_no_records_error(
+            ["run-trace", "--trace-file", path, "--policy", "lenient"],
+            capsys)
 
     def test_run_trace_rejects_a_text_trace_under_lenient(
             self, tmp_path, capsys):

@@ -17,11 +17,13 @@ The contract under test (docs/ingestion.md):
 
 from __future__ import annotations
 
+import io
 import os
 
 import pytest
 
 from repro.errors import (
+    ConfigurationError,
     TraceBudgetError,
     TraceChecksumError,
     TraceFormatError,
@@ -278,6 +280,42 @@ class TestPolicies:
         assert bytes.fromhex(rows[0]["raw_hex"]) == (
             data[start:start + RECORD_SIZE])
         assert rows[0]["offset"] == start
+
+    def test_quarantine_without_a_file_name_needs_a_path(
+            self, tmp_path, monkeypatch):
+        # Bytes and file objects without a string name (like one
+        # opened from a descriptor) have no file to put the sidecar
+        # beside: the run fails before reading instead of writing
+        # "<bytes>.quarantine" into the working directory.
+        data = self._three_bad_markers(tmp_path)
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        stream, numbered = io.BytesIO(data), io.BytesIO(data)
+        numbered.name = 3
+        for source in (data, stream, numbered):
+            with pytest.raises(ConfigurationError, match="quarantine_path"
+                               ) as excinfo:
+                ingest_binary(source, policy=QUARANTINE)
+            assert exit_code_for(excinfo.value) == 3
+        assert stream.tell() == numbered.tell() == 0
+        assert os.listdir(workdir) == []
+
+    def test_quarantine_of_a_named_source_defaults_beside_it(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "t.rib"
+        path.write_bytes(self._three_bad_markers(tmp_path))
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        _, report = ingest_binary(str(path), policy=QUARANTINE)
+        assert report.quarantine_path == f"{path}.quarantine"
+        os.remove(report.quarantine_path)
+        with open(path, "rb") as fh:
+            _, report = ingest_binary(fh, policy=QUARANTINE)
+        assert report.quarantine_path == f"{path}.quarantine"
+        assert len(read_quarantine(report.quarantine_path)) == 3
+        assert os.listdir(workdir) == []
 
     def test_summary_rows_name_records_skips_and_faults(self, tmp_path):
         _, report = ingest_binary(self._three_bad_markers(tmp_path),

@@ -32,10 +32,12 @@ from repro.workloads import cloudsuite, neural, spec
 from repro.workloads.cloudsuite import CLOUDSUITE_BENCHMARKS, cloudsuite_trace
 from repro.workloads.neural import NEURAL_BENCHMARKS, neural_trace
 from repro.workloads.patterns import (
+    MAX_RING,
     WorkloadBuilder,
     complex_stride_pattern,
     dense_region_burst,
     pointer_chase,
+    ring_prefix,
     shuffle,
     stream_pattern,
     strided_pattern,
@@ -291,6 +293,82 @@ class TestShuffle:
         _assert_shuffle_matches_stdlib(n, seed)
 
 
+def _assert_ring_prefix_matches_shuffle(n: int, counts, seed: int) -> None:
+    expected, reference = list(range(n)), random.Random(seed)
+    shuffle(reference, expected)
+    for count in counts:
+        rng = random.Random(seed)
+        assert ring_prefix(rng, n, count) == expected[:count], (n, count, seed)
+        assert rng.getstate() == reference.getstate(), (n, count, seed)
+
+
+@st.composite
+def _ring_and_count(draw):
+    n = draw(st.integers(0, 20_000))
+    return n, draw(st.integers(0, n + 5))
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestRingPrefix:
+    """``ring_prefix`` returns a prefix of ``shuffle``'s ring and leaves
+    the rng where ``shuffle`` leaves it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_small_length(self, seed):
+        for n in range(71):
+            counts = {0, 1, 3, max(n - 1, 0), n, n + 5}
+            _assert_ring_prefix_matches_shuffle(n, counts, seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_power_of_two_band_edges(self, seed):
+        for k in range(18):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                counts = {0, 1, 3, 64, max(n - 1, 0), n}
+                _assert_ring_prefix_matches_shuffle(n, counts, seed)
+
+    @pytest.mark.parametrize("n", [12_288, 49_152, 65_536, 98_304, 131_072])
+    def test_generator_pool_sizes(self, n):
+        _assert_ring_prefix_matches_shuffle(
+            n, (64, 128, 160, 192, 256, 384), seed=7)
+
+    @given(ring=_ring_and_count(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_shuffle_property(self, ring, seed):
+        n, count = ring
+        _assert_ring_prefix_matches_shuffle(n, (count,), seed)
+
+    def test_draws_words_in_bulk(self):
+        bulk, reference = _CountingRandom(7), _CountingRandom(7)
+        ring_prefix(bulk, 131_072, 384)
+        shuffle(reference, list(range(131_072)))
+        assert reference.calls > 131_072
+        assert bulk.calls * 50 <= reference.calls
+        assert bulk.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n, count", [(-1, 0), (MAX_RING + 1, 0),
+                                          (5, -1)])
+    def test_rejects_sizes_out_of_range(self, n, count):
+        with pytest.raises(ConfigurationError):
+            ring_prefix(random.Random(0), n, count)
+
+    @pytest.mark.parametrize("pool, count", [(1000, 64), (64, 200)])
+    def test_pointer_chase_walks_the_shuffled_ring(self, pool, count):
+        builder = WorkloadBuilder("t", seed=3, alu_per_load=0)
+        pointer_chase(builder, "p", 0x10_0000, pool, count)
+        ring = list(range(pool))
+        shuffle(random.Random(3), ring)
+        assert [record[2] for record in builder.records] == [
+            0x10_0000 + ring[i % pool] * 64 for i in range(count)]
+
+
 def _builder_generators(scale: float = 0.05):
     """One (generator, alu_per_load, loads) param per builder generator."""
     loads = max(1, int(spec.DEFAULT_LOADS * scale))
@@ -314,6 +392,19 @@ class TestGenerationCost:
         generator(builder, loads)
         emitted = sum(1 for record in builder.records if record[0] == LOAD)
         assert builder.loads == builder_loads(builder) == emitted
+
+    @pytest.mark.parametrize("generator, alu, loads", _builder_generators())
+    def test_built_records_are_canonical(self, generator, alu, loads):
+        # build() skips Trace's normalisation, so every emitted record
+        # must already be a 4-tuple with an int dep of 0 or 1.
+        builder = WorkloadBuilder("t", seed=7, alu_per_load=alu)
+        generator(builder, loads)
+        trace = builder.build()
+        assert len(trace) == len(builder.records)
+        assert [record for record in trace
+                if type(record) is not tuple or len(record) != 4
+                or type(record[3]) is not int or record[3] not in (0, 1)
+                ] == []
 
     def test_padding_records_are_shared_per_role(self):
         trace = spec_trace("lbm_like", 0.1)
