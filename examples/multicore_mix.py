@@ -8,17 +8,19 @@ using the normalized weighted speedup metric.
 Run:  python examples/multicore_mix.py   (takes ~a minute)
 """
 
+import tempfile
+
 from repro import IpcpL1, IpcpL2
+from repro.runner import ResultCache, SimulationRunner
 from repro.sim.multicore import simulate_mix
 from repro.stats import format_table, normalized_weighted_speedup
 from repro.workloads import heterogeneous_mixes, homogeneous_mix
 
 
-def run_mix(label, traces, alone_cache):
-    base = simulate_mix(traces, warmup=2_000, roi=8_000,
-                        alone_ipc=alone_cache)
+def run_mix(label, traces, runner):
+    base = simulate_mix(traces, warmup=2_000, roi=8_000, runner=runner)
     ipcp = simulate_mix(traces, l1_factory=IpcpL1, l2_factory=IpcpL2,
-                        warmup=2_000, roi=8_000, alone_ipc=alone_cache)
+                        warmup=2_000, roi=8_000, runner=runner)
     return [
         label,
         ", ".join(sorted(set(base.trace_names))),
@@ -29,16 +31,19 @@ def run_mix(label, traces, alone_cache):
 
 
 def main() -> None:
-    alone_cache: dict[str, float] = {}
-    rows = [
-        run_mix("homogeneous lbm x4",
-                homogeneous_mix("lbm_like", 4, scale=0.25), alone_cache),
-        run_mix("homogeneous omnetpp x4",
-                homogeneous_mix("omnetpp_like", 4, scale=0.25), alone_cache),
-        run_mix("heterogeneous",
-                heterogeneous_mixes(1, 4, scale=0.25, seed=42)[0],
-                alone_cache),
-    ]
+    # The alone-IPC runs are prefetcher-independent: a result cache
+    # computes each core's once, keyed by its trace's content.
+    with tempfile.TemporaryDirectory() as cache_dir:
+        runner = SimulationRunner(cache=ResultCache(cache_dir))
+        rows = [
+            run_mix("homogeneous lbm x4",
+                    homogeneous_mix("lbm_like", 4, scale=0.25), runner),
+            run_mix("homogeneous omnetpp x4",
+                    homogeneous_mix("omnetpp_like", 4, scale=0.25), runner),
+            run_mix("heterogeneous",
+                    heterogeneous_mixes(1, 4, scale=0.25, seed=42)[0],
+                    runner),
+        ]
     print(format_table(
         ["mix", "benchmarks", "WS base", "WS IPCP", "normalized WS"],
         rows,

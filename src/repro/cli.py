@@ -307,6 +307,7 @@ def cmd_verify(args) -> int:
         GOLDEN_WORKLOADS,
         collect_golden_stats,
         compare_to_baseline,
+        describe_sections,
         load_baseline,
         save_baseline,
     )
@@ -316,6 +317,10 @@ def cmd_verify(args) -> int:
 
     failed = False
     prefetchers = args.prefetchers.split(",") if args.prefetchers else None
+    workloads = tuple(
+        args.workloads.split(",") if args.workloads else GOLDEN_WORKLOADS
+    )
+    scale = args.scale if args.scale is not None else GOLDEN_SCALE
 
     if not args.skip_oracle:
         print("== oracle lockstep diff (production IpcpL1 vs naive models) ==")
@@ -367,49 +372,38 @@ def cmd_verify(args) -> int:
     if not args.skip_golden:
         print("== golden-stats regression ==")
         runner = make_backend(args)
+        path = args.baseline or DEFAULT_BASELINE_PATH
         if args.update_baseline:
-            workloads = tuple(
-                args.workloads.split(",") if args.workloads
-                else GOLDEN_WORKLOADS
-            )
-            scale = args.scale if args.scale is not None else GOLDEN_SCALE
             document = collect_golden_stats(
                 workloads=workloads, prefetchers=prefetchers,
                 scale=scale, runner=runner,
             )
-            save_baseline(document, args.baseline)
-            print(f"wrote {len(document['cells'])} cells to {args.baseline}")
+            save_baseline(document, path)
+            print(f"wrote {describe_sections(document)} to {path}")
         else:
-            baseline = load_baseline(args.baseline)
+            baseline = load_baseline(path)
             current = collect_golden_stats(
                 workloads=tuple(baseline["workloads"]),
                 prefetchers=list(baseline["prefetchers"]),
                 scale=baseline["scale"],
                 runner=runner,
             )
-            drifts = compare_to_baseline(
-                current, baseline, rel_tol=args.tolerance
-            )
+            drifts = compare_to_baseline(current, baseline)
             for drift in drifts[:20]:
-                failed = True
                 print(drift.describe())
-            if drifts and len(drifts) > 20:
-                print(f"... and {len(drifts) - 20} more drifting metrics")
-            if not drifts:
-                print(f"OK — {len(current['cells'])} cells match "
-                      f"{args.baseline}")
-            else:
+            if len(drifts) > 20:
+                print(f"... and {len(drifts) - 20} more drifting pins")
+            if drifts:
+                failed = True
                 print("drift detected; if intentional, re-baseline with "
                       "`python -m repro verify --update-baseline`")
+            else:
+                print(f"OK — {describe_sections(current)} match {path}")
 
     if not args.skip_cross_engine:
         print("== cross-engine equivalence (scalar vs batched) ==")
         from repro.verify.cross_engine import run_cross_engine
 
-        workloads = tuple(
-            args.workloads.split(",") if args.workloads else GOLDEN_WORKLOADS
-        )
-        scale = args.scale if args.scale is not None else GOLDEN_SCALE
         report = run_cross_engine(
             workloads=workloads, prefetchers=prefetchers, scale=scale,
         )
@@ -429,14 +423,12 @@ def cmd_mix(args) -> int:
     traces = homogeneous_mix(args.workload, args.cores, scale=args.scale)
     levels = make_prefetcher(args.prefetcher)
     backend = make_backend(args)
-    alone: dict[str, float] = {}
-    base = simulate_mix(traces, alone_ipc=alone, runner=backend)
+    base = simulate_mix(traces, runner=backend)
     result = simulate_mix(
         traces,
         l1_factory=levels.get("l1"),
         l2_factory=levels.get("l2"),
         llc_factory=levels.get("llc"),
-        alone_ipc=alone,
         runner=backend,
     )
     rows = [
@@ -663,27 +655,22 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="differential verification: oracle diff, invariants, "
              "golden-stats regression (see docs/verification.md)")
-    verify.add_argument("--baseline", default="tests/data/golden_stats.json",
-                        metavar="PATH",
-                        help="golden-stats baseline JSON (committed)")
+    verify.add_argument("--baseline", default=None, metavar="PATH",
+                        help="result-pin file (default: this checkout's "
+                             "tests/data/golden_stats.json)")
     verify.add_argument("--update-baseline", action="store_true",
-                        help="re-snapshot the golden baseline instead of "
-                             "comparing against it")
-    verify.add_argument("--tolerance", type=float, default=0.0,
-                        metavar="REL",
-                        help="allowed relative drift per metric "
-                             "(default 0: exact — the simulator is "
-                             "deterministic)")
+                        help="rewrite every pin in the baseline instead "
+                             "of comparing against it")
     verify.add_argument("--workloads", default=None,
-                        help="baseline workload grid (comma-separated; "
-                             "only with --update-baseline)")
+                        help="cell workload grid (comma-separated) for "
+                             "--update-baseline and the cross-engine gate")
     verify.add_argument("--prefetchers", default=None,
                         help="prefetcher grid (comma-separated) for the "
                              "invariant sweep, the cross-engine gate and "
                              "--update-baseline; default: all registered")
     verify.add_argument("--scale", type=float, default=None,
-                        help="baseline workload scale (only with "
-                             "--update-baseline)")
+                        help="cell workload scale for --update-baseline "
+                             "and the cross-engine gate")
     verify.add_argument("--invariant-scale", type=float, default=0.08,
                         help="workload scale for the invariant sweep")
     verify.add_argument("--skip-oracle", action="store_true",

@@ -190,33 +190,6 @@ def _simulate_together(
     return ipcs, dram
 
 
-def compute_alone_ipcs(
-    traces: list[Trace],
-    mc_params: SystemParams,
-    warmup: int,
-    roi: int,
-    seed: int,
-    runner=None,
-) -> dict[str, float]:
-    """Single-core-on-shared-system IPC for each distinct trace.
-
-    The per-core alone runs are independent, so they go through the
-    simulation runner: with ``jobs > 1`` they fan out across worker
-    processes, and with a persistent cache attached they are computed
-    once per (trace, system, ROI) ever.
-    """
-    from repro.runner import SimulationRunner, alone_ipc_job
-
-    if runner is None:
-        runner = SimulationRunner()
-    distinct: dict[str, Trace] = {}
-    for trace in traces:
-        distinct.setdefault(trace.name, trace)
-    specs = [alone_ipc_job(trace, mc_params, warmup, roi, seed)
-             for trace in distinct.values()]
-    return dict(zip(distinct, runner.run(specs)))
-
-
 def simulate_mix(
     traces: list[Trace],
     l1_factory: PrefetcherFactory | None = None,
@@ -225,18 +198,16 @@ def simulate_mix(
     params: SystemParams | None = None,
     warmup: int = 5_000,
     roi: int = 20_000,
-    alone_ipc: dict[str, float] | None = None,
     seed: int = 1,
     runner=None,
 ) -> MixResult:
     """Simulate an N-core mix and return per-core IPCs + weighted speedup.
 
-    ``alone_ipc`` may carry precomputed single-core-on-shared-system
-    IPCs keyed by trace name (they are reusable across mixes with the
-    same prefetcher configuration); missing entries are computed here
-    and added to the dict.  ``runner`` (a
-    :class:`repro.runner.SimulationRunner`) parallelizes and caches
-    those per-core alone runs.
+    Each core's alone IPC is one job of ``runner`` (a
+    :class:`repro.runner.SimulationRunner`, default serial and
+    uncached), all submitted in one call: the runner executes identical
+    jobs once, so a homogeneous mix runs a single alone simulation, and
+    a persistent cache replays them across mixes.
 
     Mixes always run on the scalar path: the cores interleave through
     one shared LLC/DRAM hierarchy, which the batched engine does not
@@ -254,13 +225,11 @@ def simulate_mix(
     # denominator, so WS(config)/WS(none) reflects throughput gain (the
     # paper's "normalized weighted-speedup compared to a baseline with
     # no prefetching") rather than sensitivity to contention.
-    alone_ipc = alone_ipc if alone_ipc is not None else {}
-    missing = [trace for trace in traces if trace.name not in alone_ipc]
-    if missing:
-        alone_ipc.update(
-            compute_alone_ipcs(missing, mc_params, warmup, roi, seed, runner)
-        )
-    alone = [alone_ipc[trace.name] for trace in traces]
+    from repro.runner import SimulationRunner, alone_ipc_job
+
+    runner = runner or SimulationRunner()
+    alone = runner.run([alone_ipc_job(trace, mc_params, warmup, roi, seed)
+                        for trace in traces])
 
     return MixResult(
         trace_names=[t.name for t in traces],

@@ -20,9 +20,10 @@ of future refactors and performance work:
   (:class:`~repro.verify.frontend_oracle.OracleIpcpI`) stepped in
   lockstep with :class:`repro.frontend.ipcp_i.IpcpIPrefetcher` in
   ``tests/test_frontend.py``.
-* :mod:`repro.verify.golden` — a golden-stats regression harness that
-  snapshots key metrics for every registered prefetcher over a fixed
-  workload grid into a committed JSON baseline and fails on drift.
+* :mod:`repro.verify.golden` — the result pins: key metrics and a
+  whole-result digest for every registered prefetcher over a fixed
+  workload grid, plus non-LRU runs, a mix and every generator's trace
+  signature, in one committed JSON baseline that fails on drift.
 * :mod:`repro.verify.cross_engine` — scalar-vs-batched engine
   equivalence: both engines must produce bit-identical
   :class:`~repro.sim.engine.SimResult` values over the golden grid

@@ -1,40 +1,72 @@
-"""Golden-stats regression harness.
+"""Result pins: one committed file holds every pinned result.
 
-Snapshots the key simulation metrics — IPC, coverage, accuracy,
-prefetch counts, DRAM traffic, plus every prefetcher counter — for a
-fixed (workload x registered-prefetcher) grid into a committed JSON
-baseline, and compares fresh runs against it.  The simulator is fully
-deterministic, so with unchanged code the comparison is *exact*; any
-drift is a semantic change that either is a bug or deserves an explicit
-``repro verify --update-baseline`` commit.
+``tests/data/golden_stats.json`` maps entries to pins in four sections:
+``cells`` (a workload x registered-prefetcher grid: key metrics plus a
+``digest`` of the whole :class:`~repro.sim.engine.SimResult`),
+``non_lru`` (digests of runs that evict through every non-LRU
+replacement policy's hooks), ``mixes`` (a 2-core IPCP mix's digest) and
+``traces`` (every workload generator's ``trace_signature``).  The
+simulator is fully deterministic, so with unchanged code the comparison
+is *exact*; any drift is a semantic change that either is a bug or
+deserves an explicit ``repro verify --update-baseline`` commit, which
+rewrites every section at once.
 
-Runs go through :class:`repro.runner.SimulationRunner`, so a verify
-pass fans out across worker processes and replays from the persistent
-result cache; the cache key already includes a digest of the simulator
-sources, which means a mutated ``repro.core`` can never satisfy the
-baseline from stale cached results.
+Every simulated pin is a job of one :class:`repro.runner.SimulationRunner`
+fan-out, so a verify pass runs in parallel and replays from the
+persistent result cache, whose key includes a digest of the simulator
+sources: a mutated ``repro.core`` can never replay a stale result.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import dataclass
+import pathlib
+from dataclasses import asdict, dataclass, fields
 
 from repro.errors import ReproError
+from repro.params import CacheParams, SystemParams
 from repro.prefetchers import available_prefetchers
-from repro.runner import SimulationRunner, levels_job
+from repro.runner import SimulationRunner, levels_job, mix_job
+from repro.runner.job import trace_signature
 from repro.sim.engine import SimResult
-from repro.workloads import spec_trace
+from repro.workloads import cloudsuite, frontend, gap, neural, spec, stream
 
-BASELINE_SCHEMA = 1
-DEFAULT_BASELINE_PATH = os.path.join("tests", "data", "golden_stats.json")
+BASELINE_SCHEMA = 2
+# Resolved against the checkout, not the working directory.
+DEFAULT_BASELINE_PATH = str(
+    pathlib.Path(__file__).resolve().parents[3]
+    / "tests" / "data" / "golden_stats.json"
+)
+SECTIONS = ("cells", "non_lru", "mixes", "traces")
 
-# The grid: one workload per dominant pattern class (stream / mixed
-# strides / irregular pointer chasing / complex strides) so every
+# The cell grid: one workload per dominant pattern class (stream /
+# mixed strides / irregular pointer chasing / complex strides) so every
 # classifier contributes, times every registered configuration.
 GOLDEN_WORKLOADS = ("bwaves_like", "gcc_like", "mcf_i_like", "wrf_like")
 GOLDEN_SCALE = 0.15
+
+# The fixed sections.  The cache updates LRU state inline and drives
+# every other policy through its hooks; the cells, the cross-engine
+# gate and the benchmark all run LRU, so ``non_lru`` pins the hook path.
+NON_LRU_POLICIES = ("srrip", "drrip", "ship", "random")
+NON_LRU_TRACES = ("lbm_like", "mcf_i_like", "omnetpp_like")
+MIX_TRACES = ("lbm_like", "gcc_like")
+PIN_SCALE = 0.1
+MIX_WINDOW = dict(warmup=1_000, roi=3_000)
+TRACE_SCALE = 0.05
+TRACE_SEEDS = (7, 8)
+GENERATORS = (
+    ("spec", spec.SPEC_BENCHMARKS, spec.spec_trace),
+    ("gap", gap.GAP_BENCHMARKS, gap.gap_trace),
+    ("stream", stream.STREAM_BENCHMARKS, stream.stream_trace),
+    ("cloudsuite", cloudsuite.CLOUDSUITE_BENCHMARKS,
+     cloudsuite.cloudsuite_trace),
+    ("neural", neural.NEURAL_BENCHMARKS, neural.neural_trace),
+    ("extension", spec.EXTENSION_BENCHMARKS, spec.extension_trace),
+    ("frontend", frontend.FRONTEND_BENCHMARKS, frontend.frontend_trace),
+)
 
 
 def golden_prefetchers() -> list[str]:
@@ -42,8 +74,27 @@ def golden_prefetchers() -> list[str]:
     return available_prefetchers()
 
 
-def _cell_key(workload: str, config: str) -> str:
-    return f"{workload}/{config}"
+def non_lru_system(policy: str) -> SystemParams:
+    """Small levels under ``policy``, so every level evicts in a short trace."""
+    return SystemParams(
+        l1d=CacheParams("L1D", 2 * 1024, 4, 5, 8, 16, policy),
+        l2=CacheParams("L2", 4 * 1024, 8, 10, 16, 32, policy),
+        llc=CacheParams("LLC", 8 * 1024, 16, 20, 32, 64, policy),
+    )
+
+
+def result_digest(result) -> str:
+    """blake2b-16 over the sorted-key JSON of the fields ``==`` compares.
+
+    Serves :class:`SimResult` and :class:`~repro.sim.multicore.MixResult`
+    alike; a field outside equality (``SimResult.engine``) stays out.
+    """
+    document = asdict(result)
+    for item in fields(result):
+        if not item.compare:
+            del document[item.name]
+    payload = json.dumps(document, sort_keys=True).encode()
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 def cell_metrics(result: SimResult) -> dict:
@@ -72,32 +123,81 @@ def cell_metrics(result: SimResult) -> dict:
     return metrics
 
 
+def trace_pins() -> dict[str, str]:
+    """The ``traces`` section: every generator's signature, by seed."""
+    pins = {}
+    for seed in TRACE_SEEDS:
+        for family, registry, build in GENERATORS:
+            for name in registry:
+                trace = build(name, TRACE_SCALE, seed)
+                pins[f"{family}/{name}@{seed}"] = trace_signature(trace)
+        dense = spec.compute_dense_trace(loads=500, seed=seed)
+        pins[f"dense/{dense.name}@{seed}"] = trace_signature(dense)
+    return pins
+
+
+def _pin_jobs(workloads, prefetchers, scale) -> list:
+    """Every simulated pin as (section, key prefix, job spec)."""
+    jobs = [
+        ("cells", "", levels_job(trace, config))
+        for trace in [spec.spec_trace(name, scale) for name in workloads]
+        for config in prefetchers
+    ]
+    traces = [spec.spec_trace(name, PIN_SCALE) for name in NON_LRU_TRACES]
+    for policy in NON_LRU_POLICIES:
+        params = non_lru_system(policy)
+        jobs += [
+            ("non_lru", f"{policy}/", levels_job(trace, config, params))
+            for trace in traces for config in ("none", "ipcp")
+        ]
+        # A mix keeps the private levels' policy; its shared LLC is
+        # rebuilt at the Table II size (LRU).
+        jobs.append(("non_lru", f"{policy}/",
+                     mix_job(traces[:2], "ipcp", params, **MIX_WINDOW)))
+    mix = [spec.spec_trace(name, PIN_SCALE) for name in MIX_TRACES]
+    jobs.append(("mixes", "", mix_job(mix, "ipcp", **MIX_WINDOW)))
+    return jobs
+
+
 def collect_golden_stats(
     workloads: tuple[str, ...] = GOLDEN_WORKLOADS,
     prefetchers: list[str] | None = None,
     scale: float = GOLDEN_SCALE,
     runner: SimulationRunner | None = None,
 ) -> dict:
-    """Simulate the grid and return a baseline document."""
+    """Compute every pin and return a baseline document.
+
+    ``workloads``, ``prefetchers`` and ``scale`` choose the cell grid;
+    the other sections are fixed.
+    """
     if prefetchers is None:
         prefetchers = golden_prefetchers()
     runner = runner or SimulationRunner()
-    traces = [spec_trace(name, scale) for name in workloads]
-    cells = [
-        (trace, config) for trace in traces for config in prefetchers
-    ]
-    specs = [levels_job(trace, config) for trace, config in cells]
-    results = runner.run(specs)
-    return {
+    jobs = _pin_jobs(workloads, prefetchers, scale)
+    results = runner.run([spec for _, _, spec in jobs])
+    document = {
         "schema": BASELINE_SCHEMA,
         "scale": scale,
         "workloads": list(workloads),
         "prefetchers": list(prefetchers),
-        "cells": {
-            _cell_key(trace.name, config): cell_metrics(result)
-            for (trace, config), result in zip(cells, results)
-        },
+        "cells": {},
+        "non_lru": {},
+        "mixes": {},
+        "traces": trace_pins(),
     }
+    for (section, prefix, spec), result in zip(jobs, results):
+        key = f"{prefix}{spec.trace_name}/{spec.config_name}"
+        digest = result_digest(result)
+        document[section][key] = (
+            dict(cell_metrics(result), digest=digest)
+            if section == "cells" else digest
+        )
+    return document
+
+
+def describe_sections(document: dict) -> str:
+    """Entry counts per section, e.g. ``240 cells, 28 non_lru, ...``."""
+    return ", ".join(f"{len(document[s])} {s}" for s in SECTIONS)
 
 
 def save_baseline(document: dict, path: str) -> None:
@@ -110,90 +210,76 @@ def save_baseline(document: dict, path: str) -> None:
 
 def load_baseline(path: str) -> dict:
     """Load a golden-stats baseline document, failing with a hint."""
+    hint = "`python -m repro verify --update-baseline`"
     try:
         with open(path) as fh:
             document = json.load(fh)
     except FileNotFoundError:
         raise ReproError(
-            f"golden baseline {path!r} not found; create it with "
-            "`python -m repro verify --update-baseline`"
+            f"golden baseline {path!r} not found; create it with {hint}"
         ) from None
     except json.JSONDecodeError as error:
         raise ReproError(f"golden baseline {path!r} is corrupt: {error}") from None
     if document.get("schema") != BASELINE_SCHEMA:
         raise ReproError(
             f"golden baseline {path!r} has schema "
-            f"{document.get('schema')!r}, expected {BASELINE_SCHEMA}"
+            f"{document.get('schema')!r}, expected {BASELINE_SCHEMA}; "
+            f"re-baseline with {hint}"
         )
     return document
 
 
 @dataclass(frozen=True)
 class Drift:
-    """One metric that moved outside tolerance (or a coverage gap)."""
+    """One pin that moved, or an entry present on one side only.
 
-    cell: str
-    metric: str
-    baseline: float | int | None
-    current: float | int | None
-    relative: float
+    ``metric`` names the moved value inside a golden cell (a metric or
+    ``digest``); it is ``None`` for a whole entry.
+    """
+
+    section: str
+    entry: str
+    metric: str | None
+    baseline: object
+    current: object
 
     def describe(self) -> str:
-        """Render the drifted metric as one human-readable line."""
-        if self.baseline is None:
-            return f"{self.cell}: {self.metric} missing from baseline"
-        if self.current is None:
-            return f"{self.cell}: {self.metric} missing from current run"
-        return (
-            f"{self.cell}: {self.metric} {self.baseline!r} -> "
-            f"{self.current!r} (drift {self.relative:.3%})"
-        )
+        """Render the drift as one line naming its entry."""
+        where = (f"{self.entry}: {self.metric or '(cell)'}"
+                 if self.section == "cells" else f"{self.section}: {self.entry}")
+        if self.baseline is None or self.current is None:
+            side = "baseline" if self.baseline is None else "current run"
+            return f"{where} missing from {side}"
+        line = f"{where} {self.baseline!r} -> {self.current!r}"
+        if self.metric not in (None, "digest"):
+            denom = max(abs(self.baseline), abs(self.current), 1e-12)
+            line += f" (drift {abs(self.current - self.baseline) / denom:.3%})"
+        return line
 
 
-def _relative(baseline, current) -> float:
-    if baseline == current:
-        return 0.0
-    denom = max(abs(baseline), abs(current), 1e-12)
-    return abs(current - baseline) / denom
+def compare_to_baseline(current: dict, baseline: dict) -> list[Drift]:
+    """Diff two baseline documents exactly; empty list means no drift.
 
-
-def compare_to_baseline(
-    current: dict, baseline: dict, rel_tol: float = 0.0
-) -> list[Drift]:
-    """Diff two baseline documents; empty list means no drift.
-
-    ``rel_tol`` is the allowed relative drift per metric (0.0 = exact,
-    the right default for a deterministic simulator).  Cells present in
-    one document but not the other are always drift — a newly
-    registered prefetcher must be added to the baseline explicitly.
+    An entry present in one document but not the other is always drift
+    — a newly registered prefetcher must be added to the baseline
+    explicitly.  A golden cell reports each moved metric, and its
+    ``digest`` only when nothing it lists moved.
     """
     drifts: list[Drift] = []
-    base_cells: dict = baseline["cells"]
-    cur_cells: dict = current["cells"]
-    for cell in sorted(set(base_cells) | set(cur_cells)):
-        base = base_cells.get(cell)
-        cur = cur_cells.get(cell)
-        if base is None or cur is None:
-            drifts.append(Drift(
-                cell=cell, metric="(cell)",
-                baseline=None if base is None else 0,
-                current=None if cur is None else 0,
-                relative=1.0,
-            ))
-            continue
-        for metric in sorted(set(base) | set(cur)):
-            if metric not in base or metric not in cur:
-                drifts.append(Drift(
-                    cell=cell, metric=metric,
-                    baseline=base.get(metric), current=cur.get(metric),
-                    relative=1.0,
-                ))
+    for section in SECTIONS:
+        base_entries = baseline.get(section, {})
+        cur_entries = current.get(section, {})
+        for entry in sorted(base_entries.keys() | cur_entries.keys()):
+            base, cur = base_entries.get(entry), cur_entries.get(entry)
+            if base == cur:
                 continue
-            relative = _relative(base[metric], cur[metric])
-            if relative > rel_tol:
-                drifts.append(Drift(
-                    cell=cell, metric=metric,
-                    baseline=base[metric], current=cur[metric],
-                    relative=relative,
-                ))
+            if section != "cells" or base is None or cur is None:
+                drifts.append(Drift(section, entry, None, base, cur))
+                continue
+            moved = [metric for metric in sorted(base.keys() | cur.keys())
+                     if metric != "digest"
+                     and base.get(metric) != cur.get(metric)]
+            drifts += [Drift(section, entry, metric, base.get(metric),
+                             cur.get(metric))
+                       for metric in moved or ["digest"]]
     return drifts

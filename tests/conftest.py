@@ -21,7 +21,15 @@ from repro.memsys.cache import Cache
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import DramPort, build_hierarchy
 from repro.params import CacheParams, SystemParams
+from repro.runner import ResultCache, SimulationRunner
 from repro.sim.trace import LOAD, OTHER, Trace
+from repro.verify.golden import (
+    DEFAULT_BASELINE_PATH,
+    SECTIONS,
+    collect_golden_stats,
+    compare_to_baseline,
+    load_baseline,
+)
 
 
 @pytest.fixture
@@ -67,3 +75,37 @@ def make_stream_trace(
 @pytest.fixture
 def stream_trace() -> Trace:
     return make_stream_trace()
+
+
+@pytest.fixture(scope="session")
+def pin_cache_dir(tmp_path_factory) -> str:
+    """One result cache for every test that computes the result pins.
+
+    The pin jobs are deterministic, so whichever test runs first
+    simulates them and the others replay them.
+    """
+    return str(tmp_path_factory.mktemp("pin-cache"))
+
+
+@pytest.fixture(scope="session")
+def pin_drift(pin_cache_dir):
+    """Drift lines of the committed pin file against the current code.
+
+    One fan-out recomputes every section of tests/data/golden_stats.json
+    once per session; ``pin_drift("traces")`` returns the lines of the
+    named sections, empty when they match.  Each section is asserted by
+    the tests of the code it pins.
+    """
+    baseline = load_baseline(DEFAULT_BASELINE_PATH)
+    current = collect_golden_stats(
+        workloads=tuple(baseline["workloads"]),
+        prefetchers=baseline["prefetchers"], scale=baseline["scale"],
+        runner=SimulationRunner(cache=ResultCache(pin_cache_dir)),
+    )
+    drifts = compare_to_baseline(current, baseline)
+
+    def lines(*sections: str) -> list[str]:
+        assert set(sections) <= set(SECTIONS), sections
+        return [d.describe() for d in drifts if d.section in sections]
+
+    return lines

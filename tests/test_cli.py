@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -15,6 +17,7 @@ from repro.errors import (
     TraceError,
 )
 from repro.sim.trace import LOAD
+from repro.verify import golden
 
 
 class TestBuildTrace:
@@ -299,18 +302,44 @@ class TestRunnerOptions:
         assert "lru" in out and "srrip" in out
 
 
+GOLDEN_ONLY = ["verify", "--skip-oracle", "--skip-invariants",
+               "--skip-cross-engine"]
+TINY = ["--workloads", "bwaves_like", "--prefetchers", "none,ipcp",
+        "--scale", "0.1"]
+
+
+def committed_trace_pins() -> dict:
+    """The committed ``traces`` section, read instead of regenerated.
+
+    The pin tests recompute every pin (``pin_drift`` in conftest.py);
+    the command tests only need the traces section to round-trip, so
+    they skip its generators.
+    """
+    return golden.load_baseline(golden.DEFAULT_BASELINE_PATH)["traces"]
+
+
+@pytest.fixture(scope="module")
+def tiny_baseline(tmp_path_factory, pin_cache_dir):
+    """One TINY-grid baseline, written once, with the output it printed.
+
+    Its simulated fixed sections are the committed file's, so they
+    replay from the shared pin cache.
+    """
+    path = str(tmp_path_factory.mktemp("tiny") / "golden.json")
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(out):
+        patch.setattr(golden, "trace_pins", committed_trace_pins)
+        code = main(GOLDEN_ONLY + TINY + [
+            "--baseline", path, "--update-baseline",
+            "--cache-dir", pin_cache_dir])
+    assert code == 0, out.getvalue()
+    return path, out.getvalue()
+
+
 class TestVerifyCommand:
     # Each phase test skips the others; the full cross-engine grid runs
     # in CI, here it runs once on the TINY grid.
-    GOLDEN_ONLY = ["verify", "--skip-oracle", "--skip-invariants",
-                   "--skip-cross-engine"]
-    TINY = ["--workloads", "bwaves_like", "--prefetchers", "none,ipcp",
-            "--scale", "0.1"]
-
-    def _write_baseline(self, path, tmp_path):
-        return main(self.GOLDEN_ONLY + self.TINY + [
-            "--baseline", path, "--update-baseline",
-            "--cache-dir", str(tmp_path / "cache")])
 
     def test_oracle_phase_passes(self, capsys):
         code = main(["verify", "--skip-golden", "--skip-invariants",
@@ -330,7 +359,7 @@ class TestVerifyCommand:
         import re
 
         code = main(["verify", "--skip-oracle", "--skip-invariants",
-                     "--skip-golden"] + self.TINY)
+                     "--skip-golden"] + TINY)
         assert code == 0
         out = capsys.readouterr().out
         match = re.search(r"(\d+) cells, (\d+) fused, \d+ fallback, "
@@ -360,55 +389,54 @@ class TestVerifyCommand:
         assert main(audit + ["--prefetchers", "flood"]) == 1
         assert "burst_bound" in capsys.readouterr().out
 
-    def test_golden_update_then_verify_roundtrip(self, tmp_path, capsys):
-        baseline = str(tmp_path / "golden.json")
-        assert self._write_baseline(baseline, tmp_path) == 0
-        assert "wrote 2 cells" in capsys.readouterr().out
-        code = main(self.GOLDEN_ONLY + [
-            "--baseline", baseline, "--cache-dir", str(tmp_path / "cache")])
+    def test_golden_update_then_verify_roundtrip(
+            self, tiny_baseline, pin_cache_dir, monkeypatch, capsys):
+        monkeypatch.setattr(golden, "trace_pins", committed_trace_pins)
+        baseline, written = tiny_baseline
+        assert (f"wrote 2 cells, 28 non_lru, 1 mixes, 96 traces to "
+                f"{baseline}") in written
+        code = main(GOLDEN_ONLY + [
+            "--baseline", baseline, "--cache-dir", pin_cache_dir])
         assert code == 0
-        assert "cells match" in capsys.readouterr().out
+        assert "2 cells, 28 non_lru, 1 mixes, 96 traces match" in (
+            capsys.readouterr().out)
 
     def test_golden_drift_fails_and_suggests_rebaseline(
-            self, tmp_path, capsys):
-        import json
-
-        baseline = str(tmp_path / "golden.json")
-        assert self._write_baseline(baseline, tmp_path) == 0
-        with open(baseline) as fh:
+            self, tiny_baseline, pin_cache_dir, tmp_path, monkeypatch,
+            capsys):
+        monkeypatch.setattr(golden, "trace_pins", committed_trace_pins)
+        with open(tiny_baseline[0]) as fh:
             document = json.load(fh)
         document["cells"]["bwaves_like/ipcp"]["ipc"] *= 2
+        document["mixes"]["lbm_like+gcc_like/ipcp"] = "0" * 32
+        baseline = str(tmp_path / "golden.json")
         with open(baseline, "w") as fh:
             json.dump(document, fh)
-        capsys.readouterr()
-        code = main(self.GOLDEN_ONLY + [
-            "--baseline", baseline, "--cache-dir", str(tmp_path / "cache")])
+        code = main(GOLDEN_ONLY + [
+            "--baseline", baseline, "--cache-dir", pin_cache_dir])
         assert code == 1
         out = capsys.readouterr().out
-        assert "drift" in out and "--update-baseline" in out
+        assert "bwaves_like/ipcp: ipc " in out
+        assert "mixes: lbm_like+gcc_like/ipcp " in out
+        assert "drift detected" in out and "--update-baseline" in out
 
-    def test_golden_tolerance_absorbs_drift(self, tmp_path, capsys):
-        import json
-
-        baseline = str(tmp_path / "golden.json")
-        assert self._write_baseline(baseline, tmp_path) == 0
-        with open(baseline) as fh:
-            document = json.load(fh)
-        document["cells"]["bwaves_like/ipcp"]["ipc"] *= 1.0001
-        with open(baseline, "w") as fh:
-            json.dump(document, fh)
-        capsys.readouterr()
-        # Exact comparison flags the 0.01% ipc nudge ...
-        assert main(self.GOLDEN_ONLY + [
-            "--baseline", baseline,
-            "--cache-dir", str(tmp_path / "cache")]) == 1
-        # ... a 1% tolerance absorbs it.
-        assert main(self.GOLDEN_ONLY + [
-            "--baseline", baseline, "--tolerance", "0.01",
-            "--cache-dir", str(tmp_path / "cache")]) == 0
+    def test_default_baseline_is_the_checkouts(self, tmp_path, monkeypatch,
+                                              capsys):
+        # From an unrelated working directory the committed file is
+        # found and nothing is written there.  The pin tests recompute
+        # its pins; here the command reads them back.
+        path = golden.DEFAULT_BASELINE_PATH
+        monkeypatch.setattr(golden, "collect_golden_stats",
+                            lambda **_: golden.load_baseline(path))
+        monkeypatch.chdir(tmp_path)
+        code = main(GOLDEN_ONLY + ["--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert f"match {path}" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_baseline_is_an_error(self, tmp_path, capsys):
-        code = main(self.GOLDEN_ONLY + [
+        code = main(GOLDEN_ONLY + [
             "--baseline", str(tmp_path / "absent.json"), "--no-cache"])
         assert code == 2
         assert "not found" in capsys.readouterr().err

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core import IpcpL1, IpcpL2
-from repro.sim.multicore import MixResult, simulate_mix
+from repro.params import SystemParams
+from repro.runner import SimulationRunner, alone_ipc_job
+from repro.runner.job import execute_job
+from repro.sim.multicore import MixResult, _multicore_params, simulate_mix
+from repro.workloads import homogeneous_mix, spec_trace
 
 from conftest import make_stream_trace
 
@@ -44,13 +48,22 @@ class TestSimulateMix:
         for together, alone in zip(result.ipc_together, result.ipc_alone):
             assert together <= alone * 1.1  # allow small noise
 
-    def test_alone_ipc_cache_is_reused(self):
-        cache: dict[str, float] = {}
-        simulate_mix(two_streams(), warmup=500, roi=2_000, alone_ipc=cache)
-        assert set(cache) == {"s0", "s1"}
-        before = dict(cache)
-        simulate_mix(two_streams(), warmup=500, roi=2_000, alone_ipc=cache)
-        assert cache == before
+    def test_same_named_cores_get_their_own_alone_ipc(self):
+        # One benchmark drawn twice with different seeds: equal names,
+        # different records, different alone IPCs.
+        traces = [spec_trace("gcc_like", 0.1, seed) for seed in (7, 8)]
+        result = simulate_mix(traces, warmup=500, roi=2_000)
+        params = _multicore_params(SystemParams(), 2)
+        own = [execute_job(alone_ipc_job(trace, params, 500, 2_000, 1))
+               for trace in traces]
+        assert own[0] != own[1]
+        assert result.ipc_alone == own
+
+    def test_homogeneous_mix_runs_one_alone_simulation(self):
+        runner = SimulationRunner()
+        simulate_mix(homogeneous_mix("gcc_like", 2, scale=0.1),
+                     warmup=500, roi=2_000, runner=runner)
+        assert runner.simulations_run == 1
 
     def test_prefetching_improves_weighted_speedup_on_streams(self):
         traces = two_streams()

@@ -66,11 +66,8 @@ class TestFairnessAndContention:
 class TestWeightedSpeedupPlumbing:
     def test_alone_ipc_uses_no_prefetching(self):
         from repro.core import IpcpL1
-        cache: dict[str, float] = {}
         traces = [make_stream_trace(n_loads=2_000, name="s")]
-        simulate_mix(traces, l1_factory=IpcpL1, warmup=500, roi=2_000,
-                     alone_ipc=cache)
-        base_cache: dict[str, float] = {}
-        simulate_mix(traces, warmup=500, roi=2_000, alone_ipc=base_cache)
+        pf = simulate_mix(traces, l1_factory=IpcpL1, warmup=500, roi=2_000)
+        base = simulate_mix(traces, warmup=500, roi=2_000)
         # The alone-IPC denominator is prefetcher-independent.
-        assert cache["s"] == pytest.approx(base_cache["s"])
+        assert pf.ipc_alone == pytest.approx(base.ipc_alone)

@@ -1,15 +1,9 @@
 """Tests for cache replacement policies."""
 
-import hashlib
-import json
-from dataclasses import asdict
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.memsys.hierarchy import build_hierarchy
-from repro.params import CacheParams, SystemParams
-from repro.prefetchers import make_prefetcher
 from repro.memsys.replacement import (
     DrripPolicy,
     LruPolicy,
@@ -19,7 +13,12 @@ from repro.memsys.replacement import (
     make_replacement_policy,
 )
 from repro.sim.engine import simulate
-from repro.sim.multicore import simulate_mix
+from repro.verify.golden import (
+    NON_LRU_POLICIES,
+    NON_LRU_TRACES,
+    PIN_SCALE,
+    non_lru_system,
+)
 from repro.workloads import spec_trace
 
 
@@ -151,62 +150,31 @@ class TestRandom:
         assert len(seen) == 4
 
 
-# One digest over the statistics of every run in TestNonLruPin.  The
-# cache updates LRU state inline and drives every other policy through
-# its hooks; golden stats, the cross-engine gate and the benchmark all
-# run LRU, so this pins the hook path end to end.  A change to the
-# timing model or to a policy moves it; a refactor of the cache must
-# not.
-NON_LRU_DIGEST = "062796039f9d5ca51390dabc2b561e16"
-
-
-def _non_lru_system(policy: str) -> SystemParams:
-    # Small levels, so every level evicts within a short trace.
-    return SystemParams(
-        l1d=CacheParams("L1D", 2 * 1024, 4, 5, 8, 16, policy),
-        l2=CacheParams("L2", 4 * 1024, 8, 10, 16, 32, policy),
-        llc=CacheParams("LLC", 8 * 1024, 16, 20, 32, 64, policy),
-    )
-
-
-def _fresh(config: str):
-    levels = make_prefetcher(config)
-    return {key: factory() for key, factory in levels.items() if factory}
-
-
 class TestNonLruPin:
-    POLICIES = ("srrip", "drrip", "ship", "random")
-    TRACES = ("lbm_like", "mcf_i_like", "omnetpp_like")
+    """The ``non_lru`` pins: every policy's hook path, end to end.
 
-    def test_digest_over_non_lru_runs(self, monkeypatch):
-        # Every level of every single-core run must evict through its
-        # policy's victim hook, so the digest covers the whole hook path.
+    The cache updates LRU state inline and drives every other policy
+    through its hooks; the golden cells, the cross-engine gate and the
+    benchmark all run LRU, so this section pins the hook path.
+    """
+
+    def test_digest_over_non_lru_runs(self, pin_drift):
+        assert pin_drift("non_lru") == []
+
+    @pytest.mark.parametrize("policy", NON_LRU_POLICIES)
+    def test_every_level_evicts_through_its_policy(self, policy,
+                                                   monkeypatch):
         asked = set()
         for cls in (SrripPolicy, RandomPolicy):
-            def victim(policy, set_idx, _original=cls.victim):
-                asked.add(policy)
-                return _original(policy, set_idx)
+            def victim(instance, set_idx, _original=cls.victim):
+                asked.add(instance)
+                return _original(instance, set_idx)
             monkeypatch.setattr(cls, "victim", victim)
 
-        digest = hashlib.blake2b(digest_size=16)
-        traces = [spec_trace(name, 0.1) for name in self.TRACES]
-        ipcp = make_prefetcher("ipcp")
-        for policy in self.POLICIES:
-            params = _non_lru_system(policy)
-            for trace in traces:
-                for config in ("none", "ipcp"):
-                    levels = _fresh(config)
-                    l1, l2 = levels.get("l1"), levels.get("l2")
-                    hierarchy = build_hierarchy(params, l1, l2)
-                    asked.clear()
-                    result = simulate(trace, l1, l2, params=params,
-                                      hierarchy=hierarchy)
-                    assert asked == {c.policy for c in hierarchy.caches}
-                    digest.update(json.dumps(asdict(result),
-                                             sort_keys=True).encode())
-            # A mix keeps the private levels' policy; its shared LLC is
-            # rebuilt at the Table II size (LRU).
-            mix = simulate_mix(traces[:2], ipcp["l1"], ipcp["l2"],
-                               params=params, warmup=1_000, roi=3_000)
-            digest.update(json.dumps(asdict(mix), sort_keys=True).encode())
-        assert digest.hexdigest() == NON_LRU_DIGEST
+        params = non_lru_system(policy)
+        for name in NON_LRU_TRACES:
+            hierarchy = build_hierarchy(params)
+            asked.clear()
+            simulate(spec_trace(name, PIN_SCALE), params=params,
+                     hierarchy=hierarchy)
+            assert asked == {c.policy for c in hierarchy.caches}

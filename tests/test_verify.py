@@ -4,18 +4,23 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import run_levels
 from repro.core.ipcp_l1 import IpcpConfig, IpcpL1, PfClass
 from repro.core.ipcp_l2 import IpcpL2
 from repro.core.metadata import MetaClass
 from repro.errors import ReproError
 from repro.prefetchers import available_prefetchers
 from repro.prefetchers.base import AccessContext, Prefetcher, PrefetchRequest
-from repro.runner import SimulationRunner
+from repro.runner import ResultCache, SimulationRunner
 from repro.sim.engine import simulate
+from repro.verify import golden
 from repro.verify.golden import (
+    DEFAULT_BASELINE_PATH,
+    cell_metrics,
     collect_golden_stats,
     compare_to_baseline,
     load_baseline,
+    result_digest,
     save_baseline,
 )
 from repro.verify.invariants import (
@@ -248,46 +253,84 @@ TINY_GRID = dict(workloads=("bwaves_like",), prefetchers=["none", "ipcp"],
                  scale=0.1)
 
 
+def _committed() -> dict:
+    return load_baseline(DEFAULT_BASELINE_PATH)
+
+
 class TestGoldenStats:
-    def test_collection_is_reproducible(self):
-        first = collect_golden_stats(**TINY_GRID)
-        second = collect_golden_stats(**TINY_GRID)
-        assert compare_to_baseline(second, first) == []
+    """Baseline I/O and drift semantics, on the committed document."""
+
+    def test_collection_is_reproducible(self, pin_cache_dir):
+        # A fresh serial collection equals a 2-worker one that replays
+        # the shared pin cache.
+        first = collect_golden_stats(**TINY_GRID, runner=SimulationRunner())
+        second = collect_golden_stats(**TINY_GRID, runner=SimulationRunner(
+            jobs=2, cache=ResultCache(pin_cache_dir)))
+        assert second == first
 
     def test_roundtrip_through_disk(self, tmp_path):
-        path = str(tmp_path / "golden.json")
-        document = collect_golden_stats(**TINY_GRID)
-        save_baseline(document, path)
-        assert compare_to_baseline(
-            collect_golden_stats(**TINY_GRID), load_baseline(path)
-        ) == []
+        path = tmp_path / "golden.json"
+        save_baseline(_committed(), str(path))
+        with open(DEFAULT_BASELINE_PATH, "rb") as fh:
+            assert path.read_bytes() == fh.read()
+        assert compare_to_baseline(load_baseline(str(path)),
+                                   _committed()) == []
 
     def test_metric_drift_detected(self):
-        baseline = collect_golden_stats(**TINY_GRID)
-        current = json.loads(json.dumps(baseline))
+        baseline = _committed()
+        current = _committed()
         current["cells"]["bwaves_like/ipcp"]["ipc"] *= 1.01
         drifts = compare_to_baseline(current, baseline)
-        assert any(d.metric == "ipc" for d in drifts)
+        assert [(d.entry, d.metric) for d in drifts] == [
+            ("bwaves_like/ipcp", "ipc")]
+        assert drifts[0].describe().startswith("bwaves_like/ipcp: ipc ")
         assert "drift" in drifts[0].describe()
 
-    def test_tolerance_absorbs_small_drift(self):
-        baseline = collect_golden_stats(**TINY_GRID)
-        current = json.loads(json.dumps(baseline))
-        current["cells"]["bwaves_like/ipcp"]["ipc"] *= 1.001
-        assert compare_to_baseline(current, baseline, rel_tol=0.01) == []
+    @pytest.mark.parametrize("section, entry, field", [
+        ("cells", "gcc_like/mlop", "digest"),
+        ("non_lru", "ship/omnetpp_like/ipcp", None),
+        ("mixes", "lbm_like+gcc_like/ipcp", None),
+        ("traces", "gap/bfs_like@8", None),
+    ])
+    def test_tampered_pin_is_one_named_drift(self, section, entry, field):
+        current = _committed()
+        if field is None:
+            current[section][entry] = "0" * 32
+        else:
+            current[section][entry][field] = "0" * 32
+        drifts = compare_to_baseline(current, _committed())
+        assert [(d.section, d.entry, d.metric) for d in drifts] == [
+            (section, entry, field)]
+        named = f"{entry}: digest" if field else f"{section}: {entry}"
+        assert drifts[0].describe().startswith(named)
 
     def test_missing_cell_is_drift(self):
-        baseline = collect_golden_stats(**TINY_GRID)
-        current = json.loads(json.dumps(baseline))
+        current = _committed()
         del current["cells"]["bwaves_like/ipcp"]
-        drifts = compare_to_baseline(current, baseline)
-        assert any(d.metric == "(cell)" for d in drifts)
+        drifts = compare_to_baseline(current, _committed())
+        assert [d.describe() for d in drifts] == [
+            "bwaves_like/ipcp: (cell) missing from current run"]
 
     def test_missing_metric_is_drift(self):
-        baseline = collect_golden_stats(**TINY_GRID)
-        current = json.loads(json.dumps(baseline))
+        current = _committed()
         del current["cells"]["bwaves_like/ipcp"]["l1_coverage"]
-        assert compare_to_baseline(current, baseline)
+        drifts = compare_to_baseline(current, _committed())
+        assert [(d.entry, d.metric) for d in drifts] == [
+            ("bwaves_like/ipcp", "l1_coverage")]
+
+    @pytest.mark.parametrize("section", ["non_lru", "mixes", "traces"])
+    def test_missing_or_extra_entry_is_drift(self, section):
+        entry = sorted(_committed()[section])[0]
+        current = _committed()
+        del current[section][entry]
+        assert [d.describe() for d in
+                compare_to_baseline(current, _committed())] == [
+            f"{section}: {entry} missing from current run"]
+        current = _committed()
+        current[section]["extra"] = "0" * 32
+        assert [d.describe() for d in
+                compare_to_baseline(current, _committed())] == [
+            f"{section}: extra missing from baseline"]
 
     def test_missing_baseline_file_raises(self, tmp_path):
         with pytest.raises(ReproError, match="not found"):
@@ -305,60 +348,48 @@ class TestGoldenStats:
         with pytest.raises(ReproError, match="schema"):
             load_baseline(str(path))
 
-    def test_runs_through_cached_parallel_runner(self, tmp_path):
-        from repro.runner import ResultCache
+    def test_schema_1_is_refused_with_rebaseline_hint(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"schema": 1, "cells": {}}))
+        with pytest.raises(ReproError, match="schema 1, expected 2; "
+                           "re-baseline with .*--update-baseline"):
+            load_baseline(str(path))
 
-        runner = SimulationRunner(
-            jobs=2, cache=ResultCache(str(tmp_path / "cache"))
-        )
-        collect_golden_stats(**TINY_GRID, runner=runner)
-        assert runner.simulations_run == 2
-        rerun = SimulationRunner(
-            jobs=2, cache=ResultCache(str(tmp_path / "cache"))
-        )
-        collect_golden_stats(**TINY_GRID, runner=rerun)
-        assert rerun.simulations_run == 0  # warm rerun: all cache hits
+    def test_runs_through_cached_parallel_runner(self, pin_cache_dir,
+                                                 monkeypatch):
+        # Every simulated pin resolves in one fan-out, so a warm rerun
+        # replays all of them: 2 cells, 28 non_lru runs and 1 mix.
+        monkeypatch.setattr(golden, "trace_pins", dict)
+        first = collect_golden_stats(**TINY_GRID, runner=SimulationRunner(
+            jobs=2, cache=ResultCache(pin_cache_dir)))
+        rerun = SimulationRunner(jobs=2, cache=ResultCache(pin_cache_dir))
+        assert collect_golden_stats(**TINY_GRID, runner=rerun) == first
+        assert (rerun.simulations_run, rerun.cache_hits) == (0, 31)
 
 
 class TestCommittedBaseline:
     """The committed baseline must stay loadable, complete and current."""
 
-    BASELINE = "tests/data/golden_stats.json"
-
-    def _load(self):
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "data",
-                            "golden_stats.json")
-        return load_baseline(path)
-
     def test_covers_every_registered_prefetcher(self):
-        baseline = self._load()
+        baseline = _committed()
         assert set(baseline["prefetchers"]) == set(available_prefetchers())
         expected = len(baseline["workloads"]) * len(baseline["prefetchers"])
         assert len(baseline["cells"]) == expected
 
     def test_spot_check_matches_current_code(self):
-        """Re-simulate one workload column exactly against the baseline.
+        """Re-simulate one workload column outside the runner.
 
-        The full 112-cell comparison runs in `repro verify` (and CI);
-        this keeps a fast canary inside tier-1.
+        The pin tests recompute every cell through a cached runner; this
+        takes the plain ``run_levels`` path, so the committed cells also
+        hold for simulations that no runner or cache touched.
         """
-        baseline = self._load()
+        baseline = _committed()
         workload = baseline["workloads"][0]
-        current = collect_golden_stats(
-            workloads=(workload,), prefetchers=["none", "ipcp"],
-            scale=baseline["scale"],
-        )
-        sub = {
-            "schema": baseline["schema"],
-            "cells": {
-                key: baseline["cells"][key]
-                for key in (f"{workload}/none", f"{workload}/ipcp")
-            },
-        }
-        drifts = compare_to_baseline(current, sub)
-        assert drifts == [], [d.describe() for d in drifts]
+        trace = spec_trace(workload, baseline["scale"])
+        for config in ("none", "ipcp"):
+            result = run_levels(trace, config)
+            cell = dict(cell_metrics(result), digest=result_digest(result))
+            assert cell == baseline["cells"][f"{workload}/{config}"], config
 
 
 # --------------------------------------------------------------------- #
