@@ -55,35 +55,14 @@ from repro.runner import ResultCache, SimulationRunner
 from repro.sim.batched import ENGINES
 from repro.sim.multicore import simulate_mix
 from repro.stats import format_table, normalized_weighted_speedup
-from repro.workloads import homogeneous_mix, spec_trace
-from repro.workloads.cloudsuite import CLOUDSUITE_BENCHMARKS, cloudsuite_trace
-from repro.workloads.frontend import FRONTEND_BENCHMARKS, frontend_trace
-from repro.workloads.gap import GAP_BENCHMARKS, gap_trace
-from repro.workloads.neural import NEURAL_BENCHMARKS, neural_trace
-from repro.workloads.spec import (
-    EXTENSION_BENCHMARKS,
-    SPEC_BENCHMARKS,
-    extension_trace,
-)
-from repro.workloads.stream import STREAM_BENCHMARKS, stream_trace
+from repro.workloads import WORKLOAD_FAMILIES, homogeneous_mix, spec_trace
 
 
 def build_trace(name: str, scale: float):
-    """Resolve a workload name across the SPEC/cloud/neural suites."""
-    if name in SPEC_BENCHMARKS:
-        return spec_trace(name, scale)
-    if name in GAP_BENCHMARKS:
-        return gap_trace(name, scale)
-    if name in STREAM_BENCHMARKS:
-        return stream_trace(name, scale)
-    if name in CLOUDSUITE_BENCHMARKS:
-        return cloudsuite_trace(name, scale)
-    if name in NEURAL_BENCHMARKS:
-        return neural_trace(name, scale)
-    if name in EXTENSION_BENCHMARKS:
-        return extension_trace(name, scale)
-    if name in FRONTEND_BENCHMARKS:
-        return frontend_trace(name, scale)
+    """Resolve a workload name across every registry of WORKLOAD_FAMILIES."""
+    for _, registry, build in WORKLOAD_FAMILIES:
+        if name in registry:
+            return build(name, scale)
     raise ReproError(
         f"unknown workload {name!r}; see `python -m repro list-workloads`"
     )
@@ -105,22 +84,19 @@ def cmd_list_prefetchers(args) -> int:
 
 
 def cmd_list_workloads(args) -> int:
-    """List workload names across all synthetic suites."""
+    """List workload names across all synthetic suites.
+
+    Registries of ``(generator, memory_intensive, alu)`` entries fill
+    the memory-intensive column; the others show ``-``.
+    """
     rows = []
-    for name, (_, intensive, _) in SPEC_BENCHMARKS.items():
-        rows.append([name, "spec", "yes" if intensive else "no"])
-    for name, (_, intensive, _) in GAP_BENCHMARKS.items():
-        rows.append([name, "gap", "yes" if intensive else "no"])
-    for name, (_, intensive, _) in STREAM_BENCHMARKS.items():
-        rows.append([name, "stream", "yes" if intensive else "no"])
-    for name in CLOUDSUITE_BENCHMARKS:
-        rows.append([name, "cloudsuite", "-"])
-    for name in NEURAL_BENCHMARKS:
-        rows.append([name, "neural", "-"])
-    for name in EXTENSION_BENCHMARKS:
-        rows.append([name, "extension", "-"])
-    for name in FRONTEND_BENCHMARKS:
-        rows.append([name, "frontend", "-"])
+    for family, registry, _ in WORKLOAD_FAMILIES:
+        for name, entry in registry.items():
+            if isinstance(entry, tuple):
+                intensive = "yes" if entry[1] else "no"
+            else:
+                intensive = "-"
+            rows.append([name, family, intensive])
     print(format_table(["workload", "suite", "memory-intensive"], rows))
     return 0
 

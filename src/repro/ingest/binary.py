@@ -242,7 +242,7 @@ def ingest_binary(source, *, name: str | None = None, policy: str = STRICT,
         if policy == QUARANTINE:
             report.attach_quarantine(quarantine_path)
         try:
-            records = list(iter_binary_wire(fh, report))
+            records = tuple(iter_binary_wire(fh, report))
         finally:
             report.close()
     finally:

@@ -1,8 +1,9 @@
 """Deterministic, picklable job specifications and their executor.
 
 A :class:`JobSpec` carries everything a worker process needs to
-reproduce one simulation cell bit-for-bit: the canonical trace records,
-the registered configuration name and the (frozen) system parameters.
+reproduce one simulation cell bit-for-bit: the canonical trace records
+(the trace's own tuple, shared rather than copied), the registered
+configuration name and the (frozen) system parameters.
 Because execution is a pure function of the spec, two properties fall
 out for free:
 
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from repro.config_io import system_to_dict
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.params import SystemParams
 from repro.sim.batched import validate_engine
 from repro.sim.trace import _RECORD, Trace
@@ -96,9 +97,14 @@ def params_fingerprint(params: SystemParams | None) -> str:
 class JobSpec:
     """One simulation cell, self-contained and safe to pickle.
 
-    ``records`` is the canonical tuple-of-4-tuples form of the trace, so
-    the worker rebuilds the trace without re-normalization and without
-    dragging any live simulator objects across the process boundary.
+    ``records`` is the trace's own immutable record tuple
+    (:attr:`repro.sim.trace.Trace.records`; one tuple per core for a
+    mix), referenced rather than copied, so every spec over one trace
+    shares it.  The worker wraps it back into a trace without a copy
+    or re-normalization and without dragging any live simulator
+    objects across the process boundary.  A process pool ships each
+    distinct tuple to a worker once and submits the spec without it
+    (see :class:`repro.runner.SimulationRunner`).
     """
 
     kind: str
@@ -139,8 +145,8 @@ class JobSpec:
         return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
     def build_trace(self) -> Trace:
-        """Rebuild the trace from its canonical records."""
-        return Trace(list(self.records), name=self.trace_name)
+        """Wrap the spec's canonical records as a trace (no copy)."""
+        return Trace._from_records(self.records, self.trace_name)
 
 
 def levels_job(
@@ -157,7 +163,7 @@ def levels_job(
         trace_name=trace.name,
         config_name=config_name,
         trace_sig=trace_signature(trace),
-        records=tuple(trace),
+        records=trace.records,
         params=params,
         warmup=warmup,
         max_instructions=max_instructions,
@@ -175,23 +181,31 @@ def mix_job(
 ) -> JobSpec:
     """Spec for one N-core mix under one registered configuration.
 
-    The mix is self-contained: ``records`` holds one canonical record
-    tuple *per core* and ``trace_sig`` hashes the per-core signatures in
-    core order, so two mixes differing only in core placement occupy
+    The mix is self-contained: ``records`` holds each core's record
+    tuple and ``trace_sig`` hashes the per-core signatures in core
+    order, so two mixes differing only in core placement occupy
     different cache slots.  The worker replays the whole paper
     methodology — shared LLC/DRAM contention plus the per-core
     alone-IPC runs the weighted speedup needs — and returns a picklable
     :class:`repro.sim.multicore.MixResult`.
+
+    The core names travel joined by ``+``, so a trace whose name
+    contains ``+`` raises :class:`ConfigurationError`: the worker could
+    not split the names back apart.
     """
     digest = hashlib.blake2b(digest_size=16)
     for trace in traces:
+        if "+" in trace.name:
+            raise ConfigurationError(
+                f"mix core trace name {trace.name!r} contains '+', which "
+                f"separates the core names of a mix")
         digest.update(trace_signature(trace).encode())
     return JobSpec(
         kind=KIND_MIX,
         trace_name="+".join(trace.name for trace in traces),
         config_name=config_name,
         trace_sig=digest.hexdigest(),
-        records=tuple(tuple(trace) for trace in traces),
+        records=tuple(trace.records for trace in traces),
         params=params,
         warmup=warmup,
         roi=roi,
@@ -217,7 +231,7 @@ def alone_ipc_job(
         trace_name=trace.name,
         config_name="none",
         trace_sig=trace_signature(trace),
-        records=tuple(trace),
+        records=trace.records,
         params=params,
         warmup=warmup,
         roi=roi,
@@ -247,7 +261,7 @@ def execute_job(spec: JobSpec):
 
         levels = make_prefetcher(spec.config_name)
         traces = [
-            Trace(list(records), name=name)
+            Trace._from_records(records, name)
             for records, name in zip(
                 spec.records, spec.trace_name.split("+")
             )

@@ -9,6 +9,11 @@ order, and duplicate specs within a batch are executed once, so a
 caller can submit a whole figure grid naively and still get
 deterministic output.
 
+A pool batch ships each trace's records to a worker once: the pool's
+initializer installs one ``{trace_sig: records}`` table per worker
+(inherited under fork, pickled once per worker otherwise) and every
+job is submitted without its records, which the worker puts back.
+
 Execution is fault-tolerant (see ``docs/resilience.md``):
 
 * failures are classified (:func:`repro.resilience.classify_failure`)
@@ -32,6 +37,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from repro.errors import (
     FatalJobError,
@@ -49,6 +55,27 @@ from repro.resilience.policy import (
 )
 from repro.runner.cache import ResultCache
 from repro.runner.job import JobSpec, default_execute
+
+# The record table of the pool this worker process belongs to, set
+# once by _install_records when the worker starts and read by
+# _execute_shipped.  The parent process never writes it.
+_shipped_records: dict[str, tuple] = {}
+
+
+def _install_records(table: dict[str, tuple]) -> None:
+    """Pool initializer: keep the batch's ``{trace_sig: records}`` table."""
+    global _shipped_records
+    _shipped_records = table
+
+
+def _execute_shipped(execute, spec: JobSpec, attempt: int):
+    """Pool entry point: give a record-free spec its records, then run it.
+
+    ``execute`` (the runner's hook) receives a whole spec, exactly as
+    on the serial path.
+    """
+    records = _shipped_records[spec.trace_sig]
+    return execute(replace(spec, records=records), attempt)
 
 
 def _as_repro_error(error: BaseException) -> ReproError:
@@ -72,7 +99,12 @@ class SimulationRunner:
     ``degraded`` turns terminal failures into :class:`JobFailure` cells
     instead of exceptions.
     ``execute`` swaps the execution function (``fn(spec, attempt)``) —
-    the chaos harness uses this to inject faults.
+    the chaos harness uses this to inject faults.  With ``jobs >= 2``
+    each worker receives the batch's distinct record tuples once, at
+    start-up, and the specs travel without records; ``execute`` still
+    sees whole specs.  Without a ``timeout`` one job waits queued behind
+    each running one, so a worker need not wait while this process
+    publishes a result.
 
     ``simulations_run`` counts execution *attempts* — cache and journal
     hits do not increment it, which is how tests assert that a warm
@@ -232,33 +264,65 @@ class SimulationRunner:
         # delays never stall jobs that are already eligible.
         ready: list[tuple[float, str]] = [(0.0, key) for key in specs]
         unresolved = set(specs)
+        # future -> key, in submission order (dicts keep insertion order).
         inflight: dict = {}
         deadlines: dict = {}
         fatal: ReproError | None = None
+        # trace_sig already names the records in every cache key, so it
+        # keys the table each worker receives once; specs go without.
+        table = {spec.trace_sig: spec.records for spec in specs.values()}
+        # Windowed submission.  Without a deadline a second job waits in
+        # the executor's call queue behind each running one, so a worker
+        # starts its next job while this process publishes a result.
+        # With one, at most `workers` jobs are in flight, so a deadline
+        # measured from submission is a deadline on actual execution,
+        # not queue time.
+        window = workers if self.timeout is not None else 2 * workers
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        def new_pool() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_install_records,
+                                       initargs=(table,))
+
+        pool = new_pool()
         try:
             while unresolved and (inflight or ready or fatal is None):
                 now = time.monotonic()
+                dead = False
                 if fatal is None:
-                    # Windowed submission: at most `workers` jobs in
-                    # flight, so a deadline measured from submission is
-                    # a deadline on actual execution, not queue time.
                     ready.sort()
-                    while (len(inflight) < workers and ready
+                    while (len(inflight) < window and ready
                            and ready[0][0] <= now):
                         _, key = ready.pop(0)
+                        try:
+                            future = pool.submit(
+                                _execute_shipped, self.execute,
+                                replace(specs[key], records=()),
+                                attempts[key] + 1,
+                            )
+                        except BrokenProcessPool:
+                            # A worker died since the last round (a
+                            # queued job can start, and crash, while
+                            # this process publishes).  The in-flight
+                            # jobs fail with the pool and are settled
+                            # below; this one waits for the new pool.
+                            ready.append((now, key))
+                            dead = True
+                            break
                         attempts[key] += 1
                         self.simulations_run += 1
-                        future = pool.submit(
-                            self.execute, specs[key], attempts[key]
-                        )
                         inflight[future] = key
                         deadlines[future] = (
                             now + self.timeout
                             if self.timeout is not None else None
                         )
                 if not inflight:
+                    if dead:
+                        self.worker_crashes += 1
+                        self._kill_pool(pool)
+                        self.pool_respawns += 1
+                        pool = new_pool()
+                        continue
                     if fatal is not None or not ready:
                         break
                     time.sleep(max(0.0, ready[0][0] - time.monotonic()))
@@ -274,25 +338,42 @@ class SimulationRunner:
 
                 broken = False
                 for future in done:
+                    error = future.exception()
+                    if isinstance(error, BrokenProcessPool):
+                        # Settled below with the rest of the in-flight
+                        # jobs the broken pool took down.
+                        broken = True
+                        continue
                     key = inflight.pop(future)
                     deadlines.pop(future, None)
-                    error = future.exception()
                     if error is None:
                         unresolved.discard(key)
                         publish(key, future.result())
                         continue
-                    if isinstance(error, BrokenProcessPool):
-                        broken = True
+                    fatal = self._settle_failure(
+                        key, error, attempts, ready, unresolved,
+                        publish_failure, degraded,
+                    ) or fatal
+
+                if broken:
+                    self.worker_crashes += 1
+                    # Workers take jobs in submission order, so only the
+                    # `workers` oldest unresolved jobs can have been
+                    # running; each is charged the crash.  The younger
+                    # ones were still queued and are refunded below.
+                    for future in list(inflight)[:workers]:
+                        key = inflight.pop(future)
+                        deadlines.pop(future, None)
                         error = WorkerCrashError(
                             f"worker process died executing "
                             f"{specs[key].trace_name}/"
                             f"{specs[key].config_name} "
                             f"(attempt {attempts[key]})"
                         )
-                    fatal = self._settle_failure(
-                        key, error, attempts, ready, unresolved,
-                        publish_failure, degraded,
-                    ) or fatal
+                        fatal = self._settle_failure(
+                            key, error, attempts, ready, unresolved,
+                            publish_failure, degraded,
+                        ) or fatal
 
                 now = time.monotonic()
                 expired = [future for future, deadline in deadlines.items()
@@ -312,8 +393,6 @@ class SimulationRunner:
                     ) or fatal
 
                 if broken or expired:
-                    if broken:
-                        self.worker_crashes += 1
                     # Killing the pool takes the innocent in-flight
                     # jobs with it; re-dispatch them without charging
                     # their attempt budget.
@@ -325,7 +404,7 @@ class SimulationRunner:
                         ready.append((now, key))
                     self._kill_pool(pool)
                     self.pool_respawns += 1
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = new_pool()
         except BaseException:
             # Ctrl-C or an internal error: terminate workers instead of
             # waiting out whatever they are running.

@@ -14,10 +14,10 @@ in the paper's evaluation.  Three-element records are accepted and
 normalised with ``dep = 0``.  Plain tuples rather than objects keep the
 inner simulation loop fast.
 
-:class:`Trace` wraps a list of records with a name and supports slicing,
-replay (cyclic iteration, used when multicore mixes replay short
-benchmarks) and a memoized columnar decode.  Trace files on disk use
-the RIB1 format of :mod:`repro.ingest`.
+:class:`Trace` wraps an immutable tuple of records with a name and
+supports slicing, replay (cyclic iteration, used when multicore mixes
+replay short benchmarks) and a memoized columnar decode.  Trace files
+on disk use the RIB1 format of :mod:`repro.ingest`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TraceColumns:
     simulation over that trace.
     """
 
-    def __init__(self, records: list[TraceRecord]) -> None:
+    def __init__(self, records: Sequence[TraceRecord]) -> None:
         n = len(records)
         if n:
             kinds, ips, addrs, deps = zip(*records)
@@ -157,11 +157,13 @@ class TraceColumns:
 
 
 class Trace(Sequence[TraceRecord]):
-    """A named, indexable instruction trace.
+    """A named, indexable, immutable instruction trace.
 
-    :meth:`columns` exposes a memoized columnar (NumPy) decode used by
-    the batched engine; slicing produces a fresh :class:`Trace`, so a
-    slice never aliases a stale columnar cache.
+    The canonical records are one tuple, :attr:`records`, which job
+    specs and pool workers share instead of copying.  :meth:`columns`
+    exposes a memoized columnar (NumPy) decode used by the batched
+    engine; slicing produces a fresh :class:`Trace`, so a slice never
+    aliases a stale columnar cache.
     """
 
     def __init__(self, records: Iterable, name: str = "trace") -> None:
@@ -170,21 +172,32 @@ class Trace(Sequence[TraceRecord]):
         # per record at construction instead of a tuple rebuild, and —
         # more importantly — warm-up/ROI slices taken on every simulate
         # call skip it entirely via _from_records.
-        self._records: list[TraceRecord] = [
+        self._records: tuple[TraceRecord, ...] = tuple([
             r if type(r) is tuple and len(r) == 4
             and type(r[3]) is int and 0 <= r[3] <= 1
             else normalize_record(r)
             for r in records
-        ]
+        ])
         self.name = name
 
     @classmethod
-    def _from_records(cls, records: list[TraceRecord], name: str) -> "Trace":
-        """Internal constructor for already-canonical record lists."""
+    def _from_records(cls, records: tuple[TraceRecord, ...],
+                      name: str) -> "Trace":
+        """Internal constructor for an already-canonical record tuple.
+
+        The tuple is kept, not copied or checked: builders, the RIB1
+        reader and job specs hand over records that are canonical by
+        construction.
+        """
         trace = cls.__new__(cls)
         trace._records = records
         trace.name = name
         return trace
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """The canonical ``(kind, ip, addr, dep)`` records, as one tuple."""
+        return self._records
 
     def __len__(self) -> int:
         return len(self._records)

@@ -31,7 +31,7 @@ from repro.prefetchers import available_prefetchers
 from repro.runner import SimulationRunner, levels_job, mix_job
 from repro.runner.job import trace_signature
 from repro.sim.engine import SimResult
-from repro.workloads import cloudsuite, frontend, gap, neural, spec, stream
+from repro.workloads import WORKLOAD_FAMILIES, spec
 
 BASELINE_SCHEMA = 2
 # Resolved against the checkout, not the working directory.
@@ -57,16 +57,6 @@ PIN_SCALE = 0.1
 MIX_WINDOW = dict(warmup=1_000, roi=3_000)
 TRACE_SCALE = 0.05
 TRACE_SEEDS = (7, 8)
-GENERATORS = (
-    ("spec", spec.SPEC_BENCHMARKS, spec.spec_trace),
-    ("gap", gap.GAP_BENCHMARKS, gap.gap_trace),
-    ("stream", stream.STREAM_BENCHMARKS, stream.stream_trace),
-    ("cloudsuite", cloudsuite.CLOUDSUITE_BENCHMARKS,
-     cloudsuite.cloudsuite_trace),
-    ("neural", neural.NEURAL_BENCHMARKS, neural.neural_trace),
-    ("extension", spec.EXTENSION_BENCHMARKS, spec.extension_trace),
-    ("frontend", frontend.FRONTEND_BENCHMARKS, frontend.frontend_trace),
-)
 
 
 def golden_prefetchers() -> list[str]:
@@ -127,7 +117,7 @@ def trace_pins() -> dict[str, str]:
     """The ``traces`` section: every generator's signature, by seed."""
     pins = {}
     for seed in TRACE_SEEDS:
-        for family, registry, build in GENERATORS:
+        for family, registry, build in WORKLOAD_FAMILIES:
             for name in registry:
                 trace = build(name, TRACE_SCALE, seed)
                 pins[f"{family}/{name}@{seed}"] = trace_signature(trace)

@@ -104,9 +104,10 @@ class WorkloadBuilder:
         """Freeze the accumulated records into a named trace.
 
         Every emitter appends tuples with an int ``dep`` of 0 or 1, so
-        the records skip :class:`Trace`'s per-record normalisation.
+        the records skip :class:`Trace`'s per-record normalisation; the
+        one tuple built here is the trace's, shared by every job spec.
         """
-        return Trace._from_records(self.records.copy(), self.name)
+        return Trace._from_records(tuple(self.records), self.name)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -21,6 +24,7 @@ from repro.memsys.cache import Cache
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import DramPort, build_hierarchy
 from repro.params import CacheParams, SystemParams
+import repro.runner.pool as runner_pool
 from repro.runner import ResultCache, SimulationRunner
 from repro.sim.trace import LOAD, OTHER, Trace
 from repro.verify.golden import (
@@ -109,3 +113,32 @@ def pin_drift(pin_cache_dir):
         return [d.describe() for d in drifts if d.section in sections]
 
     return lines
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Patch the runner's process pool with one that records its traffic.
+
+    Returns a namespace: ``initargs`` holds each pool's initializer
+    arguments (one entry per pool, respawns included); ``calls`` one
+    ``(pickled size, args)`` pair per submitted call; ``in_flight`` the
+    count of unfinished calls right after each submission.
+    """
+    record = SimpleNamespace(initargs=[], calls=[], in_flight=[])
+    futures = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            record.initargs.append(kwargs.get("initargs"))
+
+        def submit(self, fn, /, *args, **kwargs):
+            size = len(pickle.dumps((fn, args, kwargs)))
+            future = super().submit(fn, *args, **kwargs)
+            record.calls.append((size, args))
+            futures.append(future)
+            record.in_flight.append(sum(not f.done() for f in futures))
+            return future
+
+    monkeypatch.setattr(runner_pool, "ProcessPoolExecutor", RecordingPool)
+    return record

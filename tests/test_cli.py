@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.sim.trace import LOAD
 from repro.verify import golden
+from repro.workloads import WORKLOAD_FAMILIES
 
 
 class TestBuildTrace:
@@ -37,6 +38,20 @@ class TestBuildTrace:
     def test_unknown_workload_raises(self):
         with pytest.raises(ReproError):
             build_trace("not_a_workload", 1.0)
+
+    def test_every_registry_name_resolves_and_is_pinned(self):
+        # One family table feeds --workload, list-workloads and the
+        # `traces` pins, so a new registry reaches all three or none.
+        pins = golden.load_baseline(golden.DEFAULT_BASELINE_PATH)["traces"]
+        names = [(family, name) for family, registry, _ in WORKLOAD_FAMILIES
+                 for name in registry]
+        assert len(names) == len({name for _, name in names})
+        for family, name in names:
+            assert build_trace(name, 0.02).name == name
+            for seed in golden.TRACE_SEEDS:
+                assert f"{family}/{name}@{seed}" in pins
+        assert len(pins) == len(names) * len(golden.TRACE_SEEDS) + len(
+            golden.TRACE_SEEDS)  # plus one dense trace per seed
 
 
 class TestCommands:
@@ -349,8 +364,11 @@ class TestVerifyCommand:
         assert "lockstep" in out and "OK" in out
 
     def test_invariant_phase_passes(self, capsys):
+        # A sampled registry keeps this a wiring test; the sweep over
+        # every configuration runs in CI's `repro verify` step.
         code = main(["verify", "--skip-golden", "--skip-oracle",
-                     "--skip-cross-engine", "--invariant-scale", "0.02"])
+                     "--skip-cross-engine", "--invariant-scale", "0.02",
+                     "--prefetchers", "ipcp,next_line,isb,spp_ppf_dspatch"])
         assert code == 0
         out = capsys.readouterr().out
         assert "invariants" in out and "OK" in out

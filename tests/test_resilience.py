@@ -15,9 +15,11 @@ import multiprocessing
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import pytest
 
+import repro.runner.pool as runner_pool
 from repro.analysis import ExperimentRunner, run_sweep
 from repro.analysis.sweep import sweep_system
 from repro.errors import (
@@ -85,6 +87,15 @@ def fatal_for_ipcp(spec, attempt=1):
 
 def crash_first_attempt(spec, attempt=1):
     if attempt == 1 and multiprocessing.parent_process() is not None:
+        os._exit(23)
+    return execute_job(spec)
+
+
+def crash_bwaves_none_once(spec, attempt=1):
+    # The pause lets the runner fill its window before the crash.
+    if ((spec.trace_name, spec.config_name) == ("bwaves_like", "none")
+            and attempt == 1 and multiprocessing.parent_process() is not None):
+        time.sleep(0.2)
         os._exit(23)
     return execute_job(spec)
 
@@ -318,6 +329,62 @@ class TestPoolRecovery:
         assert [pickle.dumps(cell) for cell in recovered] == reference
         assert runner.worker_crashes >= 1
         assert runner.pool_respawns >= 1
+
+    def test_crash_charges_only_the_running_jobs(self, trace, second_trace,
+                                                 recording_pool):
+        # Four jobs in flight on two workers: only the two that can have
+        # been running pay an attempt; the two queued ones are refunded.
+        specs = [levels_job(t, config) for t in (trace, second_trace)
+                 for config in ("none", "ipcp")]
+        reference = [pickle.dumps(cell)
+                     for cell in SimulationRunner().run(specs)]
+        runner = SimulationRunner(jobs=2, retry=NO_BACKOFF,
+                                  execute=crash_bwaves_none_once)
+        recovered = runner.run(specs)
+        assert [pickle.dumps(cell) for cell in recovered] == reference
+        assert recording_pool.in_flight[:4] == [1, 2, 3, 4]
+        assert runner.worker_crashes == 1
+        assert 1 <= runner.retries <= 2
+        assert runner.failures == 0
+
+    @pytest.mark.parametrize("busy", [True, False])
+    def test_pool_broken_between_rounds_recovers(self, trace, second_trace,
+                                                 monkeypatch, busy):
+        # A queued job can crash its worker while the runner publishes a
+        # result, so the next submit meets a broken pool: with jobs in
+        # flight (busy) they settle as a crash, with none the pool is
+        # respawned, and the unsubmitted job waits for the new pool.
+        specs = [levels_job(t, config) for t in (trace, second_trace)
+                 for config in ("none", "next_line", "ipcp")]
+        reference = [pickle.dumps(cell)
+                     for cell in SimulationRunner().run(specs)]
+        futures, killed = [], []
+
+        class BreakingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if len(futures) == 4 and not killed:
+                    killed.append(self)
+                    if not busy:
+                        wait(futures)
+                    for process in list(self._processes.values()):
+                        process.kill()
+                    deadline = time.monotonic() + 10.0
+                    while not self._broken and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert self._broken
+                future = super().submit(fn, *args, **kwargs)
+                futures.append(future)
+                return future
+
+        monkeypatch.setattr(runner_pool, "ProcessPoolExecutor",
+                            BreakingPool)
+        runner = SimulationRunner(jobs=2, retry=NO_BACKOFF)
+        recovered = runner.run(specs)
+        assert [pickle.dumps(cell) for cell in recovered] == reference
+        assert runner.worker_crashes == 1
+        assert runner.pool_respawns == 1
+        assert runner.retries <= (2 if busy else 0)
+        assert runner.failures == 0
 
     def test_timeout_kills_and_retries(self, trace, reference_none):
         runner = SimulationRunner(jobs=2, timeout=0.4, retry=NO_BACKOFF,

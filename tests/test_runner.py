@@ -9,14 +9,20 @@ into zero simulations.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import pickle
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro.runner.pool as runner_pool
 from repro.analysis import ExperimentRunner
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
+from repro.params import SystemParams
 from repro.runner import (
     JobSpec,
     ResultCache,
@@ -24,11 +30,18 @@ from repro.runner import (
     alone_ipc_job,
     execute_job,
     levels_job,
+    mix_job,
     trace_signature,
 )
 from repro.sim.multicore import simulate_mix
 from repro.sim.trace import Trace
 from repro.workloads import spec_trace
+
+
+def slow_execute(spec, attempt=1):
+    """Hold each job long enough for the runner to fill its window."""
+    time.sleep(0.25)
+    return execute_job(spec)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +90,80 @@ class TestCacheKeyStability:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.cache_key() == spec.cache_key()
+
+
+class TestZeroCopySpecs:
+    """Specs reference their trace's record tuple instead of copying it."""
+
+    def test_levels_and_alone_specs_share_the_trace_tuple(self, trace):
+        assert levels_job(trace, "ipcp").records is trace.records
+        alone = alone_ipc_job(trace, SystemParams(), 500, 1_000, 1)
+        assert alone.records is trace.records
+
+    def test_mix_spec_shares_each_core_tuple(self, suite):
+        spec = mix_job(suite[:2], "none", warmup=500, roi=1_000)
+        assert [core is trace.records
+                for core, trace in zip(spec.records, suite)] == [True, True]
+
+    def test_build_trace_wraps_the_spec_tuple(self, trace):
+        spec = levels_job(trace, "none")
+        rebuilt = spec.build_trace()
+        assert rebuilt.records is spec.records
+        assert rebuilt.name == trace.name
+
+    def test_plus_in_a_mix_core_name_is_rejected(self, suite):
+        # The worker splits the joined core names on "+", so such a
+        # name would rename every later core of the mix.
+        lbm = spec_trace("lbm_like", 0.05)
+        renamed = Trace(list(lbm), name="lbm+copy")
+        with pytest.raises(ConfigurationError, match=r"lbm\+copy"):
+            mix_job([renamed, suite[1]], "none", warmup=500, roi=1_000)
+
+
+class TestPoolTransport:
+    """A pool batch ships records once per worker, not once per job."""
+
+    def test_specs_are_submitted_without_records(self, suite,
+                                                 recording_pool):
+        specs = [levels_job(trace, "none") for trace in suite]
+        serial = SimulationRunner().run(specs)
+        pooled = SimulationRunner(jobs=2).run(specs)
+        assert ([pickle.dumps(cell) for cell in pooled]
+                == [pickle.dumps(cell) for cell in serial])
+        assert len(recording_pool.calls) == len(specs)
+        for size, (_, spec, _) in recording_pool.calls:
+            assert spec.records == ()
+            assert size < 1_000
+        assert min(len(pickle.dumps(spec)) for spec in specs) > 10_000
+        [(table,)] = recording_pool.initargs
+        assert table.keys() == {trace_signature(t) for t in suite}
+        assert all(table[trace_signature(t)] is t.records for t in suite)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_table_reaches_spawned_workers(self, suite, monkeypatch,
+                                           method):
+        # Without fork the table is pickled to each worker at start-up.
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            runner_pool, "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=context))
+        specs = [levels_job(trace, "none") for trace in suite[:2]]
+        specs.append(mix_job(suite[:2], "none", warmup=500, roi=1_000))
+        assert ([pickle.dumps(cell)
+                 for cell in SimulationRunner(jobs=2).run(specs)]
+                == [pickle.dumps(cell)
+                    for cell in SimulationRunner().run(specs)])
+
+    @pytest.mark.parametrize("timeout, window", [(None, 4), (60.0, 2)])
+    def test_in_flight_window(self, suite, recording_pool, timeout, window):
+        # One job queued behind each running one without a deadline;
+        # with one, only the running jobs, so it times execution.
+        specs = [levels_job(trace, config) for trace in suite[:3]
+                 for config in ("none", "next_line")]
+        SimulationRunner(jobs=2, timeout=timeout,
+                         execute=slow_execute).run(specs)
+        assert recording_pool.in_flight[:window] == list(range(1, window + 1))
+        assert max(recording_pool.in_flight) == window
 
 
 class TestResultPickling:

@@ -105,3 +105,42 @@ class TestSerialisation:
         loaded, _ = ingest_binary(path, name="rt")
         assert list(loaded) == list(trace)
         assert loaded.name == "rt"
+
+
+class TestImmutableRecords:
+    """A trace's records are one tuple, handed over without a copy."""
+
+    def test_constructor_normalises_into_a_tuple(self):
+        trace = Trace([[LOAD, 1, 64], (OTHER, 2, 0, True)])
+        assert type(trace.records) is tuple
+        assert trace.records == ((LOAD, 1, 64, 0), (OTHER, 2, 0, 1))
+
+    def test_records_are_read_only(self):
+        trace = Trace([(LOAD, 1, 64, 0)])
+        with pytest.raises(AttributeError):
+            trace.records = ()
+
+    def test_slice_is_tuple_backed(self):
+        trace = Trace([(OTHER, i, 0, 0) for i in range(10)], name="x")
+        window = trace[2:5]
+        assert type(window.records) is tuple
+        assert window.records == trace.records[2:5]
+
+    def test_builder_hands_over_a_tuple(self):
+        from repro.workloads import WorkloadBuilder
+
+        builder = WorkloadBuilder("built")
+        builder.load("a", 0x1000)
+        builder.store("b", 0x2000)
+        trace = builder.build()
+        assert type(trace.records) is tuple
+        assert trace.records == tuple(builder.records)
+
+    def test_ingest_hands_over_a_tuple(self, tmp_path):
+        from repro.ingest import ingest_binary, write_binary
+
+        path = str(tmp_path / "trace.rib")
+        write_binary(Trace([(LOAD, 0x400, 0x1000, 1)]), path)
+        loaded, _ = ingest_binary(path)
+        assert type(loaded.records) is tuple
+        assert loaded.records == ((LOAD, 0x400, 0x1000, 1),)
