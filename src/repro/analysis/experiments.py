@@ -61,10 +61,7 @@ class ExperimentRunner:
     ``jobs`` and ``cache_dir`` configure a private
     :class:`SimulationRunner`; alternatively a shared ``runner`` may be
     injected (the claim harness does this so every claim cell draws
-    from one pool and one cache).  ``engine`` selects the
-    simulation engine for every cell this runner produces (see
-    :mod:`repro.sim.batched`); results are engine-independent, but
-    cache keys are engine-salted.
+    from one pool and one cache).
     """
 
     def __init__(
@@ -74,11 +71,9 @@ class ExperimentRunner:
         jobs: int = 1,
         cache_dir: str | None = None,
         runner: SimulationRunner | None = None,
-        engine: str = "scalar",
     ) -> None:
         self.traces = {trace.name: trace for trace in traces}
         self.params = params
-        self.engine = engine
         if runner is None:
             cache = ResultCache(cache_dir) if cache_dir else None
             runner = SimulationRunner(jobs=jobs, cache=cache)
@@ -91,10 +86,7 @@ class ExperimentRunner:
         return self.runner.simulations_run
 
     def _spec(self, trace_name: str, config_name: str):
-        return levels_job(
-            self.traces[trace_name], config_name, self.params,
-            engine=self.engine,
-        )
+        return levels_job(self.traces[trace_name], config_name, self.params)
 
     def ensure(self, cells: Iterable[tuple[str, str]]) -> None:
         """Resolve a batch of (trace, config) cells in one fan-out.

@@ -33,6 +33,7 @@ re-simulates only the unfinished cells.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.analysis import ExperimentRunner, run_levels, run_sweep
@@ -52,7 +53,6 @@ from repro.resilience import (
     flush_active_journals,
 )
 from repro.runner import ResultCache, SimulationRunner
-from repro.sim.batched import ENGINES
 from repro.sim.multicore import simulate_mix
 from repro.stats import format_table, normalized_weighted_speedup
 from repro.workloads import WORKLOAD_FAMILIES, homogeneous_mix, spec_trace
@@ -129,11 +129,31 @@ def parse_size(text: str) -> int:
         raise ReproError(f"bad size {text!r}; expected e.g. 32768, 32k, 2m")
 
 
+def parse_bandwidth(text: str) -> float:
+    """Parse a DRAM channel bandwidth in GB/s ('12.8')."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ReproError(f"bad bandwidth {text.strip()!r}; expected GB/s, "
+                         f"e.g. 12.8")
+
+
+def positive_scale(text: str) -> float:
+    """Argparse type of every workload scale: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number above 0, got {text!r}")
+    return value
+
+
 def cmd_run(args) -> int:
     """Run one workload with and without a prefetcher."""
     trace = build_trace(args.workload, args.scale)
-    runner = ExperimentRunner([trace], runner=make_backend(args),
-                              engine=args.engine)
+    runner = ExperimentRunner([trace], runner=make_backend(args))
     runner.ensure([(trace.name, "none"), (trace.name, args.prefetcher)])
     baseline = runner.result(trace.name, "none")
     result = runner.result(trace.name, args.prefetcher)
@@ -183,8 +203,7 @@ def cmd_compare(args) -> int:
     traces = [build_trace(name, args.scale)
               for name in args.workloads.split(",")]
     configs = args.prefetchers.split(",")
-    runner = ExperimentRunner(traces, runner=make_backend(args),
-                              engine=args.engine)
+    runner = ExperimentRunner(traces, runner=make_backend(args))
     rows = runner.speedup_table(configs)
     print(format_table(["trace"] + configs, rows,
                        title="Speedup over no prefetching"))
@@ -206,7 +225,8 @@ def cmd_sweep(args) -> int:
     params_list = []
     for value in values:
         if args.axis == "dram-bandwidth":
-            params_list.append(sweep_system(dram_bandwidth_gbps=float(value)))
+            params_list.append(
+                sweep_system(dram_bandwidth_gbps=parse_bandwidth(value)))
         elif args.axis == "l1-size":
             params_list.append(sweep_system(l1_size=parse_size(value)))
         elif args.axis == "l2-size":
@@ -459,7 +479,11 @@ def cmd_paper(args) -> int:
     only = args.only
     if args.mutate:
         # The patch must reach the simulations (in-process) and must not
-        # poison the content-addressed store (cache off).
+        # poison the content-addressed store (cache off).  A timeout
+        # needs worker processes, which the patch would not reach.
+        if args.timeout is not None:
+            raise ReproError("--mutate runs every simulation in-process, "
+                             "so it cannot take --timeout")
         args.jobs = 1
         args.no_cache = True
         if not only:
@@ -540,9 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one workload + prefetcher")
     run.add_argument("--workload", required=True)
     run.add_argument("--prefetcher", default="ipcp")
-    run.add_argument("--scale", type=float, default=0.5)
-    run.add_argument("--engine", choices=ENGINES, default="scalar",
-                     help="simulation engine (docs/engine.md)")
+    run.add_argument("--scale", type=positive_scale, default=0.5)
     add_runner_options(run)
     run.set_defaults(func=cmd_run)
 
@@ -557,16 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
                           default="next_line_i,mana_lite,ipcp_i",
                           help="comma-separated frontend configurations "
                                "(see repro.frontend.registry)")
-    frontend.add_argument("--scale", type=float, default=0.5)
+    frontend.add_argument("--scale", type=positive_scale, default=0.5)
     frontend.set_defaults(func=cmd_frontend)
 
     compare = sub.add_parser("compare", help="speedup table")
     compare.add_argument("--workloads", required=True,
                          help="comma-separated workload names")
     compare.add_argument("--prefetchers", default="ipcp,mlop,bingo")
-    compare.add_argument("--scale", type=float, default=0.4)
-    compare.add_argument("--engine", choices=ENGINES, default="scalar",
-                         help="simulation engine (docs/engine.md)")
+    compare.add_argument("--scale", type=positive_scale, default=0.4)
     add_runner_options(compare)
     compare.set_defaults(func=cmd_compare)
 
@@ -581,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workloads", required=True,
                        help="comma-separated workload names")
     sweep.add_argument("--prefetchers", default="ipcp")
-    sweep.add_argument("--scale", type=float, default=0.4)
+    sweep.add_argument("--scale", type=positive_scale, default=0.4)
     add_runner_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -600,14 +620,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="Section III pattern profile")
     analyze.add_argument("--workload", required=True)
-    analyze.add_argument("--scale", type=float, default=0.4)
+    analyze.add_argument("--scale", type=positive_scale, default=0.4)
     analyze.set_defaults(func=cmd_analyze)
 
     dump = sub.add_parser("dump-trace",
                           help="write a workload as a RIB1 trace file")
     dump.add_argument("--workload", required=True)
     dump.add_argument("--out", required=True)
-    dump.add_argument("--scale", type=float, default=0.5)
+    dump.add_argument("--scale", type=positive_scale, default=0.5)
     dump.set_defaults(func=cmd_dump_trace)
 
     run_trace = sub.add_parser(
@@ -644,10 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prefetcher grid (comma-separated) for the "
                              "invariant sweep, the cross-engine gate and "
                              "--update-baseline; default: all registered")
-    verify.add_argument("--scale", type=float, default=None,
+    verify.add_argument("--scale", type=positive_scale, default=None,
                         help="cell workload scale for --update-baseline "
                              "and the cross-engine gate")
-    verify.add_argument("--invariant-scale", type=float, default=0.08,
+    verify.add_argument("--invariant-scale", type=positive_scale,
+                        default=0.08,
                         help="workload scale for the invariant sweep")
     verify.add_argument("--skip-oracle", action="store_true",
                         help="skip the oracle lockstep diff")
@@ -666,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
              "ROI) for one workload + prefetcher")
     profile.add_argument("--workload", required=True)
     profile.add_argument("--prefetcher", default="ipcp")
-    profile.add_argument("--scale", type=float, default=0.2)
+    profile.add_argument("--scale", type=positive_scale, default=0.2)
     profile.add_argument("--top", type=int, default=12,
                          help="functions shown per phase")
     profile.set_defaults(func=cmd_profile)
@@ -699,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="benchmark to replicate on every core")
     mix.add_argument("--cores", type=int, default=4)
     mix.add_argument("--prefetcher", default="ipcp")
-    mix.add_argument("--scale", type=float, default=0.25)
+    mix.add_argument("--scale", type=positive_scale, default=0.25)
     add_runner_options(mix)
     mix.set_defaults(func=cmd_mix)
 

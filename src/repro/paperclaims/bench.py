@@ -1,11 +1,10 @@
 """BENCH_10.json: telemetry from one full claim run.
 
-The driver compares BENCH files across PRs, so the schema is additive
-and the numbers are machine-local measurements, not asserted values:
-simulator throughput (scalar and batched engines, suite and
-compute-dense mixes), cached-replay rate, per-cell wall time and the
-claim pass counts.  No timestamps — the file should only change when
-the run actually changes.
+The numbers are machine-local measurements, not asserted values: the
+claim pass counts, executed and cached simulations, the cached-replay
+rate and per-cell wall time.  Simulator speed is the benchmark's job
+(``BENCHMARK.json``), not a claim run's.  No timestamps — the file
+should only change when the run actually changes.
 """
 
 from __future__ import annotations
@@ -38,18 +37,6 @@ def bench_payload(report: EngineReport,
             "executed": report.simulations_run,
             "cache_hits": report.cache_hits,
             "cached_replay_rate": round(report.cached_replay_rate, 4),
-        },
-        "throughput_records_per_s": {
-            "baseline": round(report.values.get("thr.baseline", 0.0), 1),
-            "ipcp": round(report.values.get("thr.ipcp", 0.0), 1),
-            "batched_baseline": round(
-                report.values.get("thr.batched_baseline", 0.0), 1),
-            "batched_ipcp": round(
-                report.values.get("thr.batched_ipcp", 0.0), 1),
-            "dense_baseline": round(
-                report.values.get("thr.dense_baseline", 0.0), 1),
-            "dense_batched_baseline": round(
-                report.values.get("thr.dense_batched_baseline", 0.0), 1),
         },
         "wall_seconds": {
             "total": round(wall_seconds, 2),

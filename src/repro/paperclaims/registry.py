@@ -8,9 +8,6 @@ claims hold the thresholds those measurements must meet.
 
 from __future__ import annotations
 
-import statistics
-import time
-
 from repro.paperclaims.cells import (
     Cell,
     CellContext,
@@ -688,45 +685,6 @@ def _cell_mix_suite(ctx: CellContext) -> dict[str, float]:
     return values
 
 
-def _cell_throughput(ctx: CellContext) -> dict[str, float]:
-    from repro.core import IpcpL1, IpcpL2
-    from repro.sim.batched import simulate_batched
-    from repro.sim.engine import simulate
-    from repro.workloads import compute_dense_trace, spec_trace
-
-    trace = spec_trace("lbm_like", 0.5)
-    dense = compute_dense_trace()
-
-    def rates(work, sides, reps=5) -> dict[str, float]:
-        # Median of interleaved rounds: each round times every side of
-        # the ratio predicates once, so a slow phase of the host (a busy
-        # sibling worker in a cold run) hits both sides of a ratio alike.
-        # A fresh prefetcher pair per run keeps runs cold.
-        seconds = {name: [] for name in sides}
-        for _ in range(reps):
-            for name, (engine, ipcp) in sides.items():
-                levels = ({"l1_prefetcher": IpcpL1(),
-                           "l2_prefetcher": IpcpL2()} if ipcp else {})
-                start = time.perf_counter()
-                engine(work, **levels)
-                seconds[name].append(time.perf_counter() - start)
-        return {name: len(work) / statistics.median(times)
-                for name, times in seconds.items()}
-
-    return {
-        **rates(trace, {
-            "thr.baseline": (simulate, False),
-            "thr.ipcp": (simulate, True),
-            "thr.batched_baseline": (simulate_batched, False),
-            "thr.batched_ipcp": (simulate_batched, True),
-        }),
-        **rates(dense, {
-            "thr.dense_baseline": (simulate, False),
-            "thr.dense_batched_baseline": (simulate_batched, False),
-        }),
-    }
-
-
 #: Frontend (instruction-side) suite scale and configurations.  The
 #: frontend engine is scalar and in-process (no batched kernel yet), so
 #: the cell computes directly rather than through the shared backend.
@@ -815,7 +773,6 @@ CELLS = [
     Cell("abl_path", "all-mcf pathological mix", _cell_abl_pathological),
     Cell("abl_mixdist", "heterogeneous-mix distribution", _cell_abl_mixdist),
     Cell("mix_suite", "MPKI-graded mix1-mix7 suite", _cell_mix_suite),
-    Cell("throughput", "simulator throughput", _cell_throughput),
     Cell("frontend", "instruction-prefetching suite", _cell_frontend),
 ]
 
@@ -1371,27 +1328,6 @@ CLAIMS = [
             Band("abl.mixdist.ipcp.geomean", lo=1.02),
             Band("abl.mixdist.ipcp.min", lo=0.85),
             Band("abl.mixdist.ipcp.wins", lo=7),
-        ),
-    ),
-    Claim(
-        id="bench-throughput", section="ablations",
-        title="Simulator throughput guard",
-        paper="repository guard, not a paper artifact: pure-Python "
-              "simulation must stay on the order of 10^5 records/s "
-              "(floors ~10x below current, catching quadratic bugs), "
-              "and the batched columnar engine must keep beating the "
-              "scalar oracle — modestly on suite mixes (Amdahl: ~15% "
-              "memory events), by a wide margin on the compute-dense "
-              "mix (the hard >=10x gate lives in the benchmark)",
-        cells=("throughput",),
-        predicates=(
-            Band("thr.baseline", lo=10_000),
-            Band("thr.ipcp", lo=5_000),
-            RatioBand("thr.ipcp", "thr.baseline", lo=0.2),
-            RatioBand("thr.batched_baseline", "thr.baseline", lo=1.0),
-            RatioBand("thr.batched_ipcp", "thr.ipcp", lo=1.0),
-            RatioBand("thr.dense_batched_baseline", "thr.dense_baseline",
-                      lo=5.0),
         ),
     ),
     Claim(

@@ -402,12 +402,6 @@ def _m_abl_mixdist(v):
             f"{v['abl.mixdist.ipcp.wins']:.0f}/12")
 
 
-def _m_throughput(v):
-    return ("machine-dependent — order-of-magnitude floors plus "
-            "batched-vs-scalar ratio gates; live numbers land in "
-            "`BENCH_10.json`")
-
-
 def _m_mix_mpki(v):
     mpki = [v[f"mix.mpki.mix{i}"] for i in range(1, 8)]
     chain = " -> ".join(_f2(value) for value in mpki)
@@ -505,7 +499,6 @@ MEASURED = {
     "abl-opportunity": _m_abl_opp,
     "abl-pathological-mix": _m_abl_path,
     "abl-mix-distribution": _m_abl_mixdist,
-    "bench-throughput": _m_throughput,
     "mix-mpki-gradient": _m_mix_mpki,
     "mix-weighted-speedup": _m_mix_ws,
     "mix-gradient-ordering": _m_mix_ordering,

@@ -10,6 +10,7 @@ single-core runs, two channels for multi-core runs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -121,8 +122,13 @@ class DramParams:
     def __post_init__(self) -> None:
         if self.channels < 1:
             raise ConfigurationError("DRAM needs at least one channel")
-        if self.bandwidth_gbps <= 0:
-            raise ConfigurationError("DRAM bandwidth must be positive")
+        # Written so NaN fails too: every comparison with it is false.
+        if not 0 < self.bandwidth_gbps < math.inf:
+            raise ConfigurationError(
+                "DRAM bandwidth must be a finite number above 0")
+        if not 0 < self.core_ghz < math.inf:
+            raise ConfigurationError(
+                "core clock must be a finite number above 0")
         if self.base_latency < 1:
             raise ConfigurationError("DRAM base latency must be >= 1")
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.config_io import system_to_dict
 from repro.errors import ConfigurationError, ReproError
 from repro.params import SystemParams
-from repro.sim.batched import validate_engine
 from repro.sim.trace import _RECORD, Trace
 
 # Kinds of work a job can describe.
@@ -117,16 +116,9 @@ class JobSpec:
     max_instructions: int | None = None
     roi: int | None = None
     seed: int = 1
-    engine: str = "scalar"
 
     def cache_key(self) -> str:
-        """Content-addressed key for this cell's result.
-
-        The engine selector salts the key even though both engines must
-        produce identical results: a cached cell then always records
-        which code path produced it, and an engine-equivalence bug can
-        never be masked by one engine replaying the other's cache entry.
-        """
+        """Content-addressed key for this cell's result."""
         payload = json.dumps(
             {
                 "kind": self.kind,
@@ -137,7 +129,6 @@ class JobSpec:
                 "max_instructions": self.max_instructions,
                 "roi": self.roi,
                 "seed": self.seed,
-                "engine": self.engine,
                 "salt": code_salt(),
             },
             sort_keys=True,
@@ -155,7 +146,6 @@ def levels_job(
     params: SystemParams | None = None,
     warmup: int | None = None,
     max_instructions: int | None = None,
-    engine: str = "scalar",
 ) -> JobSpec:
     """Spec for one single-core (trace x registered configuration) cell."""
     return JobSpec(
@@ -167,7 +157,6 @@ def levels_job(
         params=params,
         warmup=warmup,
         max_instructions=max_instructions,
-        engine=validate_engine(engine),
     )
 
 
@@ -294,7 +283,6 @@ def execute_job(spec: JobSpec):
             params=spec.params,
             warmup=spec.warmup,
             max_instructions=spec.max_instructions,
-            engine=spec.engine,
         )
     if spec.kind == KIND_ALONE_IPC:
         from repro.sim.multicore import _simulate_together

@@ -29,8 +29,9 @@ Configurations the fused loop does not model (custom hierarchies,
 non-LRU replacement, non-IPCP prefetchers, the temporal extension, a
 trace whose fields do not fit the columnar decode) transparently fall
 back to the scalar engine — :func:`support_reason` alone makes that
-decision and names the reason, and the returned ``SimResult.engine``
-says which path actually ran.
+decision and names the reason.  Nothing but
+:func:`repro.sim.engine.simulate` (``engine="batched"``) and direct
+calls of :func:`simulate_batched` runs this engine.
 The scalar engine stays the differential oracle: results must be
 bit-identical (``SimResult.__eq__``) for every supported configuration,
 which ``repro verify`` checks via :mod:`repro.verify.cross_engine`.
@@ -55,9 +56,6 @@ from repro.sim.branch import GsharePredictor
 from repro.sim.engine import SimResult, simulate
 from repro.sim.trace import BRANCH, LOAD, STORE, Trace
 
-#: Engine selector values accepted across the runner/CLI surface.
-ENGINES = ("scalar", "batched")
-
 #: Default number of records gathered per columnar window.
 DEFAULT_CHUNK_RECORDS = 8192
 
@@ -65,15 +63,6 @@ _MPKI_WINDOW = Cache.MPKI_WINDOW
 
 #: ``PfClass`` value -> 2-bit ``MetaClass`` wire field (L1 metadata).
 _META_OF_CLASS = {1: 1, 3: 2, 4: 3, 2: 0}  # CS, GS, NL, CPLX
-
-
-def validate_engine(engine: str) -> str:
-    """Check an ``engine=`` selector value; returns it when valid."""
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
 
 
 def _inert(prefetcher) -> bool:
@@ -561,8 +550,8 @@ def simulate_batched(
     Accepts exactly the :func:`repro.sim.engine.simulate` signature
     (plus ``chunk_records``, the columnar gather window) and returns a
     bit-identical :class:`SimResult`; unsupported configurations fall
-    back to the scalar engine transparently (see :func:`support_reason`),
-    and only a fused run returns ``engine="batched"``.  Live prefetcher
+    back to the scalar engine transparently (see :func:`support_reason`,
+    which also tells a caller whether the fused loop ran).  Live prefetcher
     objects are mutated in place through their ``batch_state()``
     handles, so their post-run state also matches a scalar run.
     """
@@ -1301,5 +1290,4 @@ def simulate_batched(
                        if l1_prefetcher is not None else None),
         l2_prefetcher=(l2_prefetcher.summary()
                        if l2_prefetcher is not None else None),
-        engine="batched",
     )

@@ -9,8 +9,9 @@ defaults scale down proportionally while keeping the warm-up/ROI split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.memsys.cache import CacheStats, InstructionCounter
 from repro.memsys.hierarchy import Hierarchy, build_hierarchy
 from repro.params import SystemParams
@@ -27,11 +28,6 @@ class SimResult:
     live prefetcher objects — so a result pickles cleanly across process
     boundaries and into the persistent result cache without dragging
     prefetcher internals (tables, filters, throttlers) along.
-
-    ``engine`` names the engine that actually ran: ``"batched"`` only
-    when the fused columnar loop did, ``"scalar"`` otherwise (including
-    a batched request that fell back).  It is left out of equality, so
-    results from the two engines still compare bit for bit.
     """
 
     trace_name: str
@@ -45,7 +41,6 @@ class SimResult:
     dram_writes: int
     l1_prefetcher: PrefetcherSummary | None = None
     l2_prefetcher: PrefetcherSummary | None = None
-    engine: str = field(default="scalar", compare=False)
 
     @property
     def ipc(self) -> float:
@@ -136,21 +131,26 @@ def simulate(
     dispatches to :func:`repro.sim.batched.simulate_batched` — a fused
     columnar engine that returns a bit-identical :class:`SimResult`
     and falls back to the scalar path for configurations it cannot
-    model (see :doc:`docs/engine`).  The result's ``engine`` field
-    names the path that ran.
+    model (:func:`repro.sim.batched.support_reason` says which; see
+    :doc:`docs/engine`).  This is the only selector: the runner, the
+    CLI and the claim registry always take the scalar path.
     """
-    # Deferred import: repro.sim.batched imports this module for the
-    # SimResult type and the scalar fallback, so binding lazily avoids
-    # a circular import.  The fallback calls simulate() with the
-    # default engine, so dispatch cannot recurse.
-    from repro.sim.batched import simulate_batched, validate_engine
+    if engine == "batched":
+        # Deferred import: repro.sim.batched imports this module for
+        # the SimResult type and the scalar fallback, and only a
+        # batched request needs it loaded.  The fallback calls
+        # simulate() with the default engine, so dispatch cannot recurse.
+        from repro.sim.batched import simulate_batched
 
-    if validate_engine(engine) == "batched":
         return simulate_batched(
             trace, l1_prefetcher, l2_prefetcher, llc_prefetcher,
             params=params, warmup=warmup,
             max_instructions=max_instructions,
             hierarchy=hierarchy,
+        )
+    if engine != "scalar":
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected 'scalar' or 'batched'"
         )
     params = params or SystemParams()
     if hierarchy is None:

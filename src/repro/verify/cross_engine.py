@@ -117,7 +117,7 @@ def _compare(trace, config: str, label: str, warmup=None,
         workload=trace.name,
         config=config,
         label=label,
-        fused=batched.engine == "batched",
+        fused=reason is None,
         reason=reason,
         match=scalar == batched,
     )

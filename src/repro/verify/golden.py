@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from repro.errors import ReproError
 from repro.params import CacheParams, SystemParams
@@ -74,16 +74,12 @@ def non_lru_system(policy: str) -> SystemParams:
 
 
 def result_digest(result) -> str:
-    """blake2b-16 over the sorted-key JSON of the fields ``==`` compares.
+    """blake2b-16 over the sorted-key JSON of every field of a result.
 
     Serves :class:`SimResult` and :class:`~repro.sim.multicore.MixResult`
-    alike; a field outside equality (``SimResult.engine``) stays out.
+    alike.
     """
-    document = asdict(result)
-    for item in fields(result):
-        if not item.compare:
-            del document[item.name]
-    payload = json.dumps(document, sort_keys=True).encode()
+    payload = json.dumps(asdict(result), sort_keys=True).encode()
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 

@@ -1,6 +1,9 @@
-"""Batched columnar engine: fallback contract, equivalence, cache salt."""
+"""Batched columnar engine: fallback contract, equivalence, reach."""
 
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +13,10 @@ from repro.analysis import sweep_system
 from repro.memsys.hierarchy import build_hierarchy
 from repro.params import SystemParams
 from repro.prefetchers import make_prefetcher
-from repro.runner import levels_job
 from repro.sim.batched import (
     DEFAULT_CHUNK_RECORDS,
-    ENGINES,
     simulate_batched,
     support_reason,
-    validate_engine,
 )
 from repro.sim.engine import simulate
 from repro.sim.trace import BRANCH, LOAD, OTHER, STORE, Trace
@@ -38,28 +38,35 @@ def small_trace() -> Trace:
 
 
 class TestEngineSelector:
-    def test_engines_tuple(self):
-        assert ENGINES == ("scalar", "batched")
-
-    def test_validate_engine_accepts_known(self):
-        for engine in ENGINES:
-            assert validate_engine(engine) == engine
-
-    def test_validate_engine_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            validate_engine("turbo")
-
     def test_simulate_dispatches_on_engine(self, small_trace):
+        assert support_reason(
+            small_trace, *build_levels("ipcp"), SystemParams(), None,
+        ) is None
         scalar = simulate(small_trace, *build_levels("ipcp"))
         batched = simulate(small_trace, *build_levels("ipcp"),
                            engine="batched")
-        assert scalar.engine == "scalar"
-        assert batched.engine == "batched"
         assert scalar == batched
 
     def test_simulate_rejects_unknown_engine(self, small_trace):
         with pytest.raises(ConfigurationError):
             simulate(small_trace, engine="turbo")
+
+    def test_only_simulate_loads_the_batched_engine(self):
+        # The runner, the CLI and the claim registry always simulate
+        # scalar, so none of them may import the batched engine.
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.paperclaims, repro.runner\n"
+            "from repro.runner import SimulationRunner, levels_job\n"
+            "from repro.workloads import spec_trace\n"
+            "spec = levels_job(spec_trace('lbm_like', 0.02), 'ipcp')\n"
+            "[result] = SimulationRunner().run([spec])\n"
+            "assert result.instructions > 0\n"
+            "assert 'repro.sim.batched' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFallbackContract:
@@ -76,15 +83,18 @@ class TestFallbackContract:
         ) == "caller-supplied hierarchy"
         result = simulate_batched(small_trace, params=params,
                                   hierarchy=hierarchy)
-        assert result.engine == "scalar"
         assert result == simulate(small_trace,
                                   hierarchy=build_hierarchy(params))
 
     def test_non_lru_replacement_forces_fallback(self, small_trace):
         params = sweep_system(replacement="srrip")
+        assert support_reason(
+            small_trace, *build_levels("ipcp"), params, None,
+        ) == "llc replacement policy is not lru"
         result = simulate_batched(small_trace, *build_levels("ipcp"),
                                   params=params)
-        assert result.engine == "scalar"
+        assert result == simulate(small_trace, *build_levels("ipcp"),
+                                  params=params)
 
     def test_foreign_prefetcher_forces_fallback(self, small_trace):
         l1, l2, llc = build_levels("mlop")
@@ -94,9 +104,11 @@ class TestFallbackContract:
         assert reason is not None
 
     def test_fallback_still_matches_scalar(self, small_trace):
+        assert support_reason(
+            small_trace, *build_levels("mlop"), SystemParams(), None,
+        ) is not None
         scalar = simulate(small_trace, *build_levels("mlop"))
         batched = simulate_batched(small_trace, *build_levels("mlop"))
-        assert batched.engine == "scalar"
         assert scalar == batched
 
     def test_undecodable_trace_forces_fallback(self):
@@ -108,7 +120,6 @@ class TestFallbackContract:
         )
         assert reason.startswith("columnar decode failed")
         batched = simulate_batched(trace, *build_levels("ipcp"))
-        assert batched.engine == "scalar"
         assert batched == simulate(trace, *build_levels("ipcp"))
 
     def test_chunk_records_validated(self, small_trace):
@@ -167,26 +178,6 @@ class TestEquivalence:
         trace = Trace([], name="empty")
         assert simulate(trace, *build_levels("ipcp")) == \
             simulate_batched(trace, *build_levels("ipcp"))
-
-
-class TestCacheKeySalting:
-    def test_engine_salts_cache_key(self, small_trace):
-        scalar_key = levels_job(small_trace, "ipcp").cache_key()
-        batched_key = levels_job(small_trace, "ipcp",
-                                 engine="batched").cache_key()
-        assert scalar_key != batched_key
-
-    def test_job_builder_validates_engine(self, small_trace):
-        with pytest.raises(ConfigurationError):
-            levels_job(small_trace, "ipcp", engine="turbo")
-
-    def test_executed_results_are_engine_independent(self, small_trace):
-        from repro.runner.job import execute_job
-
-        scalar = execute_job(levels_job(small_trace, "ipcp"))
-        batched = execute_job(levels_job(small_trace, "ipcp",
-                                         engine="batched"))
-        assert scalar == batched
 
 
 class TestColumnsMemoization:
@@ -252,10 +243,12 @@ class TestPropertyEquivalence:
                                          budget, chunk):
         scalar = simulate(trace, *build_levels(config),
                           warmup=warmup, max_instructions=budget)
+        assert support_reason(
+            trace, *build_levels(config), SystemParams(), None,
+        ) is None
         batched = simulate_batched(trace, *build_levels(config),
                                    warmup=warmup, max_instructions=budget,
                                    chunk_records=chunk)
-        assert batched.engine == "batched"
         assert scalar == batched
 
     def test_throttle_epochs_covered(self):
@@ -271,9 +264,11 @@ class TestPropertyEquivalence:
                 rolls.append(1)
                 close()
             throttle._close_epoch = counted
+        assert support_reason(
+            trace, b_l1, b_l2, b_llc, SystemParams(), None,
+        ) is None
         scalar = simulate(trace, s_l1, s_l2, s_llc)
         batched = simulate_batched(trace, b_l1, b_l2, b_llc)
-        assert batched.engine == "batched"
         assert rolls, "trace too short to roll a single throttle epoch"
         assert scalar == batched
         for pf_class, throttle in s_l1.throttles.items():

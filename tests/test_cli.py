@@ -100,6 +100,9 @@ class TestCommands:
         assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        # Only simulate(engine=...) selects an engine.
+        ["run", "--workload", "lbm_like", "--engine", "batched"],
+        ["compare", "--workloads", "lbm_like", "--engine", "batched"],
         ["mix", "--workload", "lbm_like", "--engine", "batched"],
         ["frontend", "--engine", "batched"],
         ["trace", "--workload", "lbm_like"],
@@ -289,6 +292,23 @@ class TestRunnerOptions:
                      "--no-cache"])
         assert code == 2
         assert "power-of-two" in capsys.readouterr().err
+
+    def test_sweep_rejects_a_malformed_bandwidth(self, capsys):
+        code = main(["sweep", "--axis", "dram-bandwidth",
+                     "--values", "12.8,fast", "--workloads", "bwaves_like",
+                     "--scale", "0.05", "--no-cache"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad bandwidth 'fast'")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_sweep_rejects_a_non_finite_bandwidth(self, value, capsys):
+        code = main(["sweep", "--axis", "dram-bandwidth", "--values", value,
+                     "--workloads", "bwaves_like", "--scale", "0.05",
+                     "--no-cache"])
+        assert code == ConfigurationError.exit_code
+        assert "DRAM bandwidth" in capsys.readouterr().err
 
     def test_parse_size_suffixes(self):
         from repro.cli import parse_size
@@ -494,6 +514,37 @@ class TestErrorHygiene:
                      "--retries", "1", "--no-cache", "--degraded"])
         assert code == 0
         assert "FAILED(JobTimeout)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "lbm_like", "--scale"],
+        ["compare", "--workloads", "lbm_like", "--scale"],
+        ["sweep", "--axis", "l1-size", "--values", "32k",
+         "--workloads", "lbm_like", "--scale"],
+        ["analyze", "--workload", "lbm_like", "--scale"],
+        ["dump-trace", "--workload", "lbm_like", "--out", "t.rib",
+         "--scale"],
+        ["mix", "--workload", "lbm_like", "--scale"],
+        ["profile", "--workload", "lbm_like", "--scale"],
+        ["frontend", "--scale"],
+        ["verify", "--scale"],
+        ["verify", "--invariant-scale"],
+    ])
+    def test_scale_must_be_finite_and_positive(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [value])
+        assert excinfo.value.code == 2
+        assert "expected a finite number above 0" in capsys.readouterr().err
+
+    def test_mutate_refuses_a_timeout(self, capsys):
+        # A mutation patches the simulator in this process, and a
+        # timeout needs worker processes: refuse the pair up front.
+        code = main(["paper", "--check", "--mutate", "cs-off",
+                     "--jobs", "2", "--timeout", "30"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--mutate" in captured.err and "--timeout" in captured.err
+        assert "forcing" not in captured.out
 
     def test_timeout_with_one_job_is_rejected(self, capsys):
         # One job runs in-process, where no deadline can be enforced.

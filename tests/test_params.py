@@ -1,5 +1,7 @@
 """Tests for repro.params: Table II geometry and validation."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -125,6 +127,12 @@ class TestDramParams:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ConfigurationError):
             DramParams(bandwidth_gbps=0)
+
+    @pytest.mark.parametrize("field", ["bandwidth_gbps", "core_ghz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_nonpositive_rate(self, field, value):
+        with pytest.raises(ConfigurationError):
+            DramParams(**{field: value})
 
 
 class TestCoreParams:
