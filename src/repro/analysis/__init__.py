@@ -4,12 +4,10 @@ from repro.analysis.experiments import (
     ExperimentRunner,
     run_levels,
 )
-from repro.analysis.sweep import run_sweep, sweep_dram_bandwidth, sweep_system
+from repro.analysis.sweep import sweep_system
 
 __all__ = [
     "ExperimentRunner",
     "run_levels",
-    "run_sweep",
-    "sweep_dram_bandwidth",
     "sweep_system",
 ]

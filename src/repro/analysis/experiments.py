@@ -1,13 +1,14 @@
 """High-level experiment runner behind the claim cells and the CLI.
 
-:class:`ExperimentRunner` runs (trace x named-configuration) cells on
-top of :class:`repro.runner.SimulationRunner`: cells fan out across
-worker processes (``jobs=N``), land in a persistent content-addressed
-cache (``cache_dir=...``) and are additionally memoized in-process, so
-a claim run that measures several figures over the same suite
-simulates each cell at most once — and a *second* run over the same
-suite simulates nothing at all.  Named configurations come
-from the prefetcher registry
+:class:`ExperimentRunner` runs (trace x named-configuration x system
+parameters) cells on top of :class:`repro.runner.SimulationRunner`:
+cells fan out across the runner's worker processes, land in its
+persistent content-addressed cache and are additionally memoized
+in-process, so a claim run that measures several figures over the same
+suite simulates each cell at most once — and a *second* run over the
+same suite simulates nothing at all.  A sensitivity sweep is the same
+grid with the system parameters as one more coordinate.  Named
+configurations come from the prefetcher registry
 (:func:`repro.prefetchers.make_prefetcher`).
 """
 
@@ -18,7 +19,7 @@ from collections.abc import Iterable
 from repro.params import SystemParams
 from repro.prefetchers import make_prefetcher
 from repro.resilience import JobFailure
-from repro.runner import ResultCache, SimulationRunner, levels_job
+from repro.runner import SimulationRunner, levels_job
 from repro.sim.engine import SimResult, simulate
 from repro.sim.trace import Trace
 from repro.stats.metrics import geometric_mean, speedup
@@ -56,85 +57,82 @@ def run_levels(
 
 
 class ExperimentRunner:
-    """Memoizing (trace, config) -> SimResult runner over a fixed suite.
+    """Memoizing ``(trace, config[, params]) -> SimResult`` grid over a suite.
 
-    ``jobs`` and ``cache_dir`` configure a private
-    :class:`SimulationRunner`; alternatively a shared ``runner`` may be
-    injected (the claim harness does this so every claim cell draws
-    from one pool and one cache).
+    A cell names a trace of the suite, a registered configuration and,
+    optionally, the :class:`SystemParams` to simulate it on (``None``,
+    the default, is Table II).  ``runner`` is the
+    :class:`SimulationRunner` every cell resolves through (default:
+    serial and uncached); the claim harness and the CLI pass a shared
+    one, so every grid draws from one pool and one cache.
     """
 
     def __init__(
         self,
         traces: list[Trace],
-        params: SystemParams | None = None,
-        jobs: int = 1,
-        cache_dir: str | None = None,
         runner: SimulationRunner | None = None,
     ) -> None:
         self.traces = {trace.name: trace for trace in traces}
-        self.params = params
-        if runner is None:
-            cache = ResultCache(cache_dir) if cache_dir else None
-            runner = SimulationRunner(jobs=jobs, cache=cache)
-        self.runner = runner
-        self._cache: dict[tuple[str, str], SimResult] = {}
+        self.runner = runner if runner is not None else SimulationRunner()
+        self._cache: dict[tuple, SimResult] = {}
 
     @property
     def simulations_run(self) -> int:
         """Simulations actually executed (cache hits excluded)."""
         return self.runner.simulations_run
 
-    def _spec(self, trace_name: str, config_name: str):
-        return levels_job(self.traces[trace_name], config_name, self.params)
-
-    def ensure(self, cells: Iterable[tuple[str, str]]) -> None:
-        """Resolve a batch of (trace, config) cells in one fan-out.
+    def ensure(self, cells: Iterable[tuple]) -> None:
+        """Resolve a batch of ``(trace, config[, params])`` cells in one
+        fan-out.
 
         This is where parallelism comes from: a figure that needs a
-        whole grid should ensure it up front rather than pulling cells
-        one at a time through :meth:`result`.
+        whole grid — every swept parameter point included — should
+        ensure it up front rather than pulling cells one at a time
+        through :meth:`result`.
         """
-        missing: list[tuple[str, str]] = []
+        missing: dict[tuple, None] = {}
         for cell in cells:
-            if cell not in self._cache and cell not in missing:
-                missing.append(cell)
+            key = tuple(cell) if len(cell) == 3 else (*cell, None)
+            if key not in self._cache:
+                missing[key] = None
         if not missing:
             return
-        specs = [self._spec(*cell) for cell in missing]
-        for cell, payload in zip(missing, self.runner.run(specs)):
-            self._cache[cell] = payload
+        specs = [levels_job(self.traces[name], config, params)
+                 for name, config, params in missing]
+        for key, payload in zip(missing, self.runner.run(specs)):
+            self._cache[key] = payload
 
-    def result(self, trace_name: str, config_name: str) -> SimResult:
+    def result(self, trace_name: str, config_name: str,
+               params: SystemParams | None = None) -> SimResult:
         """Run (or recall) one cell."""
-        key = (trace_name, config_name)
+        key = (trace_name, config_name, params)
         if key not in self._cache:
             self.ensure([key])
         return self._cache[key]
 
-    def speedups(self, config_name: str, baseline: str = "none"
-                 ) -> dict[str, float]:
+    def speedups(self, config_name: str, baseline: str = "none",
+                 params: SystemParams | None = None) -> dict[str, float]:
         """Per-trace speedup of ``config_name`` over ``baseline``."""
         self.ensure(
-            (name, config)
+            (name, config, params)
             for name in self.traces
             for config in (config_name, baseline)
         )
         return {
-            name: _cell_speedup(
-                self.result(name, config_name), self.result(name, baseline)
-            )
+            name: _cell_speedup(self.result(name, config_name, params),
+                                self.result(name, baseline, params))
             for name in self.traces
         }
 
-    def mean_speedup(self, config_name: str, baseline: str = "none"):
+    def mean_speedup(self, config_name: str, baseline: str = "none",
+                     params: SystemParams | None = None):
         """Geometric-mean speedup over the suite (the paper's averages).
 
         If any contributing cell failed (degraded runner), the mean is
         that failure — an explicit ``FAILED(...)`` beats a silently
         partial geomean.
         """
-        values = list(self.speedups(config_name, baseline).values())
+        values = list(self.speedups(config_name, baseline, params).values())
         for value in values:
             if isinstance(value, JobFailure):
                 return value
@@ -163,3 +161,29 @@ class ExperimentRunner:
             mean_row.append(self.mean_speedup(config, baseline))
         rows.append(mean_row)
         return rows
+
+    def sweep_table(
+        self,
+        config_names: list[str],
+        points: Iterable[tuple[str, SystemParams]],
+        baseline: str = "none",
+    ) -> list[list]:
+        """Rows of [point label, geomean speedup per config...].
+
+        ``points`` are ``(label, params)`` pairs, one per swept value.
+        The whole (point x trace x config) grid resolves in one
+        fan-out; a failed cell (degraded runner) renders as its
+        failure, as in :meth:`mean_speedup`.
+        """
+        points = list(points)
+        self.ensure(
+            (name, config, params)
+            for _, params in points
+            for name in self.traces
+            for config in [*config_names, baseline]
+        )
+        return [
+            [label] + [self.mean_speedup(config, baseline, params)
+                       for config in config_names]
+            for label, params in points
+        ]

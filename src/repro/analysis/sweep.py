@@ -1,10 +1,11 @@
 """Parameter sweeps for the paper's sensitivity studies (Section VI-C).
 
-Each helper builds a :class:`~repro.params.SystemParams` variant —
-different DRAM bandwidth, cache sizes, PQ/MSHR budgets or replacement
-policy — so the sensitivity claims can rerun the same suite across
-the swept axis.  :func:`run_sweep` executes such a swept grid through
-the parallel simulation runner in a single fan-out.
+:func:`sweep_system` builds a :class:`~repro.params.SystemParams`
+variant — different DRAM bandwidth, cache sizes, PQ/MSHR budgets or
+replacement policy — so the sensitivity claims can rerun the same
+suite across the swept axis.  The variant is one more coordinate of an
+:class:`~repro.analysis.ExperimentRunner` grid, so a whole sweep
+resolves in a single fan-out (see ``ExperimentRunner.sweep_table``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from repro.params import (
     default_l2,
     default_llc,
 )
-from repro.resilience import JobFailure
-from repro.runner import ResultCache, SimulationRunner, levels_job
-from repro.stats.metrics import geometric_mean
 
 
 def _validated_ways(level: str, size: int, candidates: tuple[int, ...]) -> int:
@@ -87,66 +85,3 @@ def sweep_system(
     if dram_bandwidth_gbps is not None:
         dram = replace(dram, bandwidth_gbps=dram_bandwidth_gbps)
     return SystemParams(core=CoreParams(), l1d=l1, l2=l2, llc=llc, dram=dram)
-
-
-def sweep_dram_bandwidth(bandwidths_gbps: list[float]) -> list[SystemParams]:
-    """One SystemParams per bandwidth point (the 3.2/12.8/25 GB/s study)."""
-    return [sweep_system(dram_bandwidth_gbps=bw) for bw in bandwidths_gbps]
-
-
-def run_sweep(
-    traces,
-    config_names: list[str],
-    params_list: list[SystemParams],
-    baseline: str = "none",
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    runner: SimulationRunner | None = None,
-) -> list[dict[str, float]]:
-    """Mean speedups for every swept parameter point, in one fan-out.
-
-    Builds the full (params x trace x config) job grid up front and
-    resolves it through one :class:`SimulationRunner` batch, so worker
-    processes stay busy across the whole sensitivity axis and every
-    cell lands in the persistent cache.  Returns one
-    ``{config: geometric-mean speedup over baseline}`` dict per entry
-    of ``params_list``.
-    """
-    if runner is None:
-        cache = ResultCache(cache_dir) if cache_dir else None
-        runner = SimulationRunner(jobs=jobs, cache=cache)
-    configs = [baseline] + [c for c in config_names if c != baseline]
-    grid = [
-        (point, trace, config)
-        for point in range(len(params_list))
-        for trace in traces
-        for config in configs
-    ]
-    specs = [levels_job(trace, config, params_list[point])
-             for point, trace, config in grid]
-    cells = {
-        (point, trace.name, config): result
-        for (point, trace, config), result in zip(grid, runner.run(specs))
-    }
-    rows: list[dict[str, float]] = []
-    for point in range(len(params_list)):
-        row = {}
-        for config in config_names:
-            pairs = [(cells[(point, trace.name, config)],
-                      cells[(point, trace.name, baseline)])
-                     for trace in traces]
-            # With a degraded runner a terminally-failed cell arrives
-            # as a JobFailure; surface it in the swept row instead of
-            # averaging over a silently partial suite.
-            failure = next(
-                (cell for pair in pairs for cell in pair
-                 if isinstance(cell, JobFailure)), None,
-            )
-            if failure is not None:
-                row[config] = failure
-            else:
-                row[config] = geometric_mean([
-                    result.speedup_over(base) for result, base in pairs
-                ])
-        rows.append(row)
-    return rows

@@ -36,7 +36,7 @@ import argparse
 import math
 import sys
 
-from repro.analysis import ExperimentRunner, run_levels, run_sweep
+from repro.analysis import ExperimentRunner, run_levels
 from repro.analysis.tracestats import analyze_trace
 from repro.errors import ReproError, TraceError, exit_code_for
 from repro.ingest import (
@@ -138,8 +138,9 @@ def parse_bandwidth(text: str) -> float:
                          f"e.g. 12.8")
 
 
-def positive_scale(text: str) -> float:
-    """Argparse type of every workload scale: a finite number above 0."""
+def positive_finite(text: str) -> float:
+    """Argparse type of every workload scale and of ``--timeout``: a
+    finite number above 0."""
     try:
         value = float(text)
     except ValueError:
@@ -173,31 +174,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_frontend(args) -> int:
-    """Compare instruction prefetchers over the frontend-bound suite."""
-    from repro.frontend import make_frontend_prefetcher, simulate_frontend
-
-    names = (list(FRONTEND_BENCHMARKS) if args.workloads == "all"
-             else args.workloads.split(","))
-    configs = [c for c in args.prefetchers.split(",") if c != "none"]
-    rows = []
-    for name in names:
-        trace = frontend_trace(name, args.scale)
-        baseline = simulate_frontend(trace)
-        rows.append([name, "none", 1.0, baseline.l1i_mpki, "-",
-                     baseline.walks_pki])
-        for config in configs:
-            result = simulate_frontend(trace,
-                                       make_frontend_prefetcher(config))
-            rows.append([name, config, result.speedup_over(baseline),
-                         result.l1i_mpki, result.coverage_over(baseline),
-                         result.walks_pki])
-    print(format_table(
-        ["workload", "prefetcher", "speedup", "L1-I MPKI", "coverage",
-         "walks/ki"], rows))
-    return 0
-
-
 def cmd_compare(args) -> int:
     """Render a (trace x config) speedup table."""
     traces = [build_trace(name, args.scale)
@@ -221,25 +197,21 @@ def cmd_sweep(args) -> int:
     traces = [build_trace(name, args.scale)
               for name in args.workloads.split(",")]
     configs = args.prefetchers.split(",")
-    values = args.values.split(",")
-    params_list = []
-    for value in values:
+    points = []
+    for value in args.values.split(","):
         if args.axis == "dram-bandwidth":
-            params_list.append(
-                sweep_system(dram_bandwidth_gbps=parse_bandwidth(value)))
+            params = sweep_system(dram_bandwidth_gbps=parse_bandwidth(value))
         elif args.axis == "l1-size":
-            params_list.append(sweep_system(l1_size=parse_size(value)))
+            params = sweep_system(l1_size=parse_size(value))
         elif args.axis == "l2-size":
-            params_list.append(sweep_system(l2_size=parse_size(value)))
+            params = sweep_system(l2_size=parse_size(value))
         elif args.axis == "llc-size":
-            params_list.append(sweep_system(llc_size=parse_size(value)))
+            params = sweep_system(llc_size=parse_size(value))
         else:
-            params_list.append(sweep_system(replacement=value))
-    rows_by_point = run_sweep(
-        traces, configs, params_list, runner=make_backend(args)
-    )
-    rows = [[value] + [point[config] for config in configs]
-            for value, point in zip(values, rows_by_point)]
+            params = sweep_system(replacement=value)
+        points.append((value, params))
+    runner = ExperimentRunner(traces, runner=make_backend(args))
+    rows = runner.sweep_table(configs, points)
     print(format_table(
         [args.axis] + configs, rows,
         title=f"Geomean speedup over no prefetching, swept {args.axis}",
@@ -543,7 +515,7 @@ def add_runner_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=3, metavar="N",
                         help="attempt budget per job for transient "
                              "failures and timeouts (1 disables retry)")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=positive_finite, default=None,
                         metavar="SEC",
                         help="per-job wall-clock timeout; the overdue "
                              "worker is killed and the job retried "
@@ -564,29 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one workload + prefetcher")
     run.add_argument("--workload", required=True)
     run.add_argument("--prefetcher", default="ipcp")
-    run.add_argument("--scale", type=positive_scale, default=0.5)
+    run.add_argument("--scale", type=positive_finite, default=0.5)
     add_runner_options(run)
     run.set_defaults(func=cmd_run)
-
-    frontend = sub.add_parser(
-        "frontend",
-        help="instruction-prefetching comparison over the L1-I/ITLB "
-             "model (docs/frontend.md)")
-    frontend.add_argument("--workloads", default="all",
-                          help="comma-separated frontend workload names, "
-                               "or 'all'")
-    frontend.add_argument("--prefetchers",
-                          default="next_line_i,mana_lite,ipcp_i",
-                          help="comma-separated frontend configurations "
-                               "(see repro.frontend.registry)")
-    frontend.add_argument("--scale", type=positive_scale, default=0.5)
-    frontend.set_defaults(func=cmd_frontend)
 
     compare = sub.add_parser("compare", help="speedup table")
     compare.add_argument("--workloads", required=True,
                          help="comma-separated workload names")
     compare.add_argument("--prefetchers", default="ipcp,mlop,bingo")
-    compare.add_argument("--scale", type=positive_scale, default=0.4)
+    compare.add_argument("--scale", type=positive_finite, default=0.4)
     add_runner_options(compare)
     compare.set_defaults(func=cmd_compare)
 
@@ -601,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workloads", required=True,
                        help="comma-separated workload names")
     sweep.add_argument("--prefetchers", default="ipcp")
-    sweep.add_argument("--scale", type=positive_scale, default=0.4)
+    sweep.add_argument("--scale", type=positive_finite, default=0.4)
     add_runner_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -620,14 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="Section III pattern profile")
     analyze.add_argument("--workload", required=True)
-    analyze.add_argument("--scale", type=positive_scale, default=0.4)
+    analyze.add_argument("--scale", type=positive_finite, default=0.4)
     analyze.set_defaults(func=cmd_analyze)
 
     dump = sub.add_parser("dump-trace",
                           help="write a workload as a RIB1 trace file")
     dump.add_argument("--workload", required=True)
     dump.add_argument("--out", required=True)
-    dump.add_argument("--scale", type=positive_scale, default=0.5)
+    dump.add_argument("--scale", type=positive_finite, default=0.5)
     dump.set_defaults(func=cmd_dump_trace)
 
     run_trace = sub.add_parser(
@@ -664,10 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prefetcher grid (comma-separated) for the "
                              "invariant sweep, the cross-engine gate and "
                              "--update-baseline; default: all registered")
-    verify.add_argument("--scale", type=positive_scale, default=None,
+    verify.add_argument("--scale", type=positive_finite, default=None,
                         help="cell workload scale for --update-baseline "
                              "and the cross-engine gate")
-    verify.add_argument("--invariant-scale", type=positive_scale,
+    verify.add_argument("--invariant-scale", type=positive_finite,
                         default=0.08,
                         help="workload scale for the invariant sweep")
     verify.add_argument("--skip-oracle", action="store_true",
@@ -687,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
              "ROI) for one workload + prefetcher")
     profile.add_argument("--workload", required=True)
     profile.add_argument("--prefetcher", default="ipcp")
-    profile.add_argument("--scale", type=positive_scale, default=0.2)
+    profile.add_argument("--scale", type=positive_finite, default=0.2)
     profile.add_argument("--top", type=int, default=12,
                          help="functions shown per phase")
     profile.set_defaults(func=cmd_profile)
@@ -720,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="benchmark to replicate on every core")
     mix.add_argument("--cores", type=int, default=4)
     mix.add_argument("--prefetcher", default="ipcp")
-    mix.add_argument("--scale", type=positive_scale, default=0.25)
+    mix.add_argument("--scale", type=positive_finite, default=0.25)
     add_runner_options(mix)
     mix.set_defaults(func=cmd_mix)
 

@@ -1,9 +1,13 @@
 """Measurement cells: the experiments behind the claim registry.
 
 A :class:`Cell` computes a batch of named values (``fig8.mem.ipcp``,
-``abl.nl.delta`` ...) from live simulations.  Cells draw every
-simulation through one shared :class:`repro.runner.SimulationRunner`
-(the :class:`CellContext` owns it), so
+``abl.nl.delta`` ...) from live simulations.  Each cell resolves its
+whole grid in one fan-out through one of two accessors: an
+:class:`~repro.analysis.ExperimentRunner` grid of single-core
+``(trace, config[, params])`` cells, or :meth:`CellContext.mix_gains`
+for multicore mixes.  Both draw every simulation through one shared
+:class:`repro.runner.SimulationRunner` (the :class:`CellContext` owns
+it), so
 
 * the whole claim run parallelizes under ``--jobs`` and persists in the
   content-addressed result cache — a warm re-check replays cached
@@ -19,17 +23,14 @@ evaluates the claims against the merged value dict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis import ExperimentRunner
 from repro.errors import ConfigurationError
 from repro.runner import SimulationRunner, levels_job, mix_job
 from repro.sim.trace import Trace
-from repro.stats.metrics import (
-    geometric_mean,
-    normalized_weighted_speedup,
-)
+from repro.stats.metrics import normalized_weighted_speedup
 
 from repro.paperclaims.claims import Claim, ClaimVerdict
 
@@ -55,9 +56,9 @@ class CellContext:
     """Shared suites/runners for cell computations (built lazily).
 
     Everything here is memoized per run: several cells share the
-    memory-intensive suite runner, the sweep traces and the mix specs,
-    and each underlying simulation cell is resolved at most once per
-    process (and at most once *ever* with the persistent cache).
+    memory-intensive suite runner and the sweep traces, and each
+    underlying simulation cell is resolved at most once per process
+    (and at most once *ever* with the persistent cache).
     """
 
     def __init__(self, backend: SimulationRunner) -> None:
@@ -105,15 +106,6 @@ class CellContext:
             [spec_trace(name, scale) for name in names],
             runner=self.backend))
 
-    def spec_traces(self, names: tuple[str, ...],
-                    scale: float = SWEEP_SCALE) -> list[Trace]:
-        """Memoized SPEC-like traces for sweeps that bypass runners."""
-        from repro.workloads import spec_trace
-
-        key = f"spec_traces:{','.join(names)}@{scale}"
-        return self._cached(
-            key, lambda: [spec_trace(name, scale) for name in names])
-
     # -- helpers over runners --------------------------------------- #
 
     def mean_speedups(self, runner: ExperimentRunner,
@@ -137,29 +129,44 @@ class CellContext:
                 overheads.append(result.dram_bytes / base.dram_bytes - 1.0)
         return sum(overheads) / len(overheads)
 
-    def ipc_geomean(self, traces: list[Trace], config: str,
-                    params) -> float:
-        """Geomean absolute IPC of ``config`` on ``traces`` @ ``params``."""
-        specs = [levels_job(trace, config, params) for trace in traces]
-        results = self.backend.run(specs)
-        return geometric_mean([result.ipc for result in results])
-
     # -- multicore mixes -------------------------------------------- #
 
-    def mix_nws(self, traces: list[Trace], configs: list[str],
-                warmup: int, roi: int) -> dict[str, float]:
-        """Normalized weighted speedup per config for one mix.
+    def mix_gains(self, mixes: list[list[Trace]], configs: list[str],
+                  warmup: int | list[int], roi: int,
+                  mpki: bool = False) -> dict[str, list[float]]:
+        """Normalized weighted speedup of every config on every mix.
 
-        The baseline ("none") and every configuration run as cacheable
-        :func:`repro.runner.mix_job` cells through the shared backend.
+        Returns ``{config: [NWS per mix]}``; each mix's baseline is the
+        same mix with no prefetching.  ``warmup`` is one count for every
+        mix or a list with one count per mix.  With ``mpki=True`` the
+        dict also maps ``"mpki"`` to each mix's mean L1 demand MPKI over
+        its cores' traces, each run alone on the single-core system with
+        no prefetching.
+        Every job — the :func:`repro.runner.mix_job` cells and the
+        single-core ones — resolves in one fan-out through the shared
+        backend.
         """
-        specs = [mix_job(traces, config, warmup=warmup, roi=roi)
-                 for config in ["none", *configs]]
-        base, *results = self.backend.run(specs)
-        return {
-            config: normalized_weighted_speedup(result, base)
-            for config, result in zip(configs, results)
-        }
+        if isinstance(warmup, int):
+            warmup = [warmup] * len(mixes)
+        columns = ["none", *configs]
+        specs = [mix_job(traces, config, warmup=warm, roi=roi)
+                 for traces, warm in zip(mixes, warmup)
+                 for config in columns]
+        if mpki:
+            specs += [levels_job(trace, "none")
+                      for traces in mixes for trace in traces]
+        results = iter(self.backend.run(specs))
+        gains: dict[str, list[float]] = {config: [] for config in configs}
+        for _ in mixes:
+            base, *rows = [next(results) for _ in columns]
+            for config, result in zip(configs, rows):
+                gains[config].append(normalized_weighted_speedup(result, base))
+        if mpki:
+            gains["mpki"] = [
+                sum(next(results).mpki("l1") for _ in traces) / len(traces)
+                for traces in mixes
+            ]
+        return gains
 
 
 @dataclass

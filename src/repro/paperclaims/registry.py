@@ -301,13 +301,11 @@ def _cell_fig14a(ctx: CellContext) -> dict[str, float]:
         cloudsuite_trace,
     )
 
-    gains = {config: [] for config in MC_CONFIGS}
-    for name in CLOUDSUITE_BENCHMARKS:
-        traces = [cloudsuite_trace(name, SWEEP_SCALE) for _ in range(4)]
-        warmup = max(2_000, len(traces[0]) // 3)
-        nws = ctx.mix_nws(traces, MC_CONFIGS, warmup=warmup, roi=6_000)
-        for config, value in nws.items():
-            gains[config].append(value)
+    mixes = [[cloudsuite_trace(name, SWEEP_SCALE)] * 4
+             for name in CLOUDSUITE_BENCHMARKS]
+    gains = ctx.mix_gains(
+        mixes, MC_CONFIGS, roi=6_000,
+        warmup=[max(2_000, len(traces[0]) // 3) for traces in mixes])
     values = {f"fig14a.{config}": geometric_mean(points)
               for config, points in gains.items()}
     values["fig14a.ipcp_min"] = min(gains["ipcp"])
@@ -323,12 +321,9 @@ def _cell_fig14b_multi(ctx: CellContext) -> dict[str, float]:
     from repro.stats.metrics import geometric_mean
     from repro.workloads.neural import neural_trace
 
-    gains = {config: [] for config in MC_CONFIGS}
-    for name in ("vgg19_like", "lstm_like", "resnet50_like"):
-        traces = [neural_trace(name, MIX_SCALE) for _ in range(4)]
-        nws = ctx.mix_nws(traces, MC_CONFIGS, warmup=2_000, roi=6_000)
-        for config, value in nws.items():
-            gains[config].append(value)
+    mixes = [[neural_trace(name, MIX_SCALE)] * 4
+             for name in ("vgg19_like", "lstm_like", "resnet50_like")]
+    gains = ctx.mix_gains(mixes, MC_CONFIGS, warmup=2_000, roi=6_000)
     return {f"fig14b.mc.{config}": geometric_mean(points)
             for config, points in gains.items()}
 
@@ -341,14 +336,10 @@ def _cell_fig15(ctx: CellContext) -> dict[str, float]:
                    "omnetpp_like")
     mixes = [homogeneous_mix(name, 4, scale=MIX_SCALE)
              for name in homogeneous]
-    mixes.append(homogeneous_mix("lbm_like", 8, scale=MIX_SCALE))
+    mixes.append(mixes[0] * 2)  # lbm_like on eight cores
     mixes.extend(heterogeneous_mixes(2, 4, scale=MIX_SCALE, seed=31))
 
-    gains = {config: [] for config in MC_CONFIGS}
-    for traces in mixes:
-        nws = ctx.mix_nws(traces, MC_CONFIGS, warmup=2_000, roi=8_000)
-        for config, value in nws.items():
-            gains[config].append(value)
+    gains = ctx.mix_gains(mixes, MC_CONFIGS, warmup=2_000, roi=8_000)
     values = {}
     for config, points in gains.items():
         values[f"fig15.{config}"] = geometric_mean(points)
@@ -356,69 +347,73 @@ def _cell_fig15(ctx: CellContext) -> dict[str, float]:
     return values
 
 
-def _cell_sens_replacement(ctx: CellContext) -> dict[str, float]:
-    from repro.analysis import run_sweep, sweep_system
+def _sens_sweep(ctx: CellContext, prefix: str, points: dict
+                ) -> dict[str, float]:
+    """IPCP's geomean speedup on SENS_TRACES at every swept point."""
+    rows = ctx.spec_runner(SENS_TRACES).sweep_table(["ipcp"], points.items())
+    return {f"{prefix}.{label}": mean for label, mean in rows}
 
-    policies = ("lru", "srrip", "drrip", "ship")
-    params = [sweep_system(replacement=policy) for policy in policies]
-    rows = run_sweep(ctx.spec_traces(SENS_TRACES), ["ipcp"], params,
-                     runner=ctx.backend)
-    return {f"sens.repl.{policy}": row["ipcp"]
-            for policy, row in zip(policies, rows)}
+
+def _cell_sens_replacement(ctx: CellContext) -> dict[str, float]:
+    from repro.analysis import sweep_system
+
+    return _sens_sweep(ctx, "sens.repl", {
+        policy: sweep_system(replacement=policy)
+        for policy in ("lru", "srrip", "drrip", "ship")})
 
 
 def _cell_sens_cache(ctx: CellContext) -> dict[str, float]:
-    from repro.analysis import run_sweep, sweep_system
+    from repro.analysis import sweep_system
 
-    settings = {
+    return _sens_sweep(ctx, "sens.cache", {
         "paper": sweep_system(),
         "l1_32k": sweep_system(l1_size=32 * 1024),
         "l2_1m": sweep_system(l2_size=1024 * 1024),
         "llc_4m": sweep_system(llc_size=4 * 1024 * 1024),
         "llc_512k": sweep_system(llc_size=512 * 1024),
-    }
-    rows = run_sweep(ctx.spec_traces(SENS_TRACES), ["ipcp"],
-                     list(settings.values()), runner=ctx.backend)
-    return {f"sens.cache.{label}": row["ipcp"]
-            for label, row in zip(settings, rows)}
+    })
 
 
 def _cell_sens_dram(ctx: CellContext) -> dict[str, float]:
-    from repro.analysis import run_sweep, sweep_system
+    from repro.analysis import sweep_system
 
-    bandwidths = (3.2, 12.8, 25.0)
-    params = [sweep_system(dram_bandwidth_gbps=bw) for bw in bandwidths]
-    rows = run_sweep(ctx.spec_traces(SENS_TRACES), ["ipcp"], params,
-                     runner=ctx.backend)
-    labels = ("3_2", "12_8", "25_0")
-    return {f"sens.dram.{label}": row["ipcp"]
-            for label, row in zip(labels, rows)}
+    return _sens_sweep(ctx, "sens.dram", {
+        label: sweep_system(dram_bandwidth_gbps=bw)
+        for label, bw in (("3_2", 3.2), ("12_8", 12.8), ("25_0", 25.0))})
 
 
 def _cell_sens_pq_mshr(ctx: CellContext) -> dict[str, float]:
     from repro.analysis import sweep_system
+    from repro.stats.metrics import geometric_mean
 
-    traces = ctx.spec_traces(SENS_TRACES)
-    ipcs = {}
-    for pq, mshr in ((2, 4), (4, 8), (8, 16), (16, 32)):
-        params = sweep_system(l1_pq=pq, l1_mshr=mshr)
-        ipcs[f"{pq}_{mshr}"] = ctx.ipc_geomean(traces, "ipcp", params)
+    runner = ctx.spec_runner(SENS_TRACES)
+    points = {f"{pq}_{mshr}": sweep_system(l1_pq=pq, l1_mshr=mshr)
+              for pq, mshr in ((2, 4), (4, 8), (8, 16), (16, 32))}
+    runner.ensure((name, "ipcp", params) for params in points.values()
+                  for name in runner.traces)
+    ipcs = {label: geometric_mean([runner.result(name, "ipcp", params).ipc
+                                   for name in runner.traces])
+            for label, params in points.items()}
     reference = ipcs["8_16"]
     return {f"sens.pq.{label}": value / reference
             for label, value in ipcs.items()}
 
 
 def _cell_sens_tables(ctx: CellContext) -> dict[str, float]:
+    from repro.stats.metrics import geometric_mean
+
     sizes = {"paper": "ipcp", "x2": "ipcp_tables_2x",
              "x8": "ipcp_tables_8x"}
-    runner = ctx.spec_runner(SENS_TRACES)
-    cactu = ctx.spec_runner(("cactu_like",))
+    runner = ctx.spec_runner((*SENS_TRACES, "cactu_like"))
+    runner.ensure((name, config) for name in runner.traces
+                  for config in [*sizes.values(), "none"])
     values = {}
     for label, config in sizes.items():
-        values[f"sens.tables.{label}"] = ctx.mean_speedups(
-            runner, [config])[config]
-        values[f"sens.tables.cactu.{label}"] = ctx.mean_speedups(
-            cactu, [config])[config]
+        per_trace = runner.speedups(config)
+        values[f"sens.tables.{label}"] = geometric_mean(
+            per_trace[name] for name in SENS_TRACES)
+        values[f"sens.tables.cactu.{label}"] = geometric_mean(
+            [per_trace["cactu_like"]])
     return values
 
 
@@ -544,28 +539,19 @@ def _cell_abl_l2_complement(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_temporal(ctx: CellContext) -> dict[str, float]:
-    from repro.runner import levels_job
+    from repro.analysis import ExperimentRunner
     from repro.workloads.spec import extension_trace, spec_trace
 
     loop = extension_trace("temporal_loop_like", 3.0)
     stream = spec_trace("lbm_like", SWEEP_SCALE)
-    configs = ["none", *TEMPORAL_CONFIGS]
-    specs = [levels_job(trace, config)
-             for trace in (loop, stream) for config in configs]
-    results = ctx.backend.run(specs)
-    by_cell = {
-        (trace_label, config): result
-        for (trace_label, config), result in zip(
-            ((label, config) for label in ("loop", "stream")
-             for config in configs),
-            results)
-    }
+    runner = ExperimentRunner([loop, stream], runner=ctx.backend)
+    runner.ensure((name, config) for name in runner.traces
+                  for config in ["none", *TEMPORAL_CONFIGS])
     values = {}
     for config in TEMPORAL_CONFIGS:
-        values[f"abl.temporal.{config}.loop"] = by_cell[
-            ("loop", config)].speedup_over(by_cell[("loop", "none")])
-        values[f"abl.temporal.{config}.stream"] = by_cell[
-            ("stream", config)].speedup_over(by_cell[("stream", "none")])
+        per_trace = runner.speedups(config)
+        values[f"abl.temporal.{config}.loop"] = per_trace[loop.name]
+        values[f"abl.temporal.{config}.stream"] = per_trace[stream.name]
     values["abl.temporal.best_dedicated"] = max(
         values[f"abl.temporal.{config}.loop"]
         for config in ("isb", "domino", "triage"))
@@ -625,8 +611,8 @@ def _cell_abl_pathological(ctx: CellContext) -> dict[str, float]:
         spec_trace("mcf_994_like", MIX_SCALE),
         spec_trace("omnetpp_like", MIX_SCALE),
     ]
-    nws = ctx.mix_nws(traces, MC_CONFIGS, warmup=2_000, roi=8_000)
-    return {f"abl.path.{config}": value for config, value in nws.items()}
+    gains = ctx.mix_gains([traces], MC_CONFIGS, warmup=2_000, roi=8_000)
+    return {f"abl.path.{config}": nws for config, (nws,) in gains.items()}
 
 
 def _cell_abl_mixdist(ctx: CellContext) -> dict[str, float]:
@@ -638,12 +624,7 @@ def _cell_abl_mixdist(ctx: CellContext) -> dict[str, float]:
         + heterogeneous_mixes(6, 4, memory_intensive_only=True,
                               scale=MIXDIST_SCALE, seed=202)
     )
-    configs = ["ipcp", "mlop"]
-    gains = {config: [] for config in configs}
-    for traces in mixes:
-        nws = ctx.mix_nws(traces, configs, warmup=1_500, roi=6_000)
-        for config, value in nws.items():
-            gains[config].append(value)
+    gains = ctx.mix_gains(mixes, ["ipcp", "mlop"], warmup=1_500, roi=6_000)
     return {
         "abl.mixdist.ipcp.geomean": geometric_mean(gains["ipcp"]),
         "abl.mixdist.ipcp.min": min(gains["ipcp"]),
@@ -655,30 +636,20 @@ def _cell_abl_mixdist(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_mix_suite(ctx: CellContext) -> dict[str, float]:
-    from repro.runner import levels_job
     from repro.stats.metrics import geometric_mean
     from repro.workloads import graded_suite
 
     suite = graded_suite(scale=MIXDIST_SCALE)
-    values: dict[str, float] = {}
-
-    # The gradient that orders the suite: mean single-core L1 MPKI of
-    # each mix's four traces with no prefetching (one core at a time).
-    for mix, traces in suite.items():
-        results = ctx.backend.run(
-            [levels_job(trace, "none") for trace in traces])
-        values[f"mix.mpki.{mix}"] = sum(
-            result.mpki("l1") for result in results) / len(results)
-
     # Normalized weighted speedup of every bouquet variant and rival on
-    # every mix (the "none" baseline rides along inside mix_nws).
-    gains: dict[str, list[float]] = {c: [] for c in MIX_SUITE_CONFIGS}
-    for mix, traces in suite.items():
-        nws = ctx.mix_nws(traces, MIX_SUITE_CONFIGS,
-                          warmup=1_500, roi=6_000)
-        for config, value in nws.items():
-            values[f"mix.nws.{mix}.{config}"] = value
-            gains[config].append(value)
+    # every mix, plus the gradient that orders the suite: mean
+    # single-core L1 MPKI of each mix's four traces with no prefetching.
+    gains = ctx.mix_gains(list(suite.values()), MIX_SUITE_CONFIGS,
+                          warmup=1_500, roi=6_000, mpki=True)
+    values = {f"mix.mpki.{mix}": mpki
+              for mix, mpki in zip(suite, gains.pop("mpki"))}
+    for index, mix in enumerate(suite):
+        for config in MIX_SUITE_CONFIGS:
+            values[f"mix.nws.{mix}.{config}"] = gains[config][index]
     for config, points in gains.items():
         values[f"mix.geo.{config}"] = geometric_mean(points)
         values[f"mix.min.{config}"] = min(points)
@@ -686,8 +657,8 @@ def _cell_mix_suite(ctx: CellContext) -> dict[str, float]:
 
 
 #: Frontend (instruction-side) suite scale and configurations.  The
-#: frontend engine is scalar and in-process (no batched kernel yet), so
-#: the cell computes directly rather than through the shared backend.
+#: frontend model is its own in-process engine with no job kind, so the
+#: cell computes directly rather than through the shared backend.
 FRONTEND_SCALE = 0.5
 FRONTEND_CONFIGS = ["next_line_i", "mana_lite", "ipcp_i",
                     "ipcp_i_tlb_blind"]

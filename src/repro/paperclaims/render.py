@@ -561,11 +561,12 @@ def _verdict_summary(report: EngineReport) -> list[str]:
 
 def render_experiments(report: EngineReport) -> str:
     """The complete EXPERIMENTS.md text for one full claim run."""
-    from repro.workloads import full_suite, memory_intensive_suite
+    from repro.workloads import SPEC_BENCHMARKS
 
     parts = [_HEADER.format(
-        mem_traces=len(memory_intensive_suite(scale=0.05)),
-        all_traces=len(full_suite(scale=0.05)),
+        mem_traces=sum(1 for _, intensive, _ in SPEC_BENCHMARKS.values()
+                       if intensive),
+        all_traces=len(SPEC_BENCHMARKS),
     )]
     for section, heading in _SECTION_HEADINGS.items():
         parts.append(heading)

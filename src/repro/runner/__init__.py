@@ -14,8 +14,9 @@ values so cells can
   a cache hit rather than a re-simulation.
 
 :class:`SimulationRunner` ties the two together and is the substrate
-under :class:`repro.analysis.ExperimentRunner`, the sensitivity sweeps,
-the multicore alone-IPC runs and the ``repro`` CLI.  Execution is
+under :class:`repro.analysis.ExperimentRunner` (single-core grids and
+sensitivity sweeps), the claim cells' mix batches, the multicore
+alone-IPC runs and the ``repro`` CLI.  Execution is
 fault-tolerant via :mod:`repro.resilience` — bounded retries with
 backoff, per-job timeouts, worker-crash recovery, and degraded-mode
 :class:`JobFailure` cells with a failure journal (see

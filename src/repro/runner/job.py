@@ -19,9 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.config_io import system_to_dict
 from repro.errors import ConfigurationError, ReproError
 from repro.params import SystemParams
 from repro.sim.trace import _RECORD, Trace
@@ -89,7 +88,7 @@ def params_fingerprint(params: SystemParams | None) -> str:
     """Stable serialization of system parameters (``"default"`` for None)."""
     if params is None:
         return "default"
-    return json.dumps(system_to_dict(params), sort_keys=True)
+    return json.dumps(asdict(params), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ Execution is fault-tolerant (see ``docs/resilience.md``):
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -123,8 +124,11 @@ class SimulationRunner:
     ) -> None:
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ReproError(f"timeout must be positive, got {timeout}")
+        if timeout is not None and not 0 < timeout < math.inf:
+            # A NaN deadline never fires (it compares false with any
+            # time), and an infinite one overflows wait()'s timeout.
+            raise ReproError(f"timeout must be a finite number above 0, "
+                             f"got {timeout}")
         if timeout is not None and jobs == 1:
             raise ReproError("timeout needs jobs >= 2: an in-process job "
                              "cannot be preempted")

@@ -89,11 +89,12 @@ def graded_suite(scale: float = 1.0,
 
 def homogeneous_mix(name: str, cores: int, scale: float = 1.0,
                     seed: int = 7) -> list[Trace]:
-    """``cores`` copies of one benchmark (distinct address spaces come
-    from the per-core virtual-memory seeds, not the trace)."""
+    """One benchmark on ``cores`` cores, all sharing one trace object
+    (distinct address spaces come from the per-core virtual-memory
+    seeds, not the trace)."""
     if cores < 1:
         raise ConfigurationError("cores must be >= 1")
-    return [spec_trace(name, scale, seed) for _ in range(cores)]
+    return [spec_trace(name, scale, seed)] * cores
 
 
 def heterogeneous_mixes(

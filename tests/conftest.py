@@ -76,6 +76,18 @@ def make_stream_trace(
     return Trace(records, name=name)
 
 
+class CountingRunner(SimulationRunner):
+    """A runner that records the size of every batch it is given."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.batches: list[int] = []
+
+    def run(self, specs, degraded=None):
+        self.batches.append(len(specs))
+        return super().run(specs, degraded)
+
+
 @pytest.fixture
 def stream_trace() -> Trace:
     return make_stream_trace()

@@ -1,9 +1,11 @@
 """Tests for the experiment runner and sensitivity sweeps."""
 
 import pytest
+from conftest import CountingRunner
 
 from repro.analysis import ExperimentRunner, run_levels, sweep_system
-from repro.analysis.sweep import sweep_dram_bandwidth
+from repro.runner import SimulationRunner, levels_job
+from repro.stats.metrics import geometric_mean
 from repro.workloads import spec_trace
 
 
@@ -51,7 +53,8 @@ class TestExperimentRunner:
 
 class TestSweeps:
     def test_dram_bandwidth_sweep(self):
-        points = sweep_dram_bandwidth([3.2, 12.8, 25.0])
+        points = [sweep_system(dram_bandwidth_gbps=bw)
+                  for bw in (3.2, 12.8, 25.0)]
         assert [p.dram.bandwidth_gbps for p in points] == [3.2, 12.8, 25.0]
 
     def test_cache_size_override(self):
@@ -115,17 +118,39 @@ class TestSweepValidation:
 
 class TestRunSweep:
     def test_run_sweep_matches_pointwise_results(self, small_suite):
-        from repro.analysis import run_sweep
-
-        params_list = sweep_dram_bandwidth([3.2, 25.0])
-        rows = run_sweep(small_suite, ["ipcp"], params_list)
-        assert len(rows) == 2
+        points = [(str(bw), sweep_system(dram_bandwidth_gbps=bw))
+                  for bw in (3.2, 25.0)]
+        rows = ExperimentRunner(small_suite).sweep_table(["ipcp"], points)
+        assert [row[0] for row in rows] == ["3.2", "25.0"]
         for row in rows:
-            assert set(row) == {"ipcp"}
-            assert row["ipcp"] > 0
+            assert len(row) == 2 and row[1] > 0
 
-        # Point 0 must equal an independent sequential computation.
-        runner = ExperimentRunner(small_suite, params=params_list[0])
-        assert rows[0]["ipcp"] == pytest.approx(
-            runner.mean_speedup("ipcp"), rel=1e-12
-        )
+        # Each point must equal an independent sequential computation.
+        for (_, params), row in zip(points, rows):
+            assert row[1] == geometric_mean(
+                run_levels(trace, "ipcp", params).speedup_over(
+                    run_levels(trace, "none", params))
+                for trace in small_suite)
+
+    def test_params_axis_resolves_in_one_run(self, small_suite):
+        points = [(policy, sweep_system(replacement=policy))
+                  for policy in ("lru", "srrip")]
+        backend = CountingRunner()
+        runner = ExperimentRunner(small_suite, runner=backend)
+        runner.sweep_table(["ipcp", "next_line"], points)
+        # 2 points x 2 traces x (2 configs + baseline), in one batch.
+        assert backend.batches == [12]
+        for _, params in points:
+            for trace in small_suite:
+                alone = SimulationRunner().run_one(
+                    levels_job(trace, "ipcp", params))
+                assert runner.result(trace.name, "ipcp", params) == alone
+
+    def test_params_is_one_more_coordinate(self, small_suite):
+        runner = ExperimentRunner(small_suite)
+        slow = sweep_system(dram_bandwidth_gbps=3.2)
+        default = runner.result("bwaves_like", "ipcp")
+        assert runner.result("bwaves_like", "ipcp", None) is default
+        assert runner.result("bwaves_like", "ipcp", slow) != default
+        assert runner.result("bwaves_like", "ipcp", slow) == run_levels(
+            small_suite[0], "ipcp", slow)

@@ -119,6 +119,8 @@ class TestCommands:
         ["mix", "--workload", "lbm_like", "--degraded"],
         ["paper", "--only", "sens-dram-bandwidth", "--degraded"],
         ["verify", "--degraded"],
+        # The four fe-* claims run the frontend suite.
+        ["frontend"],
     ])
     def test_removed_surfaces_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -526,7 +528,8 @@ class TestErrorHygiene:
          "--scale"],
         ["mix", "--workload", "lbm_like", "--scale"],
         ["profile", "--workload", "lbm_like", "--scale"],
-        ["frontend", "--scale"],
+        # --timeout shares the scales' finite-positive type.
+        ["run", "--workload", "lbm_like", "--jobs", "2", "--timeout"],
         ["verify", "--scale"],
         ["verify", "--invariant-scale"],
     ])

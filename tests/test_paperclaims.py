@@ -1,13 +1,15 @@
 """Tests for the paper-claims harness (repro.paperclaims).
 
 Predicates, the claim engine (against fake cells — no simulations),
-the seeded mutations, registry consistency, renderer determinism and
-the BENCH payload schema.
+the mix accessor (tiny real simulations), the seeded mutations,
+registry consistency, renderer determinism and the BENCH payload
+schema.
 """
 
 import math
 
 import pytest
+from conftest import CountingRunner
 
 from repro.errors import ConfigurationError
 from repro.paperclaims import (
@@ -191,6 +193,54 @@ def test_report_by_section():
               _claim("c", ["c1"], (Band("x", lo=0.5),), section="figures")]
     report = _engine(cells, claims).run()
     assert report.by_section() == {"tables": (1, 1), "figures": (1, 0)}
+
+
+# --------------------------------------------------------------------- #
+# The mix accessor (real simulations at a tiny scale)
+# --------------------------------------------------------------------- #
+
+def test_mix_gains_resolves_every_mix_in_one_run():
+    from repro.paperclaims.cells import CellContext
+    from repro.runner import SimulationRunner, levels_job, mix_job
+    from repro.stats.metrics import normalized_weighted_speedup
+    from repro.workloads import spec_trace
+
+    bwaves = spec_trace("bwaves_like", 0.03)
+    gcc = spec_trace("gcc_like", 0.03)
+    mixes = [[bwaves, gcc], [bwaves] * 2]
+    warmups = [200, 300]
+    backend = CountingRunner()
+    gains = CellContext(backend).mix_gains(
+        mixes, ["ipcp", "next_line"], warmup=warmups, roi=800, mpki=True)
+    # 2 mixes x (2 configs + baseline) mix jobs + 4 single-core jobs.
+    assert backend.batches == [10]
+    assert list(gains) == ["ipcp", "next_line", "mpki"]
+
+    # Each value equals the same jobs resolved one at a time.
+    def alone(spec):
+        return SimulationRunner().run_one(spec)
+
+    for index, (traces, warmup) in enumerate(zip(mixes, warmups)):
+        base = alone(mix_job(traces, "none", warmup=warmup, roi=800))
+        for config in ("ipcp", "next_line"):
+            result = alone(mix_job(traces, config, warmup=warmup, roi=800))
+            assert gains[config][index] == normalized_weighted_speedup(
+                result, base)
+        solo = [alone(levels_job(trace, "none")) for trace in traces]
+        assert gains["mpki"][index] == (
+            sum(result.mpki("l1") for result in solo) / len(solo))
+
+
+def test_mix_gains_takes_one_warmup_for_every_mix():
+    from repro.paperclaims.cells import CellContext
+    from repro.workloads import spec_trace
+
+    mixes = [[spec_trace("bwaves_like", 0.03)] * 2]
+    one = CellContext(CountingRunner()).mix_gains(
+        mixes, ["ipcp"], warmup=200, roi=800)
+    each = CellContext(CountingRunner()).mix_gains(
+        mixes, ["ipcp"], warmup=[200], roi=800)
+    assert one == each and list(one) == ["ipcp"]
 
 
 # --------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor, wait
 import pytest
 
 import repro.runner.pool as runner_pool
-from repro.analysis import ExperimentRunner, run_sweep
+from repro.analysis import ExperimentRunner
 from repro.analysis.sweep import sweep_system
 from repro.errors import (
     CheckpointError,
@@ -309,9 +309,14 @@ class TestDegradedMode:
 
     def test_run_sweep_partial_grid(self, trace):
         backend = SimulationRunner(degraded=True, execute=fatal_for_ipcp)
-        rows = run_sweep([trace], ["ipcp"], [sweep_system()],
-                         runner=backend)
-        assert isinstance(rows[0]["ipcp"], JobFailure)
+        experiment = ExperimentRunner([trace], runner=backend)
+        rows = experiment.sweep_table(
+            ["ipcp", "none"], [("12.8", sweep_system()),
+                               ("3.2", sweep_system(dram_bandwidth_gbps=3.2))])
+        assert all(isinstance(row[1], JobFailure) for row in rows)
+        assert [row[2] for row in rows] == [1.0, 1.0]
+        text = format_table(["dram-bandwidth", "ipcp", "none"], rows)
+        assert text.count("FAILED(SimulationError)") == 2
 
 
 class TestPoolRecovery:

@@ -77,6 +77,23 @@ class TestCacheKeyStability:
         assert swept.cache_key() != base
         assert levels_job(trace, "ipcp", warmup=7).cache_key() != base
 
+    def test_params_fingerprint_bytes_are_pinned(self):
+        # Every cache key embeds this serialization: a change to it
+        # would orphan every persistent cache entry.
+        import hashlib
+
+        from repro.analysis import sweep_system
+        from repro.runner import params_fingerprint
+        from repro.sim.multicore import _multicore_params
+
+        digest = hashlib.blake2b(digest_size=8)
+        for params in (SystemParams(), sweep_system(l1_pq=2, l1_mshr=4),
+                       sweep_system(replacement="ship"),
+                       _multicore_params(SystemParams(), 4)):
+            digest.update(params_fingerprint(params).encode())
+        assert digest.hexdigest() == "45da4d12b1da2732"
+        assert params_fingerprint(None) == "default"
+
     def test_alone_job_distinct_from_levels_job(self, trace):
         from repro.sim.multicore import _multicore_params
         from repro.params import SystemParams
@@ -204,17 +221,26 @@ class TestParallelDeterminism:
         with pytest.raises(ReproError):
             SimulationRunner(jobs=0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # NaN would never fire (and the pool would busy-poll); inf
+        # would overflow the pool's deadline arithmetic.
+        with pytest.raises(ReproError, match="finite number above 0"):
+            SimulationRunner(jobs=2, timeout=timeout)
+
 
 class TestPersistentCache:
     def test_second_pass_performs_zero_simulations(self, suite, tmp_path):
         cache_dir = str(tmp_path / "cache")
         configs = ["none", "ipcp"]
 
-        cold = ExperimentRunner(suite, cache_dir=cache_dir)
+        cold = ExperimentRunner(
+            suite, runner=SimulationRunner(cache=ResultCache(cache_dir)))
         cold_table = cold.speedup_table(["ipcp"])
         assert cold.simulations_run == len(suite) * len(configs)
 
-        warm = ExperimentRunner(suite, cache_dir=cache_dir)
+        warm = ExperimentRunner(
+            suite, runner=SimulationRunner(cache=ResultCache(cache_dir)))
         warm_table = warm.speedup_table(["ipcp"])
         assert warm.simulations_run == 0
         assert warm_table == cold_table
@@ -434,16 +460,21 @@ class TestFigureHelperDeterminism:
     independent of the worker count."""
 
     def test_speedup_table_jobs_invariant(self, suite):
-        table1 = ExperimentRunner(suite, jobs=1).speedup_table(["ipcp"])
-        table2 = ExperimentRunner(suite, jobs=2).speedup_table(["ipcp"])
+        table1 = ExperimentRunner(
+            suite, runner=SimulationRunner(jobs=1)).speedup_table(["ipcp"])
+        table2 = ExperimentRunner(
+            suite, runner=SimulationRunner(jobs=2)).speedup_table(["ipcp"])
         assert table1 == table2
 
     def test_run_sweep_jobs_invariant(self, suite):
-        from repro.analysis import run_sweep, sweep_dram_bandwidth
+        from repro.analysis import sweep_system
 
-        params_list = sweep_dram_bandwidth([3.2, 25.0])
-        assert (run_sweep(suite[:2], ["ipcp"], params_list, jobs=1)
-                == run_sweep(suite[:2], ["ipcp"], params_list, jobs=2))
+        points = [(str(bw), sweep_system(dram_bandwidth_gbps=bw))
+                  for bw in (3.2, 25.0)]
+        tables = [ExperimentRunner(suite[:2], runner=SimulationRunner(
+                      jobs=jobs)).sweep_table(["ipcp"], points)
+                  for jobs in (1, 2)]
+        assert tables[0] == tables[1]
 
     def test_simulate_mix_alone_runs_jobs_invariant(self):
         traces = [spec_trace("bwaves_like", 0.05),

@@ -228,7 +228,9 @@ class TestMixes:
     def test_homogeneous_mix_replicates_trace(self):
         mix = homogeneous_mix("lbm_like", 4, scale=0.02)
         assert len(mix) == 4
-        assert len({t.name for t in mix}) == 1
+        # Built once: every core holds the same trace object.
+        assert all(trace is mix[0] for trace in mix)
+        assert mix[0].records == spec_trace("lbm_like", 0.02).records
 
     def test_heterogeneous_mixes_are_seeded(self):
         a = heterogeneous_mixes(3, 2, scale=0.02, seed=5)
