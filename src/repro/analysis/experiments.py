@@ -110,21 +110,21 @@ class ExperimentRunner:
             self.ensure([key])
         return self._cache[key]
 
-    def speedups(self, config_name: str, baseline: str = "none",
+    def speedups(self, config_name: str,
                  params: SystemParams | None = None) -> dict[str, float]:
-        """Per-trace speedup of ``config_name`` over ``baseline``."""
+        """Per-trace speedup of ``config_name`` over no prefetching."""
         self.ensure(
             (name, config, params)
             for name in self.traces
-            for config in (config_name, baseline)
+            for config in (config_name, "none")
         )
         return {
             name: _cell_speedup(self.result(name, config_name, params),
-                                self.result(name, baseline, params))
+                                self.result(name, "none", params))
             for name in self.traces
         }
 
-    def mean_speedup(self, config_name: str, baseline: str = "none",
+    def mean_speedup(self, config_name: str,
                      params: SystemParams | None = None):
         """Geometric-mean speedup over the suite (the paper's averages).
 
@@ -132,20 +132,18 @@ class ExperimentRunner:
         that failure — an explicit ``FAILED(...)`` beats a silently
         partial geomean.
         """
-        values = list(self.speedups(config_name, baseline, params).values())
+        values = list(self.speedups(config_name, params).values())
         for value in values:
             if isinstance(value, JobFailure):
                 return value
         return geometric_mean(values)
 
-    def speedup_table(
-        self, config_names: list[str], baseline: str = "none"
-    ) -> list[list]:
+    def speedup_table(self, config_names: list[str]) -> list[list]:
         """Rows of [trace, speedup_per_config...] plus a geomean row."""
         self.ensure(
             (name, config)
             for name in self.traces
-            for config in [*config_names, baseline]
+            for config in [*config_names, "none"]
         )
         rows = []
         for name in self.traces:
@@ -153,12 +151,12 @@ class ExperimentRunner:
             for config in config_names:
                 row.append(
                     _cell_speedup(self.result(name, config),
-                                  self.result(name, baseline))
+                                  self.result(name, "none"))
                 )
             rows.append(row)
         mean_row: list = ["geomean"]
         for config in config_names:
-            mean_row.append(self.mean_speedup(config, baseline))
+            mean_row.append(self.mean_speedup(config))
         rows.append(mean_row)
         return rows
 
@@ -166,7 +164,6 @@ class ExperimentRunner:
         self,
         config_names: list[str],
         points: Iterable[tuple[str, SystemParams]],
-        baseline: str = "none",
     ) -> list[list]:
         """Rows of [point label, geomean speedup per config...].
 
@@ -180,10 +177,10 @@ class ExperimentRunner:
             (name, config, params)
             for _, params in points
             for name in self.traces
-            for config in [*config_names, baseline]
+            for config in [*config_names, "none"]
         )
         return [
-            [label] + [self.mean_speedup(config, baseline, params)
+            [label] + [self.mean_speedup(config, params)
                        for config in config_names]
             for label, params in points
         ]

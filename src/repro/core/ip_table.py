@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.params import LINES_PER_PAGE, page_of, page_offset_line
-
 STRIDE_MAX = 63  # 7-bit signed stride field saturates at +63 ...
 STRIDE_MIN = -63  # ... and symmetrically at -63 (never the wire's -64)
 SIGNATURE_MASK = 0x7F  # 7-bit CPLX signature
@@ -66,9 +64,15 @@ class IpEntry:
 class IpTable:
     """64-entry direct-mapped, tagged IP table with hysteresis.
 
-    The table owns the entries; :meth:`repro.core.ipcp_l1.IpcpL1.on_access`
-    applies the same rules as :meth:`access`, :meth:`compute_stride` and
-    :meth:`record_access` inline, in one frame per demand access.
+    Holds the entries and the index/tag geometry (index = ``ip &
+    (entries - 1)``, tag = the ``tag_bits`` above the index).  The
+    rules over the entries — the hysteresis duel, the page-aware line
+    stride and the last-access fields — are applied by
+    :meth:`repro.core.ipcp_l1.IpcpL1.on_access` (which the fused kernel
+    of :mod:`repro.sim.batched` replays bit for bit) and stated
+    independently by :class:`repro.verify.oracles.OracleIpTable` and
+    :class:`repro.verify.oracles.OracleCsClassifier`, which the
+    lockstep differ diffs against it.
     """
 
     def __init__(self, entries: int = 64, tag_bits: int = 9) -> None:
@@ -78,63 +82,3 @@ class IpTable:
         self._tag_shift = entries.bit_length() - 1
         self._tag_mask = (1 << tag_bits) - 1
         self._table = [IpEntry() for _ in range(entries)]
-
-    def _split(self, ip: int) -> tuple[int, int]:
-        index = ip & self._index_mask
-        tag = (ip >> self._tag_shift) & self._tag_mask
-        return index, tag
-
-    def lookup(self, ip: int) -> IpEntry | None:
-        """Return the entry for ``ip`` if it currently owns its slot."""
-        index, tag = self._split(ip)
-        entry = self._table[index]
-        if entry.seen_once and entry.tag == tag:
-            return entry
-        return None
-
-    def access(self, ip: int) -> IpEntry | None:
-        """Look up ``ip``, applying the hysteresis replacement rule.
-
-        Returns the entry when ``ip`` owns (or takes over) the slot, or
-        None when a competing IP holds the slot with its valid bit set
-        (the newcomer only clears the bit this time).
-        """
-        index, tag = self._split(ip)
-        entry = self._table[index]
-        if entry.seen_once and entry.tag == tag:
-            entry.valid = True
-            return entry
-        if entry.valid:
-            entry.valid = False  # hysteresis: incumbent survives one challenge
-            return None
-        # Take over the slot for the new IP.
-        self._table[index] = IpEntry(tag=tag, valid=True, seen_once=True)
-        return self._table[index]
-
-    def compute_stride(self, entry: IpEntry, vaddr: int) -> int:
-        """Line stride between this access and the entry's previous one.
-
-        Handles the page-change case the paper describes: a +1 page
-        change with offsets 63 -> 0 yields (0 - 63) + 64 = stride 1.
-        Detection uses the 2 LSBs of the virtual page, so contiguous
-        forward/backward page walks are recognised.
-        """
-        cur_offset = page_offset_line(vaddr)
-        cur_vpage = page_of(vaddr) & 0x3
-        last_offset = entry.last_line_offset
-        stride = cur_offset - last_offset
-        if cur_vpage != entry.last_vpage:
-            delta = (cur_vpage - entry.last_vpage) & 0x3
-            if delta == 1:  # next page
-                stride += LINES_PER_PAGE
-            elif delta == 3:  # previous page
-                stride -= LINES_PER_PAGE
-            else:
-                stride = 0  # jumped pages: no meaningful stride
-        return clamp_stride(stride)
-
-    def record_access(self, entry: IpEntry, vaddr: int) -> None:
-        """Update the shared last-page/last-offset fields after training."""
-        entry.last_vpage = page_of(vaddr) & 0x3
-        entry.last_line_offset = page_offset_line(vaddr)
-        entry.last_line = vaddr >> 6

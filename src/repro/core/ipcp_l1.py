@@ -49,11 +49,6 @@ from repro.prefetchers.base import (
     PrefetchRequest,
 )
 
-# Table I: IP table (36 b x 64) + CSPT (9 b x 128) + RST (53 b x 8)
-# + 2 class bits x 768 L1 lines + RR filter (12 b x 32) = 5800 bits,
-# plus 113 bits of counters/registers.
-L1_STORAGE_BITS = 5913
-
 
 class PfClass(IntEnum):
     """IPCP prefetch classes (used to tag requests for attribution)."""
@@ -189,27 +184,36 @@ class IpcpL1(Prefetcher):
     def on_access(self, ctx: AccessContext) -> list[PrefetchRequest]:
         """Classify the IP, train all classes, emit bouquet prefetches.
 
-        Runs the whole L1 pipeline on one demand access in one frame.
-        Each sub-structure keeps its state and a method with the same
-        rule (named in parentheses); this method applies those rules
-        inline, in this order:
+        Runs the whole L1 pipeline on one demand access in one frame,
+        and is the one production statement of the IP-table, RST and
+        RR-filter rules: ``ip_table``, ``rst`` and ``rr_filter`` only
+        hold the state it updates, and the CSPT and the temporal table
+        are the only sub-structures it calls.  In order:
 
-        1. the RR filter records the demand line (``RrFilter.insert``);
-        2. the IP table resolves the IP under hysteresis
-           (``IpTable.access``);
-        3. the RST observes the access (``Rst.observe``);
-        4. the line stride (``IpTable.compute_stride``) trains the CS
-           confidence;
+        1. the demand line's partial tag enters the RR-filter FIFO;
+        2. the IP table resolves the IP under hysteresis: the owner
+           re-validates its slot, a challenger only clears a set valid
+           bit, and takes a slot whose bit is already clear;
+        3. the RST records the access: a new region evicts the LRU one
+           and starts tentative when the IP's previous region trained,
+           24 touched lines train it dense, and a saturating counter
+           sets its direction;
+        4. for a tracked IP, the line stride from its last access (a
+           +-1 page move adds or subtracts 64 lines, a longer jump gives
+           0; saturated to +-63) trains the CS confidence;
         5. the CSPT trains under the IP's old signature (a call to
-           ``Cspt.train``), then the signature rolls
-           (``update_signature``);
+           :meth:`repro.core.cspt.Cspt.train`), then the signature rolls
+           as :func:`repro.core.cspt.update_signature` does;
         6. the temporal table trains, when enabled;
-        7. the entry takes its GS state and the last-access fields
-           (``IpTable.record_access``);
+        7. the entry takes its GS state and the last-access fields;
         8. the priority walk issues each eligible class's prefetches at
-           its throttled degree, page-bounded, deduplicated by the RR
-           filter (``RrFilter.check_and_insert``) and tagged with the
-           class's metadata for the L2.
+           its throttled degree, page-bounded, dropped when their tag
+           is already in the RR FIFO (else recorded there) and tagged
+           with the class's metadata for the L2.
+
+        :class:`repro.verify.oracles.OracleIpcpL1` states the same
+        rules independently; the lockstep differ
+        (:mod:`repro.verify.lockstep`) diffs the two per access.
         """
         ip, addr, _, kind, _, _, mpki = ctx
         if kind == _PREFETCH:
@@ -413,7 +417,8 @@ class IpcpL1(Prefetcher):
     def on_prefetch_fill(self, addr: int, pf_class: int) -> None:
         """Count a filled prefetch toward its class's throttle epoch.
 
-        Applies ``ClassThrottle.on_fill`` inline.
+        Counts as :meth:`repro.core.throttle.ClassThrottle.on_fill`
+        does, inline.
         """
         throttle = self.throttles.get(pf_class)
         if throttle is not None:
@@ -425,7 +430,8 @@ class IpcpL1(Prefetcher):
     def on_prefetch_hit(self, addr: int, pf_class: int) -> None:
         """Credit a useful prefetch to its class's accuracy counter.
 
-        Applies ``ClassThrottle.on_hit`` inline.
+        Counts as :meth:`repro.core.throttle.ClassThrottle.on_hit` does,
+        inline.
         """
         throttle = self.throttles.get(pf_class)
         if throttle is not None:

@@ -15,9 +15,12 @@ from collections import deque
 class RrFilter:
     """32-entry FIFO of 12-bit partial line tags.
 
-    The filter owns the FIFO; :meth:`repro.core.ipcp_l1.IpcpL1.on_access`
-    applies the same rules as :meth:`insert` and :meth:`check_and_insert`
-    inline, in one frame per demand access.
+    Holds the FIFO.  :meth:`repro.core.ipcp_l1.IpcpL1.on_access` records
+    each demand line and probes-then-records each prefetch target in it
+    inline; IPCP-I (:class:`repro.frontend.ipcp_i.IpcpIPrefetcher`)
+    calls :meth:`insert` and :meth:`check_and_insert`.
+    :class:`repro.verify.oracles.OracleRrFilter` states the same rules
+    independently.
     """
 
     def __init__(self, entries: int = 32, tag_bits: int = 12) -> None:
@@ -31,10 +34,6 @@ class RrFilter:
     def insert(self, line: int) -> None:
         """Remember a line (demand access or generated prefetch)."""
         self._fifo.append(self._tag(line))
-
-    def contains(self, line: int) -> bool:
-        """Was an aliasing line seen recently? (Prefetch should be dropped.)"""
-        return self._tag(line) in self._fifo
 
     def check_and_insert(self, line: int) -> bool:
         """Probe then record; True when the prefetch must be dropped."""

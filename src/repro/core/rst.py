@@ -41,72 +41,21 @@ class RstEntry:
     tentative: bool = False
     direction: int = 1
 
-    @property
-    def touched_lines(self) -> int:
-        """Population count of the line bit-vector."""
-        return bin(self.bit_vector).count("1")
-
 
 class Rst:
     """8-entry LRU region stream table.
 
-    The table owns the entries, in LRU order;
-    :meth:`repro.core.ipcp_l1.IpcpL1.on_access` applies the same rule as
-    :meth:`observe` inline, in one frame per demand access.
+    Holds the entries, keyed by region in LRU order (insertion order,
+    oldest first).  The rules over them — allocation with LRU eviction,
+    tentative promotion, density training at
+    :data:`GS_TRAIN_THRESHOLD` lines and the direction counter — are
+    applied by :meth:`repro.core.ipcp_l1.IpcpL1.on_access` (which the
+    fused kernel of :mod:`repro.sim.batched` replays bit for bit) and
+    stated independently by
+    :class:`repro.verify.oracles.OracleGsClassifier`, which the
+    lockstep differ diffs against it.
     """
 
     def __init__(self, entries: int = 8) -> None:
         self.entries = entries
         self._table: dict[int, RstEntry] = {}  # insertion order = LRU order
-
-    def lookup(self, region: int) -> RstEntry | None:
-        """Return the entry tracking ``region``, refreshing its LRU slot."""
-        entry = self._table.get(region)
-        if entry is not None:
-            self._table.pop(region)
-            self._table[region] = entry
-        return entry
-
-    def allocate(self, region: int, tentative: bool) -> RstEntry:
-        """Allocate (evicting LRU if needed) an entry for a new region."""
-        if len(self._table) >= self.entries:
-            oldest = next(iter(self._table))
-            del self._table[oldest]
-        entry = RstEntry(region=region, tentative=tentative)
-        self._table[region] = entry
-        return entry
-
-    def observe(self, region: int, line_offset: int, previous_region: int | None
-                ) -> RstEntry:
-        """Record one demand access at ``line_offset`` of ``region``.
-
-        ``previous_region`` is the region this access's IP touched last;
-        if that region already trained dense, the fresh region starts
-        tentative (the paper's control-flow-predicted-data-flow hook).
-        Returns the (possibly new) entry after updating density and
-        direction state.
-        """
-        entry = self.lookup(region)
-        if entry is None:
-            tentative = False
-            if previous_region is not None and previous_region != region:
-                prev = self._table.get(previous_region)
-                tentative = prev is not None and prev.trained
-            entry = self.allocate(region, tentative)
-            entry.last_line_offset = line_offset
-
-        bit = 1 << line_offset
-        if not entry.bit_vector & bit:
-            entry.bit_vector |= bit
-            if entry.touched_lines >= GS_TRAIN_THRESHOLD:
-                entry.trained = True
-                entry.dense = True
-
-        delta = line_offset - entry.last_line_offset
-        if delta > 0:
-            entry.pos_neg_count = min(DIRECTION_MAX, entry.pos_neg_count + 1)
-        elif delta < 0:
-            entry.pos_neg_count = max(0, entry.pos_neg_count - 1)
-        entry.direction = 1 if entry.pos_neg_count >= DIRECTION_MID else -1
-        entry.last_line_offset = line_offset
-        return entry

@@ -28,8 +28,10 @@ LOW_WATERMARK = 0.40
 class ClassThrottle:
     """Accuracy-driven degree controller for one IPCP class.
 
-    :class:`repro.core.ipcp_l1.IpcpL1` applies the same rules as
-    :meth:`on_fill` and :meth:`on_hit` inline in its feedback hooks, and
+    IPCP-I (:class:`repro.frontend.ipcp_i.IpcpIPrefetcher`) calls
+    :meth:`on_fill`, :meth:`on_hit` and :attr:`low_accuracy`;
+    :class:`repro.core.ipcp_l1.IpcpL1` counts the same epochs inline in
+    its feedback hooks, closing each with :meth:`_close_epoch`, and
     reads ``degree`` and ``accuracy`` directly in its priority walk.
     """
 
@@ -66,8 +68,3 @@ class ClassThrottle:
     def low_accuracy(self) -> bool:
         """True when the class is running below the low watermark."""
         return self.accuracy < LOW_WATERMARK
-
-    @property
-    def high_accuracy(self) -> bool:
-        """True when the class is running above the high watermark."""
-        return self.accuracy >= HIGH_WATERMARK

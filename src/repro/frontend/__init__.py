@@ -40,7 +40,6 @@ from repro.frontend.model import FrontendParams, InstructionCache, Itlb, L1iStat
 from repro.frontend.registry import (
     available_frontend_prefetchers,
     make_frontend_prefetcher,
-    register_frontend_prefetcher,
 )
 
 __all__ = [
@@ -61,6 +60,5 @@ __all__ = [
     "NextLineIPrefetcher",
     "available_frontend_prefetchers",
     "make_frontend_prefetcher",
-    "register_frontend_prefetcher",
     "simulate_frontend",
 ]

@@ -9,13 +9,8 @@ would only add noise there.  The frontend names instead feed
 :func:`repro.frontend.engine.simulate_frontend`, the frontend claim
 cell and :func:`repro.verify.invariants.run_frontend_invariant_sweep`.
 
-Same decorator idiom as the data side::
-
-    @register_frontend_prefetcher("my_config")
-    def _my_config() -> Prefetcher | None:
-        return MyPrefetcher()
-
-``None`` from a factory means "no prefetching" (the baseline).
+Each factory builds a fresh prefetcher; ``None`` from a factory means
+"no prefetching" (the baseline).
 """
 
 from __future__ import annotations
@@ -27,24 +22,19 @@ from repro.frontend.baselines import ManaLitePrefetcher, NextLineIPrefetcher
 from repro.frontend.ipcp_i import IpcpIConfig, IpcpIPrefetcher
 from repro.prefetchers.base import Prefetcher
 
-FrontendFactory = Callable[[], Prefetcher | None]
-
-_REGISTRY: dict[str, FrontendFactory] = {}
-
-
-def register_frontend_prefetcher(name: str):
-    """Class/function decorator registering a frontend configuration."""
-    key = name.lower()
-
-    def decorate(factory: FrontendFactory) -> FrontendFactory:
-        if key in _REGISTRY:
-            raise ConfigurationError(
-                f"frontend prefetcher {key!r} registered twice"
-            )
-        _REGISTRY[key] = factory
-        return factory
-
-    return decorate
+_REGISTRY: dict[str, Callable[[], Prefetcher | None]] = {
+    # No instruction prefetching (the comparison baseline).
+    "none": lambda: None,
+    # Degree-2 sequential next-block fetcher.
+    "next_line_i": lambda: NextLineIPrefetcher(degree=2),
+    # Record-and-replay over L1-I miss streams (MANA-lite).
+    "mana_lite": ManaLitePrefetcher,
+    # The full IPCP-I bouquet, TLB-aware page policy.
+    "ipcp_i": lambda: IpcpIPrefetcher(IpcpIConfig(page_policy="aware")),
+    # IPCP-I with the data-side spatial contract: never cross a page.
+    "ipcp_i_tlb_blind": lambda: IpcpIPrefetcher(
+        IpcpIConfig(page_policy="blind"), name="ipcp_i_tlb_blind"),
+}
 
 
 def available_frontend_prefetchers() -> list[str]:
@@ -54,41 +44,10 @@ def available_frontend_prefetchers() -> list[str]:
 
 def make_frontend_prefetcher(name: str) -> Prefetcher | None:
     """Instantiate a registered configuration (fresh state every call)."""
-    key = name.lower()
-    if key not in _REGISTRY:
+    factory = _REGISTRY.get(name.lower())
+    if factory is None:
         known = ", ".join(available_frontend_prefetchers())
         raise ConfigurationError(
             f"unknown frontend prefetcher {name!r} (known: {known})"
         )
-    return _REGISTRY[key]()
-
-
-@register_frontend_prefetcher("none")
-def _none() -> Prefetcher | None:
-    """No instruction prefetching (the comparison baseline)."""
-    return None
-
-
-@register_frontend_prefetcher("next_line_i")
-def _next_line_i() -> Prefetcher:
-    """Degree-2 sequential next-block fetcher."""
-    return NextLineIPrefetcher(degree=2)
-
-
-@register_frontend_prefetcher("mana_lite")
-def _mana_lite() -> Prefetcher:
-    """Record-and-replay over L1-I miss streams (MANA-lite)."""
-    return ManaLitePrefetcher()
-
-
-@register_frontend_prefetcher("ipcp_i")
-def _ipcp_i() -> Prefetcher:
-    """The full IPCP-I bouquet, TLB-aware page policy."""
-    return IpcpIPrefetcher(IpcpIConfig(page_policy="aware"))
-
-
-@register_frontend_prefetcher("ipcp_i_tlb_blind")
-def _ipcp_i_tlb_blind() -> Prefetcher:
-    """IPCP-I with the data-side spatial contract: never cross a page."""
-    return IpcpIPrefetcher(IpcpIConfig(page_policy="blind"),
-                           name="ipcp_i_tlb_blind")
+    return factory()

@@ -30,7 +30,10 @@ from repro.analysis import ExperimentRunner
 from repro.errors import ConfigurationError
 from repro.runner import SimulationRunner, levels_job, mix_job
 from repro.sim.trace import Trace
-from repro.stats.metrics import normalized_weighted_speedup
+from repro.stats.metrics import (
+    dram_traffic_overhead,
+    normalized_weighted_speedup,
+)
 
 from repro.paperclaims.claims import Claim, ClaimVerdict
 
@@ -53,12 +56,14 @@ class Cell:
 
 
 class CellContext:
-    """Shared suites/runners for cell computations (built lazily).
+    """Shared traces and runners for cell computations (built lazily).
 
-    Everything here is memoized per run: several cells share the
-    memory-intensive suite runner and the sweep traces, and each
-    underlying simulation cell is resolved at most once per process
-    (and at most once *ever* with the persistent cache).
+    Everything here is memoized per run: :meth:`spec_trace` builds each
+    ``(name, scale)`` trace once for every suite and cell that uses it,
+    several cells share the memory-intensive suite runner and the sweep
+    runners, and each underlying simulation cell is resolved at most
+    once per process (and at most once *ever* with the persistent
+    cache).
     """
 
     def __init__(self, backend: SimulationRunner) -> None:
@@ -70,23 +75,38 @@ class CellContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    # -- suites ----------------------------------------------------- #
+    # -- traces and suites ------------------------------------------ #
+
+    def spec_trace(self, name: str, scale: float) -> Trace:
+        """One SPEC-like trace (default seed), built once per run."""
+        from repro.workloads import spec_trace
+
+        return self._cached(f"trace:{name}@{scale}",
+                            lambda: spec_trace(name, scale))
+
+    def spec_runner(self, names: tuple[str, ...],
+                    scale: float = SWEEP_SCALE) -> ExperimentRunner:
+        """A runner over specific SPEC-like traces, in ``names`` order."""
+        key = f"spec_runner:{','.join(names)}@{scale}"
+        return self._cached(key, lambda: ExperimentRunner(
+            [self.spec_trace(name, scale) for name in names],
+            runner=self.backend))
 
     @property
     def mem_runner(self) -> ExperimentRunner:
         """Memory-intensive suite at the claim-harness suite scale."""
-        from repro.workloads import memory_intensive_suite
+        from repro.workloads import SPEC_BENCHMARKS
 
-        return self._cached("mem_runner", lambda: ExperimentRunner(
-            memory_intensive_suite(scale=SUITE_SCALE), runner=self.backend))
+        return self.spec_runner(tuple(
+            name for name, (_, intensive, _) in SPEC_BENCHMARKS.items()
+            if intensive), SUITE_SCALE)
 
     @property
     def full_runner(self) -> ExperimentRunner:
         """Full synthetic-SPEC suite at the claim-harness suite scale."""
-        from repro.workloads import full_suite
+        from repro.workloads import SPEC_BENCHMARKS
 
-        return self._cached("full_runner", lambda: ExperimentRunner(
-            full_suite(scale=SUITE_SCALE), runner=self.backend))
+        return self.spec_runner(tuple(SPEC_BENCHMARKS), SUITE_SCALE)
 
     @property
     def neural_runner(self) -> ExperimentRunner:
@@ -95,16 +115,6 @@ class CellContext:
 
         return self._cached("neural_runner", lambda: ExperimentRunner(
             neural_suite(scale=SWEEP_SCALE), runner=self.backend))
-
-    def spec_runner(self, names: tuple[str, ...],
-                    scale: float = SWEEP_SCALE) -> ExperimentRunner:
-        """A runner over specific SPEC-like traces (sweeps/ablations)."""
-        from repro.workloads import spec_trace
-
-        key = f"spec_runner:{','.join(names)}@{scale}"
-        return self._cached(key, lambda: ExperimentRunner(
-            [spec_trace(name, scale) for name in names],
-            runner=self.backend))
 
     # -- helpers over runners --------------------------------------- #
 
@@ -120,13 +130,11 @@ class CellContext:
 
     def dram_overhead(self, runner: ExperimentRunner,
                       config: str) -> float:
-        """Mean per-trace DRAM-traffic overhead of ``config`` vs none."""
-        overheads = []
-        for name in runner.traces:
-            base = runner.result(name, "none")
-            result = runner.result(name, config)
-            if base.dram_bytes:
-                overheads.append(result.dram_bytes / base.dram_bytes - 1.0)
+        """Mean per-trace DRAM-traffic overhead of ``config`` vs none
+        (:func:`repro.stats.metrics.dram_traffic_overhead`)."""
+        overheads = [dram_traffic_overhead(runner.result(name, config),
+                                           runner.result(name, "none"))
+                     for name in runner.traces]
         return sum(overheads) / len(overheads)
 
     # -- multicore mixes -------------------------------------------- #

@@ -481,25 +481,15 @@ def _cell_abl_gs(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_traffic(ctx: CellContext) -> dict[str, float]:
-    from repro.stats.metrics import dram_traffic_overhead, geometric_mean
-
     configs = ["ipcp", "spp_ppf_dspatch", "mlop", "tskid"]
     runner = ctx.mem_runner
-    runner.ensure((name, config) for name in runner.traces
-                  for config in [*configs, "none"])
+    means = ctx.mean_speedups(runner, configs)
     values = {}
     for config in configs:
-        overheads, speedups = [], []
-        for name in runner.traces:
-            base = runner.result(name, "none")
-            result = runner.result(name, config)
-            overheads.append(dram_traffic_overhead(result, base))
-            speedups.append(result.speedup_over(base))
-        overhead = sum(overheads) / len(overheads)
-        mean = geometric_mean(speedups)
+        overhead = ctx.dram_overhead(runner, config)
         values[f"abl.traffic.{config}.overhead"] = overhead
         values[f"abl.traffic.{config}.eff"] = (
-            (mean - 1.0) / max(overhead, 1e-3))
+            (means[config] - 1.0) / max(overhead, 1e-3))
     return values
 
 
@@ -540,10 +530,10 @@ def _cell_abl_l2_complement(ctx: CellContext) -> dict[str, float]:
 
 def _cell_abl_temporal(ctx: CellContext) -> dict[str, float]:
     from repro.analysis import ExperimentRunner
-    from repro.workloads.spec import extension_trace, spec_trace
+    from repro.workloads.spec import extension_trace
 
     loop = extension_trace("temporal_loop_like", 3.0)
-    stream = spec_trace("lbm_like", SWEEP_SCALE)
+    stream = ctx.spec_trace("lbm_like", SWEEP_SCALE)
     runner = ExperimentRunner([loop, stream], runner=ctx.backend)
     runner.ensure((name, config) for name in runner.traces
                   for config in ["none", *TEMPORAL_CONFIGS])
@@ -603,14 +593,8 @@ def _cell_abl_opportunity(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_pathological(ctx: CellContext) -> dict[str, float]:
-    from repro.workloads import spec_trace
-
-    traces = [
-        spec_trace("mcf_r_like", MIX_SCALE),
-        spec_trace("mcf_i_like", MIX_SCALE),
-        spec_trace("mcf_994_like", MIX_SCALE),
-        spec_trace("omnetpp_like", MIX_SCALE),
-    ]
+    traces = [ctx.spec_trace(name, MIX_SCALE) for name in (
+        "mcf_r_like", "mcf_i_like", "mcf_994_like", "omnetpp_like")]
     gains = ctx.mix_gains([traces], MC_CONFIGS, warmup=2_000, roi=8_000)
     return {f"abl.path.{config}": nws for config, (nws,) in gains.items()}
 

@@ -112,7 +112,6 @@ class JobSpec:
     records: tuple
     params: SystemParams | None = None
     warmup: int | None = None
-    max_instructions: int | None = None
     roi: int | None = None
     seed: int = 1
 
@@ -125,7 +124,6 @@ class JobSpec:
                 "config": self.config_name,
                 "params": params_fingerprint(self.params),
                 "warmup": self.warmup,
-                "max_instructions": self.max_instructions,
                 "roi": self.roi,
                 "seed": self.seed,
                 "salt": code_salt(),
@@ -143,10 +141,12 @@ def levels_job(
     trace: Trace,
     config_name: str,
     params: SystemParams | None = None,
-    warmup: int | None = None,
-    max_instructions: int | None = None,
 ) -> JobSpec:
-    """Spec for one single-core (trace x registered configuration) cell."""
+    """Spec for one single-core (trace x registered configuration) cell.
+
+    The worker runs :func:`repro.sim.engine.simulate` with its default
+    warm-up (20% of the trace) and the rest of the trace as the ROI.
+    """
     return JobSpec(
         kind=KIND_LEVELS,
         trace_name=trace.name,
@@ -154,8 +154,6 @@ def levels_job(
         trace_sig=trace_signature(trace),
         records=trace.records,
         params=params,
-        warmup=warmup,
-        max_instructions=max_instructions,
     )
 
 
@@ -281,7 +279,6 @@ def execute_job(spec: JobSpec):
             llc_prefetcher=prefetchers["llc"],
             params=spec.params,
             warmup=spec.warmup,
-            max_instructions=spec.max_instructions,
         )
     if spec.kind == KIND_ALONE_IPC:
         from repro.sim.multicore import _simulate_together

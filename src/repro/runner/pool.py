@@ -159,14 +159,13 @@ class SimulationRunner:
         """
         return self.cache.corrupt_evictions if self.cache is not None else 0
 
-    def run(self, specs: list[JobSpec], degraded: bool | None = None) -> list:
+    def run(self, specs: list[JobSpec]) -> list:
         """Resolve every spec; returns payloads in submission order.
 
-        In degraded mode (``degraded=True`` here or on the runner) the
-        returned list may contain :class:`JobFailure` values; every
-        output slot of a duplicated spec shares the same failure.
+        In degraded mode (``degraded=True`` on the runner) the returned
+        list may contain :class:`JobFailure` values; every output slot
+        of a duplicated spec shares the same failure.
         """
-        degraded = self.degraded if degraded is None else degraded
         order: list[str] = []
         resolved: dict[str, object] = {}
         pending: dict[str, JobSpec] = {}
@@ -181,7 +180,7 @@ class SimulationRunner:
                     self.cache_hits += 1
                     resolved[key] = payload
                     continue
-            if degraded and self.journal is not None:
+            if self.degraded and self.journal is not None:
                 failure = self.journal.failure_for(key)
                 if failure is not None:
                     # A resumed degraded sweep does not burn a fresh
@@ -207,12 +206,10 @@ class SimulationRunner:
         if pending:
             if self.jobs == 1:
                 self._dispatch_serial(
-                    list(pending.items()), publish, publish_failure, degraded
-                )
+                    list(pending.items()), publish, publish_failure)
             else:
                 self._dispatch_pool(
-                    list(pending.items()), publish, publish_failure, degraded
-                )
+                    list(pending.items()), publish, publish_failure)
         return [resolved[key] for key in order]
 
     def run_one(self, spec: JobSpec):
@@ -223,8 +220,7 @@ class SimulationRunner:
     # in-process dispatch (jobs == 1)
     # ------------------------------------------------------------------
 
-    def _dispatch_serial(self, items, publish, publish_failure,
-                         degraded: bool) -> None:
+    def _dispatch_serial(self, items, publish, publish_failure) -> None:
         for key, spec in items:
             attempt = 0
             while True:
@@ -248,7 +244,7 @@ class SimulationRunner:
                     publish_failure(
                         key, JobFailure.from_error(key, error, attempt)
                     )
-                    if not degraded:
+                    if not self.degraded:
                         raise _as_repro_error(error) from error
                     break
                 else:
@@ -259,8 +255,7 @@ class SimulationRunner:
     # process-pool dispatch (jobs >= 2)
     # ------------------------------------------------------------------
 
-    def _dispatch_pool(self, items, publish, publish_failure,
-                       degraded: bool) -> None:
+    def _dispatch_pool(self, items, publish, publish_failure) -> None:
         specs = dict(items)
         workers = min(self.jobs, len(items))
         attempts = {key: 0 for key in specs}
@@ -356,8 +351,7 @@ class SimulationRunner:
                         continue
                     fatal = self._settle_failure(
                         key, error, attempts, ready, unresolved,
-                        publish_failure, degraded,
-                    ) or fatal
+                        publish_failure) or fatal
 
                 if broken:
                     self.worker_crashes += 1
@@ -376,8 +370,7 @@ class SimulationRunner:
                         )
                         fatal = self._settle_failure(
                             key, error, attempts, ready, unresolved,
-                            publish_failure, degraded,
-                        ) or fatal
+                            publish_failure) or fatal
 
                 now = time.monotonic()
                 expired = [future for future, deadline in deadlines.items()
@@ -393,8 +386,7 @@ class SimulationRunner:
                     )
                     fatal = self._settle_failure(
                         key, error, attempts, ready, unresolved,
-                        publish_failure, degraded,
-                    ) or fatal
+                        publish_failure) or fatal
 
                 if broken or expired:
                     # Killing the pool takes the innocent in-flight
@@ -419,11 +411,11 @@ class SimulationRunner:
             # before exiting); waiting joins the executor's management
             # thread so nothing races interpreter shutdown.
             pool.shutdown(wait=True, cancel_futures=True)
-        if fatal is not None and not degraded:
+        if fatal is not None and not self.degraded:
             raise fatal
 
     def _settle_failure(self, key, error, attempts, ready, unresolved,
-                        publish_failure, degraded: bool):
+                        publish_failure):
         """Retry a failed job or mark it terminal; returns a fatal error
         to raise (after the in-flight drain) in strict mode."""
         classification = classify_failure(error)
@@ -439,7 +431,7 @@ class SimulationRunner:
         unresolved.discard(key)
         publish_failure(key, JobFailure.from_error(key, error,
                                                    attempts[key]))
-        if degraded:
+        if self.degraded:
             return None
         if classification == TIMEOUT:
             return error

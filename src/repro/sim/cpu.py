@@ -129,10 +129,10 @@ class Cpu:
 
         The budget is checked *before* pulling from the iterator, so a
         partially-consumed iterator can be resumed by a later call
-        without losing records (the timeline recorder and the multicore
-        scheduler rely on this).  With ``drain`` (the default) the call
-        ends with :meth:`finish`; the multicore scheduler passes False
-        so its quanta leave the ROB in flight, exactly as a run of
+        without losing records (the multicore scheduler relies on
+        this).  With ``drain`` (the default) the call ends with
+        :meth:`finish`; the multicore scheduler passes False so its
+        quanta leave the ROB in flight, exactly as a run of
         :meth:`step` calls would.
 
         The loop body is :meth:`step` inlined with every loop-invariant

@@ -8,7 +8,6 @@ from repro.stats.metrics import (
     speedup,
 )
 from repro.stats.report import format_table
-from repro.stats.timeline import TimelineRecorder, Window, phase_shift_windows
 
 __all__ = [
     "class_contributions",
@@ -16,8 +15,5 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "normalized_weighted_speedup",
-    "phase_shift_windows",
     "speedup",
-    "TimelineRecorder",
-    "Window",
 ]

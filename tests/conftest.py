@@ -83,9 +83,9 @@ class CountingRunner(SimulationRunner):
         super().__init__(**kwargs)
         self.batches: list[int] = []
 
-    def run(self, specs, degraded=None):
+    def run(self, specs):
         self.batches.append(len(specs))
-        return super().run(specs, degraded)
+        return super().run(specs)
 
 
 @pytest.fixture

@@ -560,7 +560,7 @@ class TestErrorHygiene:
             self, tmp_path, capsys, monkeypatch):
         from repro.runner.pool import SimulationRunner
 
-        def interrupted_run(self, specs, degraded=None):
+        def interrupted_run(self, specs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(SimulationRunner, "run", interrupted_run)

@@ -3,11 +3,13 @@
 check_docs audits every markdown page for broken relative links,
 references to nonexistent modules/paths, and CLI invocations that the
 live argument parser would reject (this is what keeps the README's
-`repro paper ...` walkthrough honest).  check_docstrings enforces the
-docstring-coverage baseline.  CI runs both scripts directly; running
+`repro paper ...` walkthrough honest), and every docstring role under
+`src/` that names a dotted `repro.` target.  check_docstrings enforces
+the docstring-coverage baseline.  CI runs both scripts directly; running
 them here too means a broken doc reference fails fast locally.
 """
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -29,6 +31,22 @@ def _run(script: str) -> subprocess.CompletedProcess:
 def test_docs_audit_passes():
     proc = _run("check_docs.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_docstring_role_to_a_deleted_symbol_fails():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", TOOLS / "check_docs.py")
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    planted = (
+        '"""Applies :meth:`repro.core.ipcp_l1.IpcpL1.on_access` rules,\n'
+        "once stated by :meth:`~repro.core.ip_table.IpTable.access`, and\n"
+        ":func:`repro.core.cspt.\n"
+        '    update_signature` (a role that wraps)."""\n'
+    )
+    assert check_docs.check_roles(planted, "planted.py") == [
+        "planted.py:2: unresolvable reference "
+        "`repro.core.ip_table.IpTable.access`"]
 
 
 def test_docstring_gate_passes():

@@ -83,11 +83,11 @@ class TestHysteresisInterplay:
             pf.on_access(ctx_for(BASE + 2 * i, ip=winner, cycle=i * 20))
             pf.on_access(ctx_for(BASE + 2 * i + 1, ip=loser,
                                  cycle=i * 20 + 10))
-        region_zero = pf.rst.lookup(BASE // 32)
+        region_zero = pf.rst._table[BASE // 32]
         # Region density reflects BOTH IPs' lines.
-        assert region_zero is None or region_zero.touched_lines >= 0
-        entry = pf.ip_table.lookup(winner)
-        assert entry is not None and entry.stream_valid
+        assert region_zero.bit_vector.bit_count() == 32
+        entry = pf.ip_table._table[winner & 63]
+        assert entry.tag == (winner >> 6) & 0x1FF and entry.stream_valid
 
     def test_loser_ip_issues_nothing(self):
         pf = IpcpL1()

@@ -243,6 +243,41 @@ def test_mix_gains_takes_one_warmup_for_every_mix():
     assert one == each and list(one) == ["ipcp"]
 
 
+def test_context_builds_each_trace_once(monkeypatch):
+    """Suites and cells sharing a ``(name, scale)`` share one trace."""
+    import repro.workloads
+    import repro.workloads.spec
+    from repro.paperclaims.cells import SWEEP_SCALE, CellContext
+    from repro.paperclaims.registry import ABL_TRACES, SENS_TRACES
+    from repro.sim.trace import LOAD, Trace
+
+    built = []
+
+    def spec_trace(name, scale=1.0, seed=7):
+        built.append((name, scale))
+        return Trace([(LOAD, 0x400, 0x1000, 0)], name=name)
+
+    monkeypatch.setattr(repro.workloads, "spec_trace", spec_trace)
+    monkeypatch.setattr(repro.workloads.spec, "spec_trace", spec_trace)
+    mem_order = [t.name for t in repro.workloads.memory_intensive_suite()]
+    full_order = [t.name for t in repro.workloads.full_suite()]
+    built.clear()
+
+    ctx = CellContext(CountingRunner())
+    mem, full = ctx.mem_runner, ctx.full_runner
+    sens, abl = ctx.spec_runner(SENS_TRACES), ctx.spec_runner(ABL_TRACES)
+    stream = ctx.spec_trace("lbm_like", SWEEP_SCALE)
+    assert ctx.mem_runner is mem and ctx.spec_runner(ABL_TRACES) is abl
+    # One build per distinct (name, scale), in each suite's own order.
+    assert len(built) == len(set(built)) == (
+        len(full_order) + len(set(SENS_TRACES) | set(ABL_TRACES)))
+    assert list(mem.traces) == mem_order and list(full.traces) == full_order
+    assert list(sens.traces) == list(SENS_TRACES)
+    assert all(mem.traces[name] is full.traces[name] for name in mem_order)
+    assert sens.traces["lbm_like"] is abl.traces["lbm_like"] is stream
+    assert stream is not full.traces["lbm_like"]  # another scale
+
+
 # --------------------------------------------------------------------- #
 # Mutations
 # --------------------------------------------------------------------- #

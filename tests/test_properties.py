@@ -3,20 +3,28 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cspt import update_signature
-from repro.core.ip_table import IpTable, SIGNATURE_MASK, clamp_stride
+from repro.core.ip_table import SIGNATURE_MASK, clamp_stride
+from repro.core.ipcp_l1 import IpcpL1, PfClass
 from repro.core.metadata import MetaClass, decode_metadata, encode_metadata
-from repro.core.rr_filter import RrFilter
-from repro.core.rst import Rst
+from repro.core.rst import DIRECTION_MID, GS_TRAIN_THRESHOLD
 from repro.core.throttle import ClassThrottle
 from repro.memsys.cache import AccessKind, Cache
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import DramPort
 from repro.memsys.vmem import VirtualMemory
 from repro.params import CacheParams, PAGE_SIZE
+from repro.prefetchers.base import AccessContext, AccessType
 from repro.sim.trace import LOAD, OTHER, Trace, normalize_record
 
 lines = st.integers(min_value=0, max_value=(1 << 40) - 1)
 strides = st.integers(min_value=-200, max_value=200)
+
+
+def _demand(pf, ip, line, mpki=80.0):
+    """One demand load through the production L1 pipeline."""
+    return pf.on_access(AccessContext(ip=ip, addr=line << 6, cache_hit=False,
+                                      kind=AccessType.LOAD, cycle=0,
+                                      mpki=mpki))
 
 
 class TestMetadataProperties:
@@ -74,27 +82,34 @@ class TestVmemProperties:
 class TestRrFilterProperties:
     @given(values=st.lists(lines, min_size=1, max_size=200))
     def test_capacity_never_exceeded(self, values):
-        rr = RrFilter(entries=32)
+        pf = IpcpL1()
         for value in values:
-            rr.insert(value)
-        assert len(rr) <= 32
+            _demand(pf, 0x400, value, mpki=10.0)
+            assert len(pf.rr_filter._fifo) <= 32
 
     @given(value=lines)
     def test_insert_then_contains(self, value):
-        rr = RrFilter()
-        rr.insert(value)
-        assert rr.contains(value)
+        pf = IpcpL1()
+        _demand(pf, 0x400, value)
+        assert pf.rr_filter._tag(value) in pf.rr_filter._fifo
 
 
 class TestThrottleProperties:
     @given(outcomes=st.lists(st.booleans(), min_size=1, max_size=2000))
     def test_degree_stays_in_range(self, outcomes):
+        # The L1's feedback hooks count epochs inline; IPCP-I calls
+        # the throttle's own methods.  Both must stay in range and agree.
+        pf = IpcpL1()
+        inline = pf.throttles[PfClass.GS]
         throttle = ClassThrottle(6)
         for useful in outcomes:
             if useful:
+                pf.on_prefetch_hit(0, int(PfClass.GS))
                 throttle.on_hit()
+            pf.on_prefetch_fill(0, int(PfClass.GS))
             throttle.on_fill()
-            assert 1 <= throttle.degree <= 6
+            assert 1 <= inline.degree <= 6
+            assert inline == throttle
 
 
 class TestRstProperties:
@@ -103,12 +118,18 @@ class TestRstProperties:
                   st.integers(min_value=0, max_value=31)),
         min_size=1, max_size=500))
     def test_counters_and_capacity_invariants(self, observations):
-        rst = Rst(entries=8)
+        pf = IpcpL1()
         for region, offset in observations:
-            entry = rst.observe(region, offset, None)
-            assert 0 <= entry.pos_neg_count <= 63
-            assert entry.touched_lines <= 32
-            assert len(rst._table) <= 8
+            _demand(pf, 0x400, (0x1000 + region) * 32 + offset)
+            assert len(pf.rst._table) <= 8
+            for entry in pf.rst._table.values():
+                touched = entry.bit_vector.bit_count()
+                assert 0 <= entry.pos_neg_count <= 63
+                assert touched <= 32
+                assert entry.trained == (touched >= GS_TRAIN_THRESHOLD)
+                assert entry.dense == entry.trained
+                assert entry.direction == (
+                    1 if entry.pos_neg_count >= DIRECTION_MID else -1)
 
 
 class TestCacheProperties:
@@ -147,15 +168,21 @@ class TestIpTableProperties:
     @given(ips=st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),
                         min_size=1, max_size=300))
     def test_hysteresis_tracks_at_most_one_ip_per_slot(self, ips):
-        table = IpTable(entries=64)
-        for ip in ips:
-            table.access(ip)
-        # Every slot holds exactly one (tag, entry) and lookup agrees.
-        for ip in ips:
-            entry = table.lookup(ip)
-            if entry is not None:
-                index = ip & 63
-                assert table._table[index] is entry
+        pf = IpcpL1()
+        slots = pf.ip_table._table
+        for line, ip in enumerate(ips, start=1):
+            index, tag = ip & 63, (ip >> 6) & 0x1FF
+            before = slots[index]
+            challenged = (before.valid
+                          and not (before.seen_once and before.tag == tag))
+            _demand(pf, ip, line)
+            after = slots[index]
+            if challenged:
+                # The incumbent survives the challenge, invalidated.
+                assert after is before and not after.valid
+            else:
+                # The IP owns (or takes) its slot, valid.
+                assert after.seen_once and after.tag == tag and after.valid
 
 
 class TestTraceProperties:

@@ -282,13 +282,6 @@ class TestDegradedMode:
         assert first is second
         assert runner.simulations_run == 1
 
-    def test_per_call_override(self, trace):
-        runner = SimulationRunner(execute=always_fatal)
-        cells = runner.run([levels_job(trace, "none")], degraded=True)
-        assert isinstance(cells[0], JobFailure)
-        with pytest.raises(SimulationError):
-            runner.run([levels_job(trace, "none")], degraded=False)
-
     def test_format_table_renders_failed_cells(self):
         failure = JobFailure(key="k", error_type="JobTimeout",
                              message="exceeded 1s", attempts=3)

@@ -70,12 +70,16 @@ class TestCacheKeyStability:
 
     def test_key_depends_on_config_params_and_roi(self, trace):
         from repro.analysis import sweep_system
+        from repro.sim.multicore import _multicore_params
 
         base = levels_job(trace, "ipcp").cache_key()
         assert levels_job(trace, "none").cache_key() != base
         swept = levels_job(trace, "ipcp", sweep_system(l1_pq=2))
         assert swept.cache_key() != base
-        assert levels_job(trace, "ipcp", warmup=7).cache_key() != base
+        shared = _multicore_params(SystemParams(), 4)
+        alone = alone_ipc_job(trace, shared, warmup=5, roi=100, seed=1)
+        assert alone_ipc_job(trace, shared, warmup=7, roi=100,
+                             seed=1).cache_key() != alone.cache_key()
 
     def test_params_fingerprint_bytes_are_pinned(self):
         # Every cache key embeds this serialization: a change to it

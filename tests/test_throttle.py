@@ -71,7 +71,7 @@ class TestAccuracyReporting:
         run_epoch(throttle, 0.25)
         assert abs(throttle.accuracy - 0.25) < 0.01
         assert throttle.low_accuracy
-        assert not throttle.high_accuracy
+        assert throttle.accuracy < HIGH_WATERMARK
 
     def test_epoch_counters_reset(self):
         throttle = ClassThrottle(3)

@@ -13,6 +13,11 @@ Walks README.md, EXPERIMENTS.md, DESIGN.md, ROADMAP.md and every
   not exist, or ``--flags`` on the same line that the named command
   does not accept.
 
+It also walks every ``src/**/*.py`` file and fails on a Sphinx
+cross-reference role (``:meth:``, ``:func:``, ``:class:``, ``:attr:``,
+``:mod:``, ``:data:``, ``:exc:``) whose dotted ``repro.…`` target does
+not resolve, so a docstring cannot outlive the symbol it names.
+
 Run directly (``python tools/check_docs.py``) or via CI's docs job.
 """
 
@@ -41,6 +46,11 @@ _MODULE = re.compile(r"^repro(\.[A-Za-z_][\w.]*)+$")
 _CLI = re.compile(
     r"(?<!from )(?:python -m )?\brepro ([a-z][a-z-]+)((?: [^\n|]*)?)")
 _FLAG = re.compile(r"--[a-z][a-z-]*")
+# A docstring role naming a dotted repro target; the target may wrap
+# across lines, so whitespace inside it is dropped before resolving.
+_ROLE = re.compile(
+    r":(?:meth|func|class|attr|mod|data|exc):`~?(repro\.[\w.\s]+?)`")
+SOURCE_FILES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def _cli_commands() -> dict[str, set[str]]:
@@ -152,20 +162,37 @@ def check_file(path: pathlib.Path,
     return errors
 
 
+def check_roles(text: str, where: str) -> list[str]:
+    """Every unresolvable dotted ``repro.…`` docstring role in ``text``."""
+    errors: list[str] = []
+    for match in _ROLE.finditer(text):
+        target = "".join(match.group(1).split())
+        if not _module_resolves(target):
+            lineno = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{where}:{lineno}: unresolvable reference "
+                          f"`{target}`")
+    return errors
+
+
 def main() -> int:
-    """Audit every doc file; nonzero exit on any broken reference."""
+    """Audit every doc and source file; nonzero exit on any broken
+    reference."""
     commands = _cli_commands()
     errors: list[str] = []
     for path in DOC_FILES:
         if path.exists():
             errors.extend(check_file(path, commands))
+    for path in SOURCE_FILES:
+        errors.extend(check_roles(path.read_text(encoding="utf-8"),
+                                  str(path.relative_to(ROOT))))
     if errors:
         print(f"{len(errors)} broken documentation reference(s):")
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"docs OK: {len(DOC_FILES)} files audited, no broken links, "
-          f"paths, modules or CLI references")
+    print(f"docs OK: {len(DOC_FILES)} files and {len(SOURCE_FILES)} "
+          f"source files audited, no broken links, paths, modules, CLI "
+          f"references or docstring roles")
     return 0
 
 
