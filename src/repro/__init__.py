@@ -5,7 +5,7 @@ Public API tour:
 * :mod:`repro.core` — IPCP itself (:class:`~repro.core.IpcpL1`,
   :class:`~repro.core.IpcpL2`).
 * :mod:`repro.prefetchers` — the baselines the paper compares against,
-  plus the name registry (``make_prefetcher("bingo")`` ...).
+  plus the table of named configurations (``make_prefetcher("bingo")``).
 * :mod:`repro.sim` — trace format, core model,
   :func:`~repro.sim.simulate` and :func:`~repro.sim.simulate_mix`.
 * :mod:`repro.memsys` — caches, DRAM, virtual memory.

@@ -55,17 +55,7 @@ from repro.resilience import (
 from repro.runner import ResultCache, SimulationRunner
 from repro.sim.multicore import simulate_mix
 from repro.stats import format_table, normalized_weighted_speedup
-from repro.workloads import WORKLOAD_FAMILIES, homogeneous_mix, spec_trace
-
-
-def build_trace(name: str, scale: float):
-    """Resolve a workload name across every registry of WORKLOAD_FAMILIES."""
-    for _, registry, build in WORKLOAD_FAMILIES:
-        if name in registry:
-            return build(name, scale)
-    raise ReproError(
-        f"unknown workload {name!r}; see `python -m repro list-workloads`"
-    )
+from repro.workloads import WORKLOAD_FAMILIES, homogeneous_mix, workload_trace
 
 
 def cmd_list_prefetchers(args) -> int:
@@ -151,9 +141,21 @@ def positive_finite(text: str) -> float:
     return value
 
 
+def at_least_one(text: str) -> int:
+    """Argparse type of ``--retries``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def cmd_run(args) -> int:
     """Run one workload with and without a prefetcher."""
-    trace = build_trace(args.workload, args.scale)
+    trace = workload_trace(args.workload, args.scale)
     runner = ExperimentRunner([trace], runner=make_backend(args))
     runner.ensure([(trace.name, "none"), (trace.name, args.prefetcher)])
     baseline = runner.result(trace.name, "none")
@@ -176,7 +178,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     """Render a (trace x config) speedup table."""
-    traces = [build_trace(name, args.scale)
+    traces = [workload_trace(name, args.scale)
               for name in args.workloads.split(",")]
     configs = args.prefetchers.split(",")
     runner = ExperimentRunner(traces, runner=make_backend(args))
@@ -194,7 +196,7 @@ def cmd_sweep(args) -> int:
     """Sweep one system axis and tabulate geomean speedups."""
     from repro.analysis.sweep import sweep_system
 
-    traces = [build_trace(name, args.scale)
+    traces = [workload_trace(name, args.scale)
               for name in args.workloads.split(",")]
     configs = args.prefetchers.split(",")
     points = []
@@ -221,7 +223,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Print a Section III access-pattern profile for a trace."""
-    trace = build_trace(args.workload, args.scale)
+    trace = workload_trace(args.workload, args.scale)
     profile = analyze_trace(trace)
     shares = profile.class_shares()
     rows = [[label, share] for label, share in shares.items()]
@@ -237,7 +239,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dump_trace(args) -> int:
     """Generate a workload and write it as a RIB1 trace file."""
-    trace = build_trace(args.workload, args.scale)
+    trace = workload_trace(args.workload, args.scale)
     write_binary(trace, args.out)
     print(f"wrote {len(trace)} records ({trace.load_records} loads) "
           f"to {args.out}")
@@ -419,7 +421,7 @@ def cmd_profile(args) -> int:
     from repro.runner.job import levels_job
     from repro.telemetry.profiling import profile_job
 
-    trace = build_trace(args.workload, args.scale)
+    trace = workload_trace(args.workload, args.scale)
     spec = levels_job(trace, args.prefetcher)
     for profile in profile_job(spec, top=args.top):
         rate = (profile.instructions / profile.wall_seconds
@@ -512,7 +514,8 @@ def add_runner_options(parser: argparse.ArgumentParser) -> None:
                              "~/.cache/repro-sim)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent result cache")
-    parser.add_argument("--retries", type=int, default=3, metavar="N",
+    parser.add_argument("--retries", type=at_least_one, default=3,
+                        metavar="N",
                         help="attempt budget per job for transient "
                              "failures and timeouts (1 disables retry)")
     parser.add_argument("--timeout", type=positive_finite, default=None,

@@ -106,9 +106,8 @@ class JobError(ReproError):
 class JobTimeout(JobError):
     """A job exceeded its per-job wall-clock budget.
 
-    Raised by the runner (the worker itself is killed); retried when
-    :class:`repro.resilience.RetryPolicy` has ``retry_timeouts`` set and
-    attempt budget remains.
+    Raised by the runner (the worker itself is killed); retried while
+    the :class:`repro.resilience.RetryPolicy` attempt budget remains.
     """
 
     exit_code = 7

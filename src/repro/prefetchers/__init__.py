@@ -2,10 +2,11 @@
 
 Every prefetcher implements the :class:`repro.prefetchers.base.Prefetcher`
 interface and can be attached to any cache level of the hierarchy.  The
-registry in :mod:`repro.prefetchers.registry` maps the names used by the
-paper's evaluation (``next_line``, ``ip_stride``, ``bop``, ``spp``,
-``bingo`` ...) to factories, including the multi-level combinations of
-Table III.
+table in :mod:`repro.prefetchers.registry` maps every name used by the
+paper's evaluation (``next_line``, ``ip_stride``, ``bop``, ``spp_l1``,
+``bingo`` ...) to per-level factories: the multi-level combinations of
+Table III, the L1-only rivals of Fig. 7 and the IPCP variants the
+claim harness measures.
 """
 
 from repro.prefetchers.base import (
@@ -14,11 +15,7 @@ from repro.prefetchers.base import (
     Prefetcher,
     PrefetchRequest,
 )
-from repro.prefetchers.registry import (
-    available_prefetchers,
-    make_prefetcher,
-    register_prefetcher,
-)
+from repro.prefetchers.registry import available_prefetchers, make_prefetcher
 
 __all__ = [
     "AccessContext",
@@ -27,5 +24,4 @@ __all__ = [
     "Prefetcher",
     "available_prefetchers",
     "make_prefetcher",
-    "register_prefetcher",
 ]

@@ -1,40 +1,16 @@
-"""Composite prefetchers and the Table III multi-level combinations.
+"""Composite prefetchers: several prefetchers side by side at one level.
 
-:class:`CompositePrefetcher` runs several prefetchers side by side at
-one cache level (deduplicating their proposals), which is how the
-DPC-3 winner stacks SPP + PPF + DSPatch at the L2.  The module also
-registers every named configuration the paper's evaluation uses, so a
-benchmark can say ``make_prefetcher("spp_ppf_dspatch")`` and get the
-right prefetcher at each level.
+:class:`CompositePrefetcher` runs its children at one cache level
+(deduplicating their proposals), which is how the DPC-3 winner stacks
+SPP + PPF + DSPatch at the L2 (:func:`spp_ppf_dspatch`).
 """
 
 from __future__ import annotations
 
-from repro.core.ipcp_l1 import IpcpConfig, IpcpL1
-from repro.core.ipcp_l2 import IpcpL2
-from repro.prefetchers.asp import AspPrefetcher
 from repro.prefetchers.base import AccessContext, Prefetcher, PrefetchRequest
-from repro.prefetchers.bingo import BingoPrefetcher
-from repro.prefetchers.bop import BopPrefetcher
-from repro.prefetchers.dol import DolPrefetcher
-from repro.prefetchers.domino import DominoPrefetcher
 from repro.prefetchers.dspatch import DspatchPrefetcher
-from repro.prefetchers.ip_stride import IpStridePrefetcher
-from repro.prefetchers.isb import IsbPrefetcher
-from repro.prefetchers.mlop import MlopPrefetcher
-from repro.prefetchers.next_line import (
-    NextLinePrefetcher,
-    ThrottledNextLinePrefetcher,
-)
 from repro.prefetchers.ppf import PerceptronFilter
-from repro.prefetchers.registry import register_prefetcher
-from repro.prefetchers.sandbox import SandboxPrefetcher
-from repro.prefetchers.sms import SmsPrefetcher
 from repro.prefetchers.spp import SppPrefetcher
-from repro.prefetchers.stream import StreamPrefetcher
-from repro.prefetchers.triage import TriagePrefetcher
-from repro.prefetchers.tskid import TskidPrefetcher
-from repro.prefetchers.vldp import VldpPrefetcher
 
 
 class CompositePrefetcher(Prefetcher):
@@ -81,186 +57,3 @@ def spp_ppf_dspatch() -> CompositePrefetcher:
         name="spp+ppf+dspatch",
     )
 
-
-# --------------------------------------------------------------------- #
-# Single-prefetcher registrations (used by the Fig. 7 L1-only sweep).
-# --------------------------------------------------------------------- #
-
-@register_prefetcher("none")
-def _none():
-    return {}
-
-
-@register_prefetcher("next_line")
-def _next_line():
-    return {"l1": lambda: NextLinePrefetcher(degree=1)}
-
-
-@register_prefetcher("ip_stride")
-def _ip_stride():
-    return {"l1": lambda: IpStridePrefetcher()}
-
-
-@register_prefetcher("stream")
-def _stream():
-    return {"l1": lambda: StreamPrefetcher()}
-
-
-@register_prefetcher("bop")
-def _bop():
-    return {"l1": lambda: BopPrefetcher()}
-
-
-@register_prefetcher("sandbox")
-def _sandbox():
-    return {"l1": lambda: SandboxPrefetcher()}
-
-
-@register_prefetcher("mlop_l1")
-def _mlop_l1():
-    return {"l1": lambda: MlopPrefetcher()}
-
-
-@register_prefetcher("vldp")
-def _vldp():
-    return {"l1": lambda: VldpPrefetcher()}
-
-
-@register_prefetcher("spp_l1")
-def _spp_l1():
-    return {"l1": lambda: SppPrefetcher()}
-
-
-@register_prefetcher("dspatch_l1")
-def _dspatch_l1():
-    return {"l1": lambda: DspatchPrefetcher()}
-
-
-@register_prefetcher("sms_l1")
-def _sms_l1():
-    return {"l1": lambda: SmsPrefetcher()}
-
-
-@register_prefetcher("bingo_l1")
-def _bingo_l1():
-    return {"l1": lambda: BingoPrefetcher(pht_entries=6144)}  # 48 KB tune
-
-
-@register_prefetcher("bingo_l1_119kb")
-def _bingo_l1_119kb():
-    return {"l1": lambda: BingoPrefetcher(pht_entries=16384)}
-
-
-@register_prefetcher("tskid_l1")
-def _tskid_l1():
-    return {"l1": lambda: TskidPrefetcher()}
-
-
-@register_prefetcher("dol_l1")
-def _dol_l1():
-    return {"l1": lambda: DolPrefetcher()}
-
-
-@register_prefetcher("ipcp_l1")
-def _ipcp_l1():
-    return {"l1": lambda: IpcpL1()}
-
-
-@register_prefetcher("asp")
-def _asp():
-    """Aggregate Stride Prefetcher (Jain's thesis; MLOP's ancestor)."""
-    return {"l1": lambda: AspPrefetcher()}
-
-
-@register_prefetcher("isb")
-def _isb():
-    """Temporal baseline: Irregular Stream Buffer at the L2."""
-    return {"l2": lambda: IsbPrefetcher()}
-
-
-@register_prefetcher("domino")
-def _domino():
-    """Temporal baseline: Domino at the L2."""
-    return {"l2": lambda: DominoPrefetcher()}
-
-
-@register_prefetcher("triage")
-def _triage():
-    """Temporal baseline: on-chip Triage/MISB-style at the L2."""
-    return {"l2": lambda: TriagePrefetcher()}
-
-
-# --------------------------------------------------------------------- #
-# Table III multi-level combinations.
-# --------------------------------------------------------------------- #
-
-@register_prefetcher("ipcp")
-def _ipcp():
-    """IPCP(L1 + L2): 740 B + 155 B = 895 B."""
-    return {"l1": lambda: IpcpL1(), "l2": lambda: IpcpL2()}
-
-
-@register_prefetcher("ipcp_temporal")
-def _ipcp_temporal():
-    """IPCP + the future-work temporal class (Section VII)."""
-    return {
-        "l1": lambda: IpcpL1(IpcpConfig(enable_temporal=True)),
-        "l2": lambda: IpcpL2(),
-    }
-
-
-@register_prefetcher("ipcp_no_metadata")
-def _ipcp_no_metadata():
-    """IPCP with the L1->L2 metadata channel disabled (Fig. 13a's -3.1%)."""
-    return {
-        "l1": lambda: IpcpL1(IpcpConfig(send_metadata=False)),
-        "l2": lambda: IpcpL2(),
-    }
-
-
-@register_prefetcher("spp_ppf_dspatch")
-def _spp_ppf_dspatch():
-    """DPC-3 winner: throttled NL at L1, SPP+PPF+DSPatch at L2, NL at LLC."""
-    return {
-        "l1": ThrottledNextLinePrefetcher,
-        "l2": spp_ppf_dspatch,
-        "llc": lambda: NextLinePrefetcher(degree=1),
-    }
-
-
-@register_prefetcher("mlop")
-def _mlop():
-    """MLOP at L1, NL at L2 and LLC."""
-    return {
-        "l1": lambda: MlopPrefetcher(),
-        "l2": lambda: NextLinePrefetcher(degree=1),
-        "llc": lambda: NextLinePrefetcher(degree=1),
-    }
-
-
-@register_prefetcher("bingo")
-def _bingo():
-    """Bingo (48 KB tune) at L1, NL at L2 and LLC."""
-    return {
-        "l1": lambda: BingoPrefetcher(pht_entries=6144),
-        "l2": lambda: NextLinePrefetcher(degree=1),
-        "llc": lambda: NextLinePrefetcher(degree=1),
-    }
-
-
-@register_prefetcher("tskid")
-def _tskid():
-    """T-SKID at L1, SPP at L2."""
-    return {
-        "l1": lambda: TskidPrefetcher(),
-        "l2": lambda: SppPrefetcher(),
-    }
-
-
-@register_prefetcher("dol")
-def _dol():
-    """DOL components at L1 and L2."""
-    return {
-        "l1": lambda: DolPrefetcher(),
-        "l2": lambda: DolPrefetcher(),
-    }

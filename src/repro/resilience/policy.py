@@ -10,7 +10,7 @@ classification            retried?    examples
 ``transient``             yes         :class:`TransientJobError`,
                                       :class:`WorkerCrashError`,
                                       ``BrokenProcessPool``
-``timeout``               policy      :class:`JobTimeout` (worker killed
+``timeout``               yes         :class:`JobTimeout` (worker killed
                                       by the runner's deadline)
 ``fatal``                 never       everything else — a bad spec or a
                                       simulator bug; re-running cannot
@@ -28,7 +28,7 @@ import hashlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.errors import JobTimeout, TransientJobError
+from repro.errors import ConfigurationError, JobTimeout, TransientJobError
 
 TRANSIENT = "transient"
 TIMEOUT = "timeout"
@@ -45,47 +45,52 @@ def classify_failure(error: BaseException) -> str:
     return FATAL
 
 
+#: Backoff growth per attempt, its cap in seconds, the largest jitter
+#: stretch (as a fraction of the delay) and the jitter hash's seed.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+JITTER = 0.5
+JITTER_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff and deterministic jitter.
 
     ``max_attempts`` counts every execution of a job including the
     first, so ``max_attempts=1`` disables retrying entirely.  The delay
-    before attempt ``n+1`` is ``backoff_base * backoff_factor**(n-1)``
-    capped at ``backoff_max``, stretched by up to ``jitter`` of itself
-    using a hash of ``(seed, key, attempt)`` — deterministic, but
-    decorrelated across jobs so a whole batch retrying at once does not
-    stampede.
+    before attempt ``n+1`` is ``backoff_base * BACKOFF_FACTOR**(n-1)``
+    capped at :data:`BACKOFF_MAX`, stretched by up to :data:`JITTER` of
+    itself using a hash of ``(JITTER_SEED, key, attempt)`` —
+    deterministic, but decorrelated across jobs so a whole batch
+    retrying at once does not stampede.  ``backoff_base=0`` never
+    sleeps.
     """
 
     max_attempts: int = 3
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.5
-    retry_timeouts: bool = True
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ConfigurationError(
+                f"max_attempts must be at least 1, got {self.max_attempts}")
 
     def should_retry(self, classification: str, attempt: int) -> bool:
-        """Whether a job that failed on ``attempt`` gets another one."""
-        if attempt >= self.max_attempts:
-            return False
-        if classification == TRANSIENT:
-            return True
-        if classification == TIMEOUT:
-            return self.retry_timeouts
-        return False
+        """Whether a job that failed on ``attempt`` gets another one:
+        transient failures and timeouts do while attempts remain."""
+        return (attempt < self.max_attempts
+                and classification in (TRANSIENT, TIMEOUT))
 
     def delay(self, key: str, attempt: int) -> float:
         """Seconds to wait before re-dispatching ``key`` after ``attempt``."""
         if self.backoff_base <= 0.0:
             return 0.0
-        base = min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
-        token = f"{self.seed}:{key}:{attempt}".encode()
+        base = min(BACKOFF_MAX,
+                   self.backoff_base * BACKOFF_FACTOR ** (attempt - 1))
+        token = f"{JITTER_SEED}:{key}:{attempt}".encode()
         digest = hashlib.blake2b(token, digest_size=8).digest()
         unit = int.from_bytes(digest, "big") / 2.0 ** 64
-        return base * (1.0 + self.jitter * unit)
+        return base * (1.0 + JITTER * unit)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ chasing, large code footprints — at a scale a pure-Python simulator can
 run.  See DESIGN.md §3 for the substitution rationale.
 """
 
+from repro.errors import ReproError
+from repro.sim.trace import Trace
 from repro.workloads.cloudsuite import (
     CLOUDSUITE_BENCHMARKS,
     cloudsuite_suite,
@@ -25,7 +27,6 @@ from repro.workloads.mixes import (
     graded_suite,
     heterogeneous_mixes,
     homogeneous_mix,
-    mix_trace,
 )
 from repro.workloads.neural import (
     NEURAL_BENCHMARKS,
@@ -55,8 +56,8 @@ from repro.workloads.spec import (
 #: builder)``.  ``builder(name, scale)`` builds one trace of the
 #: registry with the family's own default seed (cloudsuite 11, neural
 #: 13, frontend 17, the others 7); ``builder(name, scale, seed)`` picks
-#: the seed.  The CLI's ``--workload`` names, ``repro list-workloads``
-#: and the ``traces`` pins of :mod:`repro.verify.golden` all read it.
+#: the seed.  :func:`workload_trace`, ``repro list-workloads`` and the
+#: ``traces`` pins of :mod:`repro.verify.golden` all read it.
 WORKLOAD_FAMILIES = (
     ("spec", SPEC_BENCHMARKS, spec_trace),
     ("gap", GAP_BENCHMARKS, gap_trace),
@@ -66,6 +67,24 @@ WORKLOAD_FAMILIES = (
     ("extension", EXTENSION_BENCHMARKS, extension_trace),
     ("frontend", FRONTEND_BENCHMARKS, frontend_trace),
 )
+
+
+def workload_trace(name: str, scale: float = 1.0,
+                   seed: int | None = None) -> Trace:
+    """Build workload ``name`` from whichever registry of
+    :data:`WORKLOAD_FAMILIES` holds it (the CLI's ``--workload``).
+
+    An omitted ``seed`` means the family's own default.
+    """
+    for _, registry, build in WORKLOAD_FAMILIES:
+        if name in registry:
+            if seed is None:
+                return build(name, scale)
+            return build(name, scale, seed)
+    raise ReproError(
+        f"unknown workload {name!r}; see `python -m repro list-workloads`"
+    )
+
 
 __all__ = [
     "CLOUDSUITE_BENCHMARKS",
@@ -93,7 +112,6 @@ __all__ = [
     "heterogeneous_mixes",
     "homogeneous_mix",
     "memory_intensive_suite",
-    "mix_trace",
     "neural_suite",
     "neural_trace",
     "pointer_chase",
@@ -101,4 +119,5 @@ __all__ = [
     "stream_pattern",
     "stream_trace",
     "strided_pattern",
+    "workload_trace",
 ]

@@ -26,16 +26,13 @@ cache-resident reuse while the tail misses — deterministic in
 
 from __future__ import annotations
 
-import zlib
-
-from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
 from repro.workloads.patterns import ELEMENT, WorkloadBuilder, stream_pattern
 from repro.workloads.spec import (
-    DEFAULT_LOADS,
     Generator,
     _arena,
     builder_loads,
+    registry_trace,
 )
 
 # 2^20 vertices x 8-byte properties = 8 MB per array: larger than the
@@ -96,20 +93,6 @@ GAP_BENCHMARKS: dict[str, tuple[Generator, bool, int]] = {
 
 
 def gap_trace(name: str, scale: float = 1.0, seed: int = 7) -> Trace:
-    """Build one GAP-style traversal trace.
-
-    Mirrors :func:`repro.workloads.spec.spec_trace`: ``scale``
-    multiplies the default load budget and the seed is salted with the
-    kernel name so kernels never share a random stream.
-    """
-    try:
-        generator, _, alu = GAP_BENCHMARKS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown GAP kernel {name!r}; known: {sorted(GAP_BENCHMARKS)}"
-        ) from None
-    loads = max(1, int(DEFAULT_LOADS * scale))
-    salted = seed ^ zlib.crc32(name.encode())
-    builder = WorkloadBuilder(name, seed=salted, alu_per_load=alu)
-    generator(builder, loads)
-    return builder.build()
+    """Build one GAP-style traversal trace (see
+    :func:`repro.workloads.spec.registry_trace`)."""
+    return registry_trace(GAP_BENCHMARKS, "GAP kernel", name, scale, seed)

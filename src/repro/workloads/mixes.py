@@ -22,9 +22,7 @@ import random
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
-from repro.workloads.gap import GAP_BENCHMARKS, gap_trace
 from repro.workloads.spec import SPEC_BENCHMARKS, spec_trace
-from repro.workloads.stream import STREAM_BENCHMARKS, stream_trace
 
 # The graded four-core suite, ordered by rising baseline L1 MPKI.
 # mix1 is cache-resident, mix2-4 climb through streaming bandwidth
@@ -43,25 +41,6 @@ GRADED_MIXES: dict[str, tuple[str, str, str, str]] = {
 }
 
 
-def mix_trace(name: str, scale: float = 1.0, seed: int = 7) -> Trace:
-    """Build one mix component by name from any workload registry.
-
-    Mix tables draw from three registries (SPEC-like, GAP-like,
-    STREAM); this resolver dispatches on the name so a mix row can
-    combine them freely.
-    """
-    if name in SPEC_BENCHMARKS:
-        return spec_trace(name, scale, seed)
-    if name in GAP_BENCHMARKS:
-        return gap_trace(name, scale, seed)
-    if name in STREAM_BENCHMARKS:
-        return stream_trace(name, scale, seed)
-    known = sorted([*SPEC_BENCHMARKS, *GAP_BENCHMARKS, *STREAM_BENCHMARKS])
-    raise ConfigurationError(
-        f"unknown mix benchmark {name!r}; known: {known}"
-    )
-
-
 def graded_mix(mix: str, scale: float = 1.0, seed: int = 7) -> list[Trace]:
     """Build the four traces of one graded mix (``mix1`` .. ``mix7``).
 
@@ -69,6 +48,9 @@ def graded_mix(mix: str, scale: float = 1.0, seed: int = 7) -> list[Trace]:
     two cores of the same mix still gets distinct (uncorrelated) access
     streams.
     """
+    # Deferred: the package imports this module.
+    from repro.workloads import workload_trace
+
     try:
         names = GRADED_MIXES[mix]
     except KeyError:
@@ -76,7 +58,7 @@ def graded_mix(mix: str, scale: float = 1.0, seed: int = 7) -> list[Trace]:
             f"unknown graded mix {mix!r}; known: {sorted(GRADED_MIXES)}"
         ) from None
     return [
-        mix_trace(name, scale, seed + core)
+        workload_trace(name, scale, seed + core)
         for core, name in enumerate(names)
     ]
 

@@ -336,25 +336,32 @@ EXTENSION_BENCHMARKS["temporal_loop_like"] = (_temporal_loop_like, True, 4)
 DEFAULT_LOADS = 10_000
 
 
-def spec_trace(name: str, scale: float = 1.0, seed: int = 7) -> Trace:
-    """Build one synthetic SPEC-like trace.
+def registry_trace(registry: dict[str, tuple[Generator, bool, int]],
+                   kind: str, name: str, scale: float, seed: int) -> Trace:
+    """Build trace ``name`` of a ``(generator, memory_intensive, alu)``
+    registry; ``kind`` names an entry in the unknown-name error.
 
     ``scale`` multiplies the default load budget (10 k loads, roughly
     50-60 k instructions at 4 ALU ops per load).
     """
     try:
-        generator, _, alu = SPEC_BENCHMARKS[name]
+        generator, _, alu = registry[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown benchmark {name!r}; known: {sorted(SPEC_BENCHMARKS)}"
+            f"unknown {kind} {name!r}; known: {sorted(registry)}"
         ) from None
     loads = max(1, int(DEFAULT_LOADS * scale))
-    # Salt the seed with the benchmark name so benchmarks sharing a
-    # generator (the resident profiles) still get distinct traces.
+    # Salt the seed with the name so entries sharing a generator (the
+    # resident profiles) still get distinct traces.
     salted = seed ^ zlib.crc32(name.encode())
     builder = WorkloadBuilder(name, seed=salted, alu_per_load=alu)
     generator(builder, loads)
     return builder.build()
+
+
+def spec_trace(name: str, scale: float = 1.0, seed: int = 7) -> Trace:
+    """Build one synthetic SPEC-like trace (see :func:`registry_trace`)."""
+    return registry_trace(SPEC_BENCHMARKS, "benchmark", name, scale, seed)
 
 
 def compute_dense_trace(

@@ -24,16 +24,13 @@ stable across sessions.
 
 from __future__ import annotations
 
-import zlib
-
-from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
 from repro.workloads.patterns import ELEMENT, WorkloadBuilder, stream_pattern
 from repro.workloads.spec import (
-    DEFAULT_LOADS,
     Generator,
     _arena,
     builder_loads,
+    registry_trace,
 )
 
 # Elements per sweep episode; arrays advance so no line repeats.
@@ -92,21 +89,7 @@ STREAM_BENCHMARKS: dict[str, tuple[Generator, bool, int]] = {
 
 
 def stream_trace(name: str, scale: float = 1.0, seed: int = 7) -> Trace:
-    """Build one STREAM kernel trace.
-
-    Mirrors :func:`repro.workloads.spec.spec_trace`: ``scale``
-    multiplies the default load budget and the seed is salted with the
-    kernel name so kernels never share a random stream.
-    """
-    try:
-        generator, _, alu = STREAM_BENCHMARKS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown STREAM kernel {name!r}; "
-            f"known: {sorted(STREAM_BENCHMARKS)}"
-        ) from None
-    loads = max(1, int(DEFAULT_LOADS * scale))
-    salted = seed ^ zlib.crc32(name.encode())
-    builder = WorkloadBuilder(name, seed=salted, alu_per_load=alu)
-    generator(builder, loads)
-    return builder.build()
+    """Build one STREAM kernel trace (see
+    :func:`repro.workloads.spec.registry_trace`)."""
+    return registry_trace(STREAM_BENCHMARKS, "STREAM kernel", name, scale,
+                          seed)

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.cli import build_trace, main
+from repro.cli import main
 from repro.ingest import write_binary
 from repro.ingest.binary import FOOTER_SIZE, HEADER_SIZE, RECORD_SIZE
 from repro.errors import (
@@ -18,26 +18,41 @@ from repro.errors import (
 )
 from repro.sim.trace import LOAD
 from repro.verify import golden
-from repro.workloads import WORKLOAD_FAMILIES
+from repro.workloads import WORKLOAD_FAMILIES, workload_trace
 
 
 class TestBuildTrace:
     def test_resolves_spec_workloads(self):
-        assert build_trace("lbm_like", 0.05).name == "lbm_like"
+        assert workload_trace("lbm_like", 0.05).name == "lbm_like"
+
+    def test_resolves_gap_and_stream_workloads(self):
+        assert workload_trace("bfs_like", 0.02).name == "bfs_like"
+        assert workload_trace("stream_scale", 0.02).name == "stream_scale"
+
+    def test_seed_defaults_to_the_family_default(self):
+        from repro.workloads import cloudsuite_trace, gap_trace
+
+        assert list(workload_trace("cassandra_like", 0.02)) == list(
+            cloudsuite_trace("cassandra_like", 0.02, seed=11))
+        assert list(workload_trace("bfs_like", 0.02, seed=8)) == list(
+            gap_trace("bfs_like", 0.02, seed=8))
 
     def test_resolves_cloudsuite_workloads(self):
-        assert build_trace("cassandra_like", 0.05).name == "cassandra_like"
+        assert workload_trace("cassandra_like", 0.05).name == "cassandra_like"
 
     def test_resolves_neural_workloads(self):
-        assert build_trace("lstm_like", 0.05).name == "lstm_like"
+        assert workload_trace("lstm_like", 0.05).name == "lstm_like"
 
     def test_resolves_extension_workloads(self):
-        trace = build_trace("temporal_loop_like", 0.05)
+        trace = workload_trace("temporal_loop_like", 0.05)
         assert trace.name == "temporal_loop_like"
 
-    def test_unknown_workload_raises(self):
-        with pytest.raises(ReproError):
-            build_trace("not_a_workload", 1.0)
+    def test_unknown_workload_raises(self, capsys):
+        with pytest.raises(ReproError, match="list-workloads"):
+            workload_trace("not_a_workload", 1.0)
+        assert main(["run", "--workload", "not_a_workload",
+                     "--scale", "0.05"]) == 2
+        assert "unknown workload 'not_a_workload'" in capsys.readouterr().err
 
     def test_every_registry_name_resolves_and_is_pinned(self):
         # One family table feeds --workload, list-workloads and the
@@ -47,7 +62,7 @@ class TestBuildTrace:
                  for name in registry]
         assert len(names) == len({name for _, name in names})
         for family, name in names:
-            assert build_trace(name, 0.02).name == name
+            assert workload_trace(name, 0.02).name == name
             for seed in golden.TRACE_SEEDS:
                 assert f"{family}/{name}@{seed}" in pins
         assert len(pins) == len(names) * len(golden.TRACE_SEEDS) + len(
@@ -409,7 +424,7 @@ class TestVerifyCommand:
 
     def test_invariant_phase_honours_prefetchers(self, monkeypatch, capsys):
         from repro.prefetchers.base import Prefetcher, PrefetchRequest
-        from repro.prefetchers.registry import _REGISTRY
+        from repro.prefetchers.registry import _configurations
         from repro.workloads import full_suite
 
         class Flood(Prefetcher):
@@ -419,7 +434,7 @@ class TestVerifyCommand:
             def on_access(self, ctx):
                 return [PrefetchRequest(addr=ctx.addr) for _ in range(100)]
 
-        monkeypatch.setitem(_REGISTRY, "flood", lambda: {"l1": Flood})
+        monkeypatch.setitem(_configurations(), "flood", {"l1": Flood})
         audit = ["verify", "--skip-oracle", "--skip-golden",
                  "--skip-cross-engine", "--invariant-scale", "0.02"]
         assert main(audit + ["--prefetchers", "next_line"]) == 0
@@ -538,6 +553,13 @@ class TestErrorHygiene:
             main(argv + [value])
         assert excinfo.value.code == 2
         assert "expected a finite number above 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_retries_must_be_at_least_one(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--workload", "lbm_like", "--retries", value])
+        assert excinfo.value.code == 2
+        assert "expected an integer of at least 1" in capsys.readouterr().err
 
     def test_mutate_refuses_a_timeout(self, capsys):
         # A mutation patches the simulator in this process, and a

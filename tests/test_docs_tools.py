@@ -33,11 +33,16 @@ def test_docs_audit_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_docstring_role_to_a_deleted_symbol_fails():
+def _check_docs():
     spec = importlib.util.spec_from_file_location(
         "check_docs", TOOLS / "check_docs.py")
     check_docs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check_docs)
+    return check_docs
+
+
+def test_docstring_role_to_a_deleted_symbol_fails():
+    check_docs = _check_docs()
     planted = (
         '"""Applies :meth:`repro.core.ipcp_l1.IpcpL1.on_access` rules,\n'
         "once stated by :meth:`~repro.core.ip_table.IpTable.access`, and\n"
@@ -47,6 +52,13 @@ def test_docstring_role_to_a_deleted_symbol_fails():
     assert check_docs.check_roles(planted, "planted.py") == [
         "planted.py:2: unresolvable reference "
         "`repro.core.ip_table.IpTable.access`"]
+
+
+def test_catalog_missing_a_configuration_fails():
+    catalog = "| `ipcp` | the bouquet |\n`mlop` (MLOP@L1 + NL@L2/LLC)\n"
+    assert _check_docs().check_catalog(
+        catalog, ["ipcp", "mlop", "none"], "catalog.md") == [
+        "catalog.md: configuration `none` is not listed"]
 
 
 def test_docstring_gate_passes():

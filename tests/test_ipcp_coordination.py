@@ -53,13 +53,20 @@ class TestCoordinatedThrottling:
         assert drops_when_doubting > drops_when_confident
 
     def test_throttling_disabled_uses_default_degrees(self):
-        pf = IpcpL1(IpcpConfig(throttling=False))
-        pf.throttles[PfClass.GS].degree = 1  # would bind if honoured
-        requests = train_gs_and_cs(pf)
-        # With throttling off, the first trained GS burst has the full
-        # default degree (6 deltas before RR filtering kicks in).
-        gs_bursts = [r for r in requests if r.pf_class == int(PfClass.GS)]
-        assert gs_bursts
+        # With throttling off, neither the degree nor the priority walk
+        # may read the throttle: a GS throttle forced to degree 1 and
+        # low accuracy must change no target and no RR-filter drop.
+        # (Whole requests differ: metadata carries the stride only
+        # above the high watermark, throttling or not.)
+        free = IpcpL1(IpcpConfig(throttling=False))
+        forced = IpcpL1(IpcpConfig(throttling=False))
+        forced.throttles[PfClass.GS].degree = 1
+        forced.throttles[PfClass.GS].accuracy = 0.1
+        targets = [[(r.addr, r.pf_class) for r in train_gs_and_cs(pf)]
+                   for pf in (free, forced)]
+        assert any(pf_class == PfClass.GS for _, pf_class in targets[0])
+        assert targets[0] == targets[1]
+        assert free.stats == forced.stats
 
     def test_degree_recovers_after_good_epochs(self):
         pf = IpcpL1()

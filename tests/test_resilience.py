@@ -44,6 +44,7 @@ from repro.resilience import (
     classify_failure,
     flush_active_journals,
 )
+from repro.resilience.policy import BACKOFF_MAX
 from repro.runner import (
     JobSpec,
     ResultCache,
@@ -167,20 +168,22 @@ class TestTaxonomy:
         assert policy.should_retry(TIMEOUT, 2)
         assert not policy.should_retry(TRANSIENT, 3)
         assert not policy.should_retry(FATAL, 1)
-        no_timeout_retry = RetryPolicy(max_attempts=3, retry_timeouts=False)
-        assert not no_timeout_retry.should_retry(TIMEOUT, 1)
+
+    @pytest.mark.parametrize("attempts", [0, -2])
+    def test_attempt_budget_must_be_at_least_one(self, attempts):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            RetryPolicy(max_attempts=attempts)
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             backoff_max=1.0, jitter=0.5, seed=7)
+        policy = RetryPolicy(backoff_base=0.1)
         delays = [policy.delay("somekey", attempt)
                   for attempt in (1, 2, 3, 10)]
         assert delays == [policy.delay("somekey", attempt)
                           for attempt in (1, 2, 3, 10)]
-        # base * [1, 1+jitter) envelope, capped at backoff_max * 1.5
+        # base * [1, 1+jitter) envelope, capped at BACKOFF_MAX
         assert 0.1 <= delays[0] < 0.15
         assert 0.2 <= delays[1] < 0.3
-        assert delays[3] < 1.0 * 1.5
+        assert BACKOFF_MAX <= delays[3] < BACKOFF_MAX * 1.5
         # jitter decorrelates different jobs
         assert policy.delay("somekey", 1) != policy.delay("otherkey", 1)
         assert RetryPolicy(backoff_base=0.0).delay("k", 1) == 0.0

@@ -18,7 +18,6 @@ from repro.workloads import (
     heterogeneous_mixes,
     homogeneous_mix,
     memory_intensive_suite,
-    mix_trace,
     neural_suite,
     spec_trace,
     stream_trace,
@@ -215,13 +214,6 @@ class TestGapAndStream:
             gap_trace("pagerank_like")
         with pytest.raises(ConfigurationError):
             stream_trace("stream_reverse")
-
-    def test_mix_trace_resolves_all_registries(self):
-        assert mix_trace("lbm_like", 0.02).name == "lbm_like"
-        assert mix_trace("bfs_like", 0.02).name == "bfs_like"
-        assert mix_trace("stream_scale", 0.02).name == "stream_scale"
-        with pytest.raises(ConfigurationError):
-            mix_trace("not_a_benchmark", 0.02)
 
 
 class TestMixes:

@@ -16,7 +16,10 @@ Walks README.md, EXPERIMENTS.md, DESIGN.md, ROADMAP.md and every
 It also walks every ``src/**/*.py`` file and fails on a Sphinx
 cross-reference role (``:meth:``, ``:func:``, ``:class:``, ``:attr:``,
 ``:mod:``, ``:data:``, ``:exc:``) whose dotted ``repro.…`` target does
-not resolve, so a docstring cannot outlive the symbol it names.
+not resolve, so a docstring cannot outlive the symbol it names; and on
+a prefetcher configuration name (``available_prefetchers()``) that
+``docs/prefetchers.md`` never shows in backticks, so the catalog and
+the configuration table cannot drift apart.
 
 Run directly (``python tools/check_docs.py``) or via CI's docs job.
 """
@@ -51,6 +54,7 @@ _FLAG = re.compile(r"--[a-z][a-z-]*")
 _ROLE = re.compile(
     r":(?:meth|func|class|attr|mod|data|exc):`~?(repro\.[\w.\s]+?)`")
 SOURCE_FILES = sorted((ROOT / "src").rglob("*.py"))
+CATALOG = ROOT / "docs" / "prefetchers.md"
 
 
 def _cli_commands() -> dict[str, set[str]]:
@@ -174,6 +178,15 @@ def check_roles(text: str, where: str) -> list[str]:
     return errors
 
 
+def check_catalog(text: str, names: list[str], where: str) -> list[str]:
+    """Every configuration name in ``names`` that ``text`` never shows
+    in backticks."""
+    shown = {match.group(1).strip()
+             for line in text.splitlines() for match in _CODE.finditer(line)}
+    return [f"{where}: configuration `{name}` is not listed"
+            for name in names if name not in shown]
+
+
 def main() -> int:
     """Audit every doc and source file; nonzero exit on any broken
     reference."""
@@ -185,6 +198,11 @@ def main() -> int:
     for path in SOURCE_FILES:
         errors.extend(check_roles(path.read_text(encoding="utf-8"),
                                   str(path.relative_to(ROOT))))
+    from repro.prefetchers import available_prefetchers
+
+    errors.extend(check_catalog(CATALOG.read_text(encoding="utf-8"),
+                                available_prefetchers(),
+                                str(CATALOG.relative_to(ROOT))))
     if errors:
         print(f"{len(errors)} broken documentation reference(s):")
         for error in errors:
@@ -192,7 +210,8 @@ def main() -> int:
         return 1
     print(f"docs OK: {len(DOC_FILES)} files and {len(SOURCE_FILES)} "
           f"source files audited, no broken links, paths, modules, CLI "
-          f"references or docstring roles")
+          f"references or docstring roles, and every prefetcher "
+          f"configuration listed")
     return 0
 
 
