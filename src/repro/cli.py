@@ -466,8 +466,7 @@ def cmd_paper(args) -> int:
               f"claims: {', '.join(only)}")
 
     backend = make_backend(args)
-    engine = paperclaims.ClaimEngine(
-        paperclaims.CELLS, paperclaims.CLAIMS, backend)
+    engine = paperclaims.ClaimEngine(paperclaims.CLAIMS, backend)
 
     mutation = (paperclaims.apply_mutation(args.mutate)
                 if args.mutate else contextlib.nullcontext())

@@ -7,14 +7,13 @@ virtual-memory page mapper and a configurable replacement policy per
 level.
 """
 
-from repro.memsys.cache import AccessKind, Cache, CacheStats
+from repro.memsys.cache import Cache, CacheStats
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import Hierarchy, build_hierarchy
 from repro.memsys.replacement import make_replacement_policy
 from repro.memsys.vmem import VirtualMemory
 
 __all__ = [
-    "AccessKind",
     "Cache",
     "CacheStats",
     "Dram",

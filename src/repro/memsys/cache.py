@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from heapq import heappop, heappush
 
 from repro.errors import SimulationError
@@ -40,15 +39,6 @@ from repro.prefetchers.base import (
     Prefetcher,
     PrefetchRequest,
 )
-
-
-class AccessKind(IntEnum):
-    """Kinds of traffic a cache level services."""
-
-    LOAD = 0
-    STORE = 1
-    PREFETCH = 2
-    WRITEBACK = 3
 
 
 @dataclass
@@ -134,9 +124,6 @@ class CoreSumCounter:
 
 
 _MPKI_WINDOW = 1024  # instructions per MPKI sample (paper uses 10-bit counters)
-_LOAD = AccessKind.LOAD
-_PREFETCH = AccessKind.PREFETCH
-_WRITEBACK = AccessKind.WRITEBACK
 _LOAD_TYPE = AccessType.LOAD
 _STORE_TYPE = AccessType.STORE
 _PREFETCH_TYPE = AccessType.PREFETCH
@@ -249,30 +236,6 @@ class Cache:
     # ------------------------------------------------------------------ #
     # Entry points, one per kind of traffic
     # ------------------------------------------------------------------ #
-
-    def access(
-        self,
-        addr: int,
-        cycle: int,
-        kind: AccessKind,
-        ip: int = 0,
-        vaddr: int | None = None,
-        metadata: int = 0,
-        pf_class: int = 0,
-    ) -> int | None:
-        """Service an access of any ``kind``; return the data-ready cycle.
-
-        Dispatches to :meth:`demand`, :meth:`prefetch_arrival` or
-        :meth:`writeback` (for which it returns ``cycle``).  Returns
-        None only for PREFETCH accesses that were dropped (MSHR/PQ
-        exhaustion downstream).
-        """
-        if kind == _WRITEBACK:
-            self.writeback(addr, cycle)
-            return cycle
-        if kind == _PREFETCH:
-            return self.prefetch_arrival(addr, cycle, ip, metadata, pf_class)
-        return self.demand(addr, cycle, kind == _LOAD, ip, vaddr)
 
     def demand(
         self,

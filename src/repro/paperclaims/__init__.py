@@ -1,18 +1,17 @@
 """Machine-checked paper claims: EXPERIMENTS.md as a build artifact.
 
 Every row of EXPERIMENTS.md is a typed :class:`~repro.paperclaims.
-claims.Claim` — ordering, band, ratio, monotonicity or exact-value
-predicates over values measured by :class:`~repro.paperclaims.cells.
-Cell` computations, which draw all simulations through the cached
-parallel runner.  ``repro paper`` evaluates the registry, regenerates
-EXPERIMENTS.md and BENCH_10.json, and ``--check`` exits nonzero on any
-claim flip or doc drift; ``--mutate`` proves the harness catches a
-seeded one-line core regression.
+claims.Claim` — band, leader, ratio, spread or monotonicity predicates
+over the values its own cells measured.  A cell is a function that
+draws its simulations through the cached parallel runner.  ``repro
+paper`` evaluates the registry, regenerates EXPERIMENTS.md and
+BENCH_10.json, and ``--check`` exits nonzero on any claim flip or doc
+drift; ``--mutate`` proves the harness catches a seeded one-line core
+regression.
 """
 
 from repro.paperclaims.bench import bench_payload, write_bench
 from repro.paperclaims.cells import (
-    Cell,
     CellContext,
     ClaimEngine,
     EngineReport,
@@ -23,10 +22,8 @@ from repro.paperclaims.claims import (
     Claim,
     ClaimVerdict,
     DeltaBand,
-    Exact,
     Leader,
     Monotonic,
-    Ordering,
     Predicate,
     RatioBand,
     ScaledLeader,
@@ -38,7 +35,7 @@ from repro.paperclaims.mutations import (
     expected_flips,
     mutation_names,
 )
-from repro.paperclaims.registry import CELLS, CLAIMS
+from repro.paperclaims.registry import CLAIMS
 from repro.paperclaims.render import (
     render_experiments,
     render_verdict_report,
@@ -47,20 +44,16 @@ from repro.paperclaims.render import (
 __all__ = [
     "Band",
     "Best",
-    "CELLS",
     "CLAIMS",
-    "Cell",
     "CellContext",
     "Claim",
     "ClaimEngine",
     "ClaimVerdict",
     "DeltaBand",
     "EngineReport",
-    "Exact",
     "Leader",
     "MUTATIONS",
     "Monotonic",
-    "Ordering",
     "Predicate",
     "RatioBand",
     "ScaledLeader",

@@ -1,8 +1,10 @@
 """Measurement cells: the experiments behind the claim registry.
 
-A :class:`Cell` computes a batch of named values (``fig8.mem.ipcp``,
-``abl.nl.delta`` ...) from live simulations.  Each cell resolves its
-whole grid in one fan-out through one of two accessors: an
+A cell is a function ``ctx -> {key: value}`` that computes a batch of
+named values (``fig8.mem.ipcp``, ``abl.nl.delta`` ...) from live
+simulations; a :class:`~repro.paperclaims.claims.Claim` holds the cell
+functions its predicates read.  Each cell resolves its whole grid in
+one fan-out through one of two accessors: an
 :class:`~repro.analysis.ExperimentRunner` grid of single-core
 ``(trace, config[, params])`` cells, or :meth:`CellContext.mix_gains`
 for multicore mixes.  Both draw every simulation through one shared
@@ -15,9 +17,9 @@ it), so
 * the resilience layer (retries, timeouts) applies to every
   cell uniformly.
 
-:class:`ClaimEngine` resolves the cell dependency set of the requested
-claims, computes each cell once (timing it for BENCH telemetry), then
-evaluates the claims against the merged value dict.
+:class:`ClaimEngine` runs each distinct cell of the requested claims
+once (timing it for BENCH telemetry), then checks each claim against
+the values its own cells returned.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ SUITE_SCALE = 0.5
 SWEEP_SCALE = 0.4
 MIX_SCALE = 0.25
 MIXDIST_SCALE = 0.2
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One named measurement producing a dict of ``{key: value}``."""
-
-    id: str
-    title: str
-    compute: Callable[["CellContext"], dict[str, float]]
 
 
 class CellContext:
@@ -127,6 +120,18 @@ class CellContext:
             for config in [*configs, "none"]
         )
         return {config: runner.mean_speedup(config) for config in configs}
+
+    def speedup_cell(self, prefix: str, runner: ExperimentRunner,
+                     configs: dict[str, str] | list[str]
+                     ) -> dict[str, float]:
+        """``{prefix.label: geomean speedup}`` for every ``{label:
+        config}`` (a list labels each config by its own name), resolved
+        in one fan-out by :meth:`mean_speedups`."""
+        if not isinstance(configs, dict):
+            configs = {config: config for config in configs}
+        means = self.mean_speedups(runner, list(configs.values()))
+        return {f"{prefix}.{label}": means[config]
+                for label, config in configs.items()}
 
     def dram_overhead(self, runner: ExperimentRunner,
                       config: str) -> float:
@@ -219,23 +224,17 @@ class EngineReport:
 
 
 class ClaimEngine:
-    """Schedule cells, merge values, evaluate claims.
+    """Run cells once each, then check every claim against its own.
 
-    ``cells`` and ``claims`` are the full registry
-    (:mod:`repro.paperclaims.registry`); ``only`` restricts evaluation
-    to a claim subset and computes just the cells those claims need.
+    ``claims`` is the full registry (:data:`repro.paperclaims.registry.
+    CLAIMS`); ``only`` restricts evaluation to a claim subset and runs
+    just the cells those claims hold.
     """
 
-    def __init__(self, cells: list[Cell], claims: list[Claim],
+    def __init__(self, claims: list[Claim],
                  backend: SimulationRunner) -> None:
-        self.cells = {cell.id: cell for cell in cells}
         self.claims = claims
         self.backend = backend
-        for claim in claims:
-            unknown = [cid for cid in claim.cells if cid not in self.cells]
-            if unknown:
-                raise ConfigurationError(
-                    f"claim {claim.id!r} references unknown cells {unknown}")
 
     def select(self, only: list[str] | None) -> list[Claim]:
         """The claims to evaluate (validated ``--only`` subset or all)."""
@@ -251,32 +250,34 @@ class ClaimEngine:
 
     def run(self, only: list[str] | None = None,
             progress: Callable[[str], None] | None = None) -> EngineReport:
-        """Compute the needed cells once each and evaluate the claims."""
+        """Run each needed cell once, in first-use order, and check
+        each claim against the values of its own cells."""
         claims = self.select(only)
-        wanted: list[str] = []
-        for claim in claims:
-            for cell_id in claim.cells:
-                if cell_id not in wanted:
-                    wanted.append(cell_id)
-
         context = CellContext(self.backend)
+        produced: dict[Callable, dict[str, float]] = {}
         values: dict[str, float] = {}
         cell_seconds: dict[str, float] = {}
-        for cell_id in wanted:
-            cell = self.cells[cell_id]
+        for cell in dict.fromkeys(cell for claim in claims
+                                  for cell in claim.cells):
+            # The progress line and BENCH's per-cell timing key.
+            name = cell.__name__.removeprefix("_cell_")
             if progress:
-                progress(f"cell {cell.id}: {cell.title}")
+                progress(f"cell {name}")
             start = time.perf_counter()
-            produced = cell.compute(context)
-            cell_seconds[cell.id] = time.perf_counter() - start
-            collisions = set(produced) & set(values)
+            produced[cell] = cell(context)
+            cell_seconds[name] = time.perf_counter() - start
+            collisions = set(produced[cell]) & set(values)
             if collisions:
                 raise ConfigurationError(
-                    f"cell {cell.id!r} re-produces value keys "
+                    f"cell {name!r} re-produces value keys "
                     f"{sorted(collisions)}")
-            values.update(produced)
+            values.update(produced[cell])
 
-        verdicts = [claim.evaluate(values) for claim in claims]
+        verdicts = [
+            claim.evaluate({key: value for cell in claim.cells
+                            for key, value in produced[cell].items()})
+            for claim in claims
+        ]
         return EngineReport(
             values=values,
             verdicts=verdicts,

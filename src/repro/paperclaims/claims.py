@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 def _fmt(value: float) -> str:
@@ -25,6 +26,17 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
+def _within(label: str, value: float, lo: float | None,
+            hi: float | None) -> tuple[bool, str]:
+    """The bounds check every band shares: ``lo <= value <= hi``
+    (either bound optional; NaN fails any bound), stated with the
+    measured value."""
+    ok = (lo is None or value >= lo) and (hi is None or value <= hi)
+    return ok, (f"{label} = {_fmt(value)} in "
+                f"[{'-inf' if lo is None else _fmt(lo)}, "
+                f"{'inf' if hi is None else _fmt(hi)}]")
+
+
 class Predicate:
     """One checkable condition over the measured-values dict.
 
@@ -32,10 +44,6 @@ class Predicate:
     where the message states the comparison with the actual numbers
     filled in — the per-claim verdict report is built from these.
     """
-
-    def keys(self) -> tuple[str, ...]:
-        """Every value key this predicate reads (for dependency audit)."""
-        raise NotImplementedError
 
     def check(self, values: dict[str, float]) -> tuple[bool, str]:
         """Evaluate against ``values``; return ``(passed, message)``."""
@@ -53,44 +61,16 @@ class Predicate:
 
 @dataclass(frozen=True)
 class Band(Predicate):
-    """``lo <= values[key] <= hi`` (either bound optional)."""
+    """``lo <= values[key] <= hi`` (either bound optional; equal bounds
+    pin an exact value)."""
 
     key: str
     lo: float | None = None
     hi: float | None = None
 
-    def keys(self) -> tuple[str, ...]:
-        return (self.key,)
-
     def check(self, values):
-        value = self._get(values, self.key)
-        ok = True
-        if self.lo is not None and not value >= self.lo:
-            ok = False
-        if self.hi is not None and not value <= self.hi:
-            ok = False
-        bounds = (f"{_fmt(self.lo) if self.lo is not None else '-inf'}"
-                  f" <= {self.key} <= "
-                  f"{_fmt(self.hi) if self.hi is not None else 'inf'}")
-        return ok, f"{bounds} (measured {_fmt(value)})"
-
-
-@dataclass(frozen=True)
-class Exact(Predicate):
-    """``values[key] == expected`` (within ``tol``; default exact)."""
-
-    key: str
-    expected: float
-    tol: float = 0.0
-
-    def keys(self) -> tuple[str, ...]:
-        return (self.key,)
-
-    def check(self, values):
-        value = self._get(values, self.key)
-        ok = abs(value - self.expected) <= self.tol
-        return ok, (f"{self.key} == {_fmt(self.expected)} "
-                    f"(measured {_fmt(value)})")
+        return _within(self.key, self._get(values, self.key),
+                       self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -100,9 +80,6 @@ class Leader(Predicate):
     key: str
     rivals: tuple[str, ...]
     margin: float = 0.0
-
-    def keys(self) -> tuple[str, ...]:
-        return (self.key, *self.rivals)
 
     def check(self, values):
         leader = self._get(values, self.key)
@@ -118,50 +95,20 @@ class Leader(Predicate):
 
 
 @dataclass(frozen=True)
-class Ordering(Predicate):
-    """``values[keys[i]] >= values[keys[i+1]] - slack`` down the list."""
-
-    ordered_keys: tuple[str, ...]
-    slack: float = 0.0
-
-    def keys(self) -> tuple[str, ...]:
-        return self.ordered_keys
-
-    def check(self, values):
-        broken = []
-        for left, right in zip(self.ordered_keys, self.ordered_keys[1:]):
-            if not (self._get(values, left)
-                    >= self._get(values, right) - self.slack):
-                broken.append(f"{left} < {right}")
-        ok = not broken
-        chain = " >= ".join(self.ordered_keys)
-        detail = "; ".join(broken) if broken else "holds"
-        return ok, f"{chain} (slack {_fmt(self.slack)}): {detail}"
-
-
-@dataclass(frozen=True)
 class DeltaBand(Predicate):
-    """``lo <= values[minuend] - values[subtrahend] <= hi``."""
+    """``lo <= values[minuend] - values[subtrahend] <= hi`` (``lo=0``
+    orders two values)."""
 
     minuend: str
     subtrahend: str
     lo: float | None = None
     hi: float | None = None
 
-    def keys(self) -> tuple[str, ...]:
-        return (self.minuend, self.subtrahend)
-
     def check(self, values):
         delta = (self._get(values, self.minuend)
                  - self._get(values, self.subtrahend))
-        ok = True
-        if self.lo is not None and not delta >= self.lo:
-            ok = False
-        if self.hi is not None and not delta <= self.hi:
-            ok = False
-        return ok, (f"{self.minuend} - {self.subtrahend} = {_fmt(delta)} "
-                    f"in [{_fmt(self.lo) if self.lo is not None else '-inf'}"
-                    f", {_fmt(self.hi) if self.hi is not None else 'inf'}]")
+        return _within(f"{self.minuend} - {self.subtrahend}", delta,
+                       self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -173,23 +120,14 @@ class RatioBand(Predicate):
     lo: float | None = None
     hi: float | None = None
 
-    def keys(self) -> tuple[str, ...]:
-        return (self.numerator, self.denominator)
-
     def check(self, values):
         denominator = self._get(values, self.denominator)
         if denominator == 0:
             return False, (f"{self.denominator} is zero; "
                            f"{self.numerator}/{self.denominator} undefined")
         ratio = self._get(values, self.numerator) / denominator
-        ok = True
-        if self.lo is not None and not ratio >= self.lo:
-            ok = False
-        if self.hi is not None and not ratio <= self.hi:
-            ok = False
-        return ok, (f"{self.numerator} / {self.denominator} = {_fmt(ratio)} "
-                    f"in [{_fmt(self.lo) if self.lo is not None else '-inf'}"
-                    f", {_fmt(self.hi) if self.hi is not None else 'inf'}]")
+        return _within(f"{self.numerator} / {self.denominator}", ratio,
+                       self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -198,9 +136,6 @@ class Best(Predicate):
 
     value_keys: tuple[str, ...]
     lo: float
-
-    def keys(self) -> tuple[str, ...]:
-        return self.value_keys
 
     def check(self, values):
         got = {key: self._get(values, key) for key in self.value_keys}
@@ -223,9 +158,6 @@ class ScaledLeader(Predicate):
     rivals: tuple[str, ...]
     factor: float = 1.0
 
-    def keys(self) -> tuple[str, ...]:
-        return (self.key, *self.rivals)
-
     def check(self, values):
         value = self._get(values, self.key)
         got = {rival: self._get(values, rival) for rival in self.rivals}
@@ -242,9 +174,6 @@ class Spread(Predicate):
     value_keys: tuple[str, ...]
     hi: float
 
-    def keys(self) -> tuple[str, ...]:
-        return self.value_keys
-
     def check(self, values):
         got = [self._get(values, key) for key in self.value_keys]
         spread = max(got) - min(got)
@@ -255,13 +184,11 @@ class Spread(Predicate):
 
 @dataclass(frozen=True)
 class Monotonic(Predicate):
-    """Values are non-decreasing along ``keys`` (within ``slack``)."""
+    """Values are non-decreasing along ``ordered_keys`` (within
+    ``slack``)."""
 
     ordered_keys: tuple[str, ...]
     slack: float = 0.0
-
-    def keys(self) -> tuple[str, ...]:
-        return self.ordered_keys
 
     def check(self, values):
         broken = []
@@ -293,8 +220,10 @@ class ClaimVerdict:
 class Claim:
     """One EXPERIMENTS.md row as a typed, checkable object.
 
-    ``cells`` names the :class:`repro.paperclaims.cells.Cell` ids whose
-    values the predicates read; the engine schedules exactly those.
+    ``cells`` holds the cell functions (``ctx -> {key: value}``, see
+    :mod:`repro.paperclaims.cells`) whose values the predicates read,
+    and only those: :class:`~repro.paperclaims.cells.ClaimEngine`
+    checks the claim against the values its own cells returned.
     ``paper`` quotes the paper-side statement the predicates encode.
     """
 
@@ -302,11 +231,12 @@ class Claim:
     section: str
     title: str
     paper: str
-    cells: tuple[str, ...]
+    cells: tuple[Callable[..., dict[str, float]], ...]
     predicates: tuple[Predicate, ...] = field(default_factory=tuple)
 
     def evaluate(self, values: dict[str, float]) -> ClaimVerdict:
-        """Check every predicate; the claim holds only if all do."""
+        """Check every predicate against ``values`` (the values of this
+        claim's cells); the claim holds only if all do."""
         passed = True
         details = []
         for predicate in self.predicates:

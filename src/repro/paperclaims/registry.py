@@ -1,15 +1,15 @@
 """The claim registry: every EXPERIMENTS.md row as cells + predicates.
 
 This is the only place a paper number is measured and checked.  Cells
-fix the traces, scales and configurations of each experiment and run
-them through the shared cached backend, so a warm re-check is free;
-claims hold the thresholds those measurements must meet.
+(functions ``ctx -> {key: value}``) fix the traces, scales and
+configurations of each experiment and run them through the shared
+cached backend, so a warm re-check is free; claims hold the cells they
+read and the thresholds those measurements must meet.
 """
 
 from __future__ import annotations
 
 from repro.paperclaims.cells import (
-    Cell,
     CellContext,
     MIX_SCALE,
     MIXDIST_SCALE,
@@ -20,10 +20,8 @@ from repro.paperclaims.claims import (
     Best,
     Claim,
     DeltaBand,
-    Exact,
     Leader,
     Monotonic,
-    Ordering,
     RatioBand,
     ScaledLeader,
     Spread,
@@ -88,7 +86,7 @@ def _miss_reduction(result, baseline, level: str) -> float:
 
 
 # --------------------------------------------------------------------- #
-# Cell compute functions.
+# Cells: each returns a flat ``{key: value}`` dict.
 # --------------------------------------------------------------------- #
 
 def _cell_table1(ctx: CellContext) -> dict[str, float]:
@@ -186,18 +184,15 @@ def _cell_fig1(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_fig7(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(ctx.mem_runner, FIG7_CONFIGS)
-    return {f"fig7.{config}": value for config, value in means.items()}
+    return ctx.speedup_cell("fig7", ctx.mem_runner, FIG7_CONFIGS)
 
 
 def _cell_fig8_mem(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(ctx.mem_runner, FIG8_CONFIGS)
-    return {f"fig8.mem.{config}": value for config, value in means.items()}
+    return ctx.speedup_cell("fig8.mem", ctx.mem_runner, FIG8_CONFIGS)
 
 
 def _cell_fig8_full(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(ctx.full_runner, FIG8_FULL_CONFIGS)
-    return {f"fig8.full.{config}": value for config, value in means.items()}
+    return ctx.speedup_cell("fig8.full", ctx.full_runner, FIG8_FULL_CONFIGS)
 
 
 def _cell_fig9(ctx: CellContext) -> dict[str, float]:
@@ -281,17 +276,11 @@ def _cell_fig12(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_fig13a(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(
-        ctx.mem_runner, list(FIG13A_VARIANTS.values()))
-    return {f"fig13a.{label}": means[config]
-            for label, config in FIG13A_VARIANTS.items()}
+    return ctx.speedup_cell("fig13a", ctx.mem_runner, FIG13A_VARIANTS)
 
 
 def _cell_fig13b(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(
-        ctx.mem_runner, list(FIG13B_ORDERS.values()))
-    return {f"fig13b.{label}": means[config]
-            for label, config in FIG13B_ORDERS.items()}
+    return ctx.speedup_cell("fig13b", ctx.mem_runner, FIG13B_ORDERS)
 
 
 def _cell_fig14a(ctx: CellContext) -> dict[str, float]:
@@ -313,8 +302,7 @@ def _cell_fig14a(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_fig14b_single(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(ctx.neural_runner, TABLE4_CONFIGS)
-    return {f"fig14b.sc.{config}": value for config, value in means.items()}
+    return ctx.speedup_cell("fig14b.sc", ctx.neural_runner, TABLE4_CONFIGS)
 
 
 def _cell_fig14b_multi(ctx: CellContext) -> dict[str, float]:
@@ -430,13 +418,8 @@ def _cell_abl_throttle(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_rr(ctx: CellContext) -> dict[str, float]:
-    runner = ctx.spec_runner(ABL_TRACES)
-    means = ctx.mean_speedups(runner, ["ipcp_rr8", "ipcp", "ipcp_rr128"])
-    return {
-        "abl.rr.r8": means["ipcp_rr8"],
-        "abl.rr.r32": means["ipcp"],
-        "abl.rr.r128": means["ipcp_rr128"],
-    }
+    return ctx.speedup_cell("abl.rr", ctx.spec_runner(ABL_TRACES), {
+        "r8": "ipcp_rr8", "r32": "ipcp", "r128": "ipcp_rr128"})
 
 
 def _cell_abl_nl(ctx: CellContext) -> dict[str, float]:
@@ -472,12 +455,9 @@ def _cell_abl_cplx(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_gs(ctx: CellContext) -> dict[str, float]:
-    degrees = {"d2": "ipcp_gs_deg2", "d4": "ipcp_gs_deg4",
-               "d6": "ipcp", "d8": "ipcp_gs_deg8"}
-    runner = ctx.spec_runner(GS_TRACES)
-    means = ctx.mean_speedups(runner, list(degrees.values()))
-    return {f"abl.gs.{label}": means[config]
-            for label, config in degrees.items()}
+    return ctx.speedup_cell("abl.gs", ctx.spec_runner(GS_TRACES), {
+        "d2": "ipcp_gs_deg2", "d4": "ipcp_gs_deg4", "d6": "ipcp",
+        "d8": "ipcp_gs_deg8"})
 
 
 def _cell_abl_traffic(ctx: CellContext) -> dict[str, float]:
@@ -519,13 +499,8 @@ def _cell_abl_motivation(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_l2_complement(ctx: CellContext) -> dict[str, float]:
-    configs = ["ipcp_l1", *L2_COMPLEMENTS.values(), "ipcp"]
-    means = ctx.mean_speedups(ctx.mem_runner, configs)
-    values = {"abl.l2c.none": means["ipcp_l1"],
-              "abl.l2c.ipcp_l2": means["ipcp"]}
-    for label, config in L2_COMPLEMENTS.items():
-        values[f"abl.l2c.{label}"] = means[config]
-    return values
+    return ctx.speedup_cell("abl.l2c", ctx.mem_runner, {
+        "none": "ipcp_l1", **L2_COMPLEMENTS, "ipcp_l2": "ipcp"})
 
 
 def _cell_abl_temporal(ctx: CellContext) -> dict[str, float]:
@@ -549,9 +524,8 @@ def _cell_abl_temporal(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_llc(ctx: CellContext) -> dict[str, float]:
-    means = ctx.mean_speedups(ctx.mem_runner, ["ipcp", "ipcp_llc"])
-    return {"abl.llc.two": means["ipcp"],
-            "abl.llc.three": means["ipcp_llc"]}
+    return ctx.speedup_cell("abl.llc", ctx.mem_runner,
+                            {"two": "ipcp", "three": "ipcp_llc"})
 
 
 def _cell_abl_density(ctx: CellContext) -> dict[str, float]:
@@ -689,51 +663,8 @@ def _cell_frontend(ctx: CellContext) -> dict[str, float]:
     return values
 
 
-CELLS = [
-    Cell("table1", "IPCP storage bookkeeping", _cell_table1),
-    Cell("table2", "Table II system parameters", _cell_table2),
-    Cell("table3", "combination storage budgets", _cell_table3),
-    Cell("table4", "coverage/accuracy per combination", _cell_table4),
-    Cell("fig1", "L1 vs L2 prefetcher placement", _cell_fig1),
-    Cell("fig7", "L1-only prefetcher comparison", _cell_fig7),
-    Cell("fig8mem", "multi-level speedups (mem-intensive)", _cell_fig8_mem),
-    Cell("fig8full", "multi-level speedups (full suite)", _cell_fig8_full),
-    Cell("fig9", "demand-MPKI reduction", _cell_fig9),
-    Cell("fig10", "IPCP coverage per level", _cell_fig10),
-    Cell("fig11", "covered/uncovered/over-predicted", _cell_fig11),
-    Cell("fig12", "per-class contribution", _cell_fig12),
-    Cell("fig13a", "class utility (bouquet build-up)", _cell_fig13a),
-    Cell("fig13b", "class priority orders", _cell_fig13b),
-    Cell("fig14a", "CloudSuite 4-core mixes", _cell_fig14a),
-    Cell("fig14b_sc", "CNN/RNN single-core sweep", _cell_fig14b_single),
-    Cell("fig14b_mc", "CNN/RNN 4-core mixes", _cell_fig14b_multi),
-    Cell("fig15", "multicore mix summary", _cell_fig15),
-    Cell("sens_repl", "LLC replacement sweep", _cell_sens_replacement),
-    Cell("sens_cache", "cache-size sweep", _cell_sens_cache),
-    Cell("sens_dram", "DRAM bandwidth sweep", _cell_sens_dram),
-    Cell("sens_pq", "PQ/MSHR budget sweep", _cell_sens_pq_mshr),
-    Cell("sens_tables", "IPCP table-size sweep", _cell_sens_tables),
-    Cell("abl_throttle", "throttling on/off", _cell_abl_throttle),
-    Cell("abl_rr", "RR filter size", _cell_abl_rr),
-    Cell("abl_nl", "tentative-NL MPKI gate", _cell_abl_nl),
-    Cell("abl_cplx", "CPLX degree sweep", _cell_abl_cplx),
-    Cell("abl_gs", "GS degree sweep", _cell_abl_gs),
-    Cell("abl_traffic", "DRAM traffic cost", _cell_abl_traffic),
-    Cell("abl_motiv", "Section III pattern analysis", _cell_abl_motivation),
-    Cell("abl_l2c", "L2 complements under IPCP-L1", _cell_abl_l2_complement),
-    Cell("abl_temporal", "temporal-class extension", _cell_abl_temporal),
-    Cell("abl_llc", "IPCP decoder at the LLC", _cell_abl_llc),
-    Cell("abl_density", "performance density", _cell_abl_density),
-    Cell("abl_opp", "ideal-L1 opportunity bound", _cell_abl_opportunity),
-    Cell("abl_path", "all-mcf pathological mix", _cell_abl_pathological),
-    Cell("abl_mixdist", "heterogeneous-mix distribution", _cell_abl_mixdist),
-    Cell("mix_suite", "MPKI-graded mix1-mix7 suite", _cell_mix_suite),
-    Cell("frontend", "instruction-prefetching suite", _cell_frontend),
-]
-
-
 # --------------------------------------------------------------------- #
-# Claims: one per EXPERIMENTS.md row, predicates over the cell values.
+# Claims: one per EXPERIMENTS.md row, predicates over its cells' values.
 # --------------------------------------------------------------------- #
 
 def _fig7_rivals() -> tuple[str, ...]:
@@ -746,13 +677,13 @@ CLAIMS = [
         id="table1-storage", section="tables",
         title="Table I: IPCP storage overhead",
         paper="740 B (L1) + 155 B (L2) = 895 B, bit-exact",
-        cells=("table1",),
+        cells=(_cell_table1,),
         predicates=(
-            Exact("table1.l1_table_bits", 5800),
-            Exact("table1.l1_other_bits", 113),
-            Exact("table1.l1_bytes", 740),
-            Exact("table1.l2_bytes", 155),
-            Exact("table1.total_bytes", 895),
+            Band("table1.l1_table_bits", lo=5800, hi=5800),
+            Band("table1.l1_other_bits", lo=113, hi=113),
+            Band("table1.l1_bytes", lo=740, hi=740),
+            Band("table1.l2_bytes", lo=155, hi=155),
+            Band("table1.total_bytes", lo=895, hi=895),
         ),
     ),
     Claim(
@@ -760,19 +691,19 @@ CLAIMS = [
         title="Table II: system configuration",
         paper="4 GHz 4-wide 256-ROB; 48 KB/512 KB/2 MB caches; "
               "DTLB 64 / STLB 1536; 12.8 GB/s DRAM",
-        cells=("table2",),
+        cells=(_cell_table2,),
         predicates=(
-            Exact("table2.width", 4),
-            Exact("table2.rob", 256),
-            Exact("table2.l1_kb", 48),
-            Exact("table2.l1_pq", 8),
-            Exact("table2.l1_mshr", 16),
-            Exact("table2.l2_kb", 512),
-            Exact("table2.llc_kb", 2048),
-            Exact("table2.dtlb", 64),
-            Exact("table2.stlb", 1536),
-            Exact("table2.dram_gbps", 12.8),
-            Exact("table2.ghz", 4.0),
+            Band("table2.width", lo=4, hi=4),
+            Band("table2.rob", lo=256, hi=256),
+            Band("table2.l1_kb", lo=48, hi=48),
+            Band("table2.l1_pq", lo=8, hi=8),
+            Band("table2.l1_mshr", lo=16, hi=16),
+            Band("table2.l2_kb", lo=512, hi=512),
+            Band("table2.llc_kb", lo=2048, hi=2048),
+            Band("table2.dtlb", lo=64, hi=64),
+            Band("table2.stlb", lo=1536, hi=1536),
+            Band("table2.dram_gbps", lo=12.8, hi=12.8),
+            Band("table2.ghz", lo=4.0, hi=4.0),
         ),
     ),
     Claim(
@@ -780,7 +711,7 @@ CLAIMS = [
         title="Table III: 30-50x storage gap",
         paper="IPCP 895 B vs Bingo ~48 KB / T-SKID ~58 KB (>30x); "
               "SPP stack and MLOP in between",
-        cells=("table3",),
+        cells=(_cell_table3,),
         predicates=(
             Band("table3.ipcp.kb", hi=895 / 1024),
             RatioBand("table3.bingo.kb", "table3.ipcp.kb", lo=30),
@@ -795,7 +726,7 @@ CLAIMS = [
         title="Table IV: coverage and accuracy",
         paper="IPCP: 0.60/0.79/0.83 coverage at L1/L2/LLC, 0.80 L1 "
               "accuracy; near the top of the pack at the L1",
-        cells=("table4",),
+        cells=(_cell_table4,),
         predicates=(
             Band("table4.ipcp.acc", lo=0.6),
             Band("table4.ipcp.l1cov", lo=0.3),
@@ -815,7 +746,7 @@ CLAIMS = [
         paper="L1 placement is worth +6-13% on average (weakened on our "
               "substrate: within noise everywhere, a real win somewhere "
               "- deviation D1)",
-        cells=("fig1",),
+        cells=(_cell_fig1,),
         predicates=(
             Band("fig1.ip_stride", lo=0.96),
             Band("fig1.mlop", lo=0.96),
@@ -828,11 +759,11 @@ CLAIMS = [
         title="Fig. 7: L1-only comparison",
         paper="IPCP beats every same-budget L1 rival (Bingo-119KB "
               "exempt); gains are material",
-        cells=("fig7",),
+        cells=(_cell_fig7,),
         predicates=(
             Leader("fig7.ipcp_l1", _fig7_rivals(), margin=0.02),
             Band("fig7.ipcp_l1", lo=1.15),
-            Ordering(("fig7.ipcp_l1", "fig7.next_line")),
+            DeltaBand("fig7.ipcp_l1", "fig7.next_line", lo=0),
         ) + tuple(
             # Nothing behaves absurdly.
             Band(f"fig7.{config}", lo=0.5, hi=3.0)
@@ -843,7 +774,7 @@ CLAIMS = [
         id="fig8-multilevel", section="figures",
         title="Fig. 8: multi-level speedups (memory-intensive)",
         paper="IPCP 1.451 leads all rivals; DOL trails (Section V-A)",
-        cells=("fig8mem",),
+        cells=(_cell_fig8_mem,),
         predicates=(
             Leader("fig8.mem.ipcp",
                    tuple(f"fig8.mem.{c}" for c in FIG8_CONFIGS
@@ -856,7 +787,7 @@ CLAIMS = [
         id="fig8-full-suite", section="figures",
         title="Fig. 8 companion: full-suite averages",
         paper="IPCP 1.22 vs rivals 1.182-1.188 on the full suite",
-        cells=("fig8full",),
+        cells=(_cell_fig8_full,),
         predicates=(
             Leader("fig8.full.ipcp",
                    ("fig8.full.mlop", "fig8.full.tskid")),
@@ -868,7 +799,7 @@ CLAIMS = [
         title="Fig. 9: demand-MPKI reduction",
         paper="every combination cuts aggregate L1 demand MPKI; IPCP "
               "among the strongest",
-        cells=("fig9",),
+        cells=(_cell_fig9,),
         predicates=tuple(
             Band(f"fig9.{config}", lo=0.0) for config in TABLE4_CONFIGS
         ) + (
@@ -884,7 +815,7 @@ CLAIMS = [
         title="Fig. 10: IPCP coverage per level",
         paper="60/79.5/83% coverage at L1/L2/LLC; ~zero on "
               "mcf/omnetpp/cactusBSSN-style traces",
-        cells=("fig10",),
+        cells=(_cell_fig10,),
         predicates=(
             Band("fig10.bwaves.l1", lo=0.5),
             Band("fig10.fotonik.l1", lo=0.5),
@@ -900,7 +831,7 @@ CLAIMS = [
         title="Fig. 11: covered / uncovered / over-predicted",
         paper="streaming traces mostly covered with modest "
               "over-prediction; irregular traces mostly uncovered",
-        cells=("fig11",),
+        cells=(_cell_fig11,),
         predicates=(
             Band("fig11.fotonik.covered", lo=0.7),
             Band("fig11.fotonik.over", hi=0.3),
@@ -914,7 +845,7 @@ CLAIMS = [
         title="Fig. 12: per-class contribution",
         paper="CS 46.7% and GS 30% of covered misses on average; "
               "per-trace attribution follows the access pattern",
-        cells=("fig12",),
+        cells=(_cell_fig12,),
         predicates=(
             Band("fig12.bwaves.cs", lo=0.5),
             Band("fig12.wrf.cplx", lo=0.5),
@@ -930,7 +861,7 @@ CLAIMS = [
         title="Fig. 13a: class utility",
         paper="classes are positive alone; adding classes never hurts; "
               "the full L1+L2 bouquet is the best variant",
-        cells=("fig13a",),
+        cells=(_cell_fig13a,),
         predicates=(
             Band("fig13a.cs_only", lo=1.05),
             Band("fig13a.gs_only", lo=1.0),
@@ -947,7 +878,7 @@ CLAIMS = [
         id="fig13a-metadata", section="figures",
         title="Fig. 13a: the metadata channel pays",
         paper="removing the L1->L2 metadata channel costs ~3.1%",
-        cells=("fig13a",),
+        cells=(_cell_fig13a,),
         predicates=(
             DeltaBand("fig13a.bouquet_l1_l2", "fig13a.no_meta",
                       lo=0.005),
@@ -958,13 +889,13 @@ CLAIMS = [
         title="Fig. 13b: class priority order",
         paper="GS-first (the paper's order) is best or tied-best; "
               "demoting the spatial classes costs up to ~9%",
-        cells=("fig13b",),
+        cells=(_cell_fig13b,),
         predicates=(
             Leader("fig13b.gs_first",
                    ("fig13b.cs_first", "fig13b.cplx_first",
                     "fig13b.nl_first"),
                    margin=0.01),
-            Ordering(("fig13b.gs_first", "fig13b.nl_first"), slack=1e-9),
+            DeltaBand("fig13b.gs_first", "fig13b.nl_first", lo=-1e-9),
         ),
     ),
     Claim(
@@ -972,7 +903,7 @@ CLAIMS = [
         title="Fig. 14a: CloudSuite 4-core mixes",
         paper="spatial prefetchers are ~flat on server workloads; "
               "IPCP's throttling keeps it pinned near 1.0",
-        cells=("fig14a",),
+        cells=(_cell_fig14a,),
         predicates=(
             Band("fig14a.ipcp", lo=0.9, hi=1.15),
             Band("fig14a.ipcp_min", lo=0.85),
@@ -985,7 +916,7 @@ CLAIMS = [
         title="Fig. 14b: CNN/RNN kernels",
         paper="streaming NN kernels favour IPCP, single-core and in "
               "4-core mixes",
-        cells=("fig14b_sc", "fig14b_mc"),
+        cells=(_cell_fig14b_single, _cell_fig14b_multi,),
         predicates=(
             Leader("fig14b.sc.ipcp",
                    tuple(f"fig14b.sc.{c}" for c in TABLE4_CONFIGS
@@ -1002,7 +933,7 @@ CLAIMS = [
         title="Fig. 15: multicore summary",
         paper="IPCP 1.234 leads Bingo 1.209 / MLOP 1.200; its worst "
               "mix degrades least (coordinated throttling)",
-        cells=("fig15",),
+        cells=(_cell_fig15,),
         predicates=(
             Leader("fig15.ipcp", ("fig15.mlop", "fig15.bingo"),
                    margin=0.02),
@@ -1016,7 +947,7 @@ CLAIMS = [
         id="sens-replacement", section="sensitivity",
         title="Sensitivity: LLC replacement policy",
         paper="<1% swing across LRU/SRRIP/DRRIP/SHiP",
-        cells=("sens_repl",),
+        cells=(_cell_sens_replacement,),
         predicates=(
             Spread(("sens.repl.lru", "sens.repl.srrip",
                     "sens.repl.drrip", "sens.repl.ship"), hi=0.08),
@@ -1030,7 +961,7 @@ CLAIMS = [
         id="sens-cache-sizes", section="sensitivity",
         title="Sensitivity: cache sizes",
         paper="<=1.05% difference across size combinations",
-        cells=("sens_cache",),
+        cells=(_cell_sens_cache,),
         predicates=(
             Spread(("sens.cache.paper", "sens.cache.l1_32k",
                     "sens.cache.l2_1m", "sens.cache.llc_4m",
@@ -1047,7 +978,7 @@ CLAIMS = [
         title="Sensitivity: DRAM bandwidth",
         paper="prefetchers degrade at 3.2 GB/s and improve at 25 GB/s "
               "(monotone in bandwidth)",
-        cells=("sens_dram",),
+        cells=(_cell_sens_dram,),
         predicates=(
             Monotonic(("sens.dram.3_2", "sens.dram.12_8",
                        "sens.dram.25_0")),
@@ -1059,7 +990,7 @@ CLAIMS = [
         title="Sensitivity: L1 PQ/MSHR budgets",
         paper="(2,4) costs 2.7% vs the (8,16) pair; more resources "
               "change little",
-        cells=("sens_pq",),
+        cells=(_cell_sens_pq_mshr,),
         predicates=(
             Band("sens.pq.2_4", hi=1.02),
             Band("sens.pq.16_32", lo=0.97),
@@ -1070,7 +1001,7 @@ CLAIMS = [
         title="Sensitivity: IPCP table sizes",
         paper="2-100x bigger tables buy ~0.7% on average but do help "
               "cactusBSSN-style IP-table thrash",
-        cells=("sens_tables",),
+        cells=(_cell_sens_tables,),
         predicates=(
             DeltaBand("sens.tables.x8", "sens.tables.paper",
                       lo=-0.08, hi=0.08),
@@ -1083,7 +1014,7 @@ CLAIMS = [
         title="Ablation: coordinated throttling",
         paper="throttling must not cost speedup while containing "
               "traffic",
-        cells=("abl_throttle",),
+        cells=(_cell_abl_throttle,),
         predicates=(
             DeltaBand("abl.throttle.on", "abl.throttle.off", lo=-0.03),
             DeltaBand("abl.throttle.on_traffic",
@@ -1094,7 +1025,7 @@ CLAIMS = [
         id="abl-rr-filter", section="ablations",
         title="Ablation: RR filter size",
         paper="the 32-entry design point is within noise of the best",
-        cells=("abl_rr",),
+        cells=(_cell_abl_rr,),
         predicates=(
             Leader("abl.rr.r32", ("abl.rr.r8", "abl.rr.r128"),
                    margin=0.05),
@@ -1105,7 +1036,7 @@ CLAIMS = [
         title="Ablation: tentative-NL MPKI gate",
         paper="always-on NL floods DRAM; the MPKI gate contains the "
               "traffic at negligible speedup cost",
-        cells=("abl_nl",),
+        cells=(_cell_abl_nl,),
         predicates=(
             DeltaBand("abl.nl.gated_traffic", "abl.nl.always_traffic",
                       hi=0.02),
@@ -1120,7 +1051,7 @@ CLAIMS = [
         title="Ablation: CPLX degree",
         paper="degree 3 is the coverage/accuracy sweet-spot; deeper "
               "CPLX hurts high-MPKI traces",
-        cells=("abl_cplx",),
+        cells=(_cell_abl_cplx,),
         predicates=(
             Leader("abl.cplx.mean.d3",
                    ("abl.cplx.mean.d1", "abl.cplx.mean.d2",
@@ -1135,7 +1066,7 @@ CLAIMS = [
         title="Ablation: GS degree",
         paper="degree 6 (the default) beats timid degree 2 on streams "
               "and sits at or near the sweep's best",
-        cells=("abl_gs",),
+        cells=(_cell_abl_gs,),
         predicates=(
             DeltaBand("abl.gs.d6", "abl.gs.d2", lo=1e-9),
             Leader("abl.gs.d6", ("abl.gs.d2", "abl.gs.d4", "abl.gs.d8"),
@@ -1147,7 +1078,7 @@ CLAIMS = [
         title="DRAM traffic cost of prefetching",
         paper="IPCP buys its speedup with the least traffic per unit "
               "of gain (paper: +16.1% vs 28-38% for rivals)",
-        cells=("abl_traffic", "fig8mem"),
+        cells=(_cell_abl_traffic, _cell_fig8_mem,),
         predicates=(
             Band("abl.traffic.ipcp.overhead", hi=0.35),
             Leader("abl.traffic.ipcp.eff",
@@ -1164,7 +1095,7 @@ CLAIMS = [
         paper="bwaves strides constantly, wrf strides complexly, "
               "omnetpp chases pointers, gcc streams densely, "
               "cactusBSSN defeats a 64-entry IP table",
-        cells=("abl_motiv",),
+        cells=(_cell_abl_motivation,),
         predicates=(
             Band("abl.motiv.bwaves.const", lo=0.6),
             Band("abl.motiv.wrf.complex", lo=0.6),
@@ -1179,7 +1110,7 @@ CLAIMS = [
         title="Section VI-B1: L2 prefetchers under a strong L1",
         paper="generic L2 prefetchers add <1.7% on top of IPCP-L1; the "
               "metadata-driven IPCP-L2 is the best companion",
-        cells=("abl_l2c",),
+        cells=(_cell_abl_l2_complement,),
         predicates=tuple(
             DeltaBand(f"abl.l2c.{label}", "abl.l2c.none",
                       lo=-0.12, hi=0.12)
@@ -1198,7 +1129,7 @@ CLAIMS = [
         paper="plain IPCP is blind to a recurring irregular loop; "
               "IPCP+TS covers it in the dedicated-prefetcher league "
               "without regressing streams",
-        cells=("abl_temporal",),
+        cells=(_cell_abl_temporal,),
         predicates=(
             Band("abl.temporal.ipcp.loop", hi=1.1),
             DeltaBand("abl.temporal.ipcp_temporal.loop",
@@ -1213,7 +1144,7 @@ CLAIMS = [
         id="abl-llc", section="ablations",
         title="Section V: IPCP at the LLC",
         paper='"no considerable benefit" from a third IPCP level',
-        cells=("abl_llc",),
+        cells=(_cell_abl_llc,),
         predicates=(
             DeltaBand("abl.llc.three", "abl.llc.two",
                       lo=-0.03, hi=0.03),
@@ -1224,7 +1155,7 @@ CLAIMS = [
         title="Abstract: performance density",
         paper="best speedup at the least storage; gain-per-KB an order "
               "of magnitude beyond every rival",
-        cells=("abl_density", "fig8mem"),
+        cells=(_cell_abl_density, _cell_fig8_mem,),
         predicates=(
             Leader("fig8.mem.ipcp",
                    tuple(f"fig8.mem.{c}" for c in TABLE4_CONFIGS
@@ -1249,7 +1180,7 @@ CLAIMS = [
         title="Section I: the ideal-L1 opportunity",
         paper="IPCP captures a meaningful share of the perfect-L1 "
               "headroom on streams, ~none on pointer chasing",
-        cells=("abl_opp",),
+        cells=(_cell_abl_opportunity,),
         predicates=(
             Band("abl.opp.fotonik", lo=0.25),
             Band("abl.opp.bwaves", lo=0.25),
@@ -1264,7 +1195,7 @@ CLAIMS = [
         title="Section VI-D: the all-mcf mix",
         paper="rivals lose 50-70% on the all-mcf mix; IPCP degrades "
               "only ~9% thanks to coordinated throttling",
-        cells=("abl_path",),
+        cells=(_cell_abl_pathological,),
         predicates=(
             Band("abl.path.ipcp", lo=0.9),
             Leader("abl.path.ipcp",
@@ -1276,7 +1207,7 @@ CLAIMS = [
         title="Section VI-D: heterogeneous-mix distribution",
         paper="across seeded 4-core mixes IPCP's mean gain leads, its "
               "worst mix is bounded, and it wins most mixes",
-        cells=("abl_mixdist",),
+        cells=(_cell_abl_mixdist,),
         predicates=(
             DeltaBand("abl.mixdist.ipcp.geomean",
                       "abl.mixdist.mlop.geomean", lo=-0.01),
@@ -1292,7 +1223,7 @@ CLAIMS = [
               "cache-resident codes to pointer-chasing graph "
               "traversals; baseline single-core L1 MPKI must rise "
               "monotonically mix1 -> mix7",
-        cells=("mix_suite",),
+        cells=(_cell_mix_suite,),
         predicates=(
             Monotonic(tuple(f"mix.mpki.mix{i}" for i in range(1, 8))),
             Band("mix.mpki.mix1", hi=18.0),
@@ -1307,7 +1238,7 @@ CLAIMS = [
               "rival on geomean normalized weighted speedup across the "
               "gradient, and its worst mix degrades least (the "
               "Section VI-D throttling mechanism)",
-        cells=("mix_suite",),
+        cells=(_cell_mix_suite,),
         predicates=(
             Leader("mix.geo.ipcp",
                    tuple(f"mix.geo.{c}" for c in MIX_SUITE_CONFIGS
@@ -1315,8 +1246,8 @@ CLAIMS = [
                    margin=0.05),
             Band("mix.geo.ipcp", lo=1.1),
             Band("mix.min.ipcp", lo=0.9),
-            Ordering(("mix.min.ipcp", "mix.min.mlop")),
-            Ordering(("mix.min.ipcp", "mix.min.bingo")),
+            DeltaBand("mix.min.ipcp", "mix.min.mlop", lo=0),
+            DeltaBand("mix.min.ipcp", "mix.min.bingo", lo=0),
         ),
     ),
     Claim(
@@ -1326,14 +1257,14 @@ CLAIMS = [
               "and least at the ends: cache-resident mix1 offers "
               "little to cover, irregular mix7 defeats the spatial "
               "classes — yet IPCP still degrades least there",
-        cells=("mix_suite",),
+        cells=(_cell_mix_suite,),
         predicates=(
-            Ordering(("mix.nws.mix4.ipcp", "mix.nws.mix1.ipcp")),
-            Ordering(("mix.nws.mix4.ipcp", "mix.nws.mix7.ipcp")),
+            DeltaBand("mix.nws.mix4.ipcp", "mix.nws.mix1.ipcp", lo=0),
+            DeltaBand("mix.nws.mix4.ipcp", "mix.nws.mix7.ipcp", lo=0),
             Band("mix.nws.mix4.ipcp", lo=1.5),
             Band("mix.nws.mix7.ipcp", lo=0.9, hi=1.1),
-            Ordering(("mix.nws.mix7.ipcp", "mix.nws.mix7.mlop")),
-            Ordering(("mix.nws.mix7.ipcp", "mix.nws.mix7.bingo")),
+            DeltaBand("mix.nws.mix7.ipcp", "mix.nws.mix7.mlop", lo=0),
+            DeltaBand("mix.nws.mix7.ipcp", "mix.nws.mix7.bingo", lo=0),
         ),
     ),
     Claim(
@@ -1344,7 +1275,7 @@ CLAIMS = [
               "bytecode dispatch, cold start) stay frontend-bound — "
               "baseline L1-I MPKI in the double digits, the regime "
               "MANA targets",
-        cells=("frontend",),
+        cells=(_cell_frontend,),
         predicates=(
             Band("fe.mpki.geo", lo=15.0, hi=60.0),
             Band("fe.mpki.microservice_like", lo=8.0),
@@ -1359,7 +1290,7 @@ CLAIMS = [
               "at fetch blocks (GS-I/CS-I/CPLX-I/NL-I) beats both "
               "next-line and bounded record-and-replay on geomean "
               "fetch speedup, with majority miss coverage",
-        cells=("frontend",),
+        cells=(_cell_frontend,),
         predicates=(
             Leader("fe.geo.ipcp_i",
                    ("fe.geo.next_line_i", "fe.geo.mana_lite"),
@@ -1376,13 +1307,13 @@ CLAIMS = [
               "prefetch-triggered ITLB fills) beats the page-contained "
               "blind variant on every trace, and moves translation "
               "work off the demand path — blind demand-walks more",
-        cells=("frontend",),
+        cells=(_cell_frontend,),
         predicates=(
             DeltaBand("fe.geo.ipcp_i", "fe.geo.ipcp_i_tlb_blind",
                       lo=0.005),
-            Ordering(("fe.walks.ipcp_i_tlb_blind", "fe.walks.ipcp_i")),
-            Ordering(("fe.speedup.coldstart_like.ipcp_i",
-                      "fe.speedup.coldstart_like.ipcp_i_tlb_blind")),
+            DeltaBand("fe.walks.ipcp_i_tlb_blind", "fe.walks.ipcp_i", lo=0),
+            DeltaBand("fe.speedup.coldstart_like.ipcp_i",
+                      "fe.speedup.coldstart_like.ipcp_i_tlb_blind", lo=0),
         ),
     ),
     Claim(
@@ -1392,10 +1323,10 @@ CLAIMS = [
               "part of the repeating-dispatch traces but cannot touch "
               "cold code — its geomean stays close to 1.0 while the "
               "bouquet streams ahead",
-        cells=("frontend",),
+        cells=(_cell_frontend,),
         predicates=(
             Band("fe.geo.mana_lite", lo=1.00, hi=1.20),
-            Ordering(("fe.geo.ipcp_i", "fe.geo.mana_lite")),
+            DeltaBand("fe.geo.ipcp_i", "fe.geo.mana_lite", lo=0),
             Band("fe.speedup.interpreter_like.mana_lite", lo=1.05),
             Band("fe.speedup.coldstart_like.mana_lite", hi=1.10),
         ),

@@ -12,6 +12,7 @@ with ``streaming_like`` the partial exception (it has a scan phase).
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.params import LINE_SIZE
 from repro.sim.trace import Trace
 from repro.workloads.patterns import (
@@ -91,7 +92,13 @@ CLOUDSUITE_BENCHMARKS = {
 
 def cloudsuite_trace(name: str, scale: float = 1.0, seed: int = 11) -> Trace:
     """Build one CloudSuite-like trace."""
-    generator = CLOUDSUITE_BENCHMARKS[name]
+    try:
+        generator = CLOUDSUITE_BENCHMARKS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown CloudSuite benchmark {name!r}; "
+            f"known: {sorted(CLOUDSUITE_BENCHMARKS)}"
+        ) from None
     builder = WorkloadBuilder(name, seed=seed, alu_per_load=5)
     generator(builder, max(1, int(DEFAULT_LOADS * scale)))
     return builder.build()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import zlib
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.sim.trace import BRANCH, LOAD, OTHER, Trace
 from repro.workloads.patterns import shuffle
 
@@ -203,8 +203,9 @@ def frontend_trace(name: str, scale: float = 1.0, seed: int = 17) -> Trace:
     any process.
     """
     if name not in FRONTEND_BENCHMARKS:
-        known = ", ".join(sorted(FRONTEND_BENCHMARKS))
-        raise ReproError(f"unknown frontend workload {name!r} (known: {known})")
+        raise ConfigurationError(
+            f"unknown frontend workload {name!r}; "
+            f"known: {sorted(FRONTEND_BENCHMARKS)}")
     if scale <= 0:
         raise ReproError(f"scale must be positive, got {scale}")
     n_records = max(1000, int(DEFAULT_FRONTEND_INSTRUCTIONS * scale))

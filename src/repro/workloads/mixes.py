@@ -12,7 +12,7 @@ GAP-like and STREAM registries and the suite's single-core L1 MPKI
 (no prefetching) rises monotonically from cache-resident codes through
 bandwidth-bound streams to pointer-chasing graph traversals.  The
 gradient is machine-checked: ``tests/test_mix_suite.py`` asserts it at
-test scale and the ``mix-suite`` claim cell re-measures it under
+test scale and the ``mix-mpki-gradient`` claim re-measures it under
 ``repro paper --check``.
 """
 
@@ -70,13 +70,21 @@ def graded_suite(scale: float = 1.0,
 
 
 def homogeneous_mix(name: str, cores: int, scale: float = 1.0,
-                    seed: int = 7) -> list[Trace]:
-    """One benchmark on ``cores`` cores, all sharing one trace object
+                    seed: int | None = None) -> list[Trace]:
+    """One workload on ``cores`` cores, all sharing one trace object
     (distinct address spaces come from the per-core virtual-memory
-    seeds, not the trace)."""
+    seeds, not the trace).
+
+    ``name`` may come from any family
+    (:func:`repro.workloads.workload_trace`); an omitted ``seed`` means
+    the family's own default.
+    """
+    # Deferred: the package imports this module.
+    from repro.workloads import workload_trace
+
     if cores < 1:
         raise ConfigurationError("cores must be >= 1")
-    return [spec_trace(name, scale, seed)] * cores
+    return [workload_trace(name, scale, seed)] * cores
 
 
 def heterogeneous_mixes(

@@ -10,6 +10,7 @@ little irregularity.
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
 from repro.workloads.patterns import (
     WorkloadBuilder,
@@ -80,7 +81,13 @@ NEURAL_BENCHMARKS = {
 
 def neural_trace(name: str, scale: float = 1.0, seed: int = 13) -> Trace:
     """Build one CNN/RNN-like trace."""
-    generator = NEURAL_BENCHMARKS[name]
+    try:
+        generator = NEURAL_BENCHMARKS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown neural benchmark {name!r}; "
+            f"known: {sorted(NEURAL_BENCHMARKS)}"
+        ) from None
     # Convolution/GEMM kernels do tens of MACs per loaded element,
     # so NN traces are far more compute-dense than SPEC loops.
     builder = WorkloadBuilder(name, seed=seed, alu_per_load=10)

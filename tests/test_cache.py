@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memsys.cache import AccessKind, Cache
+from repro.memsys.cache import Cache
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import DramPort
 from repro.params import CacheParams
@@ -17,41 +17,41 @@ def make_cache(sets=4, ways=2, latency=1, pq=4, mshr=4, prefetcher=None):
 class TestBasicHitMiss:
     def test_first_access_misses(self):
         cache = make_cache()
-        cache.access(0x1000, 0, AccessKind.LOAD)
+        cache.demand(0x1000, 0, True, 0)
         assert cache.stats.demand_misses == 1
         assert cache.stats.demand_hits == 0
 
     def test_second_access_hits(self):
         cache = make_cache()
-        cache.access(0x1000, 0, AccessKind.LOAD)
-        cache.access(0x1000, 1000, AccessKind.LOAD)
+        cache.demand(0x1000, 0, True, 0)
+        cache.demand(0x1000, 1000, True, 0)
         assert cache.stats.demand_hits == 1
 
     def test_same_line_different_offsets_hit(self):
         cache = make_cache()
-        cache.access(0x1000, 0, AccessKind.LOAD)
-        cache.access(0x103F, 1000, AccessKind.LOAD)
+        cache.demand(0x1000, 0, True, 0)
+        cache.demand(0x103F, 1000, True, 0)
         assert cache.stats.demand_hits == 1
 
     def test_miss_latency_exceeds_hit_latency(self):
         cache = make_cache(latency=5)
-        miss_ready = cache.access(0x1000, 0, AccessKind.LOAD)
-        hit_ready = cache.access(0x1000, miss_ready, AccessKind.LOAD)
+        miss_ready = cache.demand(0x1000, 0, True, 0)
+        hit_ready = cache.demand(0x1000, miss_ready, True, 0)
         assert miss_ready > 5
         assert hit_ready == miss_ready + 5
 
     def test_probe_has_no_side_effects(self):
         cache = make_cache()
         assert not cache.probe(0x1000)
-        cache.access(0x1000, 0, AccessKind.LOAD)
+        cache.demand(0x1000, 0, True, 0)
         assert cache.probe(0x1000)
         assert cache.stats.demand_accesses == 1
 
     def test_eviction_on_conflict(self):
         cache = make_cache(sets=1, ways=2)
-        cache.access(0x0000, 0, AccessKind.LOAD)
-        cache.access(0x0040, 0, AccessKind.LOAD)
-        cache.access(0x0080, 10_000, AccessKind.LOAD)  # evicts LRU
+        cache.demand(0x0000, 0, True, 0)
+        cache.demand(0x0040, 0, True, 0)
+        cache.demand(0x0080, 10_000, True, 0)  # evicts LRU
         assert not cache.probe(0x0000)
         assert cache.probe(0x0040)
         assert cache.probe(0x0080)
@@ -60,20 +60,20 @@ class TestBasicHitMiss:
 class TestStoresAndWritebacks:
     def test_store_marks_dirty_and_writeback_on_evict(self):
         cache = make_cache(sets=1, ways=1)
-        cache.access(0x0000, 0, AccessKind.STORE)
-        cache.access(0x1000, 10_000, AccessKind.LOAD)  # evicts dirty line
+        cache.demand(0x0000, 0, False, 0)
+        cache.demand(0x1000, 10_000, True, 0)  # evicts dirty line
         assert cache.stats.writebacks == 1
 
     def test_clean_eviction_no_writeback(self):
         cache = make_cache(sets=1, ways=1)
-        cache.access(0x0000, 0, AccessKind.LOAD)
-        cache.access(0x1000, 10_000, AccessKind.LOAD)
+        cache.demand(0x0000, 0, True, 0)
+        cache.demand(0x1000, 10_000, True, 0)
         assert cache.stats.writebacks == 0
 
     def test_incoming_writeback_installs_without_fetch(self):
         cache = make_cache()
         dram = cache.next_level.dram
-        cache.access(0x2000, 0, AccessKind.WRITEBACK)
+        cache.writeback(0x2000, 0)
         assert cache.probe(0x2000)
         assert dram.reads == 0
 
@@ -83,24 +83,24 @@ class TestMshr:
         # Blocks install eagerly with a fill timestamp; a demand racing
         # an in-flight miss hits but pays the residual fill latency.
         cache = make_cache()
-        first = cache.access(0x1000, 0, AccessKind.LOAD)
-        second = cache.access(0x1000, 1, AccessKind.LOAD)
+        first = cache.demand(0x1000, 0, True, 0)
+        second = cache.demand(0x1000, 1, True, 0)
         assert cache.stats.demand_hits == 1
         assert second >= first
 
     def test_demand_stalls_when_mshr_full(self):
         cache = make_cache(mshr=2)
-        cache.access(0x0000, 0, AccessKind.LOAD)
-        cache.access(0x1000, 0, AccessKind.LOAD)
-        cache.access(0x2000, 0, AccessKind.LOAD)  # must wait for a slot
+        cache.demand(0x0000, 0, True, 0)
+        cache.demand(0x1000, 0, True, 0)
+        cache.demand(0x2000, 0, True, 0)  # must wait for a slot
         assert cache.stats.mshr_full_stalls == 1
 
     def test_mshr_entries_retire_over_time(self):
         cache = make_cache(mshr=2)
-        ready = cache.access(0x0000, 0, AccessKind.LOAD)
-        cache.access(0x1000, 0, AccessKind.LOAD)
+        ready = cache.demand(0x0000, 0, True, 0)
+        cache.demand(0x1000, 0, True, 0)
         # Far in the future both entries retired: no stall.
-        cache.access(0x2000, ready + 10_000, AccessKind.LOAD)
+        cache.demand(0x2000, ready + 10_000, True, 0)
         assert cache.stats.mshr_full_stalls == 0
 
     def test_stall_waits_for_the_earliest_entry_only(self):
@@ -110,14 +110,14 @@ class TestMshr:
 
         params = CacheParams("T", 4 * 2 * 64, 2, 1, 4, 2)
         cache = Cache(params, Fixed())
-        assert cache.access(0x0000, 0, AccessKind.LOAD) == 101
-        assert cache.access(0x1000, 50_000, AccessKind.LOAD) == 50_101
+        assert cache.demand(0x0000, 0, True, 0) == 101
+        assert cache.demand(0x1000, 50_000, True, 0) == 50_101
         # Full at cycle 1: the miss starts when the earliest entry
         # retires (cycle 101), and only that entry retires.
-        assert cache.access(0x2000, 1, AccessKind.LOAD) == 202
+        assert cache.demand(0x2000, 1, True, 0) == 202
         assert cache.stats.mshr_full_stalls == 1
         # Full again (entries ready at 202 and 50_101): wait for 202.
-        assert cache.access(0x3000, 102, AccessKind.LOAD) == 303
+        assert cache.demand(0x3000, 102, True, 0) == 303
         assert cache.stats.mshr_full_stalls == 2
 
 
@@ -137,7 +137,7 @@ class TestPartialFill:
         cache = Cache(params, DramPort(Dram()), prefetcher=Fills())
         # Set 0 (even lines) takes a third line before set 1 sees any.
         for i, addr in enumerate((0x000, 0x080, 0x100, 0x040, 0x0C0, 0x140)):
-            cache.access(addr, i * 10_000, AccessKind.LOAD)
+            cache.demand(addr, i * 10_000, True, 0)
         # Set 1's first two fills take its empty ways although three of
         # the four slots were already filled; its third evicts.
         assert evicted == [None, None, 0x000, None, None, 0x040]
@@ -157,32 +157,32 @@ class TestPrefetchIssue:
     def test_demand_hit_on_prefetch_counts_useful(self):
         cache = make_cache()
         cache.issue_prefetch(PrefetchRequest(addr=0x3000), 0)
-        cache.access(0x3000, 100_000, AccessKind.LOAD)
+        cache.demand(0x3000, 100_000, True, 0)
         assert cache.stats.pf_useful == 1
 
     def test_useful_counted_once(self):
         cache = make_cache()
         cache.issue_prefetch(PrefetchRequest(addr=0x3000), 0)
-        cache.access(0x3000, 100_000, AccessKind.LOAD)
-        cache.access(0x3000, 100_001, AccessKind.LOAD)
+        cache.demand(0x3000, 100_000, True, 0)
+        cache.demand(0x3000, 100_001, True, 0)
         assert cache.stats.pf_useful == 1
 
     def test_late_prefetch_detected(self):
         cache = make_cache()
         cache.issue_prefetch(PrefetchRequest(addr=0x3000), 0)
-        cache.access(0x3000, 1, AccessKind.LOAD)  # fill still in flight
+        cache.demand(0x3000, 1, True, 0)  # fill still in flight
         assert cache.stats.pf_late == 1
 
     def test_prefetch_to_cached_line_dropped(self):
         cache = make_cache()
-        cache.access(0x3000, 0, AccessKind.LOAD)
+        cache.demand(0x3000, 0, True, 0)
         sent = cache.issue_prefetch(PrefetchRequest(addr=0x3000), 1)
         assert not sent
         assert cache.stats.pf_dropped_in_cache == 1
 
     def test_prefetch_to_inflight_line_dropped(self):
         cache = make_cache()
-        cache.access(0x4000, 0, AccessKind.LOAD)  # miss in flight
+        cache.demand(0x4000, 0, True, 0)  # miss in flight
         # A non-filling prefetch skips the contents check but must still
         # be deduplicated against the outstanding MSHR entry.
         sent = cache.issue_prefetch(
@@ -201,7 +201,7 @@ class TestPrefetchIssue:
     def test_demand_merging_into_prefetch_counts_useful_and_late(self):
         cache = make_cache()
         cache.issue_prefetch(PrefetchRequest(addr=0x5000), 0)
-        cache.access(0x5000, 1, AccessKind.LOAD)
+        cache.demand(0x5000, 1, True, 0)
         assert cache.stats.pf_useful == 1
         assert cache.stats.pf_late == 1
         # Covered miss does not count as uncovered.
@@ -217,7 +217,7 @@ class TestPrefetchIssue:
     def test_per_class_attribution(self):
         cache = make_cache()
         cache.issue_prefetch(PrefetchRequest(addr=0x7000, pf_class=3), 0)
-        cache.access(0x7000, 100_000, AccessKind.LOAD)
+        cache.demand(0x7000, 100_000, True, 0)
         assert cache.stats.pf_issued_by_class == {3: 1}
         assert cache.stats.pf_useful_by_class == {3: 1}
 
@@ -238,7 +238,7 @@ class TestPrefetcherHooks:
 
         cache = make_cache(prefetcher=Spy())
         cache.issue_prefetch(PrefetchRequest(addr=0x9000, pf_class=2), 0)
-        cache.access(0x9000, 100_000, AccessKind.LOAD)
+        cache.demand(0x9000, 100_000, True, 0)
         assert ("fill", 2) in events
         assert ("hit", 2) in events
 
@@ -251,7 +251,7 @@ class TestPrefetcherHooks:
                 return [PrefetchRequest(addr=ctx.addr + 64)]
 
         cache = make_cache(prefetcher=OneAhead())
-        cache.access(0x1000, 0, AccessKind.LOAD)
+        cache.demand(0x1000, 0, True, 0)
         assert cache.stats.pf_issued == 1
         assert cache.probe(0x1040)
 
@@ -265,14 +265,14 @@ class TestStatsProperties:
                 PrefetchRequest(addr=0x20000 + i * 64), i * 100
             )
         for i in range(4):
-            cache.access(0x20000 + i * 64, 100_000 + i, AccessKind.LOAD)
+            cache.demand(0x20000 + i * 64, 100_000 + i, True, 0)
         assert 0.0 <= cache.stats.coverage <= 1.0
         assert 0.0 <= cache.stats.accuracy <= 1.0
         assert cache.stats.accuracy == pytest.approx(0.5)
 
     def test_reset_stats_keeps_contents(self):
         cache = make_cache()
-        cache.access(0x1000, 0, AccessKind.LOAD)
+        cache.demand(0x1000, 0, True, 0)
         cache.reset_stats()
         assert cache.stats.demand_accesses == 0
         assert cache.probe(0x1000)

@@ -107,6 +107,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "weighted speedup" in out
 
+    @pytest.mark.parametrize("workload", ["bfs_like", "cassandra_like"])
+    def test_mix_takes_every_workload_family(self, workload, capsys):
+        code = main(["mix", "--workload", workload, "--cores", "2",
+                     "--scale", "0.05", "--no-cache"])
+        assert code == 0
+        assert f"mix of {workload}" in capsys.readouterr().out
+
+    def test_mix_rejects_an_unknown_workload_like_run(self, capsys):
+        assert main(["mix", "--workload", "not_a_workload", "--cores", "2",
+                     "--scale", "0.05", "--no-cache"]) == 2
+        assert "unknown workload 'not_a_workload'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["mix"], ["mix", "run"]])
     def test_mix_needs_a_workload_and_takes_no_action(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,9 +4,11 @@ check_docs audits every markdown page for broken relative links,
 references to nonexistent modules/paths, and CLI invocations that the
 live argument parser would reject (this is what keeps the README's
 `repro paper ...` walkthrough honest), and every docstring role under
-`src/` that names a dotted `repro.` target.  check_docstrings enforces
-the docstring-coverage baseline.  CI runs both scripts directly; running
-them here too means a broken doc reference fails fast locally.
+`src/` that names a dotted `repro.` target, and checks that the
+prefetcher catalog and the claim-predicate doc list every name the code
+exports.  check_docstrings enforces the docstring-coverage baseline.
+CI runs both scripts directly; running them here too means a broken
+doc reference fails fast locally.
 """
 
 import importlib.util
@@ -59,6 +61,17 @@ def test_catalog_missing_a_configuration_fails():
     assert _check_docs().check_catalog(
         catalog, ["ipcp", "mlop", "none"], "catalog.md") == [
         "catalog.md: configuration `none` is not listed"]
+
+
+def test_claims_doc_missing_a_predicate_fails():
+    check_docs = _check_docs()
+    names = check_docs.predicate_names()
+    assert {"Band", "DeltaBand", "Leader"} <= set(names)
+    assert "Predicate" not in names and "Claim" not in names
+    doc = "| `Band` | bounds |\n`Leader`, `DeltaBand`\n"
+    assert check_docs.check_catalog(
+        doc, ["Band", "DeltaBand", "Leader", "Spread"], "claims.md",
+        "predicate") == ["claims.md: predicate `Spread` is not listed"]
 
 
 def test_docstring_gate_passes():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import IpcpL1
 from repro.errors import SimulationError
-from repro.memsys.cache import AccessKind, Cache
+from repro.memsys.cache import Cache
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import DramPort, build_hierarchy
 from repro.params import CacheParams, SystemParams
@@ -83,7 +83,7 @@ class TestMisbehavingPrefetcher:
 
         params = CacheParams("T", 64 * 4 * 64, 4, 1, 4, 8)
         cache = Cache(params, DramPort(Dram()), prefetcher=Flood())
-        cache.access(1 << 20, 0, AccessKind.LOAD)
+        cache.demand(1 << 20, 0, True, 0)
         assert cache.stats.pf_dropped_pq > 0
         assert cache.stats.pf_issued <= 8 + 4  # PQ + drained slots
 
@@ -96,9 +96,6 @@ class TestDemandIntegrity:
             ready = hierarchy.load(0x200_0000 + i * 64, 0x400, i * 3)
             assert ready is not None and ready >= i * 3
 
-    def test_writeback_kind_returns_cycle(self, tiny_cache):
-        assert tiny_cache.access(0x1000, 77, AccessKind.WRITEBACK) == 77
-
     def test_dropped_demand_raises_simulation_error(self):
         class NullLevel:
             def demand(self, *args, **kwargs):
@@ -107,13 +104,13 @@ class TestDemandIntegrity:
         params = CacheParams("T", 4 * 2 * 64, 2, 1, 4, 4)
         cache = Cache(params, NullLevel())
         with pytest.raises(SimulationError):
-            cache.access(0x1000, 0, AccessKind.LOAD)
+            cache.demand(0x1000, 0, True, 0)
 
 
 class TestAddressExtremes:
     def test_address_zero_line(self, tiny_cache):
         # Line 0 is a legal cache line.
-        ready = tiny_cache.access(0x0, 0, AccessKind.LOAD)
+        ready = tiny_cache.demand(0x0, 0, True, 0)
         assert ready > 0
         assert tiny_cache.probe(0x0)
 

@@ -8,7 +8,7 @@ from repro.core.ipcp_l1 import IpcpL1, PfClass
 from repro.core.metadata import MetaClass, decode_metadata, encode_metadata
 from repro.core.rst import DIRECTION_MID, GS_TRAIN_THRESHOLD
 from repro.core.throttle import ClassThrottle
-from repro.memsys.cache import AccessKind, Cache
+from repro.memsys.cache import Cache
 from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import DramPort
 from repro.memsys.vmem import VirtualMemory
@@ -143,9 +143,8 @@ class TestCacheProperties:
         cache = Cache(params, DramPort(Dram()))
         cycle = 0
         for line, is_store in accesses:
-            kind = AccessKind.STORE if is_store else AccessKind.LOAD
             cycle += 30
-            cache.access(line * 64, cycle, kind)
+            cache.demand(line * 64, cycle, not is_store, 0)
         stats = cache.stats
         assert stats.demand_hits + stats.demand_misses == stats.demand_accesses
         assert stats.uncovered_misses <= stats.demand_misses
@@ -160,7 +159,7 @@ class TestCacheProperties:
         cycle = 0
         for line in seq:
             cycle += 10
-            ready = cache.access(line * 64, cycle, AccessKind.LOAD)
+            ready = cache.demand(line * 64, cycle, True, 0)
             assert ready >= cycle  # data can never be ready in the past
 
 

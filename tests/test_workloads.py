@@ -12,6 +12,7 @@ from repro.workloads import (
     GAP_BENCHMARKS,
     SPEC_BENCHMARKS,
     STREAM_BENCHMARKS,
+    WORKLOAD_FAMILIES,
     cloudsuite_suite,
     full_suite,
     gap_trace,
@@ -216,6 +217,18 @@ class TestGapAndStream:
             stream_trace("stream_reverse")
 
 
+@pytest.mark.parametrize(
+    "registry, build", [(registry, build)
+                        for _, registry, build in WORKLOAD_FAMILIES],
+    ids=[family for family, _, _ in WORKLOAD_FAMILIES])
+def test_every_family_rejects_an_unknown_name(registry, build):
+    with pytest.raises(ConfigurationError) as excinfo:
+        build("nope")
+    message = str(excinfo.value)
+    assert "'nope'" in message
+    assert all(repr(name) in message for name in registry)
+
+
 class TestMixes:
     def test_homogeneous_mix_replicates_trace(self):
         mix = homogeneous_mix("lbm_like", 4, scale=0.02)
@@ -223,6 +236,13 @@ class TestMixes:
         # Built once: every core holds the same trace object.
         assert all(trace is mix[0] for trace in mix)
         assert mix[0].records == spec_trace("lbm_like", 0.02).records
+
+    def test_homogeneous_mix_takes_any_family_and_its_seed(self):
+        cloud = homogeneous_mix("cassandra_like", 2, scale=0.02)
+        assert cloud[0].records == cloudsuite_trace(
+            "cassandra_like", 0.02).records  # the family's seed, 11
+        bfs = homogeneous_mix("bfs_like", 2, scale=0.02, seed=3)
+        assert bfs[0].records == gap_trace("bfs_like", 0.02, 3).records
 
     def test_heterogeneous_mixes_are_seeded(self):
         a = heterogeneous_mixes(3, 2, scale=0.02, seed=5)

@@ -16,10 +16,12 @@ Walks README.md, EXPERIMENTS.md, DESIGN.md, ROADMAP.md and every
 It also walks every ``src/**/*.py`` file and fails on a Sphinx
 cross-reference role (``:meth:``, ``:func:``, ``:class:``, ``:attr:``,
 ``:mod:``, ``:data:``, ``:exc:``) whose dotted ``repro.…`` target does
-not resolve, so a docstring cannot outlive the symbol it names; and on
-a prefetcher configuration name (``available_prefetchers()``) that
+not resolve, so a docstring cannot outlive the symbol it names; on a
+prefetcher configuration name (``available_prefetchers()``) that
 ``docs/prefetchers.md`` never shows in backticks, so the catalog and
-the configuration table cannot drift apart.
+the configuration table cannot drift apart; and on a predicate class
+that ``repro.paperclaims`` exports but ``docs/paperclaims.md`` never
+shows in backticks, so the predicate set and its doc cannot either.
 
 Run directly (``python tools/check_docs.py``) or via CI's docs job.
 """
@@ -55,6 +57,7 @@ _ROLE = re.compile(
     r":(?:meth|func|class|attr|mod|data|exc):`~?(repro\.[\w.\s]+?)`")
 SOURCE_FILES = sorted((ROOT / "src").rglob("*.py"))
 CATALOG = ROOT / "docs" / "prefetchers.md"
+CLAIMS_DOC = ROOT / "docs" / "paperclaims.md"
 
 
 def _cli_commands() -> dict[str, set[str]]:
@@ -178,13 +181,24 @@ def check_roles(text: str, where: str) -> list[str]:
     return errors
 
 
-def check_catalog(text: str, names: list[str], where: str) -> list[str]:
-    """Every configuration name in ``names`` that ``text`` never shows
-    in backticks."""
+def check_catalog(text: str, names: list[str], where: str,
+                  kind: str = "configuration") -> list[str]:
+    """Every name in ``names`` (each a ``kind``) that ``text`` never
+    shows in backticks."""
     shown = {match.group(1).strip()
              for line in text.splitlines() for match in _CODE.finditer(line)}
-    return [f"{where}: configuration `{name}` is not listed"
+    return [f"{where}: {kind} `{name}` is not listed"
             for name in names if name not in shown]
+
+
+def predicate_names() -> list[str]:
+    """The ``Predicate`` subclasses ``repro.paperclaims`` exports."""
+    from repro import paperclaims
+
+    classes = [getattr(paperclaims, name) for name in paperclaims.__all__]
+    return [cls.__name__ for cls in classes
+            if isinstance(cls, type) and cls is not paperclaims.Predicate
+            and issubclass(cls, paperclaims.Predicate)]
 
 
 def main() -> int:
@@ -200,9 +214,11 @@ def main() -> int:
                                   str(path.relative_to(ROOT))))
     from repro.prefetchers import available_prefetchers
 
-    errors.extend(check_catalog(CATALOG.read_text(encoding="utf-8"),
-                                available_prefetchers(),
-                                str(CATALOG.relative_to(ROOT))))
+    for path, names, kind in (
+            (CATALOG, available_prefetchers(), "configuration"),
+            (CLAIMS_DOC, predicate_names(), "predicate")):
+        errors.extend(check_catalog(path.read_text(encoding="utf-8"), names,
+                                    str(path.relative_to(ROOT)), kind))
     if errors:
         print(f"{len(errors)} broken documentation reference(s):")
         for error in errors:
@@ -211,7 +227,7 @@ def main() -> int:
     print(f"docs OK: {len(DOC_FILES)} files and {len(SOURCE_FILES)} "
           f"source files audited, no broken links, paths, modules, CLI "
           f"references or docstring roles, and every prefetcher "
-          f"configuration listed")
+          f"configuration and claim predicate listed")
     return 0
 
 
