@@ -9,7 +9,7 @@ suite simulates each cell at most once — and a *second* run over the
 same suite simulates nothing at all.  A sensitivity sweep is the same
 grid with the system parameters as one more coordinate.  Named
 configurations come from the prefetcher registry
-(:func:`repro.prefetchers.make_prefetcher`).
+(:func:`repro.prefetchers.build_levels`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.params import SystemParams
-from repro.prefetchers import make_prefetcher
+from repro.prefetchers import build_levels
 from repro.resilience import JobFailure
 from repro.runner import SimulationRunner, levels_job
 from repro.sim.engine import SimResult, simulate
@@ -46,14 +46,7 @@ def run_levels(
     params: SystemParams | None = None,
 ) -> SimResult:
     """Simulate one trace under one registered configuration."""
-    levels = make_prefetcher(config_name)
-    return simulate(
-        trace,
-        l1_prefetcher=levels["l1"]() if "l1" in levels else None,
-        l2_prefetcher=levels["l2"]() if "l2" in levels else None,
-        llc_prefetcher=levels["llc"]() if "llc" in levels else None,
-        params=params,
-    )
+    return simulate(trace, *build_levels(config_name), params=params)
 
 
 class ExperimentRunner:

@@ -46,7 +46,12 @@ from repro.ingest import (
     ingest_binary,
     write_binary,
 )
-from repro.prefetchers import available_prefetchers, make_prefetcher
+from repro.prefetchers import (
+    available_prefetchers,
+    build_levels,
+    make_prefetcher,
+    storage_kb,
+)
 from repro.resilience import (
     CheckpointJournal,
     RetryPolicy,
@@ -62,13 +67,12 @@ def cmd_list_prefetchers(args) -> int:
     """List every registered prefetcher configuration."""
     rows = []
     for name in available_prefetchers():
-        levels = make_prefetcher(name)
-        built = {level: factory() for level, factory in levels.items()}
         layout = ", ".join(
-            f"{pf.name}@{level.upper()}" for level, pf in built.items()
+            f"{pf.name}@{level}"
+            for level, pf in zip(("L1", "L2", "LLC"), build_levels(name))
+            if pf is not None
         ) or "(no prefetching)"
-        bits = sum(pf.storage_bits for pf in built.values())
-        rows.append([name, layout, f"{bits / 8 / 1024:.2f} KB"])
+        rows.append([name, layout, f"{storage_kb(name):.2f} KB"])
     print(format_table(["name", "levels", "storage"], rows))
     return 0
 

@@ -20,14 +20,15 @@ from repro.frontend.model import (
     InstructionCache,
     Itlb,
     L1iStats,
-    L2CodePresence,
 )
+from repro.memsys.tlb import LruSet
 from repro.prefetchers.base import (
     AccessContext,
     AccessType,
     Prefetcher,
     PrefetcherSummary,
 )
+from repro.sim.engine import warmup_length
 from repro.sim.trace import Trace
 
 
@@ -50,11 +51,6 @@ class FrontendResult:
     itlb_misses: int
     demand_walks: int
     prefetch_walks: int
-
-    @property
-    def fetch_cpi(self) -> float:
-        """Cycles per instruction of the modeled front end."""
-        return self.cycles / self.instructions if self.instructions else 0.0
 
     @property
     def l1i_mpki(self) -> float:
@@ -98,13 +94,14 @@ def simulate_frontend(
     params = params or FrontendParams()
 
     l1i = InstructionCache(params.l1i)
-    l2_code = L2CodePresence(params.l2_code_blocks)
+    # The fetch blocks the unified L2 still holds: an L1-I miss pays
+    # the L2 penalty on a hit, DRAM's for cold or evicted code.
+    l2_code = LruSet(params.l2_code_blocks)
     itlb = Itlb(params.itlb)
     stats = L1iStats()
     inflight: dict[int, tuple[int, int]] = {}  # block -> (ready, pf_class)
 
-    warmup = len(trace) // 5 if warmup is None else warmup
-    warmup = min(warmup, len(trace))
+    warmup = warmup_length(trace, warmup)
 
     cycle = 0
     roi_start_cycle = 0

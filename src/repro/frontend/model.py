@@ -1,9 +1,10 @@
-"""The frontend memory structures: L1-I cache, L2 code presence, ITLB.
+"""The frontend memory structures: L1-I cache and ITLB.
 
 The fetch side reuses the existing memory-system building blocks
 wherever they fit: the L1-I geometry is a
 :class:`repro.params.CacheParams` (which validates power-of-two sets
-exactly like the data caches), and the ITLB subclasses
+exactly like the data caches), the L2's code presence is a
+:class:`repro.memsys.tlb.LruSet` of fetch blocks, and the ITLB subclasses
 :class:`repro.memsys.tlb.TlbHierarchy` — same two-level LRU structure
 and Table-II-style penalties — adding the one capability the data side
 never needed: *prefetch-triggered translation* (Jamet et al.), where an
@@ -141,32 +142,6 @@ class InstructionCache:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
-
-
-class L2CodePresence:
-    """Bounded LRU set of fetch blocks the unified L2 still holds.
-
-    Decides whether an L1-I miss pays ``l2_penalty`` or
-    ``dram_penalty``: the first touch of a block (cold code) always
-    goes to memory, re-fetches hit the L2 until capacity evicts them.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._blocks: OrderedDict[int, None] = OrderedDict()
-
-    def touch(self, block: int) -> bool:
-        """Record a fetch of ``block``; True when the L2 already had it."""
-        if block in self._blocks:
-            self._blocks.move_to_end(block)
-            return True
-        if len(self._blocks) >= self.capacity:
-            self._blocks.popitem(last=False)
-        self._blocks[block] = None
-        return False
-
-    def __len__(self) -> int:
-        return len(self._blocks)
 
 
 class Itlb(TlbHierarchy):

@@ -30,35 +30,26 @@ class Dram:
         self.writes = 0
         self.total_queue_cycles = 0.0
 
-    def _channel_of(self, addr: int) -> int:
-        return (addr >> LINE_BITS) % self.params.channels
+    def _book(self, addr: int, cycle: int) -> float:
+        """Book one transfer of ``addr``'s line requested at ``cycle``:
+        it starts (the cycle returned) at the later of ``cycle`` and its
+        channel's free cycle, then holds the channel one service time."""
+        channel = (addr >> LINE_BITS) % self.params.channels
+        start = max(float(cycle), self._channel_free[channel])
+        self._channel_free[channel] = start + self._service
+        return start
 
     def read(self, addr: int, cycle: int) -> int:
         """Service a read; return the cycle at which data is available."""
-        channel = self._channel_of(addr)
-        start = max(float(cycle), self._channel_free[channel])
-        self._channel_free[channel] = start + self._service
+        start = self._book(addr, cycle)
         self.reads += 1
-        wait = start - cycle
-        self.total_queue_cycles += wait
+        self.total_queue_cycles += start - cycle
         return int(start + self.params.base_latency)
 
     def write(self, addr: int, cycle: int) -> None:
         """Service a writeback; consumes channel bandwidth, never stalls."""
-        channel = self._channel_of(addr)
-        start = max(float(cycle), self._channel_free[channel])
-        self._channel_free[channel] = start + self._service
+        self._book(addr, cycle)
         self.writes += 1
-
-    @property
-    def accesses(self) -> int:
-        """Total lines transferred (reads + writes)."""
-        return self.reads + self.writes
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Total DRAM traffic in bytes."""
-        return self.accesses * 64
 
     def reset_stats(self) -> None:
         """Zero traffic counters (used at the end of cache warm-up)."""

@@ -45,31 +45,27 @@ class TlbStats:
     dtlb_misses: int = 0
     stlb_misses: int = 0
 
-    @property
-    def dtlb_miss_rate(self) -> float:
-        """DTLB misses per access."""
-        return self.dtlb_misses / self.accesses if self.accesses else 0.0
 
-
-class _LruSet:
-    """Fully-associative LRU set of virtual page numbers, MRU last."""
+class LruSet:
+    """Fully-associative LRU set of at most ``entries`` keys, MRU last
+    (a TLB level's pages, the frontend L2's fetch blocks)."""
 
     def __init__(self, entries: int) -> None:
         self.entries = entries
         self.pages: OrderedDict[int, None] = OrderedDict()
 
-    def touch(self, vpage: int) -> bool:
-        """Look ``vpage`` up and make it MRU; True if it was present.
+    def touch(self, key: int) -> bool:
+        """Look ``key`` up and make it MRU; True if it was present.
 
-        A miss inserts it, evicting the LRU page when the set is full.
+        A miss inserts it, evicting the LRU key when the set is full.
         """
         pages = self.pages
-        if vpage in pages:
-            pages.move_to_end(vpage)
+        if key in pages:
+            pages.move_to_end(key)
             return True
         if len(pages) >= self.entries:
             pages.popitem(last=False)
-        pages[vpage] = None
+        pages[key] = None
         return False
 
     def __len__(self) -> int:
@@ -81,15 +77,15 @@ class TlbHierarchy:
 
     def __init__(self, params: TlbParams | None = None) -> None:
         self.params = params or TlbParams()
-        self._dtlb = _LruSet(self.params.dtlb_entries)
-        self._stlb = _LruSet(self.params.stlb_entries)
+        self._dtlb = LruSet(self.params.dtlb_entries)
+        self._stlb = LruSet(self.params.stlb_entries)
         self.stats = TlbStats()
 
     def access(self, vpage: int) -> int:
         """Translate ``vpage``; returns the added delay in cycles."""
         stats = self.stats
         stats.accesses += 1
-        # Each level's _LruSet.touch, inlined: this runs on every load
+        # Each level's LruSet.touch, inlined: this runs on every load
         # and store.
         dtlb = self._dtlb.pages
         if vpage in dtlb:

@@ -57,8 +57,3 @@ class VirtualMemory:
         self._used_frames.add(frame)
         self.page_table[vpage] = frame
         return frame
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of virtual pages touched so far."""
-        return len(self.page_table)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.errors import ConfigurationError
+
 
 def _fmt(value: float) -> str:
     """Fixed-format rendering for verdict messages (3 decimals)."""
@@ -53,7 +55,7 @@ class Predicate:
         try:
             return values[key]
         except KeyError:
-            raise KeyError(
+            raise ConfigurationError(
                 f"predicate reads missing value {key!r}; the claim's "
                 f"cells did not produce it"
             ) from None
@@ -236,11 +238,16 @@ class Claim:
 
     def evaluate(self, values: dict[str, float]) -> ClaimVerdict:
         """Check every predicate against ``values`` (the values of this
-        claim's cells); the claim holds only if all do."""
+        claim's cells); the claim holds only if all do.  A predicate
+        that reads a value the cells did not produce fails, naming the
+        missing key."""
         passed = True
         details = []
         for predicate in self.predicates:
-            ok, message = predicate.check(values)
+            try:
+                ok, message = predicate.check(values)
+            except ConfigurationError as error:
+                ok, message = False, str(error)
             passed = passed and ok
             details.append(("PASS " if ok else "FAIL ") + message)
         return ClaimVerdict(claim_id=self.id, passed=passed,

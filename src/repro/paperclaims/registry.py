@@ -124,14 +124,9 @@ def _cell_table2(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_table3(ctx: CellContext) -> dict[str, float]:
-    from repro.prefetchers import make_prefetcher
+    from repro.prefetchers import storage_kb
 
-    values = {}
-    for name in TABLE4_CONFIGS:
-        levels = make_prefetcher(name)
-        bits = sum(factory().storage_bits for factory in levels.values())
-        values[f"table3.{name}.kb"] = bits / 8 / 1024
-    return values
+    return {f"table3.{name}.kb": storage_kb(name) for name in TABLE4_CONFIGS}
 
 
 def _cell_table4(ctx: CellContext) -> dict[str, float]:
@@ -529,17 +524,11 @@ def _cell_abl_llc(ctx: CellContext) -> dict[str, float]:
 
 
 def _cell_abl_density(ctx: CellContext) -> dict[str, float]:
-    from repro.prefetchers import make_prefetcher
+    from repro.prefetchers import storage_kb
 
     means = ctx.mean_speedups(ctx.mem_runner, TABLE4_CONFIGS)
-    values = {}
-    for config in TABLE4_CONFIGS:
-        levels = make_prefetcher(config)
-        kb = sum(factory().storage_bits
-                 for factory in levels.values()) / 8 / 1024
-        values[f"abl.density.{config}.kb"] = kb
-        values[f"abl.density.{config}.eff"] = (means[config] - 1.0) / kb
-    return values
+    return {f"abl.density.{config}.eff": (means[config] - 1.0)
+            / storage_kb(config) for config in TABLE4_CONFIGS}
 
 
 def _cell_abl_opportunity(ctx: CellContext) -> dict[str, float]:
@@ -1155,18 +1144,15 @@ CLAIMS = [
         title="Abstract: performance density",
         paper="best speedup at the least storage; gain-per-KB an order "
               "of magnitude beyond every rival",
-        cells=(_cell_abl_density, _cell_fig8_mem,),
+        cells=(_cell_abl_density, _cell_fig8_mem, _cell_table3),
         predicates=(
             Leader("fig8.mem.ipcp",
                    tuple(f"fig8.mem.{c}" for c in TABLE4_CONFIGS
                          if c != "ipcp")),
-            RatioBand("abl.density.bingo.kb", "abl.density.ipcp.kb",
-                      lo=30),
-            RatioBand("abl.density.tskid.kb", "abl.density.ipcp.kb",
-                      lo=30),
-            RatioBand("abl.density.spp_ppf_dspatch.kb",
-                      "abl.density.ipcp.kb", lo=8),
-            RatioBand("abl.density.mlop.kb", "abl.density.ipcp.kb", lo=1),
+            RatioBand("table3.bingo.kb", "table3.ipcp.kb", lo=30),
+            RatioBand("table3.tskid.kb", "table3.ipcp.kb", lo=30),
+            RatioBand("table3.spp_ppf_dspatch.kb", "table3.ipcp.kb", lo=8),
+            RatioBand("table3.mlop.kb", "table3.ipcp.kb", lo=1),
             # Sign-safe vs rivals whose gain-per-KB can go negative:
             # ipcp must exceed 10 x the BEST rival density.
             ScaledLeader("abl.density.ipcp.eff",

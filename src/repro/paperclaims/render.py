@@ -379,7 +379,7 @@ def _m_abl_density(v):
     ratio = v["abl.density.ipcp.eff"] / rivals if rivals > 0 else float("inf")
     return (f"IPCP {_f3(v['abl.density.ipcp.eff'])} speedup-gain/KB — "
             f"{ratio:.0f}x the best rival; "
-            f"{v['abl.density.bingo.kb']/v['abl.density.ipcp.kb']:.0f}x "
+            f"{v['table3.bingo.kb']/v['table3.ipcp.kb']:.0f}x "
             f"less storage than Bingo")
 
 
@@ -526,7 +526,11 @@ def _rows_for(report: EngineReport, section: str) -> list[str]:
     for claim, verdict in zip(report.claims, report.verdicts):
         if claim.section != section:
             continue
-        measured = MEASURED[claim.id](report.values)
+        formatter = MEASURED[claim.id]
+        try:
+            measured = formatter(report.values)
+        except KeyError as error:  # the claim flipped on the same key
+            measured = f"missing value {error}"
         status = "holds" if verdict.passed else "**FLIPPED**"
         lines.append(
             f"| **{claim.title}** (`{claim.id}`) | {claim.paper} "

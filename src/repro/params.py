@@ -28,41 +28,6 @@ REGION_BITS = 11
 LINES_PER_REGION = REGION_SIZE // LINE_SIZE  # 32
 
 
-def line_of(addr: int) -> int:
-    """Return the cache-line index (address >> 6) of a byte address."""
-    return addr >> LINE_BITS
-
-
-def line_addr(addr: int) -> int:
-    """Return the byte address aligned down to its cache line."""
-    return addr & ~(LINE_SIZE - 1)
-
-
-def page_of(addr: int) -> int:
-    """Return the 4 KB page number of a byte address."""
-    return addr >> PAGE_BITS
-
-
-def page_offset_line(addr: int) -> int:
-    """Return the cache-line offset (0..63) of the address within its page."""
-    return (addr >> LINE_BITS) & (LINES_PER_PAGE - 1)
-
-
-def region_of(addr: int) -> int:
-    """Return the 2 KB region number of a byte address."""
-    return addr >> REGION_BITS
-
-
-def region_offset_line(addr: int) -> int:
-    """Return the cache-line offset (0..31) of the address within its region."""
-    return (addr >> LINE_BITS) & (LINES_PER_REGION - 1)
-
-
-def same_page(addr_a: int, addr_b: int) -> bool:
-    """Return True when two byte addresses fall in the same 4 KB page."""
-    return page_of(addr_a) == page_of(addr_b)
-
-
 @dataclass(frozen=True)
 class CacheParams:
     """Geometry and resource limits for one cache level."""

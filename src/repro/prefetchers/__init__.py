@@ -15,7 +15,12 @@ from repro.prefetchers.base import (
     Prefetcher,
     PrefetchRequest,
 )
-from repro.prefetchers.registry import available_prefetchers, make_prefetcher
+from repro.prefetchers.registry import (
+    available_prefetchers,
+    build_levels,
+    make_prefetcher,
+    storage_kb,
+)
 
 __all__ = [
     "AccessContext",
@@ -23,5 +28,7 @@ __all__ = [
     "PrefetchRequest",
     "Prefetcher",
     "available_prefetchers",
+    "build_levels",
     "make_prefetcher",
+    "storage_kb",
 ]

@@ -163,6 +163,23 @@ def make_prefetcher(name: str) -> LevelConfig:
         ) from None
 
 
+def build_levels(
+    name: str,
+) -> tuple[Prefetcher | None, Prefetcher | None, Prefetcher | None]:
+    """Fresh ``(l1, l2, llc)`` prefetchers of the configuration ``name``,
+    with None for a level its row omits."""
+    levels = make_prefetcher(name)
+    return tuple(levels[level]() if level in levels else None
+                 for level in ("l1", "l2", "llc"))
+
+
+def storage_kb(name: str) -> float:
+    """Storage of the configuration ``name`` in KB: the state bits of
+    every level's prefetcher (Tables I and III)."""
+    bits = sum(pf.storage_bits for pf in build_levels(name) if pf is not None)
+    return bits / 8 / 1024
+
+
 def available_prefetchers() -> list[str]:
     """Sorted names of every configuration in the table."""
     return sorted(_configurations())

@@ -264,22 +264,11 @@ def execute_job(spec: JobSpec):
         )
     trace = spec.build_trace()
     if spec.kind == KIND_LEVELS:
-        from repro.prefetchers import make_prefetcher
+        from repro.prefetchers import build_levels
         from repro.sim.engine import simulate
 
-        levels = make_prefetcher(spec.config_name)
-        prefetchers = {
-            level: levels[level]() if level in levels else None
-            for level in ("l1", "l2", "llc")
-        }
-        return simulate(
-            trace,
-            l1_prefetcher=prefetchers["l1"],
-            l2_prefetcher=prefetchers["l2"],
-            llc_prefetcher=prefetchers["llc"],
-            params=spec.params,
-            warmup=spec.warmup,
-        )
+        return simulate(trace, *build_levels(spec.config_name),
+                        params=spec.params, warmup=spec.warmup)
     if spec.kind == KIND_ALONE_IPC:
         from repro.sim.multicore import _simulate_together
 

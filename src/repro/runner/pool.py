@@ -50,7 +50,6 @@ from repro.resilience.journal import CheckpointJournal
 from repro.resilience.policy import (
     JobFailure,
     RetryPolicy,
-    TIMEOUT,
     TRANSIENT,
     classify_failure,
 )
@@ -231,13 +230,8 @@ class SimulationRunner:
                 except KeyboardInterrupt:
                     raise
                 except Exception as error:
-                    classification = classify_failure(error)
-                    if (classification == TRANSIENT
-                            and not isinstance(error, WorkerCrashError)):
-                        self.transient_errors += 1
-                    if self.retry.should_retry(classification, attempt):
-                        self.retries += 1
-                        delay = self.retry.delay(key, attempt)
+                    delay = self._retry_delay(key, error, attempt)
+                    if delay is not None:
                         if delay > 0.0:
                             time.sleep(delay)
                         continue
@@ -414,27 +408,33 @@ class SimulationRunner:
         if fatal is not None and not self.degraded:
             raise fatal
 
-    def _settle_failure(self, key, error, attempts, ready, unresolved,
-                        publish_failure):
-        """Retry a failed job or mark it terminal; returns a fatal error
-        to raise (after the in-flight drain) in strict mode."""
+    def _retry_delay(self, key: str, error: BaseException,
+                     attempt: int) -> float | None:
+        """Backoff before retrying ``key`` after ``error`` ended its
+        ``attempt``, or None when the failure is terminal; counts a
+        transient error (a crash is counted as a crash) and a retry."""
         classification = classify_failure(error)
         if (classification == TRANSIENT
                 and not isinstance(error, WorkerCrashError)):
             self.transient_errors += 1
-        if self.retry.should_retry(classification, attempts[key]):
-            self.retries += 1
-            not_before = (time.monotonic()
-                          + self.retry.delay(key, attempts[key]))
-            ready.append((not_before, key))
+        if not self.retry.should_retry(classification, attempt):
+            return None
+        self.retries += 1
+        return self.retry.delay(key, attempt)
+
+    def _settle_failure(self, key, error, attempts, ready, unresolved,
+                        publish_failure):
+        """Retry a failed job or mark it terminal; returns a fatal error
+        to raise (after the in-flight drain) in strict mode."""
+        delay = self._retry_delay(key, error, attempts[key])
+        if delay is not None:
+            ready.append((time.monotonic() + delay, key))
             return None
         unresolved.discard(key)
         publish_failure(key, JobFailure.from_error(key, error,
                                                    attempts[key]))
         if self.degraded:
             return None
-        if classification == TIMEOUT:
-            return error
         return _as_repro_error(error)
 
     @staticmethod

@@ -53,7 +53,7 @@ from repro.memsys.vmem import VirtualMemory
 from repro.params import SystemParams
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.sim.branch import GsharePredictor
-from repro.sim.engine import SimResult, simulate
+from repro.sim.engine import SimResult, simulate, warmup_length
 from repro.sim.trace import BRANCH, LOAD, STORE, Trace
 
 #: Default number of records gathered per columnar window.
@@ -572,9 +572,7 @@ def simulate_batched(
     cols = trace.columns()
 
     n = len(trace)
-    warmup = n // 5 if warmup is None else warmup
-    if warmup > n:
-        warmup = n
+    warmup = warmup_length(trace, warmup)
 
     dram = Dram(params.dram)
     llc = _Level(params.llc, None, dram)
@@ -1273,21 +1271,7 @@ def simulate_batched(
             if delta:
                 stats[name] = stats.get(name, 0) + delta
 
-    pf_name = l1_prefetcher.name if l1_prefetcher is not None else "none"
-    if l2_prefetcher is not None:
-        pf_name += f"+{l2_prefetcher.name}@L2"
-    return SimResult(
-        trace_name=trace.name,
-        prefetcher_name=pf_name,
-        instructions=instr - roi_i0,
-        cycles=cycle - roi_c0,
-        l1=lvl1.stats(),
-        l2=lvl2.stats(),
-        llc=llc.stats(),
-        dram_reads=dram.reads,
-        dram_writes=dram.writes,
-        l1_prefetcher=(l1_prefetcher.summary()
-                       if l1_prefetcher is not None else None),
-        l2_prefetcher=(l2_prefetcher.summary()
-                       if l2_prefetcher is not None else None),
+    return SimResult.of_run(
+        trace, l1_prefetcher, l2_prefetcher, instr - roi_i0, cycle - roi_c0,
+        lvl1.stats(), lvl2.stats(), llc.stats(), dram,
     )

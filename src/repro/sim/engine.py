@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.memsys.cache import CacheStats, InstructionCounter
+from repro.memsys.dram import Dram
 from repro.memsys.hierarchy import Hierarchy, build_hierarchy
 from repro.params import SystemParams
 from repro.prefetchers.base import Prefetcher, PrefetcherSummary
@@ -63,6 +64,36 @@ class SimResult:
         """IPC speedup of this run relative to ``baseline``."""
         return self.ipc / baseline.ipc if baseline.ipc else 0.0
 
+    @classmethod
+    def of_run(cls, trace: Trace, l1_prefetcher: Prefetcher | None,
+               l2_prefetcher: Prefetcher | None, instructions: int,
+               cycles: int, l1: CacheStats, l2: CacheStats,
+               llc: CacheStats, dram: Dram) -> "SimResult":
+        """The result of one run of ``trace``, named after its L1 and L2
+        prefetchers (``"none"`` without an L1 one) and holding their
+        summaries, the three levels' statistics and ``dram``'s traffic."""
+        pf_name = l1_prefetcher.name if l1_prefetcher is not None else "none"
+        if l2_prefetcher is not None:
+            pf_name += f"+{l2_prefetcher.name}@L2"
+        return cls(
+            trace_name=trace.name, prefetcher_name=pf_name,
+            instructions=instructions, cycles=cycles, l1=l1, l2=l2, llc=llc,
+            dram_reads=dram.reads, dram_writes=dram.writes,
+            l1_prefetcher=(l1_prefetcher.summary()
+                           if l1_prefetcher is not None else None),
+            l2_prefetcher=(l2_prefetcher.summary()
+                           if l2_prefetcher is not None else None),
+        )
+
+
+def warmup_length(trace: Trace, warmup: int | None) -> int:
+    """How many of ``trace``'s records warm the machine up before the ROI.
+
+    ``None`` means the paper's split, 20% of the trace; any warm-up is
+    clamped to the trace's length.
+    """
+    return min(len(trace) // 5 if warmup is None else warmup, len(trace))
+
 
 class _IdealHierarchy:
     """Stand-in hierarchy where every load hits the L1 (100% hit rate).
@@ -99,8 +130,7 @@ def simulate_ideal(
     params = params or SystemParams()
     hierarchy = _IdealHierarchy(params.l1d.latency)
     cpu = Cpu(hierarchy, params.core)
-    warmup = warmup if warmup is not None else len(trace) // 5
-    warmup = min(warmup, len(trace))
+    warmup = warmup_length(trace, warmup)
     cpu.run(trace[:warmup])
     start_instr, start_cycle = cpu.mark()
     cpu.run(trace[warmup:])
@@ -162,9 +192,7 @@ def simulate(
         )
     cpu = Cpu(hierarchy, params.core)
 
-    warmup = warmup if warmup is not None else len(trace) // 5
-    warmup = min(warmup, len(trace))
-
+    warmup = warmup_length(trace, warmup)
     cpu.run(trace[:warmup])
     hierarchy.reset_stats()
     roi_start_instr, roi_start_cycle = cpu.mark()
@@ -174,23 +202,8 @@ def simulate(
     instructions = cpu.retired - roi_start_instr
     cycles = cpu.cycle - roi_start_cycle
 
-    pf_name = l1_prefetcher.name if l1_prefetcher is not None else "none"
-    if l2_prefetcher is not None:
-        pf_name += f"+{l2_prefetcher.name}@L2"
-    return SimResult(
-        trace_name=trace.name,
-        prefetcher_name=pf_name,
-        instructions=instructions,
-        cycles=cycles,
-        l1=hierarchy.l1d.stats,
-        l2=hierarchy.l2.stats,
-        llc=hierarchy.llc.stats,
-        dram_reads=hierarchy.dram.reads,
-        dram_writes=hierarchy.dram.writes,
-        l1_prefetcher=(
-            l1_prefetcher.summary() if l1_prefetcher is not None else None
-        ),
-        l2_prefetcher=(
-            l2_prefetcher.summary() if l2_prefetcher is not None else None
-        ),
+    return SimResult.of_run(
+        trace, l1_prefetcher, l2_prefetcher, instructions, cycles,
+        hierarchy.l1d.stats, hierarchy.l2.stats, hierarchy.llc.stats,
+        hierarchy.dram,
     )

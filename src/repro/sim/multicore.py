@@ -33,6 +33,13 @@ PrefetcherFactory = Callable[[], Prefetcher | None]
 _CHUNK = 64  # instructions per scheduling quantum
 
 
+def usable_core(together: float, alone: float) -> bool:
+    """Whether a core's speedup ``together / alone`` is defined: a
+    positive, finite alone IPC (a non-empty ROI window) and a finite
+    together IPC."""
+    return alone > 0.0 and math.isfinite(alone) and math.isfinite(together)
+
+
 @dataclass
 class MixResult:
     """Outcome of one multicore mix."""
@@ -47,16 +54,13 @@ class MixResult:
     def per_core_speedup(self) -> list[float]:
         """Each core's IPC_together(i) / IPC_alone(i) contribution.
 
-        A degenerate core — zero or non-finite alone IPC (empty ROI
-        window), or a non-finite together IPC — contributes a defined
-        0.0 instead of propagating ``nan``/``inf`` into mix tables and
-        claim predicates; :attr:`degenerate_cores` names the culprits.
+        A degenerate core (see :func:`usable_core`) contributes a
+        defined 0.0 instead of propagating ``nan``/``inf`` into mix
+        tables and claim predicates; :attr:`degenerate_cores` names the
+        culprits.
         """
         return [
-            together / alone
-            if alone > 0.0 and math.isfinite(alone)
-            and math.isfinite(together)
-            else 0.0
+            together / alone if usable_core(together, alone) else 0.0
             for together, alone in zip(self.ipc_together, self.ipc_alone)
         ]
 
@@ -64,12 +68,9 @@ class MixResult:
     def degenerate_cores(self) -> tuple[int, ...]:
         """Indices of cores whose speedup contribution was zeroed."""
         return tuple(
-            core
-            for core, (together, alone) in enumerate(
-                zip(self.ipc_together, self.ipc_alone)
-            )
-            if not (alone > 0.0 and math.isfinite(alone)
-                    and math.isfinite(together))
+            core for core, ipcs in enumerate(
+                zip(self.ipc_together, self.ipc_alone))
+            if not usable_core(*ipcs)
         )
 
     @property

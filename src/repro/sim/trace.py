@@ -107,20 +107,12 @@ class TraceColumns:
         self.page = self.addr >> np.uint64(12)
         self.offset = self.line & np.uint64(63)
         self.events = np.flatnonzero(self.kind != OTHER)
-        self._kind_bytes: bytes | None = None
         self._dep_bytes: bytes | None = None
         self._set_tag: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._event_columns: dict[str, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    @property
-    def kind_bytes(self) -> bytes:
-        """The kind column as ``bytes`` (O(1) scalar indexing in loops)."""
-        if self._kind_bytes is None:
-            self._kind_bytes = self.kind.tobytes()
-        return self._kind_bytes
 
     @property
     def dep_bytes(self) -> bytes:

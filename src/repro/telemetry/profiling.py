@@ -27,6 +27,7 @@ from repro.memsys.hierarchy import build_hierarchy
 from repro.params import SystemParams
 from repro.prefetchers.base import Prefetcher
 from repro.sim.cpu import Cpu
+from repro.sim.engine import warmup_length
 from repro.sim.trace import Trace
 
 
@@ -97,8 +98,7 @@ def profile_phases(
         llc_prefetcher=llc_prefetcher,
     )
     cpu = Cpu(hierarchy, params.core)
-    warmup = warmup if warmup is not None else len(trace) // 5
-    warmup = min(warmup, len(trace))
+    warmup = warmup_length(trace, warmup)
 
     profiles: list[PhaseProfile] = []
     for phase, records in (("warmup", trace[:warmup]),
@@ -129,21 +129,14 @@ def profile_job(spec, top: int = 12) -> list[PhaseProfile]:
     Only the ``levels`` kind carries a registered configuration a
     profile can rebuild; other kinds raise :class:`ConfigurationError`.
     """
-    from repro.prefetchers import make_prefetcher
+    from repro.prefetchers import build_levels
     from repro.runner.job import KIND_LEVELS
 
     if spec.kind != KIND_LEVELS:
         raise ConfigurationError(
             f"cannot profile a {spec.kind!r} job; expected levels"
         )
-    levels = make_prefetcher(spec.config_name)
-    built = {level: factory() for level, factory in levels.items()}
     return profile_phases(
-        spec.build_trace(),
-        l1_prefetcher=built.get("l1"),
-        l2_prefetcher=built.get("l2"),
-        llc_prefetcher=built.get("llc"),
-        params=spec.params,
-        warmup=spec.warmup,
-        top=top,
+        spec.build_trace(), *build_levels(spec.config_name),
+        params=spec.params, warmup=spec.warmup, top=top,
     )

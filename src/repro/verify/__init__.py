@@ -41,7 +41,6 @@ from repro.verify.golden import (
     GOLDEN_WORKLOADS,
     collect_golden_stats,
     compare_to_baseline,
-    golden_prefetchers,
     load_baseline,
     save_baseline,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "check_frontend_invariants",
     "collect_golden_stats",
     "compare_to_baseline",
-    "golden_prefetchers",
     "load_baseline",
     "run_cross_engine",
     "run_frontend_invariant_sweep",

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from repro.errors import TraceError
 from repro.params import SystemParams
-from repro.prefetchers import make_prefetcher
+from repro.prefetchers import available_prefetchers, build_levels
 from repro.sim.batched import simulate_batched, support_reason
 from repro.sim.engine import simulate
-from repro.verify.golden import GOLDEN_SCALE, GOLDEN_WORKLOADS, golden_prefetchers
+from repro.verify.golden import GOLDEN_SCALE, GOLDEN_WORKLOADS
 from repro.workloads import spec_trace
 
 #: (warmup, max_instructions, chunk_records) tuples exercised on one
@@ -90,23 +90,14 @@ class CrossEngineReport:
         return "\n".join(lines)
 
 
-def _build_levels(config: str):
-    """Fresh (l1, l2, llc) prefetcher instances for one registered config."""
-    levels = make_prefetcher(config)
-    return tuple(
-        levels[key]() if key in levels and levels[key] else None
-        for key in ("l1", "l2", "llc")
-    )
-
-
 def _compare(trace, config: str, label: str, warmup=None,
              max_instructions=None, chunk_records=8192) -> EngineCell:
     """Run one cell under both engines and diff the results."""
     scalar = simulate(
-        trace, *_build_levels(config),
+        trace, *build_levels(config),
         warmup=warmup, max_instructions=max_instructions,
     )
-    levels = _build_levels(config)
+    levels = build_levels(config)
     reason = support_reason(trace, *levels, SystemParams(), None)
     batched = simulate_batched(
         trace, *levels,
@@ -166,7 +157,7 @@ def run_cross_engine(
     under the full IPCP configuration.
     """
     if prefetchers is None:
-        prefetchers = golden_prefetchers()
+        prefetchers = available_prefetchers()
     cells: list[EngineCell] = []
     traces = [spec_trace(name, scale) for name in workloads]
     for trace in traces:

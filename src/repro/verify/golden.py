@@ -59,11 +59,6 @@ TRACE_SCALE = 0.05
 TRACE_SEEDS = (7, 8)
 
 
-def golden_prefetchers() -> list[str]:
-    """Every registered configuration (the baseline must cover them all)."""
-    return available_prefetchers()
-
-
 def non_lru_system(policy: str) -> SystemParams:
     """Small levels under ``policy``, so every level evicts in a short trace."""
     return SystemParams(
@@ -157,7 +152,7 @@ def collect_golden_stats(
     the other sections are fixed.
     """
     if prefetchers is None:
-        prefetchers = golden_prefetchers()
+        prefetchers = available_prefetchers()
     runner = runner or SimulationRunner()
     jobs = _pin_jobs(workloads, prefetchers, scale)
     results = runner.run([spec for _, _, spec in jobs])

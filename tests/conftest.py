@@ -36,6 +36,21 @@ from repro.verify.golden import (
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def empty_default_cache(tmp_path_factory):
+    """Point the default result cache at an empty per-session directory.
+
+    A test that omits ``--cache-dir``/``--no-cache`` then simulates
+    instead of replaying the user's ``$REPRO_CACHE_DIR`` or
+    ``~/.cache/repro-sim``, and leaves nothing there.  Subprocesses the
+    tests start inherit the variable.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("default-cache")))
+        yield
+
+
 @pytest.fixture
 def tiny_cache_params() -> CacheParams:
     """A small 4-set, 2-way cache for direct inspection."""

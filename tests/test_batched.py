@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 from repro.analysis import sweep_system
 from repro.memsys.hierarchy import build_hierarchy
 from repro.params import SystemParams
-from repro.prefetchers import make_prefetcher
+from repro.prefetchers import build_levels
 from repro.sim.batched import (
     DEFAULT_CHUNK_RECORDS,
     simulate_batched,
@@ -21,15 +21,6 @@ from repro.sim.batched import (
 from repro.sim.engine import simulate
 from repro.sim.trace import BRANCH, LOAD, OTHER, STORE, Trace
 from repro.workloads import spec_trace
-
-
-def build_levels(config: str):
-    """Fresh (l1, l2, llc) prefetcher instances for a registered config."""
-    levels = make_prefetcher(config)
-    return tuple(
-        levels[key]() if key in levels and levels[key] else None
-        for key in ("l1", "l2", "llc")
-    )
 
 
 @pytest.fixture(scope="module")

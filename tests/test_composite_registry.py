@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.prefetchers import available_prefetchers, make_prefetcher
+from repro.prefetchers import (
+    available_prefetchers,
+    build_levels,
+    make_prefetcher,
+    storage_kb,
+)
 from repro.prefetchers.base import AccessContext, AccessType, Prefetcher, \
     PrefetchRequest
 from repro.prefetchers.composite import CompositePrefetcher
@@ -99,6 +104,22 @@ class TestRegistry:
         assert set(make_prefetcher("mlop")) == {"l1", "l2", "llc"}
         assert set(make_prefetcher("tskid")) == {"l1", "l2"}
         assert make_prefetcher("none") == {}
+
+    def test_build_levels_builds_each_row_fresh(self):
+        for name in available_prefetchers():
+            row = make_prefetcher(name)
+            first, second = build_levels(name), build_levels(name)
+            for level, built, again in zip(("l1", "l2", "llc"), first,
+                                           second):
+                if level not in row:
+                    assert built is None and again is None, (name, level)
+                    continue
+                assert type(built) is type(row[level]()), (name, level)
+                assert built is not again, (name, level)
+
+    def test_storage_kb_pins_table3(self):
+        assert storage_kb("ipcp") * 1024 == 893.75 < 895
+        assert storage_kb("bingo") == 48.15625
 
     def test_names_are_case_insensitive(self):
         assert set(make_prefetcher("Spp_PPF_DSPatch")) == {"l1", "l2", "llc"}

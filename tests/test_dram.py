@@ -17,12 +17,6 @@ class TestUnloadedLatency:
         dram.read(0x2000, 0)
         assert dram.reads == 2
 
-    def test_bytes_transferred(self):
-        dram = Dram()
-        dram.read(0x1000, 0)
-        dram.write(0x2000, 0)
-        assert dram.bytes_transferred == 128
-
 
 class TestQueuing:
     def test_back_to_back_reads_queue_on_one_channel(self):

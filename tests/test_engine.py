@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import IpcpL1, IpcpL2
-from repro.sim.engine import simulate
+from repro.sim.engine import simulate, warmup_length
 from repro.sim.trace import LOAD, OTHER, Trace
 
 from conftest import make_stream_trace
@@ -52,6 +52,18 @@ class TestSimulate:
     def test_dram_bytes(self, stream_trace):
         result = simulate(stream_trace)
         assert result.dram_bytes == (result.dram_reads + result.dram_writes) * 64
+
+
+class TestWarmupLength:
+    def test_default_is_twenty_percent(self, stream_trace):
+        assert warmup_length(stream_trace, None) == len(stream_trace) // 5
+
+    def test_zero_stays_zero(self, stream_trace):
+        assert warmup_length(stream_trace, 0) == 0
+
+    def test_clamped_to_the_trace(self, stream_trace):
+        n = len(stream_trace)
+        assert warmup_length(stream_trace, n + 1) == n
 
 
 class TestPrefetchingImprovesStreams:

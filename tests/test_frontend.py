@@ -25,8 +25,7 @@ from repro.frontend import (
     make_frontend_prefetcher,
     simulate_frontend,
 )
-from repro.frontend.model import L2CodePresence
-from repro.memsys.tlb import TlbParams
+from repro.memsys.tlb import LruSet, TlbParams
 from repro.prefetchers.base import AccessContext, AccessType
 from repro.verify.frontend_oracle import OracleIpcpI
 from repro.verify.invariants import (
@@ -112,7 +111,7 @@ class TestInstructionCache:
         assert cache.prefetched_bit(7) is False
 
     def test_l2_code_presence_cold_then_warm(self):
-        l2 = L2CodePresence(capacity=2)
+        l2 = LruSet(2)
         assert l2.touch(1) is False
         assert l2.touch(1) is True
         l2.touch(2)

@@ -98,8 +98,15 @@ def test_monotonic():
 
 
 def test_missing_key_names_the_key():
-    with pytest.raises(KeyError, match="missing value 'gone'"):
+    with pytest.raises(ConfigurationError, match="missing value 'gone'"):
         Band("gone", lo=0).check({})
+    claim = Claim(id="t", section="tables", title="t", paper="p", cells=(),
+                  predicates=(Band("x", lo=0.0), Band("gone", lo=0)))
+    verdict = claim.evaluate({"x": 1.0})
+    assert not verdict.passed
+    assert verdict.details[0].startswith("PASS")
+    assert verdict.details[1].startswith("FAIL predicate reads missing "
+                                         "value 'gone'")
 
 
 def test_fmt_handles_nan_and_inf():
@@ -200,11 +207,16 @@ def test_claim_reads_only_its_own_cells():
         assert alone.verdicts == [verdict]
 
     # "y" comes only from another claim's cell: missing in a full run
-    # (where c2 ran first for "y-flips") and under --only alike.
+    # (where c2 ran first for "y-flips") and under --only alike, so the
+    # borrower flips there while every other claim keeps its verdict.
     borrower = _claim("borrower", [c1], (Band("y", lo=0.0),))
     for only in (None, ["borrower"]):
-        with pytest.raises(KeyError, match="missing value 'y'"):
-            _engine([*claims, borrower]).run(only=only)
+        report = _engine([*claims, borrower]).run(only=only)
+        assert report.verdicts[:-1] == ([] if only else full.verdicts)
+        assert not report.verdicts[-1].passed
+        assert report.verdicts[-1].details == (
+            "FAIL predicate reads missing value 'y'; the claim's cells "
+            "did not produce it",)
 
 
 def test_report_by_section():
@@ -402,6 +414,19 @@ def test_verdict_report_is_deterministic_and_marks_flips():
     assert "FLIPPED" in text and "good" in text and "bad" in text
     clean = render_verdict_report(_fake_report(ok=True))
     assert "FLIPPED" not in clean
+
+
+def test_missing_value_flips_its_row_and_the_render_goes_on():
+    from dataclasses import replace
+
+    from repro.paperclaims.render import _rows_for
+
+    table3 = next(c for c in CLAIMS if c.id == "table3-storage-gap")
+    partial = replace(table3, cells=(_cell("t3", {"table3.ipcp.kb": 0.9}),))
+    report = _engine([partial]).run()
+    assert not report.ok
+    row = _rows_for(report, "tables")[-1]
+    assert "| missing value 'table3.mlop.kb' | **FLIPPED** |" in row
 
 
 def test_bench_payload_schema():

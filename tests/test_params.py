@@ -15,13 +15,6 @@ from repro.params import (
     default_l1d,
     default_l2,
     default_llc,
-    line_addr,
-    line_of,
-    page_of,
-    page_offset_line,
-    region_of,
-    region_offset_line,
-    same_page,
 )
 
 
@@ -31,35 +24,6 @@ class TestAddressGeometry:
 
     def test_lines_per_region_is_32(self):
         assert LINES_PER_REGION == 32
-
-    def test_line_of_strips_offset(self):
-        assert line_of(0x1000) == 0x40
-        assert line_of(0x103F) == 0x40
-        assert line_of(0x1040) == 0x41
-
-    def test_line_addr_aligns_down(self):
-        assert line_addr(0x1234) == 0x1200
-
-    def test_page_of(self):
-        assert page_of(0xFFF) == 0
-        assert page_of(0x1000) == 1
-
-    def test_page_offset_line_range(self):
-        assert page_offset_line(0x0) == 0
-        assert page_offset_line(0xFC0) == 63
-
-    def test_region_offset_line_range(self):
-        assert region_offset_line(0x0) == 0
-        assert region_offset_line(0x7C0) == 31
-        assert region_offset_line(0x800) == 0
-
-    def test_region_of_2kb_granularity(self):
-        assert region_of(0x7FF) == 0
-        assert region_of(0x800) == 1
-
-    def test_same_page(self):
-        assert same_page(0x1000, 0x1FFF)
-        assert not same_page(0x1000, 0x2000)
 
 
 class TestCacheParams:

@@ -31,13 +31,6 @@ class TestTranslation:
         frames = [vmem.translate(i * PAGE_SIZE) >> 12 for i in range(2_000)]
         assert len(set(frames)) == len(frames)
 
-    def test_mapped_pages_counts_first_touches(self):
-        vmem = VirtualMemory()
-        vmem.translate(0x0)
-        vmem.translate(0x100)       # same page
-        vmem.translate(PAGE_SIZE)   # new page
-        assert vmem.mapped_pages == 2
-
 
 class TestDeterminismAndIsolation:
     def test_same_seed_same_mapping(self):
