@@ -18,26 +18,10 @@ from collections.abc import Iterable
 
 from repro.params import SystemParams
 from repro.prefetchers import build_levels
-from repro.resilience import JobFailure
 from repro.runner import SimulationRunner, levels_job
 from repro.sim.engine import SimResult, simulate
 from repro.sim.trace import Trace
 from repro.stats.metrics import geometric_mean, speedup
-
-
-def _cell_speedup(result, baseline):
-    """Speedup of one degraded-grid cell; failures propagate as cells.
-
-    A runner in degraded mode resolves terminally-failed jobs to
-    :class:`JobFailure` values instead of raising, so a partial grid
-    still renders — with the failure (not a bogus number) in any cell
-    whose own result or baseline is missing.
-    """
-    if isinstance(result, JobFailure):
-        return result
-    if isinstance(baseline, JobFailure):
-        return baseline
-    return speedup(result, baseline)
 
 
 def run_levels(
@@ -112,24 +96,16 @@ class ExperimentRunner:
             for config in (config_name, "none")
         )
         return {
-            name: _cell_speedup(self.result(name, config_name, params),
-                                self.result(name, "none", params))
+            name: speedup(self.result(name, config_name, params),
+                          self.result(name, "none", params))
             for name in self.traces
         }
 
     def mean_speedup(self, config_name: str,
-                     params: SystemParams | None = None):
-        """Geometric-mean speedup over the suite (the paper's averages).
-
-        If any contributing cell failed (degraded runner), the mean is
-        that failure — an explicit ``FAILED(...)`` beats a silently
-        partial geomean.
-        """
-        values = list(self.speedups(config_name, params).values())
-        for value in values:
-            if isinstance(value, JobFailure):
-                return value
-        return geometric_mean(values)
+                     params: SystemParams | None = None) -> float:
+        """Geometric-mean speedup over the suite (the paper's averages)."""
+        speedups = self.speedups(config_name, params)
+        return geometric_mean(list(speedups.values()))
 
     def speedup_table(self, config_names: list[str]) -> list[list]:
         """Rows of [trace, speedup_per_config...] plus a geomean row."""
@@ -142,10 +118,8 @@ class ExperimentRunner:
         for name in self.traces:
             row: list = [name]
             for config in config_names:
-                row.append(
-                    _cell_speedup(self.result(name, config),
-                                  self.result(name, "none"))
-                )
+                row.append(speedup(self.result(name, config),
+                                   self.result(name, "none")))
             rows.append(row)
         mean_row: list = ["geomean"]
         for config in config_names:
@@ -162,8 +136,7 @@ class ExperimentRunner:
 
         ``points`` are ``(label, params)`` pairs, one per swept value.
         The whole (point x trace x config) grid resolves in one
-        fan-out; a failed cell (degraded runner) renders as its
-        failure, as in :meth:`mean_speedup`.
+        fan-out.
         """
         points = list(points)
         self.ensure(

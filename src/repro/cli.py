@@ -19,13 +19,10 @@ processes and keep a persistent result cache (``--cache-dir``, default
 ``--no-cache``), so repeating a figure or sweep is a cache hit.
 
 Execution is fault-tolerant (docs/resilience.md): ``--retries N``
-bounds the attempt budget for transient failures, ``--timeout SEC``
-kills and retries overdue jobs, and ``--degraded`` (``compare`` and
-``sweep`` only) renders ``FAILED(reason)`` cells instead of aborting.
-Beside it, ``--journal PATH`` logs each cell that exhausted its retry
-budget, and a degraded rerun against the same journal renders those
-cells without retrying them (Ctrl-C exits 130 after flushing it).  An
-interrupted run resumes from the result cache, not the journal: each
+bounds the attempt budget for transient failures and ``--timeout SEC``
+kills and retries overdue jobs.  A job that exhausts its budget, like a
+damaged trace file, ends the run with its typed exit code.  An
+interrupted run (Ctrl-C exits 130) resumes from the result cache: each
 result is cached as it completes, so a rerun against the same cache
 re-simulates only the unfinished cells.
 """
@@ -39,24 +36,14 @@ import sys
 from repro.analysis import ExperimentRunner, run_levels
 from repro.analysis.tracestats import analyze_trace
 from repro.errors import ReproError, TraceError, exit_code_for
-from repro.ingest import (
-    DEFAULT_MAX_ERRORS,
-    POLICIES,
-    STRICT,
-    ingest_binary,
-    write_binary,
-)
+from repro.ingest import ingest_binary, write_binary
 from repro.prefetchers import (
     available_prefetchers,
     build_levels,
     make_prefetcher,
     storage_kb,
 )
-from repro.resilience import (
-    CheckpointJournal,
-    RetryPolicy,
-    flush_active_journals,
-)
+from repro.resilience import RetryPolicy
 from repro.runner import ResultCache, SimulationRunner
 from repro.sim.multicore import simulate_mix
 from repro.stats import format_table, normalized_weighted_speedup
@@ -98,15 +85,11 @@ def cmd_list_workloads(args) -> int:
 def make_backend(args) -> SimulationRunner:
     """Build the job runner from the shared runner/resilience options."""
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    journal = (CheckpointJournal(args.journal)
-               if getattr(args, "journal", None) else None)
     return SimulationRunner(
         jobs=args.jobs,
         cache=cache,
         retry=RetryPolicy(max_attempts=args.retries),
         timeout=args.timeout,
-        journal=journal,
-        degraded=getattr(args, "degraded", False),
     )
 
 
@@ -251,14 +234,10 @@ def cmd_dump_trace(args) -> int:
 
 
 def cmd_run_trace(args) -> int:
-    """Simulate a RIB1 trace file read under an ingestion policy."""
-    trace, report = ingest_binary(args.trace_file, policy=args.policy,
-                                  max_errors=args.max_errors,
-                                  quarantine_path=args.quarantine_path)
-    print(format_table(["property", "value"], report.summary_rows(),
-                       title=f"Ingestion: {report.source}"))
+    """Simulate a RIB1 trace file."""
+    trace = ingest_binary(args.trace_file)
     if not len(trace):
-        raise TraceError(f"{report.source}: no records to simulate")
+        raise TraceError(f"{args.trace_file}: no records to simulate")
     baseline = run_levels(trace, "none")
     result = run_levels(trace, args.prefetcher)
     rows = [
@@ -569,19 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
-    # Only the table commands can render a failed cell; every other
-    # command would read a JobFailure as a result, and the journal is
-    # the failure log a degraded rerun reads back.
-    for table in (compare, sweep):
-        table.add_argument("--degraded", action="store_true",
-                           help="render FAILED(reason) cells for jobs that "
-                                "exhaust their retry budget instead of "
-                                "aborting the run")
-        table.add_argument("--journal", default=None, metavar="PATH",
-                           help="failure log: record each cell that "
-                                "exhausts its retry budget; a --degraded "
-                                "rerun renders it without retrying")
-
     analyze = sub.add_parser("analyze", help="Section III pattern profile")
     analyze.add_argument("--workload", required=True)
     analyze.add_argument("--scale", type=positive_finite, default=0.4)
@@ -596,19 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_trace = sub.add_parser(
         "run-trace",
-        help="simulate a RIB1 trace file under an ingestion policy "
-             "(docs/ingestion.md)")
+        help="simulate a RIB1 trace file (docs/ingestion.md)")
     run_trace.add_argument("--trace-file", required=True)
     run_trace.add_argument("--prefetcher", default="ipcp")
-    run_trace.add_argument("--policy", choices=POLICIES, default=STRICT,
-                           help="malformed-record policy")
-    run_trace.add_argument("--max-errors", type=int,
-                           default=DEFAULT_MAX_ERRORS, metavar="N",
-                           help="lenient/quarantine fault budget")
-    run_trace.add_argument("--quarantine-path", default=None,
-                           metavar="PATH",
-                           help="quarantine sidecar (default: "
-                                "<trace-file>.quarantine)")
     run_trace.set_defaults(func=cmd_run_trace)
 
     verify = sub.add_parser(
@@ -696,19 +652,16 @@ def main(argv: list[str] | None = None) -> int:
 
     Error hygiene: every :class:`ReproError` subclass maps to its own
     nonzero exit code (see docs/resilience.md) and prints a one-line
-    message, never a traceback.  Ctrl-C flushes any open checkpoint
-    journals before exiting 130; a rerun against the same result cache
-    replays every cell that finished before the interrupt.
+    message, never a traceback.  Ctrl-C exits 130; a rerun against the
+    same result cache replays every cell that finished before the
+    interrupt.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        flushed = flush_active_journals()
-        note = (f"; {flushed} checkpoint journal(s) flushed"
-                if flushed else "")
-        print(f"interrupted{note}", file=sys.stderr)
+        print("interrupted", file=sys.stderr)
         return 130
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

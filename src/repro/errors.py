@@ -46,12 +46,10 @@ class TraceError(ReproError):
 class TraceFormatError(TraceError):
     """An ingested trace file is not RIB1 or holds a malformed record.
 
-    Raised by the RIB1 reader in :mod:`repro.ingest` under every policy
-    when the header is not RIB1 (wrong magic or version), and under the
-    ``strict`` policy at the first malformed record (bad marker byte,
-    unknown kind, bad dep flag, memory record at address 0); under
-    ``lenient``/``quarantine`` such a record is skipped and counted
-    instead.
+    Raised by the RIB1 reader in :mod:`repro.ingest` when the header is
+    not RIB1 (wrong magic or version) or at the first malformed record
+    (bad marker byte, unknown kind, bad dep flag, memory record at
+    address 0).
     """
 
     exit_code = 14
@@ -60,9 +58,9 @@ class TraceFormatError(TraceError):
 class TraceTruncatedError(TraceError):
     """An ingested trace stream ended before its declared end.
 
-    Covers a header cut short (under every policy), a torn last
-    record, a record count that stops short of the header's promise, a
-    missing footer, an unfinalized file and a failed read.
+    Covers a header cut short, a torn last record, a record count that
+    stops short of the header's promise, a missing footer, an
+    unfinalized file and a failed read.
     """
 
     exit_code = 15
@@ -77,18 +75,6 @@ class TraceChecksumError(TraceError):
     """
 
     exit_code = 16
-
-
-class TraceBudgetError(TraceError):
-    """Lenient ingestion exhausted its fault budget.
-
-    ``lenient``/``quarantine`` ingestion skips bad records and counts
-    every fault, but only up to ``max_errors``; a stream that is mostly
-    garbage is a wrong *file*, not a recoverable blemish, and fails
-    loudly.
-    """
-
-    exit_code = 17
 
 
 class SimulationError(ReproError):
@@ -131,12 +117,6 @@ class FatalJobError(JobError):
     """A job failed in a way retrying cannot fix (bad spec, code bug)."""
 
     exit_code = 9
-
-
-class CheckpointError(ReproError):
-    """A checkpoint journal could not be read or written."""
-
-    exit_code = 10
 
 
 def exit_code_for(error: BaseException) -> int:

@@ -17,19 +17,18 @@ make every damage mode *detectable*:
   the raw record bytes.  Bit rot anywhere in the payload fails the
   digest even when it happens to keep every marker intact.
 
-The reader distinguishes the three taxonomy faults precisely: a
-malformed record is ``format``, a stream that stops short of the
-header's count (or mid-record, or before the footer, or on a failed
-read) is ``truncated``, and a footer digest or footer-magic mismatch is
-``checksum`` — each mapping to its own exit code under the strict
-policy (:mod:`repro.errors`).  A damaged header (wrong magic, unknown
-version, fewer than 24 bytes) raises its typed error under *every*
-policy: the policy decides what happens to bad records, not whether a
-file that is no RIB1 trace at all reads as an empty one.
+The reader raises the typed error of the first fault it meets, each
+with its own exit code (:mod:`repro.errors`): a damaged header (wrong
+magic or version) or a malformed record is a
+:class:`~repro.errors.TraceFormatError`, a stream that stops short
+(a header under 24 bytes, an unfinalized count, a torn record, fewer
+records than the count, a missing footer, a failed read) a
+:class:`~repro.errors.TraceTruncatedError`, and a footer digest or
+footer-magic mismatch a :class:`~repro.errors.TraceChecksumError`.
 
 Reading streams one record at a time, so the reader itself holds one
-28-byte blob; :func:`ingest_binary` materializes the surviving records
-as a :class:`~repro.sim.trace.Trace`.
+28-byte blob; :func:`ingest_binary` materializes the records as a
+:class:`~repro.sim.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -41,19 +40,11 @@ import struct
 from collections.abc import Iterator
 
 from repro.errors import (
-    ConfigurationError,
+    ReproError,
+    TraceChecksumError,
     TraceError,
     TraceFormatError,
     TraceTruncatedError,
-)
-from repro.ingest.policies import (
-    CHECKSUM,
-    DEFAULT_MAX_ERRORS,
-    FORMAT,
-    IngestReport,
-    QUARANTINE,
-    STRICT,
-    TRUNCATED,
 )
 from repro.sim.trace import BRANCH, LOAD, OTHER, STORE, Trace
 
@@ -82,24 +73,27 @@ def _record_hasher():
     return hashlib.blake2b(digest_size=_DIGEST_BYTES)
 
 
-def _open_source(source, label: str | None = None):
+def _open_source(source):
     """Open a trace source as a binary file object.
 
     ``source`` may be a filesystem path, raw ``bytes`` or a binary
-    file object (taken as-is).  Returns ``(fh, label, file_name,
-    owns)``: ``file_name`` is the file the source reads (``None`` for
-    bytes and for file objects without a string ``name``), and
-    ``owns`` says whether the caller should close ``fh``.
+    file object (taken as-is).  Returns ``(fh, label, owns)``: the
+    label (the path, ``<bytes>`` or the file object's name) names the
+    source in errors, and ``owns`` says whether the caller should
+    close ``fh``.  A path that cannot be opened raises
+    :class:`TraceError` naming it.
     """
     if isinstance(source, (bytes, bytearray)):
-        return io.BytesIO(bytes(source)), label or "<bytes>", None, True
+        return io.BytesIO(bytes(source)), "<bytes>", True
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
-        return open(path, "rb"), label or path, path, True
-    name = getattr(source, "name", None)
-    file_name = name if isinstance(name, str) else None
-    return (source, label or getattr(source, "name", "<stream>"),
-            file_name, False)
+        try:
+            fh = open(path, "rb")
+        except OSError as error:
+            raise TraceError(f"cannot open trace file {path!r}: "
+                             f"{error.strerror}") from error
+        return fh, path, True
+    return source, getattr(source, "name", "<stream>"), False
 
 
 class _Reader:
@@ -146,109 +140,82 @@ def _record_fault(kind: int, addr: int, dep: int, marker: int) -> str:
     return ""
 
 
-def iter_binary_wire(fh, report: IngestReport) -> Iterator[tuple]:
-    """Yield the valid ``(kind, ip, addr, dep)`` records of a RIB1 file.
+def iter_binary_wire(fh, label: str) -> Iterator[tuple]:
+    """Yield the ``(kind, ip, addr, dep)`` records of a RIB1 file.
 
-    ``fh`` is an open binary file.  Record and stream faults go through
-    ``report`` under its policy; a header fault raises under every
-    policy (see the module docstring).
+    ``fh`` is an open binary file and ``label`` names it in error
+    messages.  The first fault raises its typed error (see the module
+    docstring); a record is yielded only after it parsed clean.
     """
     reader = _Reader(fh)
     header = reader.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE:
         raise TraceTruncatedError(
-            f"{report.source}: header cut short ({len(header)} of "
+            f"{label}: header cut short ({len(header)} of "
             f"{HEADER_SIZE} bytes){reader.error}")
     magic, version, _flags, count = _HEADER.unpack(header)
     if magic != MAGIC:
         raise TraceFormatError(
-            f"{report.source}: not a RIB1 trace (magic {magic!r})")
+            f"{label}: not a RIB1 trace (magic {magic!r})")
     if version != VERSION:
         raise TraceFormatError(
-            f"{report.source}: unsupported RIB1 version {version}")
-    expected = None if count == COUNT_UNKNOWN else count
-    if expected is None:
-        # Unfinalized stream (writer crashed before finalize): the
-        # payload is still readable greedily, but the file as a whole
-        # is truncated by definition.
-        report.fault(TRUNCATED, 0, HEADER_SIZE,
-                     "unfinalized trace (sentinel record count)",
-                     dropped=False)
+            f"{label}: unsupported RIB1 version {version}")
+    if count == COUNT_UNKNOWN:
+        # The writer crashed before finalize: the file is truncated by
+        # definition, however many records it holds.
+        raise TraceTruncatedError(
+            f"{label}: byte {HEADER_SIZE}: unfinalized trace "
+            f"(sentinel record count)")
     hasher = _record_hasher()
-    index = 0
-    while expected is None or index < expected:
+    for index in range(count):
         offset = reader.offset
         blob = reader.read(RECORD_SIZE)
         if blob and len(blob) < RECORD_SIZE:
-            report.fault(TRUNCATED, index, offset,
-                         f"torn record ({len(blob)} of {RECORD_SIZE} "
-                         f"bytes){reader.error}", raw=blob)
-            break
+            raise TraceTruncatedError(
+                f"{label}: record {index} (byte {offset}): torn record "
+                f"({len(blob)} of {RECORD_SIZE} bytes){reader.error}")
         if not blob:
-            if expected is not None or reader.error:
-                report.fault(TRUNCATED, index, offset,
-                             f"stream ended at record {index} of "
-                             f"{expected}{reader.error}", dropped=False)
-            break
+            raise TraceTruncatedError(
+                f"{label}: byte {offset}: stream ended at record {index} "
+                f"of {count}{reader.error}")
         hasher.update(blob)
         kind, ip, addr, _cycle, dep, marker = _RECORD.unpack(blob)
         reason = _record_fault(kind, addr, dep, marker)
         if reason:
-            report.fault(FORMAT, index, offset, reason, raw=blob)
-        else:
-            report.records += 1
-            yield kind, ip, addr, dep
-        index += 1
-    if expected is None:
-        return
+            raise TraceFormatError(
+                f"{label}: record {index} (byte {offset}): {reason}")
+        yield kind, ip, addr, dep
     offset = reader.offset
     footer = reader.read(FOOTER_SIZE)
     if len(footer) < FOOTER_SIZE:
-        report.fault(TRUNCATED, index, offset,
-                     f"footer cut short ({len(footer)} of {FOOTER_SIZE} "
-                     f"bytes){reader.error}", raw=footer, dropped=False)
-    elif footer[:4] != FOOTER_MAGIC:
-        report.fault(CHECKSUM, index, offset,
-                     f"bad footer magic {footer[:4]!r}", raw=footer,
-                     dropped=False)
-    elif footer[4:] != hasher.digest():
-        report.fault(CHECKSUM, index, offset,
-                     f"record digest mismatch (footer {footer[4:].hex()}, "
-                     f"computed {hasher.hexdigest()})", dropped=False)
+        raise TraceTruncatedError(
+            f"{label}: byte {offset}: footer cut short ({len(footer)} of "
+            f"{FOOTER_SIZE} bytes){reader.error}")
+    if footer[:4] != FOOTER_MAGIC:
+        raise TraceChecksumError(
+            f"{label}: byte {offset}: bad footer magic {footer[:4]!r}")
+    if footer[4:] != hasher.digest():
+        raise TraceChecksumError(
+            f"{label}: byte {offset}: record digest mismatch (footer "
+            f"{footer[4:].hex()}, computed {hasher.hexdigest()})")
 
 
-def ingest_binary(source, *, name: str | None = None, policy: str = STRICT,
-                  max_errors: int = DEFAULT_MAX_ERRORS,
-                  quarantine_path: str | None = None,
-                  label: str | None = None) -> tuple[Trace, IngestReport]:
-    """Read a RIB1 trace under an ingestion policy.
+def ingest_binary(source, *, name: str | None = None) -> Trace:
+    """Read a RIB1 trace as a :class:`Trace`.
 
-    Returns the surviving records as a :class:`Trace` (named ``name``,
-    default the source label) and the :class:`IngestReport`.  Under
-    ``quarantine`` the sidecar goes to ``quarantine_path``, by default
-    ``<file name>.quarantine``; a source without a file name (bytes, or
-    a file object with no ``name``) needs an explicit path and raises
-    :class:`ConfigurationError` before reading without one.
+    ``source`` is a path, raw ``bytes`` or a binary file object; the
+    trace is named ``name``, by default the path, ``<bytes>`` or the
+    file object's name.  The first fault raises its typed error:
+    format 14, truncated 15, checksum 16, and :class:`TraceError` (4)
+    for a path that cannot be opened.
     """
-    fh, label, file_name, owns = _open_source(source, label)
+    fh, label, owns = _open_source(source)
     try:
-        if policy == QUARANTINE and not quarantine_path:
-            if file_name is None:
-                raise ConfigurationError("quarantine of a source with no "
-                                         "file name needs quarantine_path")
-            quarantine_path = f"{file_name}.quarantine"
-        report = IngestReport(source=label, policy=policy,
-                              max_errors=max_errors)
-        if policy == QUARANTINE:
-            report.attach_quarantine(quarantine_path)
-        try:
-            records = tuple(iter_binary_wire(fh, report))
-        finally:
-            report.close()
+        records = tuple(iter_binary_wire(fh, label))
     finally:
         if owns:
             fh.close()
-    return Trace._from_records(records, name or label), report
+    return Trace._from_records(records, name or label)
 
 
 class BinaryTraceWriter:
@@ -266,7 +233,11 @@ class BinaryTraceWriter:
         self.count = 0
         self.finalized = False
         self._hasher = _record_hasher()
-        self._fh = open(path, "wb")
+        try:
+            self._fh = open(path, "wb")
+        except OSError as error:
+            raise ReproError(f"cannot write trace file {path!r}: "
+                             f"{error.strerror}") from error
         self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, COUNT_UNKNOWN))
 
     def append(self, record) -> None:

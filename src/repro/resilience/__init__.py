@@ -11,12 +11,10 @@ survivability properties a long sweep needs:
 * **timeouts + crash recovery** — per-job wall-clock deadlines and
   ``BrokenProcessPool`` handling that kill/respawn the worker pool and
   re-dispatch only the unresolved jobs;
-* **degraded mode** — :class:`JobFailure` cells so degraded runs
-  render partial grids instead of aborting, and
-  :class:`CheckpointJournal`, an append-only log of the cells that
-  failed terminally, which a degraded rerun reads back to skip them.
-  An interrupted sweep resumes from the result cache (every result is
-  published as it completes), not from the journal.
+* **degraded mode** — :class:`JobFailure` cells, so a degraded batch
+  returns its partial results instead of aborting.  An interrupted
+  sweep resumes from the result cache (every result is published as it
+  completes).
 
 The seeded fault-injection harness that proves recovered runs are
 bit-identical to fault-free runs lives with its tests
@@ -24,7 +22,6 @@ bit-identical to fault-free runs lives with its tests
 ``docs/resilience.md`` for semantics and the failure taxonomy table.
 """
 
-from repro.resilience.journal import CheckpointJournal, flush_active_journals
 from repro.resilience.policy import (
     FATAL,
     JobFailure,
@@ -35,12 +32,10 @@ from repro.resilience.policy import (
 )
 
 __all__ = [
-    "CheckpointJournal",
     "FATAL",
     "JobFailure",
     "RetryPolicy",
     "TIMEOUT",
     "TRANSIENT",
     "classify_failure",
-    "flush_active_journals",
 ]

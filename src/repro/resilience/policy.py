@@ -99,9 +99,9 @@ class JobFailure:
 
     In degraded mode the runner resolves a job that exhausted its
     attempt budget (or failed fatally) to a ``JobFailure`` instead of
-    aborting the batch, so a sweep renders a partial grid with explicit
-    ``FAILED(reason)`` cells.  Every output slot of a duplicated spec
-    shares the same failure.
+    aborting the batch, so the caller gets every other result of the
+    batch; ``str()`` renders the cell as ``FAILED(ErrorType)``.  Every
+    output slot of a duplicated spec shares the same failure.
     """
 
     key: str

@@ -19,11 +19,10 @@ sensitivity sweeps), the claim cells' mix batches, the multicore
 alone-IPC runs and the ``repro`` CLI.  Execution is
 fault-tolerant via :mod:`repro.resilience` — bounded retries with
 backoff, per-job timeouts, worker-crash recovery, and degraded-mode
-:class:`JobFailure` cells with a failure journal (see
-``docs/resilience.md``).
+:class:`JobFailure` cells (see ``docs/resilience.md``).
 """
 
-from repro.resilience import CheckpointJournal, JobFailure, RetryPolicy
+from repro.resilience import JobFailure, RetryPolicy
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.job import (
     JobSpec,
@@ -39,7 +38,6 @@ from repro.runner.job import (
 from repro.runner.pool import SimulationRunner
 
 __all__ = [
-    "CheckpointJournal",
     "JobFailure",
     "JobSpec",
     "ResultCache",

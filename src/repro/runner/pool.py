@@ -1,7 +1,7 @@
 """Fan jobs out across processes, backed by the persistent cache.
 
 :meth:`SimulationRunner.run` resolves a batch of specs in three steps:
-probe the journal and cache, execute the misses (sequentially or on a
+probe the cache, execute the misses (sequentially or on a
 ``ProcessPoolExecutor``), publish each result **as it completes**
 (streaming — a later failure can never discard an earlier success).
 Results come back in submission order regardless of worker completion
@@ -23,10 +23,8 @@ Execution is fault-tolerant (see ``docs/resilience.md``):
   is killed, the pool respawned, and only unresolved jobs re-dispatched
   (likewise for a worker that crashes outright: ``BrokenProcessPool``
   is recovery, not the end of the batch);
-* a :class:`~repro.resilience.CheckpointJournal` logs every terminal
-  failure; a rerun reads it back only in degraded mode (an interrupted
-  batch resumes from the cache, which holds every result published
-  before the interrupt);
+* an interrupted batch resumes from the cache, which holds every
+  result published before the interrupt;
 * in degraded mode a job that exhausts its budget resolves to a
   :class:`~repro.resilience.JobFailure` cell instead of aborting the
   whole batch.
@@ -46,7 +44,6 @@ from repro.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.resilience.journal import CheckpointJournal
 from repro.resilience.policy import (
     JobFailure,
     RetryPolicy,
@@ -94,8 +91,7 @@ class SimulationRunner:
     ``cache`` an optional :class:`ResultCache`.  ``retry`` bounds the
     attempt budget for transient failures and timeouts; ``timeout`` is
     the per-job wall-clock deadline in seconds (it needs ``jobs >= 2``
-    — an in-process job cannot be preempted, so it is rejected).  ``journal``
-    logs terminal failures (degraded mode reads them back);
+    — an in-process job cannot be preempted, so it is rejected).
     ``degraded`` turns terminal failures into :class:`JobFailure` cells
     instead of exceptions.
     ``execute`` swaps the execution function (``fn(spec, attempt)``) —
@@ -106,9 +102,9 @@ class SimulationRunner:
     each running one, so a worker need not wait while this process
     publishes a result.
 
-    ``simulations_run`` counts execution *attempts* — cache and journal
-    hits do not increment it, which is how tests assert that a warm
-    rerun performs zero simulations.
+    ``simulations_run`` counts execution *attempts* — cache hits do not
+    increment it, which is how tests assert that a warm rerun performs
+    zero simulations.
     """
 
     def __init__(
@@ -117,7 +113,6 @@ class SimulationRunner:
         cache: ResultCache | None = None,
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
-        journal: CheckpointJournal | None = None,
         degraded: bool = False,
         execute=None,
     ) -> None:
@@ -135,12 +130,10 @@ class SimulationRunner:
         self.cache = cache
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout
-        self.journal = journal
         self.degraded = degraded
         self.execute = execute if execute is not None else default_execute
         self.simulations_run = 0
         self.cache_hits = 0
-        self.journal_hits = 0
         self.retries = 0
         self.timeouts = 0
         self.transient_errors = 0
@@ -179,28 +172,16 @@ class SimulationRunner:
                     self.cache_hits += 1
                     resolved[key] = payload
                     continue
-            if self.degraded and self.journal is not None:
-                failure = self.journal.failure_for(key)
-                if failure is not None:
-                    # A resumed degraded sweep does not burn a fresh
-                    # attempt budget on a known-terminal cell.
-                    self.journal_hits += 1
-                    resolved[key] = failure
-                    continue
             pending[key] = spec
 
         def publish(key: str, payload: object) -> None:
             resolved[key] = payload
             if self.cache is not None:
                 self.cache.put(key, payload)
-            if self.journal is not None:
-                self.journal.clear_failure(key)
 
         def publish_failure(key: str, failure: JobFailure) -> None:
             resolved[key] = failure
             self.failures += 1
-            if self.journal is not None:
-                self.journal.record_failed(key, failure)
 
         if pending:
             if self.jobs == 1:

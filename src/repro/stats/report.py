@@ -9,16 +9,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.resilience import JobFailure
-
 
 def _render_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
-    if isinstance(value, JobFailure):
-        # Degraded-mode grids carry terminal failures as cells; render
-        # them explicitly rather than aborting the whole table.
-        return f"FAILED({value.error_type})"
     return str(value)
 
 

@@ -118,7 +118,7 @@ def _ingest_round_trip_trace(trace):
     """A trace round-tripped through a RIB1 file.
 
     Writes the workload with :func:`~repro.ingest.write_binary`, then
-    strict-ingests it back — the exact path a trace file takes into the
+    ingests it back — the exact path a trace file takes into the
     simulator.  The twin must hold the source's records; it carries a
     new name, so it is a separate cell that both engines must agree on
     too.
@@ -132,7 +132,7 @@ def _ingest_round_trip_trace(trace):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, name)
         write_binary(trace, path)
-        ingested, _ = ingest_binary(path, name=name)
+        ingested = ingest_binary(path, name=name)
     if list(ingested) != list(trace):
         raise TraceError(f"{name}: the RIB1 round trip changed the records")
     return ingested

@@ -203,13 +203,12 @@ class ChaosCache:
 # endianness) and mid-record truncation of a RIB1 trace.
 #
 # The corruptor returns the exact clean-record indices it destroyed,
-# which is what makes the lenient-mode contract *checkable*: a lenient
-# ingest of the faulted bytes must yield precisely the clean trace
-# minus the returned victims, bit for bit.  Every injected fault is
-# guaranteed-invalid by construction (a reversed record is re-damaged
-# if its marker byte would survive), so a fault can never silently
-# mutate a record into different-but-valid data — it is either
-# dropped and counted, or the corruptor is wrong.
+# which is what makes detection *checkable*: ingesting the faulted
+# bytes must fail at the first returned victim.  Every injected fault
+# is guaranteed-invalid by construction (a reversed record is
+# re-damaged if its marker byte would survive), so a fault can never
+# silently mutate a record into different-but-valid data — it is
+# either detected, or the corruptor is wrong.
 # ---------------------------------------------------------------------------
 
 BYTE_REVERSE = "byte-reverse"
@@ -250,11 +249,8 @@ def corrupt_binary(clean: bytes, plan: InputFaultPlan) -> CorruptionResult:
     Scheduled records get their 28 bytes reversed (the wrong-
     endianness fault); if the reversal would happen to land a valid
     marker byte, the marker position is re-damaged so every victim is
-    guaranteed-detectable.  Note a flipped payload also stales the
-    footer digest — lenient readers will count one trailing
-    ``checksum`` fault on top of the per-record ``format`` faults.
-    A truncation keeps half of the cut record (a torn record) and
-    drops everything after it, footer included.
+    guaranteed-detectable.  A truncation keeps half of the cut record
+    (a torn record) and drops everything after it, footer included.
     """
     payload = len(clean) - HEADER_SIZE - FOOTER_SIZE
     count = payload // RECORD_SIZE

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.errors import (
     ReproError,
     TraceError,
 )
-from repro.sim.trace import LOAD
 from repro.verify import golden
 from repro.workloads import WORKLOAD_FAMILIES, workload_trace
 
@@ -138,16 +136,23 @@ class TestCommands:
         ["ingest", "chaos"],
         ["ingest", "run", "--file", "trace.k6"],
         ["convert", "trace.k6", "trace.rib"],
-        # The journal is the failure log of the two degraded commands.
+        # A job that exhausts its retry budget ends the run: no command
+        # keeps a failure journal or renders a FAILED(reason) cell.
         ["paper", "--only", "sens-dram-bandwidth", "--journal", "j"],
         ["run", "--workload", "bwaves_like", "--journal", "j"],
-        # Only compare and sweep can render a FAILED(reason) cell.
         ["run", "--workload", "bwaves_like", "--degraded"],
         ["mix", "--workload", "lbm_like", "--degraded"],
         ["paper", "--only", "sens-dram-bandwidth", "--degraded"],
         ["verify", "--degraded"],
         # The four fe-* claims run the frontend suite.
         ["frontend"],
+        ["compare", "--workloads", "bwaves_like", "--degraded"],
+        ["sweep", "--axis", "l1-size", "--values", "32k",
+         "--workloads", "bwaves_like", "--journal", "j"],
+        # A damaged trace file ends the run with its fault's exit code.
+        ["run-trace", "--trace-file", "t.rib", "--policy", "lenient"],
+        ["run-trace", "--trace-file", "t.rib", "--max-errors", "3"],
+        ["run-trace", "--trace-file", "t.rib", "--quarantine-path", "q"],
     ])
     def test_removed_surfaces_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -178,6 +183,11 @@ def _smash_first_marker(blob):
     blob[HEADER_SIZE + RECORD_SIZE - 2] ^= 0xFF
 
 
+def _text_trace(blob):
+    # A DRAMSim2-style text trace is no RIB1 file, not an empty one.
+    blob[:] = b"0x10000 P_MEM_RD 10\n0x10040 P_MEM_WR 20\n"
+
+
 class TestTraceFileCommands:
     def _dumped(self, tmp_path, capsys, damage=None) -> str:
         out = str(tmp_path / "w.rib")
@@ -198,81 +208,46 @@ class TestTraceFileCommands:
                      "--prefetcher", "ipcp"]) == 0
         printed = capsys.readouterr().out
         assert "speedup" in printed
-        assert "records ingested" in printed
+        assert printed.startswith(f"{out} (")
 
-    @pytest.mark.parametrize("damage, options, code", [
-        (_smash_first_marker, [], 14),
-        (_tear_last_record, [], 15),
-        (_rot_first_ip, [], 16),
-        (_smash_first_marker, ["--policy", "lenient", "--max-errors", "0"],
-         17),
-    ], ids=["bad-marker", "torn-record", "bit-rot", "over-budget"])
+    @pytest.mark.parametrize("damage, code", [
+        (_smash_first_marker, 14),
+        (_tear_last_record, 15),
+        (_rot_first_ip, 16),
+        (_text_trace, 14),
+    ], ids=["bad-marker", "torn-record", "bit-rot", "text-trace"])
     def test_run_trace_exits_with_the_fault_code(
-            self, damage, options, code, tmp_path, capsys):
+            self, damage, code, tmp_path, capsys):
         out = self._dumped(tmp_path, capsys, damage)
-        assert main(["run-trace", "--trace-file", out] + options) == code
+        assert main(["run-trace", "--trace-file", out]) == code
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
-        assert "speedup" not in captured.out
+        assert captured.out == ""
 
-    def test_run_trace_lenient_prints_the_ingest_report(
-            self, tmp_path, capsys):
-        out = self._dumped(tmp_path, capsys, _smash_first_marker)
-        sidecar = str(tmp_path / "w.quarantine")
-        assert main(["run-trace", "--trace-file", out,
-                     "--policy", "quarantine",
-                     "--quarantine-path", sidecar]) == 0
-        printed = capsys.readouterr().out
-        rows = dict(line.rsplit(None, 1) for line in printed.splitlines()
-                    if line.startswith(("records", "faults")))
-        assert rows.pop("records ingested").isdigit()
-        assert rows == {"records skipped": "1",
-                        "faults (checksum)": "1",
-                        "faults (format)": "1"}
-        assert sidecar in printed and "speedup" in printed
-        assert os.path.getsize(sidecar) > 0
-
-    def _assert_no_records_error(self, argv, capsys):
-        assert main(argv) == TraceError.exit_code
-        captured = capsys.readouterr()
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ")
-        assert "no records to simulate" in captured.err
-        rows = dict(line.rsplit(None, 1) for line in captured.out.splitlines()
-                    if line.startswith("records"))
-        assert rows["records ingested"] == "0"
-        assert "speedup" not in captured.out
+    @pytest.mark.parametrize("argv, code", [
+        (["run-trace", "--trace-file", "{tmp}/absent.rib"], 4),
+        (["run-trace", "--trace-file", "{tmp}"], 4),
+        (["dump-trace", "--workload", "lbm_like", "--scale", "0.05",
+          "--out", "{tmp}/absent/t.rib"], 2),
+    ], ids=["missing-file", "directory", "missing-out-dir"])
+    def test_unopenable_path_is_a_one_line_error(
+            self, argv, code, tmp_path, capsys):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_run_trace_rejects_an_empty_trace(self, tmp_path, capsys):
         empty = str(tmp_path / "empty.rib")
         write_binary([], empty)
-        self._assert_no_records_error(["run-trace", "--trace-file", empty],
-                                      capsys)
-
-    def test_run_trace_rejects_a_lenient_run_that_drops_everything(
-            self, tmp_path, capsys):
-        path = str(tmp_path / "bad.rib")
-        write_binary([(LOAD, 0x400000, 0x10000 + 64 * i, 0)
-                      for i in range(3)], path)
-        with open(path, "rb") as fh:
-            blob = bytearray(fh.read())
-        for index in range(3):
-            blob[HEADER_SIZE + (index + 1) * RECORD_SIZE - 2] ^= 0xFF
-        with open(path, "wb") as fh:
-            fh.write(bytes(blob))
-        self._assert_no_records_error(
-            ["run-trace", "--trace-file", path, "--policy", "lenient"],
-            capsys)
-
-    def test_run_trace_rejects_a_text_trace_under_lenient(
-            self, tmp_path, capsys):
-        text = tmp_path / "old.k6"
-        text.write_text("0x10000 P_MEM_RD 10\n0x10040 P_MEM_WR 20\n")
-        code = main(["run-trace", "--trace-file", str(text),
-                     "--policy", "lenient"])
-        assert code == 14
-        assert "not a RIB1 trace" in capsys.readouterr().err
+        assert main(["run-trace", "--trace-file", empty]) == (
+            TraceError.exit_code)
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "no records to simulate" in captured.err
+        assert captured.out == ""
 
 
 class TestProfileCommand:
@@ -517,32 +492,25 @@ class TestErrorHygiene:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
-    def test_timeout_exhaustion_exits_with_timeout_code(self, capsys):
+    @staticmethod
+    def _assert_times_out(command, capsys):
         # A 1ms deadline no simulation can meet, with no retry budget:
-        # the run must fail with JobTimeout's dedicated exit code.
-        code = main(["compare", "--workloads", "bwaves_like",
-                     "--prefetchers", "none", "--scale", "0.05",
-                     "--jobs", "2", "--timeout", "0.001",
-                     "--retries", "1", "--no-cache"])
-        assert code == JobTimeout.exit_code
-        err = capsys.readouterr().err
-        assert "error:" in err and "exceeded" in err
+        # the table command must fail with JobTimeout's exit code and
+        # print no table.
+        budget = ["--workloads", "bwaves_like", "--prefetchers", "none",
+                  "--scale", "0.05", "--jobs", "2", "--timeout", "0.001",
+                  "--retries", "1", "--no-cache"]
+        assert main(command + budget) == JobTimeout.exit_code
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "exceeded" in captured.err
+        assert captured.out == ""
 
-    def test_degraded_renders_failed_cells_and_exits_zero(self, capsys):
-        code = main(["compare", "--workloads", "bwaves_like",
-                     "--prefetchers", "none", "--scale", "0.05",
-                     "--jobs", "2", "--timeout", "0.001",
-                     "--retries", "1", "--no-cache", "--degraded"])
-        assert code == 0
-        assert "FAILED(JobTimeout)" in capsys.readouterr().out
+    def test_timeout_exhaustion_exits_with_timeout_code(self, capsys):
+        self._assert_times_out(["compare"], capsys)
 
-    def test_sweep_degraded_renders_failed_cells(self, capsys):
-        code = main(["sweep", "--axis", "dram-bandwidth", "--values", "3.2",
-                     "--workloads", "bwaves_like", "--prefetchers", "none",
-                     "--scale", "0.05", "--jobs", "2", "--timeout", "0.001",
-                     "--retries", "1", "--no-cache", "--degraded"])
-        assert code == 0
-        assert "FAILED(JobTimeout)" in capsys.readouterr().out
+    def test_sweep_timeout_exhaustion_exits_with_timeout_code(self, capsys):
+        self._assert_times_out(
+            ["sweep", "--axis", "dram-bandwidth", "--values", "3.2"], capsys)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("argv", [
@@ -590,40 +558,21 @@ class TestErrorHygiene:
         assert code == 2
         assert "jobs >= 2" in capsys.readouterr().err
 
-    def test_interrupt_flushes_journal_and_exits_130(
-            self, tmp_path, capsys, monkeypatch):
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
         from repro.runner.pool import SimulationRunner
 
         def interrupted_run(self, specs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(SimulationRunner, "run", interrupted_run)
-        journal = str(tmp_path / "sweep.journal")
         code = main(["compare", "--workloads", "bwaves_like",
                      "--prefetchers", "none", "--scale", "0.05",
-                     "--journal", journal, "--no-cache"])
+                     "--no-cache"])
         assert code == 130
-        err = capsys.readouterr().err
-        assert "interrupted" in err
-        assert "1 checkpoint journal(s) flushed" in err
-        assert os.path.exists(journal)
+        assert capsys.readouterr().err == "interrupted\n"
 
 
 class TestResilienceOptions:
-    def test_journal_resume_across_invocations(self, tmp_path, capsys):
-        argv = ["compare", "--workloads", "bwaves_like",
-                "--prefetchers", "ipcp", "--scale", "0.1",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--journal", str(tmp_path / "sweep.journal")]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        # The journal logs failures only, and both cells resolved.
-        with open(tmp_path / "sweep.journal") as fh:
-            assert fh.read() == ""
-        # Resumed invocation reproduces the identical table.
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-
     def test_retries_and_timeout_accepted_on_clean_run(self, capsys):
         code = main(["run", "--workload", "bwaves_like", "--scale", "0.1",
                      "--retries", "2", "--timeout", "60", "--jobs", "2",

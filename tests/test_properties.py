@@ -207,7 +207,7 @@ class TestTraceProperties:
         trace = Trace(records)
         path = str(tmp_path_factory.mktemp("traces") / "t.rib")
         write_binary(trace, path)
-        assert list(ingest_binary(path)[0]) == list(trace)
+        assert list(ingest_binary(path)) == list(trace)
 
 
 # --------------------------------------------------------------------- #

@@ -4,9 +4,9 @@ Covers the survivability contract of the runner: transient failures
 retry with bounded budgets and deterministic backoff, fatal failures
 never retry, per-job timeouts kill and re-dispatch overdue work, worker
 crashes respawn the pool without losing resolved results, completed
-results stream into the cache even when a later job fails, degraded
-mode renders ``FAILED(reason)`` cells, and checkpoint journals make an
-interrupted batch resumable with zero recomputation.
+results stream into the cache even when a later job fails, so an
+interrupted batch resumes from the cache with zero recomputation, and
+degraded mode resolves a failed job to a ``FAILED(reason)`` cell.
 """
 
 from __future__ import annotations
@@ -20,29 +20,27 @@ from concurrent.futures import ProcessPoolExecutor, wait
 import pytest
 
 import repro.runner.pool as runner_pool
-from repro.analysis import ExperimentRunner
-from repro.analysis.sweep import sweep_system
 from repro.errors import (
-    CheckpointError,
     ConfigurationError,
     FatalJobError,
     JobTimeout,
     ReproError,
     SimulationError,
+    TraceChecksumError,
     TraceError,
+    TraceFormatError,
+    TraceTruncatedError,
     TransientJobError,
     WorkerCrashError,
     exit_code_for,
 )
 from repro.resilience import (
-    CheckpointJournal,
     FATAL,
     JobFailure,
     RetryPolicy,
     TIMEOUT,
     TRANSIENT,
     classify_failure,
-    flush_active_journals,
 )
 from repro.resilience.policy import BACKOFF_MAX
 from repro.runner import (
@@ -111,12 +109,6 @@ def always_sleep(spec, attempt=1):
     time.sleep(30.0)
 
 
-def logged_failure(key: str) -> JobFailure:
-    """A terminal failure as the runner journals it."""
-    return JobFailure(key=key, error_type="SimulationError",
-                      message="boom", attempts=1)
-
-
 @pytest.fixture(scope="module")
 def trace():
     return spec_trace("bwaves_like", 0.05)
@@ -156,7 +148,8 @@ class TestTaxonomy:
     def test_exit_codes_distinct(self):
         errors = [ReproError, ConfigurationError, TraceError,
                   SimulationError, JobTimeout, TransientJobError,
-                  FatalJobError, CheckpointError]
+                  FatalJobError, TraceFormatError, TraceTruncatedError,
+                  TraceChecksumError]
         codes = [cls.exit_code for cls in errors]
         assert len(set(codes)) == len(codes)
         assert all(code >= 2 for code in codes)
@@ -262,6 +255,22 @@ class TestStreamingPublish:
         runner.run([levels_job(trace, "none")])
         assert len(cache) == 0
 
+    def test_resume_performs_zero_redundant_simulations(
+            self, trace, second_trace, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        specs = [levels_job(trace, "none"), levels_job(trace, "ipcp"),
+                 levels_job(second_trace, "none")]
+
+        # "Interrupted" run resolves only the first two cells.
+        interrupted = SimulationRunner(cache=ResultCache(cache_dir))
+        interrupted.run(specs[:2])
+        assert interrupted.simulations_run == 2
+
+        resumed = SimulationRunner(cache=ResultCache(cache_dir))
+        resumed.run(specs)
+        assert resumed.simulations_run == 1  # only the never-run cell
+        assert resumed.cache_hits == 2
+
 
 class TestDegradedMode:
     def test_failure_cells_instead_of_abort(self, trace, second_trace,
@@ -291,28 +300,6 @@ class TestDegradedMode:
         text = format_table(["trace", "ipcp"], [["bwaves", failure]])
         assert "FAILED(JobTimeout)" in text
         assert failure.reason == "JobTimeout: exceeded 1s"
-
-    def test_experiment_runner_partial_grid(self, trace, second_trace):
-        backend = SimulationRunner(degraded=True, execute=fatal_for_ipcp)
-        experiment = ExperimentRunner([trace, second_trace],
-                                      runner=backend)
-        rows = experiment.speedup_table(["ipcp"])
-        cells = {row[0]: row[1] for row in rows}
-        assert isinstance(cells[trace.name], JobFailure)
-        assert isinstance(cells["geomean"], JobFailure)
-        text = format_table(["trace", "ipcp"], rows)
-        assert "FAILED(SimulationError)" in text
-
-    def test_run_sweep_partial_grid(self, trace):
-        backend = SimulationRunner(degraded=True, execute=fatal_for_ipcp)
-        experiment = ExperimentRunner([trace], runner=backend)
-        rows = experiment.sweep_table(
-            ["ipcp", "none"], [("12.8", sweep_system()),
-                               ("3.2", sweep_system(dram_bandwidth_gbps=3.2))])
-        assert all(isinstance(row[1], JobFailure) for row in rows)
-        assert [row[2] for row in rows] == [1.0, 1.0]
-        text = format_table(["dram-bandwidth", "ipcp", "none"], rows)
-        assert text.count("FAILED(SimulationError)") == 2
 
 
 class TestPoolRecovery:
@@ -422,125 +409,6 @@ class TestPoolRecovery:
         # silently ignored, so the runner refuses it up front.
         with pytest.raises(ReproError, match="jobs >= 2"):
             SimulationRunner(jobs=1, timeout=5.0)
-
-
-class TestCheckpointJournal:
-    def test_resume_performs_zero_redundant_simulations(
-            self, trace, second_trace, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        journal_path = str(tmp_path / "sweep.journal")
-        specs = [levels_job(trace, "none"), levels_job(trace, "ipcp"),
-                 levels_job(second_trace, "none")]
-
-        # "Interrupted" run resolves only the first two cells.
-        with CheckpointJournal(journal_path) as journal:
-            interrupted = SimulationRunner(cache=ResultCache(cache_dir),
-                                           journal=journal)
-            interrupted.run(specs[:2])
-            assert interrupted.simulations_run == 2
-
-        resumed_journal = CheckpointJournal(journal_path)
-        resumed = SimulationRunner(cache=ResultCache(cache_dir),
-                                   journal=resumed_journal)
-        resumed.run(specs)
-        assert resumed.simulations_run == 1  # only the never-run cell
-        assert resumed.cache_hits == 2
-        resumed_journal.close()
-
-    def test_degraded_resume_skips_known_fatal_cells(self, trace, tmp_path):
-        journal_path = str(tmp_path / "sweep.journal")
-        spec = levels_job(trace, "ipcp")
-        with CheckpointJournal(journal_path) as journal:
-            failing = SimulationRunner(degraded=True, journal=journal,
-                                       execute=always_fatal)
-            failing.run([spec])
-
-        with CheckpointJournal(journal_path) as journal:
-            resumed = SimulationRunner(degraded=True, journal=journal,
-                                       execute=always_fatal)
-            cell = resumed.run_one(spec)
-        assert isinstance(cell, JobFailure)
-        assert cell.error_type == "SimulationError"
-        assert resumed.simulations_run == 0
-        assert resumed.journal_hits == 1
-
-    def test_strict_resume_retries_previously_failed_cells(
-            self, trace, reference_none, tmp_path):
-        journal_path = str(tmp_path / "sweep.journal")
-        spec = levels_job(trace, "none")
-        with CheckpointJournal(journal_path) as journal:
-            SimulationRunner(degraded=True, journal=journal,
-                             execute=always_fatal).run([spec])
-
-        # Strict mode does not trust a recorded failure — the fault may
-        # have been environmental; the cell is re-executed.
-        with CheckpointJournal(journal_path) as journal:
-            retried = SimulationRunner(journal=journal)
-            result = retried.run_one(spec)
-            assert journal.failure_for(spec.cache_key()) is None
-        assert pickle.dumps(result) == reference_none
-        assert retried.simulations_run == 1
-        # The success is on disk too: a degraded rerun must not render
-        # the superseded failure.
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.failed_keys == set()
-
-    def test_torn_trailing_line_is_skipped(self, trace, tmp_path):
-        journal_path = str(tmp_path / "sweep.journal")
-        with CheckpointJournal(journal_path) as journal:
-            journal.record_failed("aaaa", logged_failure("aaaa"))
-            journal.record_failed("bbbb", JobFailure(
-                key="bbbb", error_type="JobTimeout", message="slow",
-                attempts=3))
-        with open(journal_path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "cccc", "sta')  # writer SIGKILLed mid-append
-
-        journal = CheckpointJournal(journal_path)
-        assert journal.failed_keys == {"aaaa", "bbbb"}
-        assert journal.skipped_lines == 1
-        failure = journal.failure_for("bbbb")
-        assert failure.error_type == "JobTimeout"
-        assert failure.attempts == 3
-        journal.close()
-
-    def test_nul_padded_tail_is_skipped_and_counted(self, tmp_path):
-        # A journalling filesystem replaying a metadata-only commit
-        # after power loss can leave a pre-allocated run of NUL bytes
-        # where flushed lines never hit the platter.
-        journal_path = str(tmp_path / "sweep.journal")
-        with CheckpointJournal(journal_path) as journal:
-            journal.record_failed("aaaa", logged_failure("aaaa"))
-            journal.record_failed("bbbb", logged_failure("bbbb"))
-        with open(journal_path, "ab") as fh:
-            fh.write(b"\x00" * 256 + b"\n")          # padded tail
-            fh.write(b'{"key": "cccc", "sta\x00\x00')  # torn + padded
-
-        journal = CheckpointJournal(journal_path)
-        assert journal.failed_keys == {"aaaa", "bbbb"}
-        assert journal.skipped_lines == 2
-        journal.close()
-
-    def test_entry_padded_with_nuls_still_loads(self, tmp_path):
-        # NUL runs around an intact entry must not hide it.
-        journal_path = str(tmp_path / "sweep.journal")
-        with open(journal_path, "wb") as fh:
-            fh.write(b'\x00\x00{"key": "aaaa", "status": "failed"}\x00\x00\n')
-        journal = CheckpointJournal(journal_path)
-        assert journal.failed_keys == {"aaaa"}
-        assert journal.skipped_lines == 0
-        journal.close()
-
-    def test_flush_active_journals(self, tmp_path):
-        journal = CheckpointJournal(str(tmp_path / "a.journal"))
-        assert flush_active_journals() >= 1
-        journal.close()
-        assert flush_active_journals() == 0
-
-    def test_unwritable_journal_raises_checkpoint_error(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("file, not directory")
-        with pytest.raises(CheckpointError):
-            CheckpointJournal(str(blocker / "sweep.journal"))
 
 
 class TestAtomicCachePut:

@@ -102,7 +102,7 @@ class TestSerialisation:
         )
         path = str(tmp_path / "trace.rib")
         write_binary(trace, path)
-        loaded, _ = ingest_binary(path, name="rt")
+        loaded = ingest_binary(path, name="rt")
         assert list(loaded) == list(trace)
         assert loaded.name == "rt"
 
@@ -141,6 +141,6 @@ class TestImmutableRecords:
 
         path = str(tmp_path / "trace.rib")
         write_binary(Trace([(LOAD, 0x400, 0x1000, 1)]), path)
-        loaded, _ = ingest_binary(path)
+        loaded = ingest_binary(path)
         assert type(loaded.records) is tuple
         assert loaded.records == ((LOAD, 0x400, 0x1000, 1),)
